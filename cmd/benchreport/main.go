@@ -38,7 +38,6 @@ var metrics = []metric{
 	{"transient_step_ns_adaptive", "ns/step (adaptive)", "", 0},
 	{"adaptive_quiescent_step_reduction", "quiescent step cut", "x", 2},
 	{"mc_runs_per_sec_jobs1", "MC runs/s", "", 0},
-	{"mc_batch_speedup_vs_scalar", "batch vs scalar", "x", 2},
 	{"mc_agg_runs_per_sec", "MC agg runs/s", "", 0},
 	{"mc_agg_bytes_per_run", "bytes/run", "", 0},
 	{"shard_merge_runs_per_sec", "shard-merge runs/s", "", 0},

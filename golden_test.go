@@ -92,20 +92,6 @@ func TestGoldenCampaignOutput(t *testing.T) {
 				t.Errorf("%s output differs between jobs=1 and jobs=8\n%s",
 					format, firstDiff(parallel, got))
 			}
-
-			// The batched lockstep Monte-Carlo engine must not change a
-			// byte either: the scalar path (width 1) and the full-width
-			// lockstep path must both reproduce the golden, which the
-			// default width (0 = auto) already rendered above.
-			for _, width := range []int{1, 8} {
-				ob := goldenOptions()
-				ob.Jobs = 1
-				ob.SpiceBatchWidth = width
-				if batched := renderAll(t, ob, format); !bytes.Equal(batched, got) {
-					t.Errorf("%s output differs at SpiceBatchWidth=%d\n%s",
-						format, width, firstDiff(batched, got))
-				}
-			}
 		})
 	}
 }

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
 
 	"github.com/dramstudy/rhvpp/internal/core"
 	"github.com/dramstudy/rhvpp/internal/physics"
-	"github.com/dramstudy/rhvpp/internal/spice"
 )
 
 // Options scales the experiment campaign. The paper's full scale (272 chips,
@@ -60,13 +60,6 @@ type Options struct {
 	// default loosen the fixed-grid-equivalence guarantee; see
 	// docs/ARCHITECTURE.md for the accuracy contract.
 	SpiceLTETolV float64 `json:",omitempty"`
-	// SpiceBatchWidth sets how many Monte-Carlo runs the SPICE engine
-	// advances in lockstep per worker (0 = the engine default, 1 = the
-	// scalar path, up to spice.MaxBatchWidth). Every width produces
-	// byte-identical campaign output — lanes replicate the scalar engine's
-	// float-op sequence exactly — so this is a throughput knob, excluded
-	// from the canonical options fingerprint like Jobs.
-	SpiceBatchWidth int `json:",omitempty"`
 }
 
 // Default returns a laptop-scale campaign preserving the paper's structure.
@@ -110,7 +103,9 @@ func KnownModuleNames() []string {
 // (every entry of ModuleNames must be a Table 3 label, with no duplicates)
 // or misread their own knobs: a negative Jobs is an error — it is neither
 // "serial" (that is 1) nor "one per CPU" (that is 0), so accepting it would
-// quietly run a configuration the caller never asked for.
+// quietly run a configuration the caller never asked for. A non-finite
+// SpiceLTETolV is rejected too: it is no tolerance, and the canonical options
+// encoding behind the fingerprint cannot represent it.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
@@ -118,8 +113,8 @@ func (o Options) Validate() error {
 	if o.SpiceLTETolV < 0 {
 		return fmt.Errorf("experiments: SpiceLTETolV %g is negative (use 0 for the engine default, or a positive tolerance in volts)", o.SpiceLTETolV)
 	}
-	if o.SpiceBatchWidth < 0 || o.SpiceBatchWidth > spice.MaxBatchWidth {
-		return fmt.Errorf("experiments: SpiceBatchWidth %d is outside [0, %d] (use 0 for the engine default, 1 for the scalar path)", o.SpiceBatchWidth, spice.MaxBatchWidth)
+	if math.IsNaN(o.SpiceLTETolV) || math.IsInf(o.SpiceLTETolV, 0) {
+		return fmt.Errorf("experiments: SpiceLTETolV %g is not finite (use 0 for the engine default, or a positive tolerance in volts)", o.SpiceLTETolV)
 	}
 	_, err := o.profiles()
 	return err

@@ -92,13 +92,12 @@ func mcLevelKey(vpp float64) string { return fmt.Sprintf("%.1f", vpp) }
 // Fig. 8b/9b study (±5% component variation, §4.5).
 func mcConfig(o Options) spice.MCConfig {
 	return spice.MCConfig{
-		Runs:       o.SpiceMCRuns,
-		Seed:       o.Seed,
-		Variation:  0.05,
-		Jobs:       o.jobs(),
-		FixedGrid:  o.SpiceFixedGrid,
-		LTETolV:    o.SpiceLTETolV,
-		BatchWidth: o.SpiceBatchWidth,
+		Runs:      o.SpiceMCRuns,
+		Seed:      o.Seed,
+		Variation: 0.05,
+		Jobs:      o.jobs(),
+		FixedGrid: o.SpiceFixedGrid,
+		LTETolV:   o.SpiceLTETolV,
 	}
 }
 

@@ -38,8 +38,6 @@ type Overrides struct {
 	// LTETolV overrides SpiceLTETolV when != 0 (negative values pass
 	// through for Validate to reject with its canonical message).
 	LTETolV float64
-	// BatchWidth overrides SpiceBatchWidth when != 0.
-	BatchWidth int
 	// FixedGrid switches the SPICE Monte-Carlo to the fixed grid when true.
 	FixedGrid bool
 	// Jobs overrides Options.Jobs when JobsSet is true. Jobs is the one
@@ -54,7 +52,7 @@ type Overrides struct {
 // same names the CLI registers as flags.
 var knobNames = []string{
 	"modules", "rows", "chunks", "seed", "stride", "mc",
-	"ltetol", "batch", "fixed-grid", "jobs",
+	"ltetol", "fixed-grid", "jobs",
 }
 
 // Known returns the knob names Set accepts, in presentation order.
@@ -94,8 +92,6 @@ func (ov *Overrides) Set(name, value string) error {
 		}
 		ov.LTETolV = f
 		return nil
-	case "batch":
-		return setInt(&ov.BatchWidth, value, badValue)
 	case "fixed-grid":
 		b, err := strconv.ParseBool(value)
 		if err != nil {
@@ -146,9 +142,6 @@ func (ov Overrides) Apply(o *experiments.Options) {
 	if ov.LTETolV != 0 {
 		o.SpiceLTETolV = ov.LTETolV // negative rejected by Options.Validate
 	}
-	if ov.BatchWidth != 0 {
-		o.SpiceBatchWidth = ov.BatchWidth // out-of-range rejected by Options.Validate
-	}
 	if ov.FixedGrid {
 		o.SpiceFixedGrid = true
 	}
@@ -169,7 +162,6 @@ func (ov *Overrides) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&ov.Stride, "stride", 0, "VPP sweep stride (1 = every 0.1V level)")
 	fs.IntVar(&ov.MCRuns, "mc", 0, "SPICE Monte-Carlo runs per voltage (0 = default)")
 	fs.Float64Var(&ov.LTETolV, "ltetol", 0, "adaptive SPICE step-doubling error tolerance in volts (0 = engine default; beyond the default the fixed-grid crossing equivalence is best-effort)")
-	fs.IntVar(&ov.BatchWidth, "batch", 0, "SPICE Monte-Carlo lockstep lanes per worker (0 = engine default, 1 = scalar; output is byte-identical at every width)")
 	fs.BoolVar(&ov.FixedGrid, "fixed-grid", false, "integrate the SPICE Monte-Carlo on the historical fixed 25 ps grid (disables adaptive stepping)")
 	fs.Var(jobsFlag{ov}, "jobs", "concurrent module sweeps (0 = one per CPU)")
 }

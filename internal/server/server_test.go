@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -408,6 +409,8 @@ func TestQueryOptionsErrors(t *testing.T) {
 	badJobs.Jobs = -1
 	badModules := tinyOptions()
 	badModules.ModuleNames = []string{"ZZ"}
+	badTol := tinyOptions()
+	badTol.SpiceLTETolV = math.NaN()
 	_, unknownExpErr := rhvpp.LookupExperiment("nope")
 	_, unknownPresetErr := rhvpp.PresetOptions("bogus")
 	_, badFormatErr := rhvpp.NewEncoder(rhvpp.Format("yaml"), io.Discard)
@@ -417,9 +420,11 @@ func TestQueryOptionsErrors(t *testing.T) {
 		{"negative jobs", "/v1/experiments/table3?jobs=-1", badJobs.Validate().Error()},
 		{"unknown experiment", "/v1/experiments/nope", unknownExpErr.Error()},
 		{"unknown module", "/v1/experiments/table3?modules=ZZ", badModules.Validate().Error()},
+		{"non-finite tolerance", "/v1/experiments/table3?ltetol=NaN", badTol.Validate().Error()},
 		{"unknown format", "/v1/experiments/table3?format=yaml", badFormatErr.Error()},
 		{"unknown preset", "/v1/experiments/table3?preset=bogus", unknownPresetErr.Error()},
-		{"unknown knob", "/v1/experiments/table3?rowz=5", `unknown option "rowz" (known: modules, rows, chunks, seed, stride, mc, ltetol, batch, fixed-grid, jobs)`},
+		{"unknown knob", "/v1/experiments/table3?rowz=5", `unknown option "rowz" (known: modules, rows, chunks, seed, stride, mc, ltetol, fixed-grid, jobs)`},
+		{"retired knob", "/v1/experiments/all?batch=1", `unknown option "batch" (known: modules, rows, chunks, seed, stride, mc, ltetol, fixed-grid, jobs)`},
 		{"unparseable knob", "/v1/experiments/table3?rows=eight", ""},
 	} {
 		code, body, _ := get(t, hs.URL+tc.url)
@@ -536,24 +541,24 @@ func TestSessionCacheEvictsFIFO(t *testing.T) {
 }
 
 // TestExecutionShapeKnobsShareOneFlight pins the fingerprint contract at the
-// serving layer: jobs= and batch= shape execution, not results, so requests
-// differing only in those knobs collapse onto one computation.
+// serving layer: jobs= shapes execution, not results, so requests differing
+// only in it collapse onto one computation.
 func TestExecutionShapeKnobsShareOneFlight(t *testing.T) {
 	g := newGatedCompute()
 	close(g.release)
 	srv, hs := newTestServer(t, Config{Base: tinyOptions(), Compute: g.fn})
-	var fps [3]string
-	for i, q := range []string{"", "?jobs=2", "?batch=4"} {
+	var fps [2]string
+	for i, q := range []string{"", "?jobs=2"} {
 		code, body, hdr := get(t, hs.URL+"/v1/experiments/table1"+q)
 		if code != http.StatusOK {
 			t.Fatalf("query %q: status %d: %s", q, code, body)
 		}
 		fps[i] = hdr.Get("X-Rhvpp-Fingerprint")
 	}
-	if fps[1] != fps[0] || fps[2] != fps[0] {
-		t.Errorf("execution-shape knobs changed the fingerprint: %v", fps)
+	if fps[1] != fps[0] {
+		t.Errorf("the execution-shape knob jobs= changed the fingerprint: %v", fps)
 	}
-	if st := srv.Stats(); st.Computations != 1 || st.MemHits != 2 {
-		t.Errorf("stats %+v, want 1 computation and 2 memory hits", st)
+	if st := srv.Stats(); st.Computations != 1 || st.MemHits != 1 {
+		t.Errorf("stats %+v, want 1 computation and 1 memory hit", st)
 	}
 }

@@ -353,9 +353,11 @@ func abs(x float64) float64 {
 // false WITHOUT writing anything: all partial work lived in the stack
 // arrays, so the caller redoes the iteration through the generic path from
 // the same pristine inputs, which reproduces the identical elimination
-// prefix and then handles the pivot exactly as solveDense always has.
+// prefix and then handles the pivot exactly as solveDense always has. Its
+// one caller is the reduced engine's Newton loop (Transient.stepReduced), so
+// every Workspace.Simulate of the Table 2 netlist runs it on each iteration.
 //
-//detlint:hotpath witness=TestBatchStepAllocsFree
+//detlint:hotpath witness=TestWorkspaceSimulateAllocs
 func cell6Iter(gStatic, zStep, newt, vdrv []float64, plans []mosPlan, mos []*MOSParams) (maxDelta float64, ok bool) {
 	a := *(*[36]float64)(gStatic)
 	z := *(*[6]float64)(zStep)

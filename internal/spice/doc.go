@@ -41,15 +41,17 @@
 // from a per-level, per-index RNG stream and fold outcomes into streaming
 // stats.Dist accumulators in strict (level, run) order through
 // pool.RunOrdered, so results are byte-identical at any worker count and
-// campaign memory is independent of the run count. Each worker reuses one
+// campaign memory is independent of the run count. There is one execution
+// path: each worker simulates one run at a time through its own reused
 // Workspace (re-stamping values instead of rebuilding the netlist), which
 // is bit-identical to a fresh simulation and allocation-free in steady
 // state. MCResult.Merge folds same-level run-range partials in run order
 // for sharded campaigns.
 //
 // The allocation-free property is a checked contract, not a convention:
-// the stepping core (Transient.Step, Reset, setDt, stampCellValues) and
-// the aggregation fold (MCResult.record) carry //detlint:hotpath
+// the stepping core (Transient.Step, Reset, setDt, stampCellValues), the
+// stack-resident Newton kernel of the Table 2 netlist (cell6Iter), and the
+// aggregation fold (MCResult.record) carry //detlint:hotpath
 // annotations naming their runtime AllocsPerRun witnesses, and the
 // hotalloc analyzer flags any heap allocation reachable from them (see
 // docs/CONTRACTS.md). MCResult is likewise under the mergecontract

@@ -153,14 +153,6 @@ type MCConfig struct {
 	// LTETolV overrides the adaptive engine's step-doubling error tolerance
 	// in volts (0 = spice.DefaultLTETolV). Ignored under FixedGrid.
 	LTETolV float64
-	// BatchWidth is how many runs advance in lockstep through one
-	// struct-of-arrays BatchWorkspace (0 = DefaultBatchWidth, 1 = the scalar
-	// per-run path, capped at MaxBatchWidth). Runs are fed to workers in
-	// deterministic (level, run) tiles of this width and every lane is
-	// bit-identical to the scalar engine, so the campaign output does not
-	// depend on the width — only the throughput does. Ignored under
-	// Reference, which the batch engine does not implement.
-	BatchWidth int
 }
 
 // jobs resolves the worker bound.
@@ -169,21 +161,6 @@ func (c MCConfig) jobs() int {
 		return c.Jobs
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// batchWidth resolves the lockstep tile width.
-func (c MCConfig) batchWidth() int {
-	w := c.BatchWidth
-	if w <= 0 {
-		w = DefaultBatchWidth
-	}
-	if w > MaxBatchWidth {
-		w = MaxBatchWidth
-	}
-	if c.Reference {
-		w = 1
-	}
-	return w
 }
 
 // MonteCarlo runs the activation simulation `runs` times at the given VPP
@@ -242,24 +219,6 @@ func RunMonteCarloSweep(ctx context.Context, vpps []float64, cfg MCConfig) ([]MC
 		return results, ctx.Err()
 	}
 
-	// runParams reproduces the standalone campaign's parameter draw for run
-	// ri of level li: the per-level, per-index RNG stream and the engine
-	// overrides. Both the scalar and the batched path call exactly this.
-	runParams := func(li, ri int) CellParams {
-		p := Vary(DefaultCellParams(vpps[li]), roots[li].Derive("run", ri), cfg.Variation)
-		switch {
-		case cfg.Reference || cfg.FixedGrid:
-			p.Adaptive = AdaptiveConfig{}
-		case cfg.LTETolV > 0:
-			p.Adaptive.LTETolV = cfg.LTETolV
-		}
-		return p
-	}
-
-	if w := cfg.batchWidth(); w > 1 {
-		return runSweepBatched(ctx, vpps, cfg, results, runParams, w)
-	}
-
 	// One reusable Workspace per worker. sync.Pool keeps a workspace warm
 	// per P; results cannot depend on which workspace serves which run
 	// because Workspace.Simulate is bit-identical to a fresh simulation.
@@ -281,7 +240,13 @@ func RunMonteCarloSweep(ctx context.Context, vpps []float64, cfg MCConfig) ([]MC
 	err := pool.RunOrdered(ctx, cfg.jobs(), n,
 		func(ctx context.Context, i int) (mcRun, error) {
 			li, ri := i/cfg.Runs, i%cfg.Runs
-			p := runParams(li, ri)
+			p := Vary(DefaultCellParams(vpps[li]), roots[li].Derive("run", ri), cfg.Variation)
+			switch {
+			case cfg.Reference || cfg.FixedGrid:
+				p.Adaptive = AdaptiveConfig{}
+			case cfg.LTETolV > 0:
+				p.Adaptive.LTETolV = cfg.LTETolV
+			}
 			out, err := sim(p)
 			switch {
 			case errors.Is(err, ErrNoConverge):
@@ -293,79 +258,6 @@ func RunMonteCarloSweep(ctx context.Context, vpps []float64, cfg MCConfig) ([]MC
 		},
 		func(i int, ro mcRun) error {
 			results[i/cfg.Runs].record(ro.out, ro.noConverge)
-			return nil
-		})
-	return results, err
-}
-
-// mcTile is one lockstep tile's outcomes: up to MaxBatchWidth consecutive
-// runs of one level. Fixed-size so tile results stream through the worker
-// pool without per-tile allocations.
-type mcTile struct {
-	n    int
-	runs [MaxBatchWidth]mcRun
-}
-
-// runSweepBatched executes the sweep's global run queue in deterministic
-// (level, run) tiles of w lanes, each tile advanced in lockstep by a pooled
-// BatchWorkspace. Every lane is bit-identical to the scalar engine
-// (TestBatchLanesMatchScalar), tiles unfold into the per-level accumulators
-// in strict (level, run) order through the same pool.RunOrdered seam as the
-// scalar path, and a failing run surfaces the same wrapped error at the
-// lowest failing (level, run) index — so campaign results are byte-identical
-// to the scalar path at any width and any worker count.
-func runSweepBatched(ctx context.Context, vpps []float64, cfg MCConfig,
-	results []MCResult, runParams func(li, ri int) CellParams, w int) ([]MCResult, error) {
-
-	tilesPerLevel := (cfg.Runs + w - 1) / w
-	var workspaces sync.Pool
-	ps := sync.Pool{New: func() any { return new([MaxBatchWidth]CellParams) }}
-
-	n := len(vpps) * tilesPerLevel
-	err := pool.RunOrdered(ctx, cfg.jobs(), n,
-		func(ctx context.Context, i int) (mcTile, error) {
-			// One tile is w runs; checking here gives cancellation the same
-			// per-unit granularity the scalar path gets from RunOrdered.
-			if err := ctx.Err(); err != nil {
-				return mcTile{}, err
-			}
-			li, ti := i/tilesPerLevel, i%tilesPerLevel
-			lo := ti * w
-			hi := lo + w
-			if hi > cfg.Runs {
-				hi = cfg.Runs
-			}
-			pbuf := ps.Get().(*[MaxBatchWidth]CellParams)
-			defer ps.Put(pbuf)
-			for ri := lo; ri < hi; ri++ {
-				pbuf[ri-lo] = runParams(li, ri)
-			}
-			bw, _ := workspaces.Get().(*BatchWorkspace)
-			if bw == nil {
-				bw = NewBatchWorkspace(w)
-			}
-			outs, errs := bw.Simulate(pbuf[:hi-lo], nil)
-			var tile mcTile
-			tile.n = hi - lo
-			for j := 0; j < tile.n; j++ {
-				switch {
-				case errors.Is(errs[j], ErrNoConverge):
-					tile.runs[j] = mcRun{noConverge: true}
-				case errs[j] != nil:
-					workspaces.Put(bw)
-					return mcTile{}, fmt.Errorf("vpp %.2f run %d: %w", vpps[li], lo+j, errs[j])
-				default:
-					tile.runs[j] = mcRun{out: outs[j]}
-				}
-			}
-			workspaces.Put(bw)
-			return tile, nil
-		},
-		func(i int, tile mcTile) error {
-			li := i / tilesPerLevel
-			for j := 0; j < tile.n; j++ {
-				results[li].record(tile.runs[j].out, tile.runs[j].noConverge)
-			}
 			return nil
 		})
 	return results, err

@@ -677,8 +677,8 @@ func (tr *Transient) stepReduced() error {
 			if err := r.solveGeneric(tr.ckt); err != nil {
 				return fmt.Errorf("t=%.3gs: %w", tNext, err) //detlint:ignore hotalloc error path, never taken by a converging run
 			}
-			// tr.red.z now holds the solution. Keep this update loop in
-			// lockstep with the fused one at the end of cell6Iter.
+			// tr.red.z now holds the solution. This update loop must stay
+			// op-for-op identical to the fused one at the end of cell6Iter.
 			for i := 0; i < r.ku; i++ {
 				d := r.z[i] - r.newt[i]
 				if abs(d) > maxDelta {

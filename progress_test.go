@@ -91,8 +91,8 @@ func TestProgressHookObservesWithoutChangingOutput(t *testing.T) {
 }
 
 // TestOptionsFingerprintContract pins the fingerprint to the canonical
-// options encoding: result-shaping knobs move it, execution-shape knobs
-// (Jobs, SpiceBatchWidth) do not, and its value is the SHA-256 of the same
+// options encoding: result-shaping knobs move it, the execution-shape knob
+// Jobs does not, and its value is the SHA-256 of the same
 // canonical bytes shard artifacts embed.
 func TestOptionsFingerprintContract(t *testing.T) {
 	o := campaignOptions("B3")
@@ -111,9 +111,8 @@ func TestOptionsFingerprintContract(t *testing.T) {
 
 	shaped := o
 	shaped.Jobs = 7
-	shaped.SpiceBatchWidth = 4
 	if fp2, _ := OptionsFingerprint(shaped); fp2 != fp {
-		t.Error("execution-shape knobs moved the fingerprint")
+		t.Error("the execution-shape knob Jobs moved the fingerprint")
 	}
 	different := o
 	different.Seed++

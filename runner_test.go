@@ -318,11 +318,13 @@ func TestRunShardHonorsCancellation(t *testing.T) {
 
 // TestShardArtifactsMergeAcrossOptionsGrowth pins the omitempty contract
 // behind the //detlint:fingerprint v1 freeze: an artifact encoded by a
-// binary predating the post-v1 knobs (SpiceFixedGrid, SpiceLTETolV,
-// SpiceBatchWidth) must still merge with one encoded today, because those
-// fields vanish from the canonical encoding at their zero values. A
-// non-default post-v1 knob that changes the measurement is a genuine
-// fingerprint difference and must refuse to merge.
+// binary predating the post-v1 knobs (SpiceFixedGrid, SpiceLTETolV) must
+// still merge with one encoded today, because those fields vanish from the
+// canonical encoding at their zero values. A shard request written by a
+// binary that still had the retired batch-width execution-shape knob must
+// decode and fingerprint as if the field were absent. A non-default post-v1
+// knob that changes the measurement is a genuine fingerprint difference and
+// must refuse to merge.
 func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
 	// optionsV1 mirrors Options as of the v1 fingerprint freeze, before
 	// any omitempty field existed. If canonicalOptions ever stops encoding
@@ -382,6 +384,33 @@ func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
 	a1.Options = old
 	if _, err := MergeArtifacts(a0, a1); err != nil {
 		t.Errorf("pre-growth artifact refused to merge with a current one: %v", err)
+	}
+
+	// A shard request from a binary that still carried the batch width: the
+	// unknown field is ignored on decode and never reaches the fingerprint.
+	current, err := json.Marshal(ShardRequest{Shard: 1, Of: 2, Options: o, Units: half1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(current, []byte(`"options":{`), []byte(`"options":{"SpiceBatchWidth":8,`), 1)
+	if bytes.Equal(legacy, current) {
+		t.Fatal("legacy shard request fixture did not inject the retired field")
+	}
+	wantFP, err := OptionsFingerprint(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{{"current", current}, {"legacy", legacy}} {
+		req, err := DecodeShardRequest(bytes.NewReader(tc.raw))
+		if err != nil {
+			t.Fatalf("%s shard request: %v", tc.name, err)
+		}
+		if fp, err := OptionsFingerprint(req.Options); err != nil || fp != wantFP {
+			t.Errorf("%s shard request fingerprint = %s (err %v), want %s", tc.name, fp, err, wantFP)
+		}
 	}
 
 	// A non-default post-v1 knob must surface in the fingerprint.

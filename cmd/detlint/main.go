@@ -4,7 +4,6 @@
 //
 //	go run ./cmd/detlint ./...          # human-readable, exit 1 on findings
 //	go run ./cmd/detlint -json ./...    # machine-readable diagnostics
-//	go run ./cmd/detlint -sarif ./...   # SARIF 2.1.0 log for code-scanning UIs
 //
 // The driver is self-contained so it works offline: package metadata and
 // compiler export data come from `go list -deps -export -json`, source is
@@ -13,17 +12,6 @@
 // are available at every call site, and the analyzers run through the same
 // execution core as their analysistest fixtures. Suppressions use
 // //detlint:ignore <analyzer> <reason> (see internal/analysis/detlint).
-//
-// The same binary also speaks the `go vet -vettool` protocol, so editors
-// and CI can share one tool:
-//
-//	go build -o /tmp/detlint ./cmd/detlint
-//	go vet -vettool=/tmp/detlint ./...
-//
-// In vettool mode the standard unitchecker drives the suite (go vet hands
-// it one package per invocation plus serialized facts from dependencies);
-// the diagnostics and suppression semantics are identical to the
-// standalone driver because both run the same analyzers.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 operational error.
 package main
@@ -47,25 +35,13 @@ import (
 	"time"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"github.com/dramstudy/rhvpp/internal/analysis/detlint"
 	"github.com/dramstudy/rhvpp/internal/analysis/suite"
 )
 
 func main() {
-	// go vet -vettool invokes the tool as `detlint -V=full` (version probe),
-	// `detlint -flags` (flag discovery), and `detlint <flags> <pkg>.cfg`
-	// (one unit of work); hand all three shapes to the standard unitchecker
-	// before defining any standalone flags. Main never returns.
-	if args := os.Args[1:]; len(args) > 0 &&
-		(strings.HasPrefix(args[0], "-V") || args[0] == "-flags" ||
-			strings.HasSuffix(args[len(args)-1], ".cfg")) {
-		unitchecker.Main(suite.All()...)
-	}
-
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log on stdout")
 	benchOut := flag.String("bench", "",
 		"after a run, record detlint_ns_per_pkg plus the per-analyzer detlint_analyzer_ns_per_pkg breakdown into this JSON snapshot file (read-modify-write)")
 	for _, a := range suite.All() {
@@ -74,10 +50,6 @@ func main() {
 		})
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "detlint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -102,19 +74,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "detlint:", err)
 		os.Exit(2)
 	}
-	switch {
-	case *jsonOut:
-		err = writeJSON(os.Stdout, findings)
-	case *sarifOut:
-		err = writeSARIF(os.Stdout, findings, suite.All())
-	default:
+	if *jsonOut {
+		if err := writeJSON(os.Stdout, findings); err != nil {
+			fmt.Fprintln(os.Stderr, "detlint:", err)
+			os.Exit(2)
+		}
+	} else {
 		for _, f := range findings {
 			fmt.Printf("%s: [%s] %s\n", relPos(f.Pos), f.Analyzer, f.Message)
 		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "detlint:", err)
-		os.Exit(2)
 	}
 	if *benchOut != "" && npkgs > 0 {
 		perAnalyzer := make(map[string]float64, len(analyzerNS))
@@ -259,7 +227,7 @@ func lintPackage(fset *token.FileSet, imp types.Importer, target listedPkg, anal
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", target.ImportPath, err)
 	}
-	return detlint.RunAnalyzersObserved(&detlint.Package{Fset: fset, Files: files, Types: tpkg, Info: info}, analyzers, store, clock, observe)
+	return detlint.RunAnalyzers(&detlint.Package{Fset: fset, Files: files, Types: tpkg, Info: info}, analyzers, store, clock, observe)
 }
 
 // load shells out to `go list` for package metadata plus export data for
@@ -318,96 +286,6 @@ func writeJSON(w io.Writer, findings []detlint.Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-// SARIF 2.1.0 envelope, the subset code-scanning UIs consume: one run,
-// one rule per analyzer, one result per finding. Struct-typed so the
-// envelope shape is pinned by the compiler and the hermetic test.
-type sarifLog struct {
-	Version string     `json:"version"`
-	Schema  string     `json:"$schema"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// writeSARIF emits findings as a SARIF 2.1.0 log. Results is always an
-// array ([] when clean), and every analyzer appears as a rule whether or
-// not it fired, so consumers see the full suite.
-func writeSARIF(w io.Writer, findings []detlint.Finding, analyzers []*analysis.Analyzer) error {
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-	}
-	results := make([]sarifResult, 0, len(findings))
-	for _, f := range findings {
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "warning",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(relPath(f.Pos.Filename))},
-				Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-			}}},
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(sarifLog{
-		Version: "2.1.0",
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "detlint", InformationURI: "https://github.com/dramstudy/rhvpp", Rules: rules}},
-			Results: results,
-		}},
-	})
 }
 
 // relPos renders a position with a cwd-relative file path.

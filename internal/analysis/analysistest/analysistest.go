@@ -79,12 +79,12 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 			if dep == p {
 				continue
 			}
-			if _, err := detlint.RunAnalyzersFacts(&detlint.Package{
+			if _, err := detlint.RunAnalyzers(&detlint.Package{
 				Fset:  l.fset,
 				Files: dep.files,
 				Types: dep.types,
 				Info:  dep.info,
-			}, []*analysis.Analyzer{a}, store); err != nil {
+			}, []*analysis.Analyzer{a}, store, nil, nil); err != nil {
 				t.Errorf("running %s on dependency of %q: %v", a.Name, pkg, err)
 				ok = false
 				break
@@ -93,12 +93,12 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 		if !ok {
 			continue
 		}
-		findings, err := detlint.RunAnalyzersFacts(&detlint.Package{
+		findings, err := detlint.RunAnalyzers(&detlint.Package{
 			Fset:  l.fset,
 			Files: p.files,
 			Types: p.types,
 			Info:  p.info,
-		}, []*analysis.Analyzer{a}, store)
+		}, []*analysis.Analyzer{a}, store, nil, nil)
 		if err != nil {
 			t.Errorf("running %s on %q: %v", a.Name, pkg, err)
 			continue

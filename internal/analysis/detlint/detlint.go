@@ -151,30 +151,21 @@ func NewInfo() *types.Info {
 // over one package and returns the diagnostics of the requested analyzers
 // sorted by position. It is the single execution path shared by
 // cmd/detlint and analysistest, so fixtures exercise exactly the driver
-// semantics. Facts live in a store private to this call; drivers that
-// analyze multiple packages and need cross-package facts (hotalloc's
-// allocation summaries) use RunAnalyzersFacts with a shared store.
-func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	return RunAnalyzersFacts(pkg, analyzers, NewFactStore())
-}
-
-// RunAnalyzersFacts is RunAnalyzers with a caller-owned fact store. The
-// driver must analyze packages in dependency order (imports first) for
-// imported facts to be present, mirroring the upstream framework's
-// scheduling contract.
-func RunAnalyzersFacts(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore) ([]Finding, error) {
-	return RunAnalyzersObserved(pkg, analyzers, store, nil, nil)
-}
-
-// RunAnalyzersObserved is RunAnalyzersFacts with per-analyzer timing: when
-// clock is non-nil, observe is called after each analyzer's Run on this
-// package with the analyzer's name (helper passes like inspect and
+// semantics.
+//
+// Facts go to the caller-owned store. A driver that analyzes several
+// packages shares one store and must analyze them in dependency order
+// (imports first) for imported facts to be present, mirroring the
+// upstream framework's scheduling contract.
+//
+// When clock is non-nil, observe is called after each analyzer's Run on
+// this package with the analyzer's name (helper passes like inspect and
 // ctrlflow included, under their own names) and the wall time the run
 // took. The clock is injected by the caller rather than read here, so the
 // deterministic-source contract this suite enforces holds for the suite's
 // own code; cmd/detlint -bench passes time.Now under its own reasoned
 // detsource suppression.
-func RunAnalyzersObserved(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore, clock func() time.Time, observe func(analyzer string, elapsed time.Duration)) ([]Finding, error) {
+func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore, clock func() time.Time, observe func(analyzer string, elapsed time.Duration)) ([]Finding, error) {
 	if err := analysis.Validate(analyzers); err != nil {
 		return nil, err
 	}

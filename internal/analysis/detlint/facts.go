@@ -6,7 +6,6 @@ import (
 	"reflect"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/objectpath"
 )
 
 // FactStore carries analyzer facts across the packages of one driver run.
@@ -15,42 +14,38 @@ import (
 // properties — "may this function heap-allocate, and where" — and consult
 // those summaries at cross-package call sites. Inside one in-process driver
 // run there is no need for the gob serialization the upstream framework
-// uses between separate processes; instead facts are stored under a stable
-// (fact type, package path, object path) key, where the object path is the
-// export-data-stable encoding from go/types/objectpath. That key is
-// identical whether the object came from type-checking the package's own
-// source or from the gc export data a downstream package imports it
-// through, which is exactly the hand-off cmd/detlint performs when it
-// analyzes packages in dependency order.
+// uses between separate processes; instead facts are stored under a
+// (fact type, package path, object name) key built from the standard
+// library alone: a function or method is named by the FullName of its
+// generic origin, a package-scope type by its name. That key is identical
+// whether the object came from type-checking the package's own source or
+// from the gc export data a downstream package imports it through, which
+// is exactly the hand-off cmd/detlint performs when it analyzes packages in
+// dependency order. Keying on the origin also lets a call into an
+// instantiated generic (dep.G[float64].Make) find the fact exported for
+// the generic declaration.
 //
 // The zero FactStore is not ready to use; call NewFactStore.
 type FactStore struct {
-	// objFacts holds facts attached to package-level objects (functions,
-	// methods, types, vars), keyed path-wise so lookups work across the
+	// objFacts holds facts attached to functions, methods and
+	// package-scope types, keyed by name so lookups work across the
 	// source/export-data boundary.
 	objFacts map[objFactKey]analysis.Fact
-	// objIdent is the identity fallback for objects objectpath cannot
-	// encode (e.g. locals); such facts resolve only within the same
-	// type-checked universe.
+	// objIdent is the identity fallback for objects with no name key
+	// (e.g. locals); such facts resolve only within the same type-checked
+	// universe.
 	objIdent map[identKey]analysis.Fact
-	// pkgFacts holds package-level facts.
-	pkgFacts map[pkgFactKey]analysis.Fact
 }
 
 type objFactKey struct {
 	fact reflect.Type
 	pkg  string
-	obj  objectpath.Path
+	name string
 }
 
 type identKey struct {
 	fact reflect.Type
 	obj  types.Object
-}
-
-type pkgFactKey struct {
-	fact reflect.Type
-	pkg  string
 }
 
 // NewFactStore returns an empty store, shared across every package of a
@@ -59,8 +54,21 @@ func NewFactStore() *FactStore {
 	return &FactStore{
 		objFacts: make(map[objFactKey]analysis.Fact),
 		objIdent: make(map[identKey]analysis.Fact),
-		pkgFacts: make(map[pkgFactKey]analysis.Fact),
 	}
+}
+
+// objectName is obj's export-data-stable name within its package, or ""
+// when obj has none.
+func objectName(obj types.Object) string {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return obj.Origin().FullName()
+	case *types.TypeName:
+		if obj.Parent() == obj.Pkg().Scope() {
+			return obj.Name()
+		}
+	}
+	return ""
 }
 
 // exportObjectFact records fact for obj. Facts may only be attached to
@@ -72,8 +80,8 @@ func (s *FactStore) exportObjectFact(current *types.Package, obj types.Object, f
 	}
 	t := reflect.TypeOf(fact)
 	s.objIdent[identKey{t, obj}] = fact
-	if path, err := objectpath.For(obj); err == nil {
-		s.objFacts[objFactKey{t, obj.Pkg().Path(), path}] = fact
+	if name := objectName(obj); name != "" {
+		s.objFacts[objFactKey{t, current.Path(), name}] = fact
 	}
 }
 
@@ -85,41 +93,16 @@ func (s *FactStore) importObjectFact(obj types.Object, ptr analysis.Fact) bool {
 		return false
 	}
 	t := reflect.TypeOf(ptr)
-	if f, ok := s.objIdent[identKey{t, obj}]; ok {
+	f, ok := s.objIdent[identKey{t, obj}]
+	if !ok && obj.Pkg() != nil {
+		if name := objectName(obj); name != "" {
+			f, ok = s.objFacts[objFactKey{t, obj.Pkg().Path(), name}]
+		}
+	}
+	if ok {
 		copyFact(f, ptr)
-		return true
 	}
-	if obj.Pkg() == nil {
-		return false
-	}
-	path, err := objectpath.For(obj)
-	if err != nil {
-		return false
-	}
-	f, ok := s.objFacts[objFactKey{t, obj.Pkg().Path(), path}]
-	if !ok {
-		return false
-	}
-	copyFact(f, ptr)
-	return true
-}
-
-// exportPackageFact records a fact for the package under analysis.
-func (s *FactStore) exportPackageFact(current *types.Package, fact analysis.Fact) {
-	s.pkgFacts[pkgFactKey{reflect.TypeOf(fact), current.Path()}] = fact
-}
-
-// importPackageFact copies the fact exported for pkg into ptr.
-func (s *FactStore) importPackageFact(pkg *types.Package, ptr analysis.Fact) bool {
-	if pkg == nil {
-		return false
-	}
-	f, ok := s.pkgFacts[pkgFactKey{reflect.TypeOf(ptr), pkg.Path()}]
-	if !ok {
-		return false
-	}
-	copyFact(f, ptr)
-	return true
+	return ok
 }
 
 // copyFact copies the stored fact value into the caller's pointer. Facts
@@ -136,19 +119,20 @@ func copyFact(from, to analysis.Fact) {
 
 // bind installs the store's fact operations on a pass. Passes whose
 // analyzer declares no FactTypes get no-op hooks (using facts without
-// declaring them is an analyzer bug upstream, too).
+// declaring them is an analyzer bug upstream, too), and no analyzer in the
+// suite uses package facts.
 func (s *FactStore) bind(pass *analysis.Pass) {
+	pass.ExportPackageFact = func(analysis.Fact) {
+		panic("detlint: " + pass.Analyzer.Name + " exports a package fact, which this store does not carry")
+	}
+	pass.ImportPackageFact = func(*types.Package, analysis.Fact) bool { return false }
+	pass.AllObjectFacts = func() []analysis.ObjectFact { return nil }
+	pass.AllPackageFacts = func() []analysis.PackageFact { return nil }
 	if len(pass.Analyzer.FactTypes) == 0 {
 		pass.ExportObjectFact = func(types.Object, analysis.Fact) {
 			panic("detlint: " + pass.Analyzer.Name + " exports facts but declares no FactTypes")
 		}
 		pass.ImportObjectFact = func(types.Object, analysis.Fact) bool { return false }
-		pass.ExportPackageFact = func(analysis.Fact) {
-			panic("detlint: " + pass.Analyzer.Name + " exports facts but declares no FactTypes")
-		}
-		pass.ImportPackageFact = func(*types.Package, analysis.Fact) bool { return false }
-		pass.AllObjectFacts = func() []analysis.ObjectFact { return nil }
-		pass.AllPackageFacts = func() []analysis.PackageFact { return nil }
 		return
 	}
 	current := pass.Pkg
@@ -156,13 +140,4 @@ func (s *FactStore) bind(pass *analysis.Pass) {
 		s.exportObjectFact(current, obj, fact)
 	}
 	pass.ImportObjectFact = s.importObjectFact
-	pass.ExportPackageFact = func(fact analysis.Fact) {
-		s.exportPackageFact(current, fact)
-	}
-	pass.ImportPackageFact = s.importPackageFact
-	// The all-facts views are not used by this suite; returning the
-	// current package's facts in a deterministic order would be the
-	// extension point if an analyzer ever needs them.
-	pass.AllObjectFacts = func() []analysis.ObjectFact { return nil }
-	pass.AllPackageFacts = func() []analysis.PackageFact { return nil }
 }

@@ -1,9 +1,8 @@
 // Package suite assembles the full detlint analyzer family. cmd/detlint
 // runs exactly this list; docs/DETERMINISM.md maps each gen-1 analyzer to
 // the invariant it guards, and docs/CONTRACTS.md does the same for the
-// gen-2 perf- and merge-contract analyzers (hotalloc, mergecontract,
-// sinkerr) and the gen-3 shard-protocol analyzers (optfinger, goshared,
-// plancover).
+// gen-2 perf- and artifact-path analyzers (hotalloc, sinkerr) and the
+// gen-3 shard-protocol analyzers (optfinger, goshared).
 package suite
 
 import (
@@ -14,10 +13,7 @@ import (
 	"github.com/dramstudy/rhvpp/internal/analysis/goshared"
 	"github.com/dramstudy/rhvpp/internal/analysis/hotalloc"
 	"github.com/dramstudy/rhvpp/internal/analysis/maporder"
-	"github.com/dramstudy/rhvpp/internal/analysis/mergecontract"
 	"github.com/dramstudy/rhvpp/internal/analysis/optfinger"
-	"github.com/dramstudy/rhvpp/internal/analysis/plancover"
-	"github.com/dramstudy/rhvpp/internal/analysis/shardsafe"
 	"github.com/dramstudy/rhvpp/internal/analysis/sinkerr"
 	"github.com/dramstudy/rhvpp/internal/analysis/totalcmp"
 )
@@ -30,10 +26,7 @@ func All() []*analysis.Analyzer {
 		goshared.Analyzer,
 		hotalloc.Analyzer,
 		maporder.Analyzer,
-		mergecontract.Analyzer,
 		optfinger.Analyzer,
-		plancover.Analyzer,
-		shardsafe.Analyzer,
 		sinkerr.Analyzer,
 		totalcmp.Analyzer,
 	}

@@ -35,9 +35,9 @@
 // The full catalog of determinism and shard-safety invariants — including
 // why partial structs must carry only serializable accumulators — lives in
 // docs/DETERMINISM.md; the internal/analysis suite (`go run ./cmd/detlint
-// ./...`) enforces them at compile time. The merge-protocol and
-// error-handling contracts on this package — Merge methods covering all
-// serialized state, no silently discarded encode/write/close errors on
-// the artifact path — are enforced by the gen-2 mergecontract and sinkerr
-// analyzers (docs/CONTRACTS.md).
+// ./...`) enforces them at compile time. The error-handling contract on
+// this package — no silently discarded encode/write/close errors on the
+// artifact path — is enforced by the gen-2 sinkerr analyzer, and lossless
+// merges of the partials it carries are pinned by runtime tests
+// (docs/CONTRACTS.md).
 package artifact

@@ -40,15 +40,14 @@
 // error rates) the exact-quantile state is bounded by the grid regardless
 // of scale; for the continuous ratio populations (normalized HC/BER, CVs)
 // it is bounded by the number of distinct samples — the configured row
-// selection — with stats.P2Summary available as the strictly-O(1)
-// estimator if those populations ever outgrow that.
+// selection.
 //
 // Drivers must observe the determinism contracts of docs/DETERMINISM.md
 // (sorted map walks, total comparators, internal/rng only, cancellable
-// loops); `go run ./cmd/detlint ./...` checks them statically. This
-// package defines the shard-protocol catalog (ShardableStudies), so the
-// gen-3 plancover analyzer proves here that every study has PlanStudy,
-// RunUnits, and Assemble* legs agreeing on the partial type, and the
+// loops); `go run ./cmd/detlint ./...` checks them statically, and the
 // optfinger analyzer holds Options to its //detlint:fingerprint v1
-// freeze (docs/CONTRACTS.md).
+// freeze (docs/CONTRACTS.md). This package defines the shard-protocol
+// catalog (ShardableStudies); TestUnitPathMatchesDirectDrivers requires
+// every catalog study to reproduce its direct driver through PlanStudy,
+// RunUnits and its Assemble* function.
 package experiments

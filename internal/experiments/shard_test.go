@@ -113,123 +113,144 @@ func renderStudy(t *testing.T, render func(enc report.Encoder) error) string {
 // TestUnitPathMatchesDirectDrivers is the sharding acceptance property at
 // the experiments layer: for every shardable study, running the plan's units
 // through serialize->assemble (split 1-way and 2-way) reproduces the direct
-// in-process driver's result exactly.
+// in-process driver's result exactly. Every study in ShardableStudies must
+// have a check here, so a new study cannot join the shard protocol without
+// the plan -> run -> assemble equivalence being exercised.
 func TestUnitPathMatchesDirectDrivers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full study equivalence sweep in -short mode")
-	}
 	o := shardOptions()
 	ctx := t.Context()
 
-	t.Run(StudyNameRowHammer, func(t *testing.T) {
-		direct, err := RunRowHammerStudy(ctx, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 1; k <= 2; k++ {
-			st, err := AssembleRowHammerStudy(o, runStudyViaUnits(t, o, StudyNameRowHammer, k))
+	checks := map[string]func(t *testing.T){
+		StudyNameRowHammer: func(t *testing.T) {
+			direct, err := RunRowHammerStudy(ctx, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(st, direct) {
-				t.Errorf("k=%d: assembled RowHammer study differs from direct driver", k)
+			for k := 1; k <= 2; k++ {
+				st, err := AssembleRowHammerStudy(o, runStudyViaUnits(t, o, StudyNameRowHammer, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(st, direct) {
+					t.Errorf("k=%d: assembled RowHammer study differs from direct driver", k)
+				}
+				want := renderStudy(t, func(enc report.Encoder) error { return enc.Table(direct.Table3()) })
+				got := renderStudy(t, func(enc report.Encoder) error { return enc.Table(st.Table3()) })
+				if got != want {
+					t.Errorf("k=%d: Table 3 bytes diverge", k)
+				}
 			}
-			want := renderStudy(t, func(enc report.Encoder) error { return enc.Table(direct.Table3()) })
-			got := renderStudy(t, func(enc report.Encoder) error { return enc.Table(st.Table3()) })
-			if got != want {
-				t.Errorf("k=%d: Table 3 bytes diverge", k)
-			}
-		}
-	})
+		},
 
-	t.Run(StudyNameTRCD, func(t *testing.T) {
-		direct, err := RunTRCDStudy(ctx, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 1; k <= 2; k++ {
-			st, err := AssembleTRCDStudy(o, runStudyViaUnits(t, o, StudyNameTRCD, k))
+		StudyNameTRCD: func(t *testing.T) {
+			direct, err := RunTRCDStudy(ctx, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(st, direct) {
-				t.Errorf("k=%d: assembled tRCD study differs from direct driver", k)
+			for k := 1; k <= 2; k++ {
+				st, err := AssembleTRCDStudy(o, runStudyViaUnits(t, o, StudyNameTRCD, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(st, direct) {
+					t.Errorf("k=%d: assembled tRCD study differs from direct driver", k)
+				}
 			}
-		}
-	})
+		},
 
-	t.Run(StudyNameRetention, func(t *testing.T) {
-		direct, err := RunRetentionStudy(ctx, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 1; k <= 2; k++ {
-			st, err := AssembleRetentionStudy(o, runStudyViaUnits(t, o, StudyNameRetention, k))
+		StudyNameRetention: func(t *testing.T) {
+			direct, err := RunRetentionStudy(ctx, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := renderStudy(t, direct.RenderFig10b)
-			got := renderStudy(t, st.RenderFig10b)
-			if got != want {
-				t.Errorf("k=%d: Fig. 10b bytes diverge:\n--- direct ---\n%s\n--- units ---\n%s", k, want, got)
+			for k := 1; k <= 2; k++ {
+				st, err := AssembleRetentionStudy(o, runStudyViaUnits(t, o, StudyNameRetention, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := renderStudy(t, direct.RenderFig10b)
+				got := renderStudy(t, st.RenderFig10b)
+				if got != want {
+					t.Errorf("k=%d: Fig. 10b bytes diverge:\n--- direct ---\n%s\n--- units ---\n%s", k, want, got)
+				}
+				if !reflect.DeepEqual(st.MeanBER, direct.MeanBER) {
+					t.Errorf("k=%d: MeanBER grids diverge", k)
+				}
 			}
-			if !reflect.DeepEqual(st.MeanBER, direct.MeanBER) {
-				t.Errorf("k=%d: MeanBER grids diverge", k)
-			}
-		}
-	})
+		},
 
-	t.Run(StudyNameWordAnalysis, func(t *testing.T) {
-		direct, err := RunWordAnalysis(ctx, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 1; k <= 2; k++ {
-			st, err := AssembleWordAnalysis(o, runStudyViaUnits(t, o, StudyNameWordAnalysis, k))
+		StudyNameWordAnalysis: func(t *testing.T) {
+			direct, err := RunWordAnalysis(ctx, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(st, direct) {
-				t.Errorf("k=%d: assembled word analysis differs from direct driver", k)
+			for k := 1; k <= 2; k++ {
+				st, err := AssembleWordAnalysis(o, runStudyViaUnits(t, o, StudyNameWordAnalysis, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(st, direct) {
+					t.Errorf("k=%d: assembled word analysis differs from direct driver", k)
+				}
 			}
-		}
-	})
+		},
 
-	t.Run(StudyNameCV, func(t *testing.T) {
-		direct, err := RunCVStudy(ctx, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 1; k <= 2; k++ {
-			st, err := AssembleCVStudy(o, runStudyViaUnits(t, o, StudyNameCV, k))
+		StudyNameCV: func(t *testing.T) {
+			direct, err := RunCVStudy(ctx, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.P90 != direct.P90 || st.P95 != direct.P95 || st.P99 != direct.P99 || st.CVs.N() != direct.CVs.N() {
-				t.Errorf("k=%d: assembled CV study differs: %+v vs %+v", k, st, direct)
+			for k := 1; k <= 2; k++ {
+				st, err := AssembleCVStudy(o, runStudyViaUnits(t, o, StudyNameCV, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.P90 != direct.P90 || st.P95 != direct.P95 || st.P99 != direct.P99 || st.CVs.N() != direct.CVs.N() {
+					t.Errorf("k=%d: assembled CV study differs: %+v vs %+v", k, st, direct)
+				}
 			}
-		}
-	})
+		},
 
-	t.Run(StudyNameSpiceMC, func(t *testing.T) {
-		direct, err := RunMCStudy(ctx, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// k=2 splits the levels across two separate sweeps: per-level results
-		// must match the all-levels-in-one-queue run exactly.
-		for k := 1; k <= 2; k++ {
-			st, err := AssembleMCStudy(o, runStudyViaUnits(t, o, StudyNameSpiceMC, k))
+		StudyNameSpiceMC: func(t *testing.T) {
+			direct, err := RunMCStudy(ctx, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := renderStudy(t, direct.RenderFig8b) + renderStudy(t, direct.RenderFig9b)
-			got := renderStudy(t, st.RenderFig8b) + renderStudy(t, st.RenderFig9b)
-			if got != want {
-				t.Errorf("k=%d: Fig. 8b/9b bytes diverge:\n--- direct ---\n%s\n--- units ---\n%s", k, want, got)
+			// k=2 splits the levels across two separate sweeps: per-level results
+			// must match the all-levels-in-one-queue run exactly.
+			for k := 1; k <= 2; k++ {
+				st, err := AssembleMCStudy(o, runStudyViaUnits(t, o, StudyNameSpiceMC, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := renderStudy(t, direct.RenderFig8b) + renderStudy(t, direct.RenderFig9b)
+				got := renderStudy(t, st.RenderFig8b) + renderStudy(t, st.RenderFig9b)
+				if got != want {
+					t.Errorf("k=%d: Fig. 8b/9b bytes diverge:\n--- direct ---\n%s\n--- units ---\n%s", k, want, got)
+				}
 			}
+		},
+	}
+
+	covered := 0
+	for _, name := range ShardableStudies() {
+		if checks[name] == nil {
+			t.Errorf("shardable study %q has no unit-path equivalence check", name)
+		} else {
+			covered++
 		}
-	})
+	}
+	if covered != len(checks) {
+		t.Errorf("%d equivalence checks name studies missing from ShardableStudies", len(checks)-covered)
+	}
+	if testing.Short() {
+		t.Skip("full study equivalence sweep in -short mode")
+	}
+	for _, name := range ShardableStudies() {
+		if check := checks[name]; check != nil {
+			t.Run(name, check)
+		}
+	}
 }
 
 // TestAssembleRejectsIncompleteOrForeignData: missing or surplus units fail

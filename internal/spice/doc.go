@@ -54,6 +54,7 @@
 // aggregation fold (MCResult.record) carry //detlint:hotpath
 // annotations naming their runtime AllocsPerRun witnesses, and the
 // hotalloc analyzer flags any heap allocation reachable from them (see
-// docs/CONTRACTS.md). MCResult is likewise under the mergecontract
-// analyzer's coverage/serializability checks.
+// docs/CONTRACTS.md). That MCResult.Merge and its JSON round trip cover
+// every field is pinned at runtime by TestMCResultMergeMatchesWholeStream
+// and TestMCResultJSONRoundTrip.
 package spice

@@ -2,12 +2,19 @@ package spice
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
+
+	"github.com/dramstudy/rhvpp/internal/stats"
 )
 
 // TestMCResultMergeMatchesWholeStream folds one stream of run outcomes into
 // a single result and, separately, into two run-order partials that are then
-// merged — every aggregate must match the whole-stream result exactly.
+// merged — every field must match the whole-stream result. The comparison
+// walks MCResult's fields by reflection, so a field added without a merge
+// comparison here fails the test instead of silently escaping the shard
+// protocol.
 func TestMCResultMergeMatchesWholeStream(t *testing.T) {
 	outcomes := make([]ActivationResult, 0, 30)
 	for i := 0; i < 30; i++ {
@@ -39,18 +46,23 @@ func TestMCResultMergeMatchesWholeStream(t *testing.T) {
 	if err := lo.Merge(hi); err != nil {
 		t.Fatal(err)
 	}
-	if lo.Runs != whole.Runs || lo.Unreliable != whole.Unreliable ||
-		lo.Unrestored != whole.Unrestored || lo.NoConverge != whole.NoConverge {
-		t.Errorf("merged counters %+v differ from whole-stream %+v", lo, whole)
-	}
-	if lo.TRCDmin.Mean() != whole.TRCDmin.Mean() || lo.TRASmin.Mean() != whole.TRASmin.Mean() {
-		t.Errorf("merged means (%v,%v) differ from whole-stream (%v,%v)",
-			lo.TRCDmin.Mean(), lo.TRASmin.Mean(), whole.TRCDmin.Mean(), whole.TRASmin.Mean())
-	}
-	gp, _ := lo.TRCDmin.Percentile(95)
-	wp, _ := whole.TRCDmin.Percentile(95)
-	if gp != wp {
-		t.Errorf("merged P95 %v != whole-stream %v", gp, wp)
+	got, want := reflect.ValueOf(lo), reflect.ValueOf(whole)
+	for i := 0; i < got.NumField(); i++ {
+		field := got.Type().Field(i)
+		if !field.IsExported() {
+			t.Errorf("field %s is unexported, so neither the artifact encoding nor this test sees it", field.Name)
+			continue
+		}
+		switch g := got.Field(i).Interface().(type) {
+		case int, float64:
+			if w := want.Field(i).Interface(); g != w {
+				t.Errorf("merged %s = %v, whole-stream %v", field.Name, g, w)
+			}
+		case stats.Dist:
+			compareMergedDist(t, field.Name, g, want.Field(i).Interface().(stats.Dist))
+		default:
+			t.Errorf("field %s (%T) has no merge comparison; add one here", field.Name, g)
+		}
 	}
 
 	other := MCResult{VPP: 1.8}
@@ -74,15 +86,29 @@ func TestMCResultJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.VPP != res.VPP || got.Runs != res.Runs || got.NoConverge != res.NoConverge {
-		t.Fatalf("round trip lost counters: %+v vs %+v", got, res)
+	if !reflect.DeepEqual(got, res) {
+		t.Errorf("round trip changed the result:\n got %+v\nwant %+v", got, res)
 	}
-	if got.MeanTRCDminNS() != res.MeanTRCDminNS() || got.WorstTRCDminNS() != res.WorstTRCDminNS() {
-		t.Errorf("round trip changed tRCD aggregates")
+}
+
+// compareMergedDist checks a merged distribution against its whole-stream
+// counterpart: count, mean and order statistics exactly, variance within
+// 1e-12 relative. Welford's m2 may differ in the last ulp between a merge
+// and a flat fold, so the whole struct is not compared bit for bit.
+func compareMergedDist(t *testing.T, name string, got, want stats.Dist) {
+	t.Helper()
+	if got.N() != want.N() || got.Mean() != want.Mean() {
+		t.Errorf("merged %s N/mean = %d/%v, whole-stream %d/%v", name, got.N(), got.Mean(), want.N(), want.Mean())
 	}
-	gp, err1 := got.TRCDmin.Percentile(95)
-	wp, err2 := res.TRCDmin.Percentile(95)
-	if err1 != nil || err2 != nil || gp != wp {
-		t.Errorf("round trip changed P95: %v/%v (%v %v)", gp, wp, err1, err2)
+	gv, wv := got.Moments.Variance(), want.Moments.Variance()
+	if math.Abs(gv-wv) > 1e-12*math.Max(math.Abs(gv), math.Abs(wv)) {
+		t.Errorf("merged %s variance = %v, whole-stream %v", name, gv, wv)
+	}
+	for _, p := range []float64{0, 5, 25, 50, 75, 90, 95, 99, 100} {
+		gp, gerr := got.Percentile(p)
+		wp, werr := want.Percentile(p)
+		if gp != wp || (gerr == nil) != (werr == nil) {
+			t.Errorf("merged %s P%v = %v (%v), whole-stream %v (%v)", name, p, gp, gerr, wp, werr)
+		}
 	}
 }

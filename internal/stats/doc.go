@@ -8,9 +8,8 @@
 // Two layers share one vocabulary: the batch helpers in stats.go operate on
 // whole []float64 samples (and serve as the accuracy oracles in the tests),
 // while the streaming accumulators in stream.go (Moments, MinMax, Fraction,
-// ValueCounts, StreamingHistogram, P2Quantile, and the composites Dist and
-// P2Summary) fold samples one at a time with memory independent of the
-// sample count — the form the campaign aggregation pipeline uses so run
+// ValueCounts, StreamingHistogram, and the composite Dist) fold samples one
+// at a time with memory independent of the sample count — the form the campaign aggregation pipeline uses so run
 // counts stop bounding memory.
 //
 // # Accuracy and merge-ordering invariants
@@ -25,14 +24,10 @@
 //     lossless multiset regardless of merge order.
 //   - Variance uses Welford's recurrence, within ~1e-12 relative of the
 //     two-pass batch value.
-//   - P2Quantile is the O(1) estimator for genuinely continuous unbounded
-//     streams, within a documented ~5% tolerance. It is the one estimator
-//     with neither an exact merge nor a JSON encoding; sharded quantiles
-//     use ValueCounts instead.
 //
 // # Serializability
 //
-// Every mergeable accumulator round-trips losslessly through JSON
+// Every accumulator round-trips losslessly through JSON
 // (marshal.go): floats are encoded so they decode bit-exactly, and decode
 // validates internal consistency before the value is usable. Merging
 // round-tripped partials therefore reproduces whole-stream accumulation
@@ -43,14 +38,11 @@
 // All functions are pure and operate on copies where mutation would
 // otherwise leak to the caller.
 //
-// Note that P2Quantile and P2Summary do not survive the JSON round-trip
-// and therefore must not appear in shard-artifact partials; the shardsafe
-// analyzer enforces this (see docs/DETERMINISM.md).
-//
 // The streaming accumulators' Add methods carry //detlint:hotpath
 // annotations: the hotalloc analyzer keeps them free of per-sample heap
 // allocations (ValueCounts' one-time lazy map init is the single reasoned
-// exception), and the mergecontract analyzer checks every Merge method
-// covers all serialized state. Both contracts are catalogued in
-// docs/CONTRACTS.md.
+// exception); the contract is catalogued in docs/CONTRACTS.md. That every
+// Merge covers all serialized state is pinned at runtime by the
+// *MergePinsWholeStream tests, which fold round-tripped partials and
+// compare against whole-stream accumulation.
 package stats

@@ -1,18 +1,15 @@
 // JSON round-tripping for the streaming accumulators, so study partials can
 // leave the process as shard artifacts and merge back elsewhere. Every
-// mergeable accumulator (Moments, MinMax, Fraction, ValueCounts,
+// accumulator (Moments, MinMax, Fraction, ValueCounts,
 // StreamingHistogram, and the composite Dist via its exported fields)
 // serializes its full internal state: Unmarshal(Marshal(a)) reproduces an
 // accumulator whose every query — and every future Add or Merge — behaves
 // identically to the original. encoding/json emits the shortest decimal that
 // parses back to the identical float64, so the round trip is bit-exact.
 //
-// P2Quantile is deliberately NOT serializable, just as it is not mergeable:
-// its five markers depend on the arrival order of the whole stream, so two
-// partial estimators cannot be combined into the estimator of the
-// concatenated stream. Sharded campaigns that need quantiles use the exact
-// ValueCounts multiset (inside Dist) instead — its merge is lossless, and for
-// the campaign's grid-quantized series its memory is bounded by the grid.
+// Quantiles stay exact across shards because Dist carries them as the
+// ValueCounts multiset, whose merge is lossless; for the campaign's
+// grid-quantized series its memory is bounded by the grid.
 package stats
 
 import (

@@ -25,10 +25,6 @@
 //     the number of DISTINCT sample values — constant for the quantized
 //     series the campaign measures (integration-step timing grids, k/N bit
 //     error rates, fixed command-grid latencies), never by the run count.
-//   - P2Quantile is the constant-memory estimator for genuinely continuous
-//     unbounded streams: five markers per quantile, exact for n <= 5, and
-//     within a few percent of the batch percentile for smooth unimodal
-//     distributions (tested against the oracle at 0.05 relative tolerance).
 //
 // Merging is deterministic: Merge folds partial accumulators in the order
 // the caller chooses (the drivers merge in catalog/level order), so output
@@ -233,122 +229,6 @@ func (f Fraction) Above() float64 {
 		return 0
 	}
 	return float64(f.above) / float64(f.n)
-}
-
-// P2Quantile estimates a single quantile in O(1) memory with the P² algorithm
-// (Jain & Chlamtac, 1985): five markers whose heights approximate the
-// quantile via piecewise-parabolic interpolation. For n <= 5 samples the
-// estimate is the exact order statistic. P² has no exact merge (and therefore
-// no Merge method or JSON encoding): the marker state depends on the arrival
-// order of the whole stream, so two partial estimators cannot be combined
-// into the estimator of the concatenated stream. Use one estimator per
-// ordered stream; in sharded campaigns, use the lossless ValueCounts multiset
-// instead — it merges and serializes exactly.
-type P2Quantile struct {
-	p     float64    // target quantile in (0, 1)
-	n     int        // samples seen
-	q     [5]float64 // marker heights
-	pos   [5]float64 // actual marker positions (1-based)
-	want  [5]float64 // desired marker positions
-	dWant [5]float64 // desired-position increments per sample
-}
-
-// NewP2Quantile returns an estimator for quantile p in (0, 1), e.g. 0.95.
-func NewP2Quantile(p float64) (*P2Quantile, error) {
-	if p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("stats: P² quantile %v outside (0,1)", p)
-	}
-	e := &P2Quantile{p: p}
-	e.dWant = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return e, nil
-}
-
-// Add folds one sample.
-func (e *P2Quantile) Add(x float64) {
-	if e.n < 5 {
-		e.q[e.n] = x
-		e.n++
-		if e.n == 5 {
-			sort.Float64s(e.q[:])
-			for i := 0; i < 5; i++ {
-				e.pos[i] = float64(i + 1)
-				e.want[i] = 1 + 4*e.dWant[i]
-			}
-		}
-		return
-	}
-	// Locate the cell containing x and bump the extreme markers.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.want[i] += e.dWant[i]
-	}
-	e.n++
-	// Adjust the interior markers toward their desired positions.
-	for i := 1; i < 4; i++ {
-		d := e.want[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			q := e.parabolic(i, s)
-			if e.q[i-1] < q && q < e.q[i+1] {
-				e.q[i] = q
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.pos[i] += s
-		}
-	}
-}
-
-// parabolic is the P² piecewise-parabolic height prediction.
-func (e *P2Quantile) parabolic(i int, s float64) float64 {
-	return e.q[i] + s/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+s)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-s)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-// linear is the fallback height prediction.
-func (e *P2Quantile) linear(i int, s float64) float64 {
-	return e.q[i] + s*(e.q[int(float64(i)+s)]-e.q[i])/(e.pos[int(float64(i)+s)]-e.pos[i])
-}
-
-// N returns the sample count.
-func (e *P2Quantile) N() int { return e.n }
-
-// Value returns the current quantile estimate, or ErrEmpty.
-func (e *P2Quantile) Value() (float64, error) {
-	if e.n == 0 {
-		return 0, ErrEmpty
-	}
-	if e.n <= 5 {
-		// Exact small-sample order statistic via the batch interpolation:
-		// through n == 5 the markers are still the sorted raw samples (for
-		// n < 5 unsorted — Percentile sorts a copy), so the estimate must
-		// come from them, not from the middle marker, which only tracks the
-		// target quantile once the marker adjustment has run.
-		xs := append([]float64(nil), e.q[:e.n]...)
-		return Percentile(xs, e.p*100)
-	}
-	return e.q[2], nil
 }
 
 // ValueCounts is an exact streaming multiset: it counts occurrences per
@@ -769,68 +649,6 @@ func (d Dist) Summary() (Summary, error) {
 		CV:     cv,
 		Min:    vals[0],
 		Max:    vals[len(vals)-1],
-		P50:    p50,
-		P90:    p90,
-		P95:    p95,
-		P99:    p99,
-	}, nil
-}
-
-// P2Summary is the strictly-O(1) composite accumulator: Welford moments,
-// running extremes, and P² estimators for the Summary quantiles. Use it for
-// continuous unbounded streams where even the distinct-value bound of Dist
-// is too large; quantiles carry the documented P² tolerance instead of being
-// exact.
-type P2Summary struct {
-	moments   Moments
-	minmax    MinMax
-	quantiles [4]*P2Quantile // P50, P90, P95, P99
-}
-
-// NewP2Summary returns an empty accumulator.
-func NewP2Summary() *P2Summary {
-	s := &P2Summary{}
-	for i, p := range []float64{0.50, 0.90, 0.95, 0.99} {
-		s.quantiles[i], _ = NewP2Quantile(p)
-	}
-	return s
-}
-
-// Add folds one sample.
-func (s *P2Summary) Add(x float64) {
-	s.moments.Add(x)
-	s.minmax.Add(x)
-	for _, q := range s.quantiles {
-		q.Add(x)
-	}
-}
-
-// N returns the sample count.
-func (s *P2Summary) N() int { return s.moments.N() }
-
-// Summary materializes the estimate. It returns ErrEmpty when no samples
-// were folded.
-func (s *P2Summary) Summary() (Summary, error) {
-	if s.moments.N() == 0 {
-		return Summary{}, ErrEmpty
-	}
-	cv, err := s.moments.CV()
-	if err != nil {
-		cv = 0
-	}
-	mn, _ := s.minmax.Min()
-	mx, _ := s.minmax.Max()
-	p50, _ := s.quantiles[0].Value()
-	p90, _ := s.quantiles[1].Value()
-	p95, _ := s.quantiles[2].Value()
-	p99, _ := s.quantiles[3].Value()
-	return Summary{
-		N:      s.moments.N(),
-		Mean:   s.moments.Mean(),
-		StdDev: s.moments.StdDev(),
-		CV:     cv,
-		Min:    mn,
-		Max:    mx,
 		P50:    p50,
 		P90:    p90,
 		P95:    p95,

@@ -297,80 +297,6 @@ func TestValueCountsRange(t *testing.T) {
 	}
 }
 
-// TestP2QuantileSmallSampleExact: through the five-marker threshold
-// (including exactly n == 5, where the markers have just initialized but no
-// adjustment has run) the P² estimator must return the exact batch order
-// statistic — q[2] is the median, not the target quantile, until then.
-func TestP2QuantileSmallSampleExact(t *testing.T) {
-	for _, xs := range [][]float64{
-		{5, 1, 4, 2},
-		{1, 2, 3, 4, 100}, // n == 5: P99 is 96.16, the median marker is 3
-	} {
-		for _, p := range []float64{0.25, 0.5, 0.9, 0.99} {
-			e, err := NewP2Quantile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, x := range xs {
-				e.Add(x)
-			}
-			want, _ := Percentile(xs, p*100)
-			got, err := e.Value()
-			if err != nil || got != want {
-				t.Errorf("n=%d p=%v: %v (%v), want %v", len(xs), p, got, err, want)
-			}
-		}
-	}
-	if _, err := NewP2Quantile(0); err == nil {
-		t.Error("quantile 0 accepted")
-	}
-	if _, err := NewP2Quantile(1); err == nil {
-		t.Error("quantile 1 accepted")
-	}
-}
-
-// TestP2QuantileTolerance pins the P² estimate to the batch percentile
-// within the documented tolerance (5% of the sample spread) on smooth
-// unimodal streams — the regime the estimator is specified for.
-func TestP2QuantileTolerance(t *testing.T) {
-	dists := []struct {
-		name string
-		draw func(*rand.Rand) float64
-	}{
-		{"uniform", func(r *rand.Rand) float64 { return r.Float64() * 10 }},
-		{"normal", func(r *rand.Rand) float64 { return r.NormFloat64()*2 + 30 }},
-		{"exponential", func(r *rand.Rand) float64 { return r.ExpFloat64() * 5 }},
-	}
-	for _, d := range dists {
-		rng := rand.New(rand.NewSource(2022))
-		xs := make([]float64, 10000)
-		ests := map[float64]*P2Quantile{}
-		for _, p := range []float64{0.5, 0.9, 0.95, 0.99} {
-			ests[p], _ = NewP2Quantile(p)
-		}
-		for i := range xs {
-			xs[i] = d.draw(rng)
-			for _, e := range ests {
-				e.Add(xs[i])
-			}
-		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		spread := mx - mn
-		for p, e := range ests {
-			want, _ := Percentile(xs, p*100)
-			got, err := e.Value()
-			if err != nil {
-				t.Fatalf("%s p=%v: %v", d.name, p, err)
-			}
-			if math.Abs(got-want) > 0.05*spread {
-				t.Errorf("%s P%v = %v, batch %v (spread %v): outside the 5%% tolerance",
-					d.name, p*100, got, want, spread)
-			}
-		}
-	}
-}
-
 // TestDistSummaryMatchesBatch pins the composite accumulator's Summary to
 // the batch oracles field by field.
 func TestDistSummaryMatchesBatch(t *testing.T) {
@@ -418,46 +344,6 @@ func TestDistSummaryMatchesBatch(t *testing.T) {
 	var empty Dist
 	if _, err := empty.Summary(); err != ErrEmpty {
 		t.Errorf("empty Summary err = %v, want ErrEmpty", err)
-	}
-}
-
-// TestP2SummaryBounded checks the strictly-O(1) composite: count, mean,
-// extremes exact; quantiles within the P² tolerance; ordered percentiles.
-func TestP2SummaryBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := make([]float64, 8000)
-	acc := NewP2Summary()
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*4 + 50
-		acc.Add(xs[i])
-	}
-	s, err := acc.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != Mean(xs) {
-		t.Errorf("mean = %v, want %v", s.Mean, Mean(xs))
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if s.Min != mn || s.Max != mx {
-		t.Errorf("extremes = %v/%v, want %v/%v", s.Min, s.Max, mn, mx)
-	}
-	spread := mx - mn
-	for _, q := range []struct {
-		p   float64
-		got float64
-	}{{50, s.P50}, {90, s.P90}, {95, s.P95}, {99, s.P99}} {
-		want, _ := Percentile(xs, q.p)
-		if math.Abs(q.got-want) > 0.05*spread {
-			t.Errorf("P%v = %v, batch %v: outside tolerance", q.p, q.got, want)
-		}
-	}
-	if !(s.P50 <= s.P90 && s.P90 <= s.P95 && s.P95 <= s.P99) {
-		t.Errorf("percentiles not ordered: %v %v %v %v", s.P50, s.P90, s.P95, s.P99)
-	}
-	if _, err := NewP2Summary().Summary(); err != ErrEmpty {
-		t.Errorf("empty P2Summary err = %v, want ErrEmpty", err)
 	}
 }
 

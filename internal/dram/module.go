@@ -15,6 +15,7 @@
 package dram
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 
@@ -77,6 +78,7 @@ type bankState struct {
 	openedAt  PS
 	rows      map[int]*rowState // keyed by physical row address
 	refCursor int               // rolling auto-refresh pointer
+	read      readCache         // read physics of the last row read
 }
 
 // Module is one simulated DIMM. It is NOT safe for concurrent use; the
@@ -176,7 +178,7 @@ func (m *Module) Responds() bool {
 
 func (m *Module) checkTime(t PS) error {
 	if t < m.now {
-		return fmt.Errorf("%w: %d < %d", ErrTimeRegression, t, m.now)
+		return fmt.Errorf("%w: %d < %d", ErrTimeRegression, t, m.now) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
 	if !m.Responds() {
 		return ErrNoComm
@@ -187,7 +189,7 @@ func (m *Module) checkTime(t PS) error {
 
 func (m *Module) bank(b int) (*bankState, error) {
 	if b < 0 || b >= len(m.banks) {
-		return nil, fmt.Errorf("%w: bank %d", ErrBadAddress, b)
+		return nil, fmt.Errorf("%w: bank %d", ErrBadAddress, b) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
 	return &m.banks[b], nil
 }
@@ -203,7 +205,7 @@ func (m *Module) checkRow(r int) error {
 func (bk *bankState) row(phys int) *rowState {
 	rs, ok := bk.rows[phys]
 	if !ok {
-		rs = &rowState{}
+		rs = &rowState{} //detlint:ignore hotalloc one-time lazy row-state creation, amortized over the row's reads
 		bk.rows[phys] = rs
 	}
 	return rs
@@ -295,67 +297,178 @@ func (m *Module) Precharge(t PS, bankIdx int) error {
 	return nil
 }
 
-// Read performs a RD burst from the open row of a bank: 64 bytes at column
-// col. The returned data includes every bit flip the physics model holds for
-// the row at this moment — RowHammer disturbance, retention loss, and
-// activation-timing violations (if the read happens sooner after ACT than
-// the row's tRCD requirement at the current VPP).
-func (m *Module) Read(t PS, bankIdx, col int) ([]byte, error) {
+// Read performs a RD burst from the open row of a bank: it appends the 64
+// bytes at column col to dst and returns the extended slice. The data
+// includes every bit flip the physics model holds for the row at this
+// moment — RowHammer disturbance, retention loss, and activation-timing
+// violations (if the read happens sooner after ACT than the row's tRCD
+// requirement at the current VPP). Flips compose by XOR: a bit hit by two
+// mechanisms reads back unflipped.
+//
+//detlint:hotpath witness=TestModuleReadAllocsFree
+func (m *Module) Read(dst []byte, t PS, bankIdx, col int) ([]byte, error) {
 	if err := m.checkTime(t); err != nil {
-		return nil, err
+		return dst, err
 	}
 	bk, err := m.bank(bankIdx)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if bk.openRow < 0 {
-		return nil, ErrBankClosed
+		return dst, ErrBankClosed
 	}
 	if col < 0 || col >= m.geom.Columns() {
-		return nil, fmt.Errorf("%w: column %d", ErrBadAddress, col)
+		return dst, fmt.Errorf("%w: column %d", ErrBadAddress, col) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
-	phys := bk.openRow
-	rs := bk.row(phys)
+	rs := bk.row(bk.openRow)
+	rc := &bk.read
+	rc.update(m, bankIdx, bk.openRow, rs)
 
-	out := make([]byte, BurstBytes)
+	lo := col * BurstBytes
+	n := len(dst)
 	if rs.data != nil {
-		copy(out, rs.data[col*BurstBytes:(col+1)*BurstBytes])
+		dst = append(dst, rs.data[lo:lo+BurstBytes]...)
+	} else {
+		dst = append(dst, zeroBurst[:]...)
+	}
+	out := dst[n:]
+
+	// RowHammer flips from accumulated neighbor activations.
+	if rc.hammer.n > 0 {
+		subtle.XORBytes(out, out, rc.hammer.bits[lo:lo+BurstBytes])
 	}
 
-	base := int32(col * BurstBytes * 8)
-	limit := base + int32(BurstBytes*8)
-	applyFlips := func(positions []int32) {
-		for _, pos := range positions {
-			if pos >= base && pos < limit {
-				rel := pos - base
+	// Retention flips from unrefreshed time: the failed bulk cells at this
+	// burst's time, plus the failed weak cells that are not among them.
+	if rs.data != nil {
+		elapsedMS := float64(t-rs.lastWrite) / float64(PSPerMS)
+		count := rc.ret.BulkCount(elapsedMS)
+		if count > 0 && rc.retBulk.order == nil {
+			rc.retBulk.setOrder(rc.ret.BulkOrder(), m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+		}
+		rc.retBulk.resize(count)
+		if rc.retBulk.n > 0 {
+			subtle.XORBytes(out, out, rc.retBulk.bits[lo:lo+BurstBytes])
+		}
+		rc.flips = rc.ret.AppendWeakFailures(rc.flips[:0], elapsedMS)
+		for _, pos := range rc.flips {
+			if rel := int(pos) - lo*8; rel >= 0 && rel < BurstBytes*8 && !rc.retBulk.has(pos) {
 				out[rel/8] ^= 1 << uint(rel%8)
 			}
 		}
 	}
 
-	// RowHammer flips from accumulated neighbor activations.
-	if hcEq := rs.doubleSidedEquivalent(); hcEq > 0 {
-		pat := m.dominantPattern(rs)
-		n := m.model.HammerFlipCount(bankIdx, phys, pat, m.vpp, hcEq, m.tempC, rs.writeEpoch)
-		if n > 0 {
-			applyFlips(m.model.HammerFlipPositions(bankIdx, phys, n))
-		}
-	}
-
-	// Retention flips from unrefreshed time.
-	if rs.data != nil {
-		elapsedMS := float64(t-rs.lastWrite) / float64(PSPerMS)
-		if flips := m.model.RetentionFlipPositions(bankIdx, phys, m.vpp, elapsedMS, m.tempC, rs.writeEpoch); len(flips) > 0 {
-			applyFlips(flips)
-		}
-	}
-
 	// Activation-timing violations.
 	trcdNS := float64(t-bk.openedAt) / float64(PSPerNS)
-	if flips := m.model.TRCDFlipPositions(bankIdx, phys, col, trcdNS, m.vpp, rs.writeEpoch); len(flips) > 0 {
-		applyFlips(flips)
+	rc.flips = rc.trcd.AppendFlips(rc.flips[:0], col, trcdNS, rs.writeEpoch)
+	for _, pos := range rc.flips {
+		rel := int(pos) - lo*8
+		out[rel/8] ^= 1 << uint(rel%8)
 	}
-	return out, nil
+	return dst, nil
+}
+
+// zeroBurst is the content of a burst from a never-written row.
+var zeroBurst [BurstBytes]byte
+
+// readKey is everything a row's read physics depends on besides the time
+// of the read. While a row is open no ACT can reach its bank, so the key
+// changes only through WR (data pattern), WriteRow (write epoch), SetVPP
+// and SetTemperature; between activations, neighbor ACTs (exposure) and
+// refreshes (write epoch) change it too.
+type readKey struct {
+	phys, epoch int
+	vpp, tempC  float64
+	hcEq        float64 // double-sided-equivalent hammer exposure
+	pat         patternKind
+	hasData     bool
+}
+
+// readCache holds the row-invariant part of Read for one row state, so a
+// full-row readback evaluates the row's physics once instead of once per
+// column burst. Its masks and buffers are per bank and reused across rows.
+type readCache struct {
+	ok      bool
+	key     readKey
+	hammer  prefixMask           // RowHammer flips at the key's exposure
+	ret     physics.RetentionRow // retention terms at the key's VPP, temperature and epoch
+	retBulk prefixMask           // failed bulk cells at the last read's time
+	trcd    physics.TRCDRow      // activation-latency terms at the key's VPP
+	flips   []int32              // scratch for one burst's weak-cell and tRCD flips
+}
+
+// update recomputes the cached terms when the open row's state has changed
+// since the last read.
+func (rc *readCache) update(m *Module, bankIdx, phys int, rs *rowState) {
+	key := readKey{
+		phys: phys, epoch: rs.writeEpoch,
+		vpp: m.vpp, tempC: m.tempC,
+		hcEq: rs.doubleSidedEquivalent(), pat: m.dominantPattern(rs),
+		hasData: rs.data != nil,
+	}
+	if rc.ok && key == rc.key {
+		return
+	}
+	if !rc.ok || key.phys != rc.key.phys {
+		// The cell orders are per row; a mask of another row's order is void.
+		rc.hammer.reset()
+		rc.retBulk.reset()
+	}
+	rc.ok, rc.key = true, key
+
+	n := 0
+	if key.hcEq > 0 {
+		n = m.model.HammerFlipCount(bankIdx, phys, key.pat, key.vpp, key.hcEq, key.tempC, key.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+	}
+	if n > 0 && rc.hammer.order == nil {
+		rc.hammer.setOrder(m.model.HammerFlipPositions(bankIdx, phys, m.geom.RowBits()), m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+	}
+	rc.hammer.resize(n)
+	rc.ret = m.model.RetentionRow(bankIdx, phys, key.vpp, key.tempC, key.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+	rc.trcd = m.model.TRCDRow(bankIdx, phys, key.vpp)                           //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+}
+
+// prefixMask is a row-sized bit mask of the first n cells of a row's
+// weakest-first cell order. Resizing toggles only the cells between the old
+// and the new prefix, so a count that creeps up from burst to burst costs
+// only its growth.
+type prefixMask struct {
+	order []int32
+	bits  []byte
+	n     int
+}
+
+// setOrder attaches a cell order to an empty mask.
+func (pm *prefixMask) setOrder(order []int32, rowBytes int) {
+	pm.order = order
+	if len(pm.bits) != rowBytes {
+		pm.bits = make([]byte, rowBytes) //detlint:ignore hotalloc one per-bank mask, reused by every later row
+	}
+}
+
+// resize moves the mask to the first n cells of its order.
+func (pm *prefixMask) resize(n int) {
+	lo, hi := pm.n, n
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	for _, pos := range pm.order[lo:hi] {
+		pm.bits[pos/8] ^= 1 << uint(pos%8)
+	}
+	pm.n = n
+}
+
+// has reports whether cell pos is in the mask.
+func (pm *prefixMask) has(pos int32) bool {
+	return pm.n > 0 && pm.bits[pos/8]&(1<<uint(pos%8)) != 0
+}
+
+// reset empties the mask and detaches its order.
+func (pm *prefixMask) reset() {
+	if pm.n > 0 {
+		clear(pm.bits)
+	}
+	pm.order, pm.n = nil, 0
 }
 
 // doubleSidedEquivalent folds the per-side exposure counters into the

@@ -50,11 +50,10 @@ func readRow(t *testing.T, m *Module, at PS, bank, row int) ([]byte, PS) {
 	at += NSToPS(physics.TRCDNominalNS)
 	out := make([]byte, 0, m.Geometry().RowBytes)
 	for col := 0; col < m.Geometry().Columns(); col++ {
-		d, err := m.Read(at, bank, col)
-		if err != nil {
+		var err error
+		if out, err = m.Read(out, at, bank, col); err != nil {
 			t.Fatalf("read col %d: %v", col, err)
 		}
-		out = append(out, d...)
 		at += NSToPS(5)
 	}
 	if err := m.Precharge(at, bank); err != nil {
@@ -95,7 +94,7 @@ func TestProtocolErrors(t *testing.T) {
 	if err := m.Precharge(NSToPS(50), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Read(NSToPS(60), 0, 0); !errors.Is(err, ErrBankClosed) {
+	if _, err := m.Read(nil, NSToPS(60), 0, 0); !errors.Is(err, ErrBankClosed) {
 		t.Errorf("read on closed bank err = %v, want ErrBankClosed", err)
 	}
 	if err := m.Write(NSToPS(70), 0, 0, make([]byte, BurstBytes)); !errors.Is(err, ErrBankClosed) {
@@ -372,7 +371,7 @@ func TestReadDuringViolatedTRCDCorruptsData(t *testing.T) {
 	flips := 0
 	rt := at + NSToPS(3)
 	for col := 0; col < m.Geometry().Columns(); col++ {
-		d, err := m.Read(rt, 0, col)
+		d, err := m.Read(nil, rt, 0, col)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestQuickRandomCommandSequences(t *testing.T) {
 			case 1:
 				err = m.Precharge(at, bank)
 			case 2:
-				_, err = m.Read(at, bank, col)
+				_, err = m.Read(nil, at, bank, col)
 			case 3:
 				err = m.Write(at, bank, col, make([]byte, BurstBytes))
 			case 4:
@@ -97,7 +97,7 @@ func TestQuickReadAfterWriteIntegrity(t *testing.T) {
 		}
 		at += NSToPS(physics.TRCDNominalNS * 2) // generous timing
 		for col := 0; col < m.Geometry().Columns(); col++ {
-			d, err := m.Read(at, 0, col)
+			d, err := m.Read(nil, at, 0, col)
 			if err != nil {
 				return false
 			}
@@ -150,7 +150,7 @@ func TestQuickHammerMonotonicity(t *testing.T) {
 			at += NSToPS(30)
 			flips := 0
 			for col := 0; col < m.Geometry().Columns(); col++ {
-				d, err := m.Read(at, 0, col)
+				d, err := m.Read(nil, at, 0, col)
 				if err != nil {
 					return -1
 				}

@@ -1,0 +1,258 @@
+package dram
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"github.com/dramstudy/rhvpp/internal/physics"
+)
+
+// refRead is the per-burst flip assembly that Read replaced, kept as the
+// oracle: every mechanism is evaluated from scratch for each 64-byte burst
+// and each flip position is scanned against the burst's bit range. It reads
+// the module's state without changing it.
+func refRead(m *Module, t PS, bankIdx, col int) []byte {
+	bk := &m.banks[bankIdx]
+	phys := bk.openRow
+	rs := bk.row(phys)
+
+	out := make([]byte, BurstBytes)
+	if rs.data != nil {
+		copy(out, rs.data[col*BurstBytes:(col+1)*BurstBytes])
+	}
+	base := int32(col * BurstBytes * 8)
+	limit := base + int32(BurstBytes*8)
+	applyFlips := func(positions []int32) {
+		for _, pos := range positions {
+			if pos >= base && pos < limit {
+				rel := pos - base
+				out[rel/8] ^= 1 << uint(rel%8)
+			}
+		}
+	}
+	if hcEq := rs.doubleSidedEquivalent(); hcEq > 0 {
+		pat := m.dominantPattern(rs)
+		n := m.model.HammerFlipCount(bankIdx, phys, pat, m.vpp, hcEq, m.tempC, rs.writeEpoch)
+		if n > 0 {
+			applyFlips(m.model.HammerFlipPositions(bankIdx, phys, n))
+		}
+	}
+	if rs.data != nil {
+		elapsedMS := float64(t-rs.lastWrite) / float64(PSPerMS)
+		applyFlips(m.model.RetentionFlipPositions(bankIdx, phys, m.vpp, elapsedMS, m.tempC, rs.writeEpoch))
+	}
+	trcdNS := float64(t-bk.openedAt) / float64(PSPerNS)
+	trcd := m.model.TRCDRow(bankIdx, phys, m.vpp)
+	applyFlips(trcd.AppendFlips(nil, col, trcdNS, rs.writeEpoch))
+	return out
+}
+
+// oracleRun drives one module and checks every burst it reads against
+// refRead.
+type oracleRun struct {
+	t       *testing.T
+	m       *Module
+	at      PS
+	name    string
+	bursts  int
+	flipped int // bursts that differ from the stored data
+}
+
+func (r *oracleRun) step(ns float64) { r.at += NSToPS(ns) }
+
+func (r *oracleRun) must(err error, what string) {
+	r.t.Helper()
+	if err != nil {
+		r.t.Fatalf("%s: %s: %v", r.name, what, err)
+	}
+}
+
+func (r *oracleRun) initRow(bank, row int, fill byte) {
+	r.t.Helper()
+	r.must(r.m.Activate(r.at, bank, row), "activate")
+	r.step(physics.TRCDNominalNS)
+	r.must(r.m.WriteRow(r.at, bank, row, bytes.Repeat([]byte{fill}, r.m.Geometry().RowBytes)), "write row")
+	r.step(physics.TRASNominalNS)
+	r.must(r.m.Precharge(r.at, bank), "precharge")
+	r.step(physics.TRPNominalNS)
+}
+
+// hammer activates the victim's physical neighbors count times each.
+func (r *oracleRun) hammer(bank, victim, count int) {
+	r.t.Helper()
+	phys := r.m.Scheme().LogicalToPhysical(victim)
+	for _, p := range []int{phys - 1, phys + 1} {
+		r.must(r.m.ActivateMany(r.at, bank, r.m.Scheme().PhysicalToLogical(p), count), "hammer")
+		r.at = r.m.Now()
+	}
+}
+
+// read checks one burst at the current time.
+func (r *oracleRun) read(bank, col int) {
+	r.t.Helper()
+	want := refRead(r.m, r.at, bank, col)
+	got, err := r.m.Read(nil, r.at, bank, col)
+	r.must(err, "read")
+	if !bytes.Equal(got, want) {
+		r.t.Fatalf("%s: bank %d col %d at %d ps: burst %x, oracle %x", r.name, bank, col, r.at, got, want)
+	}
+	rs := r.m.banks[bank].row(r.m.banks[bank].openRow)
+	if rs.data != nil && !bytes.Equal(got, rs.data[col*BurstBytes:(col+1)*BurstBytes]) {
+		r.flipped++
+	}
+	r.bursts++
+}
+
+// readRow opens a row, reads every burst trcd ns after ACT at tCCD = 5 ns
+// (calling between(col) before each burst), and closes it.
+func (r *oracleRun) readRow(bank, row int, trcd float64, between func(col int)) {
+	r.t.Helper()
+	r.must(r.m.Activate(r.at, bank, row), "activate")
+	r.step(trcd)
+	for col := 0; col < r.m.Geometry().Columns(); col++ {
+		if between != nil {
+			between(col)
+		}
+		r.read(bank, col)
+		r.step(5)
+	}
+	r.must(r.m.Precharge(r.at, bank), "precharge")
+	r.step(physics.TRPNominalNS)
+}
+
+func TestReadMatchesPerBurstOracleAtPaperGeometry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-geometry oracle sweep")
+	}
+	geom := physics.FullGeometry()
+	if geom.RowBytes != 8192 || geom.Columns() != 128 {
+		t.Fatalf("paper geometry is %d-byte rows, %d columns", geom.RowBytes, geom.Columns())
+	}
+	total := oracleRun{}
+	for _, name := range []string{"A0", "B2", "B3", "C0"} {
+		p, _ := physics.ProfileByName(name)
+		for _, vpp := range []float64{physics.VPPNominal, 1.9, p.VPPMin} {
+			m := NewModule(p, geom, 2022)
+			m.SetVPP(vpp)
+			r := &oracleRun{t: t, m: m, name: fmt.Sprintf("%s@%.2fV", name, vpp)}
+			const bank, victim = 1, 1000
+			hcFirst := int(m.Model().GroundTruthHCFirst(bank, m.Scheme().LogicalToPhysical(victim), vpp))
+			reqNS := m.Model().GroundTruthRowTRCDNS(bank, m.Scheme().LogicalToPhysical(victim), vpp)
+
+			// Hammer counts around and far above HCfirst, read safely.
+			for i, hc := range []int{0, hcFirst / 2, hcFirst + hcFirst/10, 4 * hcFirst} {
+				r.initRow(bank, victim, []byte{0xAA, 0x55, 0xFF, 0x00}[i])
+				r.hammer(bank, victim, hc)
+				r.readRow(bank, victim, 30, nil)
+				// Reopening an unchanged row reads the same physics.
+				r.readRow(bank, victim, 30, nil)
+			}
+
+			// Retention waits at the retention test temperature, then
+			// hammer and retention flips together.
+			m.SetTemperature(physics.RetentionTestTempC)
+			for _, waitMS := range []float64{64, 128, 4000, 16000} {
+				r.initRow(bank, victim+2, 0xCC)
+				r.hammer(bank, victim+2, 4*hcFirst)
+				r.step(waitMS * 1e6)
+				r.readRow(bank, victim+2, 30, nil)
+			}
+			m.SetTemperature(physics.RowHammerTestTempC)
+
+			// tRCD overrides on both sides of the row's requirement and of the
+			// draw-skip bound (requirement + MaxAbsNorm·noise ≈ +0.72 ns).
+			for _, trcd := range []float64{6, reqNS - 1.5, reqNS - 0.2, reqNS, reqNS + 0.5, reqNS + 0.75, 13.5, 30} {
+				r.initRow(bank, victim, 0x33)
+				r.readRow(bank, victim, trcd, nil)
+			}
+
+			// State changes between the bursts of one open row: WR (data
+			// pattern), WriteRow (epoch, exposure, retention clock), SetVPP
+			// and SetTemperature must all invalidate the cached terms.
+			r.initRow(bank, victim, 0xFF)
+			r.hammer(bank, victim, 2*hcFirst)
+			r.step(200e6)
+			r.readRow(bank, victim, reqNS-0.5, func(col int) {
+				switch col {
+				case 16:
+					r.must(m.Write(r.at, bank, 0, bytes.Repeat([]byte{0x00}, BurstBytes)), "write")
+				case 32:
+					m.SetTemperature(85)
+				case 48:
+					m.SetVPP(p.VPPMin + 0.1)
+				case 64:
+					m.SetVPP(vpp)
+					m.SetTemperature(physics.RowHammerTestTempC)
+				case 80:
+					r.must(m.WriteRow(r.at, bank, victim, bytes.Repeat([]byte{0x55}, geom.RowBytes)), "write row")
+				case 96:
+					r.must(m.Write(r.at, bank, 0, bytes.Repeat([]byte{0xCC}, BurstBytes)), "write")
+				}
+			})
+
+			// A never-written row with hammer exposure, and two rows of two
+			// banks read alternately so each bank's cache switches rows.
+			r.hammer(bank, 3000, 4*hcFirst)
+			r.readRow(bank, 3000, 30, nil)
+			r.initRow(0, victim, 0xAA)
+			r.hammer(0, victim, 2*hcFirst)
+			for i := 0; i < 3; i++ {
+				r.readRow(0, victim, 30, nil)
+				r.readRow(bank, victim, 30, nil)
+				r.readRow(bank, 3000, reqNS-1, nil)
+			}
+			total.bursts += r.bursts
+			total.flipped += r.flipped
+		}
+	}
+	// Weak cells (B6 fails at the 64 ms window) after long waits at VPPmin,
+	// where some failed weak cells are also failed bulk cells and must not
+	// flip twice.
+	p, _ := physics.ProfileByName("B6")
+	m := NewModule(p, geom, 7)
+	m.SetVPP(p.VPPMin)
+	m.SetTemperature(physics.RetentionTestTempC)
+	r := &oracleRun{t: t, m: m, name: "B6 weak cells"}
+	for row := 0; row < 48; row++ {
+		r.initRow(0, row, 0xFF)
+	}
+	r.step(20000e6)
+	for row := 0; row < 48; row++ {
+		r.readRow(0, row, 30, nil)
+	}
+	total.bursts += r.bursts
+	total.flipped += r.flipped
+
+	// The sweep must have exercised flips, not only clean rows.
+	if total.flipped < total.bursts/10 {
+		t.Fatalf("only %d of %d bursts carried flips", total.flipped, total.bursts)
+	}
+	t.Logf("%d bursts checked, %d with flips", total.bursts, total.flipped)
+}
+
+func TestModuleReadAllocsFree(t *testing.T) {
+	p, _ := physics.ProfileByName("B3")
+	m := NewModule(p, physics.FullGeometry(), 2022)
+	m.SetTemperature(physics.RetentionTestTempC)
+	r := &oracleRun{t: t, m: m, name: "B3"}
+	const bank, victim = 0, 1000
+	r.initRow(bank, victim, 0xAA)
+	r.hammer(bank, victim, 300_000)
+	r.step(4000e6) // retention flips grow from burst to burst
+	r.must(m.Activate(r.at, bank, victim), "activate")
+	r.step(30)
+	buf := make([]byte, 0, BurstBytes)
+	col := 0
+	read := func() {
+		var err error
+		buf, err = m.Read(buf[:0], r.at, bank, col)
+		r.must(err, "read")
+		col = (col + 1) % m.Geometry().Columns()
+		r.step(5)
+	}
+	read() // first burst samples the row and sizes the per-bank masks
+	if a := testing.AllocsPerRun(1000, read); a != 0 {
+		t.Errorf("Read allocates %v times per burst in steady state, want 0", a)
+	}
+}

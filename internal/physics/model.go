@@ -164,6 +164,7 @@ type rowParams struct {
 	tempCoeff float64 // relative disturbance change per 50C above the 50C reference
 	trcdBase  float64 // worst-column tRCD at nominal VPP (ns)
 	trcdScale float64 // per-row multiplier on the module tRCD response
+	trcdWorst int     // the column whose requirement is the row's worst case
 	retLambda float64 // per-row retention-time multiplier
 	weak      []weakCell
 
@@ -275,7 +276,7 @@ func (m *DeviceModel) row(bank, rowAddr int) *rowParams {
 }
 
 func (m *DeviceModel) sampleRow(bank, rowAddr int) *rowParams {
-	s := m.root.Derive("row", bank, rowAddr)
+	s := m.root.DeriveInts("row", bank, rowAddr)
 	sp := spreadFor(m.prof.Mfr)
 	n := float64(m.geom.RowBits())
 	sMin := sOf(m.prof.VPPMin)
@@ -328,8 +329,12 @@ func (m *DeviceModel) sampleRow(bank, rowAddr int) *rowParams {
 		rp.patVShift[i] = 0.012 * s.NormFloat64()
 	}
 
-	rp.trcdBase = m.trcd.rowBaseNS(s)
+	rp.trcdBase = m.trcd.rowBaseNS(&s)
 	rp.trcdScale = math.Exp(0.10 * s.NormFloat64())
+	// The worst column comes from its own stream, so it leaves the row
+	// stream's draw order alone.
+	ws := m.root.DeriveInts("trcdworst", bank, rowAddr)
+	rp.trcdWorst = ws.Intn(m.geom.Columns())
 	rp.retLambda = clamp(math.Exp(0.30*s.NormFloat64()), 0.6, 1.8)
 	// Per-row temperature sensitivity of the hammer disturbance. Prior
 	// characterization (Orosa et al., MICRO'21) finds temperature affects
@@ -338,7 +343,7 @@ func (m *DeviceModel) sampleRow(bank, rowAddr int) *rowParams {
 	// three-way VPP/temperature/RowHammer interaction to future work (§7);
 	// this coefficient powers the ext-temp extension experiment.
 	rp.tempCoeff = s.Normal(0.10, 0.12)
-	rp.weak = m.retention.sampleWeakCells(s, m.geom, m.prof)
+	rp.weak = m.retention.sampleWeakCells(&s, m.geom, m.prof)
 	return rp
 }
 
@@ -400,8 +405,8 @@ func (m *DeviceModel) HammerFlipCount(bank, rowAddr int, pat pattern.Kind, vpp, 
 
 	eff := hcEq * m.PatternFactor(bank, rowAddr, pat, vpp)
 	eff *= clamp(1+rp.tempCoeff*(tempC-RowHammerTestTempC)/50, 0.5, 1.8)
-	noise := m.root.Derive("hnoise", bank, rowAddr, iter).Normal(0, measurementNoiseSigma)
-	eff *= math.Exp(noise)
+	ns := m.root.DeriveInts("hnoise", bank, rowAddr, iter)
+	eff *= math.Exp(ns.Normal(0, measurementNoiseSigma))
 
 	hcf := rp.hcNom * m.normHC(rp, vpp)
 	if eff < hcf {
@@ -454,7 +459,7 @@ func (m *DeviceModel) HammerFlipPositions(bank, rowAddr, count int) []int32 {
 
 // cellPermutation derives the weakest-first cell ordering for a row.
 func (m *DeviceModel) cellPermutation(label string, bank, rowAddr int) []int32 {
-	s := m.root.Derive(label, bank, rowAddr)
+	s := m.root.DeriveInts(label, bank, rowAddr)
 	n := m.geom.RowBits()
 	p := make([]int32, n)
 	for i := range p {

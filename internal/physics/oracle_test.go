@@ -1,0 +1,183 @@
+package physics
+
+import (
+	"math"
+	"slices"
+	"testing"
+)
+
+// The ref* functions are the per-call tRCD and retention evaluations the
+// row-term types replaced, kept verbatim as the oracle: every stream is
+// re-derived on every call and flips are deduplicated through maps.
+
+func refColumnTRCDReqNS(m *DeviceModel, bank, rowAddr, col int, vpp float64, iter int) float64 {
+	rp := m.row(bank, rowAddr)
+	req := m.trcd.rowReqNS(rp.trcdBase, rp.trcdScale, vpp)
+	colStream := m.root.Derive("trcdcol", bank, rowAddr, col)
+	worst := m.root.Derive("trcdworst", bank, rowAddr).Intn(m.geom.Columns())
+	if col != worst {
+		req -= math.Abs(colStream.Normal(0, trcdColumnJitterNS))
+	}
+	req += m.root.Derive("trcditer", bank, rowAddr, col, iter).Normal(0, trcdIterNoiseNS)
+	return req
+}
+
+func refTRCDFlipPositions(m *DeviceModel, bank, rowAddr, col int, trcdNS, vpp float64, iter int) []int32 {
+	req := refColumnTRCDReqNS(m, bank, rowAddr, col, vpp, iter)
+	if trcdNS >= req {
+		return nil
+	}
+	shortfall := req - trcdNS
+	nf := 1 + int(shortfall/0.4)
+	colBits := 64 * 8
+	if nf > colBits {
+		nf = colBits
+	}
+	s := m.root.Derive("trcdbits", bank, rowAddr, col)
+	base := int32(col * colBits)
+	seen := make(map[int32]bool, nf)
+	out := make([]int32, 0, nf)
+	for len(out) < nf {
+		pos := base + int32(s.Intn(colBits))
+		if !seen[pos] {
+			seen[pos] = true
+			out = append(out, pos)
+		}
+	}
+	return out
+}
+
+func refBulkProb(r retentionModel, elapsedMS, v, tempC, lambda float64) float64 {
+	if elapsedMS <= 0 {
+		return 0
+	}
+	accel := math.Pow(2, (tempC-retentionTempRefC)/10)
+	tEff := elapsedMS * accel / (r.rho(v) * lambda)
+	f := Phi((math.Log(tEff) - r.mu) / r.sigma)
+	if f <= r.floorF {
+		return 0
+	}
+	return (f - r.floorF) / (1 - r.floorF)
+}
+
+func refWeakFailed(r retentionModel, c weakCell, elapsedMS, v, tempC float64) bool {
+	accel := math.Pow(2, (tempC-retentionTempRefC)/10)
+	tau := c.tierMS * math.Pow(r.rho(v)/r.rho(r.vppMin), weakVoltageExponent)
+	return elapsedMS*accel >= tau
+}
+
+func refRetentionFlipPositions(m *DeviceModel, bank, rowAddr int, vpp, elapsedMS, tempC float64, iter int) []int32 {
+	if elapsedMS <= 0 || vpp < m.prof.VPPMin-1e-9 {
+		return nil
+	}
+	rp := m.row(bank, rowAddr)
+	n := m.geom.RowBits()
+	noise := math.Exp(m.root.Derive("rnoise", bank, rowAddr, iter).Normal(0, 0.05))
+	p := refBulkProb(m.retention, elapsedMS*noise, vpp, tempC, rp.retLambda)
+	count := int(p*float64(n) + rp.flipFrac)
+	if count > n {
+		count = n
+	}
+	var out []int32
+	if count > 0 {
+		rp.retPermOnce.Do(func() {
+			rp.retPerm = m.cellPermutation("retperm", bank, rowAddr)
+		})
+		out = append(out, rp.retPerm[:count]...)
+	}
+	if len(rp.weak) > 0 {
+		seen := make(map[int32]bool, len(out))
+		for _, pos := range out {
+			seen[pos] = true
+		}
+		for _, c := range rp.weak {
+			if refWeakFailed(m.retention, c, elapsedMS, vpp, tempC) && !seen[c.pos] {
+				out = append(out, c.pos)
+				seen[c.pos] = true
+			}
+		}
+	}
+	return out
+}
+
+func refHammerNoise(m *DeviceModel, bank, rowAddr, iter int) float64 {
+	return m.root.Derive("hnoise", bank, rowAddr, iter).Normal(0, measurementNoiseSigma)
+}
+
+func TestTRCDRowMatchesPerCallOracle(t *testing.T) {
+	const bank = 1
+	for _, name := range []string{"A0", "A3", "B2", "B5", "C0"} {
+		p, _ := ProfileByName(name)
+		m := NewDeviceModel(p, FullGeometry(), 2022)
+		for _, vpp := range []float64{VPPNominal, 2.0, p.VPPMin} {
+			for _, row := range []int{0, 17, 4711, 32767} {
+				r := m.TRCDRow(bank, row, vpp)
+				if worst := m.root.Derive("trcdworst", bank, row).Intn(m.geom.Columns()); worst != r.worst {
+					t.Fatalf("%s row %d: worst column %d, oracle %d", name, row, r.worst, worst)
+				}
+				for col := 0; col < m.geom.Columns(); col += 9 {
+					for _, iter := range []int{0, 1, 9} {
+						req := refColumnTRCDReqNS(m, bank, row, col, vpp, iter)
+						if got := r.ColumnReqNS(col, iter); got != req {
+							t.Fatalf("%s vpp %v row %d col %d iter %d: requirement %v, oracle %v", name, vpp, row, col, iter, got, req)
+						}
+						if req >= r.safeNS {
+							t.Fatalf("%s row %d col %d: requirement %v reaches the skip bound %v", name, row, col, req, r.safeNS)
+						}
+						// Both sides of the requirement and of the skip bound,
+						// the controller's safe read, and the 1.5 ns grid.
+						for _, trcd := range []float64{req - 4, req - 0.4, req - 1e-9, req, req + 1e-9, r.safeNS - 1e-9, r.safeNS, 30, 12, 13.5} {
+							got := r.AppendFlips(nil, col, trcd, iter)
+							want := refTRCDFlipPositions(m, bank, row, col, trcd, vpp, iter)
+							if !slices.Equal(got, want) {
+								t.Fatalf("%s vpp %v row %d col %d iter %d tRCD %v: flips %v, oracle %v", name, vpp, row, col, iter, trcd, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRetentionRowMatchesPerCallOracle(t *testing.T) {
+	const bank = 0
+	weakRows := 0
+	for _, p := range Profiles() {
+		m := NewDeviceModel(p, FullGeometry(), 7)
+		for row := 0; row < 24; row++ {
+			if len(m.row(bank, row).weak) > 0 {
+				weakRows++
+			}
+			for _, vpp := range []float64{VPPNominal, 1.8, p.VPPMin, p.VPPMin - 0.1} {
+				for _, temp := range []float64{RetentionTestTempC, 50, 95} {
+					for _, ms := range []float64{-1, 0, 0.001, 64, 128, 1000, 4000, 16000} {
+						for _, iter := range []int{0, 3} {
+							got := m.RetentionFlipPositions(bank, row, vpp, ms, temp, iter)
+							want := refRetentionFlipPositions(m, bank, row, vpp, ms, temp, iter)
+							if !slices.Equal(got, want) {
+								t.Fatalf("%s row %d vpp %v %v°C %vms iter %d: %d flips, oracle %d", p.Name, row, vpp, temp, ms, iter, len(got), len(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if weakRows == 0 {
+		t.Fatal("no sampled row carries weak cells; the oracle never exercised them")
+	}
+}
+
+func TestHammerNoiseMatchesPerCallOracle(t *testing.T) {
+	p, _ := ProfileByName("B3")
+	m := NewDeviceModel(p, FullGeometry(), 2022)
+	for _, row := range []int{0, 255, 256, 4711, 32767} {
+		for iter := 0; iter < 12; iter++ {
+			ns := m.root.DeriveInts("hnoise", 0, row, iter)
+			if got, want := ns.Normal(0, measurementNoiseSigma), refHammerNoise(m, 0, row, iter); got != want {
+				t.Fatalf("row %d iter %d: hammer noise %v, oracle %v", row, iter, got, want)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package physics
 
 import (
 	"math"
+	"slices"
 
 	"github.com/dramstudy/rhvpp/internal/rng"
 )
@@ -103,22 +104,6 @@ func (r retentionModel) rho(v float64) float64 {
 	return math.Pow(ratio, r.kappa)
 }
 
-// bulkProb returns the probability that a bulk (non-weak) cell has failed
-// after elapsedMS at voltage v, temperature tempC, with the row's retention
-// multiplier lambda. Leakage doubles per 10 °C above the 80 °C reference.
-func (r retentionModel) bulkProb(elapsedMS, v, tempC, lambda float64) float64 {
-	if elapsedMS <= 0 {
-		return 0
-	}
-	accel := math.Pow(2, (tempC-retentionTempRefC)/10)
-	tEff := elapsedMS * accel / (r.rho(v) * lambda)
-	f := Phi((math.Log(tEff) - r.mu) / r.sigma)
-	if f <= r.floorF {
-		return 0
-	}
-	return (f - r.floorF) / (1 - r.floorF)
-}
-
 // weakCellSpec describes a tier of engineered weak cells for one
 // manufacturer: the fraction of rows carrying them and the number of
 // distinct 64-bit words affected per such row.
@@ -200,13 +185,89 @@ func (r retentionModel) sampleWeakCells(s *rng.Stream, geom Geometry, prof Modul
 // (Obsv. 13) while producing the Fig. 11 failures at VPPmin.
 const weakVoltageExponent = 3
 
-// weakFailed reports whether a weak cell has failed after elapsedMS at
-// voltage v and temperature tempC. The cell's retention time is tierMS at
-// the module's VPPmin and recovers steeply at higher voltages.
-func (r retentionModel) weakFailed(c weakCell, elapsedMS, v, tempC float64) bool {
-	accel := math.Pow(2, (tempC-retentionTempRefC)/10)
-	tau := c.tierMS * math.Pow(r.rho(v)/r.rho(r.vppMin), weakVoltageExponent)
-	return elapsedMS*accel >= tau
+// RetentionRow holds the terms of a row's retention failures that stay
+// fixed while the row is open: the measurement noise of the write epoch, the
+// leakage acceleration at the die temperature, and the VPP-dependent
+// retention scales of the bulk and the weak cells. Only the elapsed time
+// varies per read.
+type RetentionRow struct {
+	m         *DeviceModel
+	rp        *rowParams // nil below VPPmin, where no read happens
+	bank, row int
+	noise     float64 // multiplier on the elapsed time (measurement noise)
+	accel     float64 // leakage doubles per 10 °C above the 80 °C reference
+	rhoLambda float64 // rho(vpp) times the row's retention multiplier
+	weakScale float64 // weak-cell retention at vpp relative to VPPmin
+}
+
+// RetentionRow returns the row-invariant retention terms of a row at
+// voltage vpp and die temperature tempC for measurement iteration iter.
+func (m *DeviceModel) RetentionRow(bank, rowAddr int, vpp, tempC float64, iter int) RetentionRow {
+	if vpp < m.prof.VPPMin-1e-9 {
+		return RetentionRow{}
+	}
+	ns := m.root.DeriveInts("rnoise", bank, rowAddr, iter)
+	rp := m.row(bank, rowAddr)
+	ret := m.retention
+	return RetentionRow{
+		m: m, rp: rp, bank: bank, row: rowAddr,
+		noise:     math.Exp(ns.Normal(0, 0.05)),
+		accel:     math.Pow(2, (tempC-retentionTempRefC)/10),
+		rhoLambda: ret.rho(vpp) * rp.retLambda,
+		// A weak cell's retention time is its tier at VPPmin and recovers
+		// steeply at higher voltages.
+		weakScale: math.Pow(ret.rho(vpp)/ret.rho(ret.vppMin), weakVoltageExponent),
+	}
+}
+
+// BulkCount returns how many bulk (non-weak) cells have failed after
+// elapsedMS of unrefreshed time: the first BulkCount cells of BulkOrder.
+func (r *RetentionRow) BulkCount(elapsedMS float64) int {
+	if r.rp == nil {
+		return 0
+	}
+	noisyMS := elapsedMS * r.noise
+	if noisyMS <= 0 {
+		return 0
+	}
+	ret := r.m.retention
+	tEff := noisyMS * r.accel / r.rhoLambda
+	f := Phi((math.Log(tEff) - ret.mu) / ret.sigma)
+	p := 0.0
+	if f > ret.floorF {
+		p = (f - ret.floorF) / (1 - ret.floorF)
+	}
+	n := r.m.geom.RowBits()
+	count := int(p*float64(n) + r.rp.flipFrac)
+	if count > n {
+		count = n
+	}
+	return count
+}
+
+// BulkOrder returns the row's weakest-first bulk cell ordering, sampling it
+// on first use.
+func (r *RetentionRow) BulkOrder() []int32 {
+	rp := r.rp
+	rp.retPermOnce.Do(func() {
+		rp.retPerm = r.m.cellPermutation("retperm", r.bank, r.row)
+	})
+	return rp.retPerm
+}
+
+// AppendWeakFailures appends to dst the positions of the row's engineered
+// weak cells that have failed after elapsedMS. A weak cell may also be among
+// the failed bulk cells.
+func (r *RetentionRow) AppendWeakFailures(dst []int32, elapsedMS float64) []int32 {
+	if r.rp == nil {
+		return dst
+	}
+	for _, c := range r.rp.weak {
+		if elapsedMS*r.accel >= c.tierMS*r.weakScale {
+			dst = append(dst, c.pos)
+		}
+	}
+	return dst
 }
 
 // RetentionFlipPositions returns the bit positions in a row that have
@@ -214,36 +275,18 @@ func (r retentionModel) weakFailed(c weakCell, elapsedMS, v, tempC float64) bool
 // voltage vpp and die temperature tempC. iter selects the measurement-noise
 // realization. Positions are unique and unordered.
 func (m *DeviceModel) RetentionFlipPositions(bank, rowAddr int, vpp, elapsedMS, tempC float64, iter int) []int32 {
-	if elapsedMS <= 0 || vpp < m.prof.VPPMin-1e-9 {
+	if elapsedMS <= 0 {
 		return nil
 	}
-	rp := m.row(bank, rowAddr)
-	n := m.geom.RowBits()
-
-	noise := math.Exp(m.root.Derive("rnoise", bank, rowAddr, iter).Normal(0, 0.05))
-	p := m.retention.bulkProb(elapsedMS*noise, vpp, tempC, rp.retLambda)
-	count := int(p*float64(n) + rp.flipFrac)
-	if count > n {
-		count = n
-	}
-
+	r := m.RetentionRow(bank, rowAddr, vpp, tempC, iter)
 	var out []int32
-	if count > 0 {
-		rp.retPermOnce.Do(func() {
-			rp.retPerm = m.cellPermutation("retperm", bank, rowAddr)
-		})
-		out = append(out, rp.retPerm[:count]...)
+	if count := r.BulkCount(elapsedMS); count > 0 {
+		out = append(out, r.BulkOrder()[:count]...)
 	}
-	if len(rp.weak) > 0 {
-		seen := make(map[int32]bool, len(out))
-		for _, pos := range out {
-			seen[pos] = true
-		}
-		for _, c := range rp.weak {
-			if m.retention.weakFailed(c, elapsedMS, vpp, tempC) && !seen[c.pos] {
-				out = append(out, c.pos)
-				seen[c.pos] = true
-			}
+	bulk := len(out)
+	for _, pos := range r.AppendWeakFailures(nil, elapsedMS) {
+		if !slices.Contains(out[:bulk], pos) {
+			out = append(out, pos)
 		}
 	}
 	return out

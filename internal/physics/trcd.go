@@ -95,49 +95,80 @@ func (t trcdModel) rowReqNS(rowBase, rowScale, v float64) float64 {
 	return req
 }
 
-// ColumnTRCDReqNS returns the minimum reliable activation-to-read latency of
-// one column burst (ns) at voltage vpp for measurement iteration iter.
-func (m *DeviceModel) ColumnTRCDReqNS(bank, rowAddr, col int, vpp float64, iter int) float64 {
-	rp := m.row(bank, rowAddr)
-	req := m.trcd.rowReqNS(rp.trcdBase, rp.trcdScale, vpp)
-	// Per-column offset: one hash-selected worst column defines the row's
-	// requirement; others are faster by a deterministic jitter.
-	colStream := m.root.Derive("trcdcol", bank, rowAddr, col)
-	worst := m.root.Derive("trcdworst", bank, rowAddr).Intn(m.geom.Columns())
-	if col != worst {
-		req -= math.Abs(colStream.Normal(0, trcdColumnJitterNS))
-	}
-	req += m.root.Derive("trcditer", bank, rowAddr, col, iter).Normal(0, trcdIterNoiseNS)
-	return req
+// TRCDRow holds the terms of a row's activation-latency response that stay
+// fixed while the row is open at one VPP: the noiseless worst-column
+// requirement and the index of the worst column. Only the per-column jitter
+// and the per-iteration noise are drawn per read.
+type TRCDRow struct {
+	m         *DeviceModel
+	bank, row int
+	reqNS     float64 // worst-column requirement without noise
+	worst     int     // column whose requirement is reqNS before noise
+	safeNS    float64 // no column's requirement reaches this latency
 }
 
-// TRCDFlipPositions returns the bit positions (row-relative) corrupted when
-// column col is read trcdNS after activation at voltage vpp. An activation
-// that honors the column's requirement returns nil; a violation flips a
-// handful of the column's weakest bits, growing with the timing shortfall.
-func (m *DeviceModel) TRCDFlipPositions(bank, rowAddr, col int, trcdNS, vpp float64, iter int) []int32 {
-	req := m.ColumnTRCDReqNS(bank, rowAddr, col, vpp, iter)
+// TRCDRow returns the row-invariant activation-latency terms of a row at
+// voltage vpp.
+func (m *DeviceModel) TRCDRow(bank, rowAddr int, vpp float64) TRCDRow {
+	rp := m.row(bank, rowAddr)
+	req := m.trcd.rowReqNS(rp.trcdBase, rp.trcdScale, vpp)
+	return TRCDRow{
+		m: m, bank: bank, row: rowAddr,
+		reqNS: req,
+		worst: rp.trcdWorst,
+		// The column jitter only lowers a requirement and the iteration
+		// noise adds at most MaxAbsNorm standard deviations, so no draw can
+		// push a requirement to safeNS.
+		safeNS: req + rng.MaxAbsNorm*trcdIterNoiseNS,
+	}
+}
+
+// ColumnReqNS returns the minimum reliable activation-to-read latency of
+// column col (ns) for measurement iteration iter.
+func (r *TRCDRow) ColumnReqNS(col, iter int) float64 {
+	req := r.reqNS
+	// Per-column offset: one hash-selected worst column defines the row's
+	// requirement; others are faster by a deterministic jitter.
+	if col != r.worst {
+		cs := r.m.root.DeriveInts("trcdcol", r.bank, r.row, col)
+		req -= math.Abs(cs.Normal(0, trcdColumnJitterNS))
+	}
+	is := r.m.root.DeriveInts("trcditer", r.bank, r.row, col, iter)
+	return req + is.Normal(0, trcdIterNoiseNS)
+}
+
+// AppendFlips appends to dst the bit positions (row-relative), in draw
+// order, corrupted when column col is read trcdNS after activation in
+// measurement iteration iter. A read that honors the column's requirement
+// appends nothing; a violation flips a handful of the column's weakest
+// bits, growing with the timing shortfall. Reads at or beyond the row's
+// noise bound skip the draws: their outcome is known without them.
+func (r *TRCDRow) AppendFlips(dst []int32, col int, trcdNS float64, iter int) []int32 {
+	if trcdNS >= r.safeNS {
+		return dst
+	}
+	req := r.ColumnReqNS(col, iter)
 	if trcdNS >= req {
-		return nil
+		return dst
 	}
 	shortfall := req - trcdNS
 	nf := 1 + int(shortfall/0.4)
-	colBits := 64 * 8
+	const colBits = 64 * 8
 	if nf > colBits {
 		nf = colBits
 	}
-	s := m.root.Derive("trcdbits", bank, rowAddr, col)
+	s := r.m.root.DeriveInts("trcdbits", r.bank, r.row, col)
 	base := int32(col * colBits)
-	seen := make(map[int32]bool, nf)
-	out := make([]int32, 0, nf)
-	for len(out) < nf {
-		pos := base + int32(s.Intn(colBits))
-		if !seen[pos] {
-			seen[pos] = true
-			out = append(out, pos)
+	var seen [colBits / 64]uint64
+	for added := 0; added < nf; {
+		bit := s.Intn(colBits)
+		if w, mask := bit/64, uint64(1)<<(bit%64); seen[w]&mask == 0 {
+			seen[w] |= mask
+			dst = append(dst, base+int32(bit))
+			added++
 		}
 	}
-	return out
+	return dst
 }
 
 // GroundTruthRowTRCDNS returns the row's true worst-column tRCD requirement

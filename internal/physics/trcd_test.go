@@ -86,9 +86,10 @@ func TestTRCDGuardbandReduction(t *testing.T) {
 func TestColumnTRCDWorstColumnDominates(t *testing.T) {
 	m := newTestModel(t, "A3")
 	rowReq := m.GroundTruthRowTRCDNS(0, 9, 2.0)
+	r := m.TRCDRow(0, 9, 2.0)
 	worst := 0.0
 	for col := 0; col < m.Geometry().Columns(); col++ {
-		req := m.ColumnTRCDReqNS(0, 9, col, 2.0, 0)
+		req := r.ColumnReqNS(col, 0)
 		if req > worst {
 			worst = req
 		}
@@ -100,11 +101,12 @@ func TestColumnTRCDWorstColumnDominates(t *testing.T) {
 
 func TestTRCDFlipsOnlyOnViolation(t *testing.T) {
 	m := newTestModel(t, "A3")
-	req := m.ColumnTRCDReqNS(0, 4, 2, 2.5, 0)
-	if flips := m.TRCDFlipPositions(0, 4, 2, req+0.5, 2.5, 0); len(flips) != 0 {
+	r := m.TRCDRow(0, 4, 2.5)
+	req := r.ColumnReqNS(2, 0)
+	if flips := r.AppendFlips(nil, 2, req+0.5, 0); len(flips) != 0 {
 		t.Errorf("flips despite meeting requirement: %d", len(flips))
 	}
-	flips := m.TRCDFlipPositions(0, 4, 2, req-1.0, 2.5, 0)
+	flips := r.AppendFlips(nil, 2, req-1.0, 0)
 	if len(flips) == 0 {
 		t.Error("no flips despite violating requirement by 1ns")
 	}
@@ -118,9 +120,10 @@ func TestTRCDFlipsOnlyOnViolation(t *testing.T) {
 
 func TestTRCDFlipsGrowWithShortfall(t *testing.T) {
 	m := newTestModel(t, "A3")
-	req := m.ColumnTRCDReqNS(0, 4, 0, 2.5, 0)
-	small := len(m.TRCDFlipPositions(0, 4, 0, req-0.5, 2.5, 0))
-	big := len(m.TRCDFlipPositions(0, 4, 0, req-4.0, 2.5, 0))
+	r := m.TRCDRow(0, 4, 2.5)
+	req := r.ColumnReqNS(0, 0)
+	small := len(r.AppendFlips(nil, 0, req-0.5, 0))
+	big := len(r.AppendFlips(nil, 0, req-4.0, 0))
 	if big <= small {
 		t.Errorf("flips at large shortfall (%d) not above small shortfall (%d)", big, small)
 	}
@@ -133,9 +136,10 @@ func TestTRCDFixThresholdsHold(t *testing.T) {
 		m := newTestModel(t, name)
 		p := m.Profile()
 		for row := 0; row < 60; row++ {
+			r := m.TRCDRow(0, row, p.VPPMin)
 			for col := 0; col < m.Geometry().Columns(); col++ {
 				for iter := 0; iter < 3; iter++ {
-					if flips := m.TRCDFlipPositions(0, row, col, p.TRCDFixNS, p.VPPMin, iter); len(flips) != 0 {
+					if flips := r.AppendFlips(nil, col, p.TRCDFixNS, iter); len(flips) != 0 {
 						t.Fatalf("%s row %d col %d: flips at fix tRCD %vns", name, row, col, p.TRCDFixNS)
 					}
 				}

@@ -14,9 +14,7 @@
 package rng
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -30,6 +28,12 @@ type Stream struct {
 // New returns a Stream seeded from the given 64-bit seed using splitmix64,
 // as recommended by the xoshiro authors.
 func New(seed uint64) *Stream {
+	st := seeded(seed)
+	return &st
+}
+
+// seeded is New by value.
+func seeded(seed uint64) Stream {
 	var st Stream
 	sm := seed
 	for i := range st.s {
@@ -39,41 +43,83 @@ func New(seed uint64) *Stream {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		st.s[i] = z ^ (z >> 31)
 	}
-	return &st
+	return st
 }
 
 // Derive returns a new independent Stream identified by the given label parts.
-// Derivation is stable: the same parent seed and labels always produce the
-// same child stream. Labels may be strings, integers, or floats.
+// Derivation is stable: the same parent state and labels always produce the
+// same child stream. Deriving does not advance the parent, but a child
+// depends on the parent's current state, so children derived after the
+// parent has drawn differ from those derived before. Labels may be strings,
+// integers, or floats; any other value is hashed by its fmt.Sprint text.
 func (s *Stream) Derive(labels ...any) *Stream {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, st := range s.s {
-		binary.LittleEndian.PutUint64(buf[:], st)
-		h.Write(buf[:])
-	}
+	h := s.stateHash()
 	for _, l := range labels {
 		switch v := l.(type) {
 		case string:
-			h.Write([]byte(v))
+			h = h.addString(v)
 		case int:
-			binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-			h.Write(buf[:])
+			h = h.addWord(uint64(int64(v)))
 		case int64:
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			h.Write(buf[:])
+			h = h.addWord(uint64(v))
 		case uint64:
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
+			h = h.addWord(v)
 		case float64:
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+			h = h.addWord(math.Float64bits(v))
 		default:
-			h.Write([]byte(fmt.Sprint(v)))
+			h = h.addString(fmt.Sprint(v))
 		}
-		h.Write([]byte{0x1f}) // separator so ("ab","c") != ("a","bc")
+		h = h.addByte(labelSep)
 	}
-	return New(h.Sum64())
+	return New(uint64(h))
+}
+
+// DeriveInts returns the stream Derive(label, ids...) returns; it hashes the
+// same bytes. It returns the stream by value and boxes nothing, so it
+// allocates nothing: the DRAM read path derives its per-column streams
+// with it.
+func (s *Stream) DeriveInts(label string, ids ...int) Stream {
+	h := s.stateHash().addString(label).addByte(labelSep)
+	for _, id := range ids {
+		h = h.addWord(uint64(int64(id))).addByte(labelSep)
+	}
+	return seeded(uint64(h))
+}
+
+// fnv64a is a running 64-bit FNV-1a hash.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+	// labelSep ends every label so ("ab","c") != ("a","bc").
+	labelSep = 0x1f
+)
+
+func (h fnv64a) addByte(b byte) fnv64a { return (h ^ fnv64a(b)) * fnvPrime64 }
+
+func (h fnv64a) addString(v string) fnv64a {
+	for i := 0; i < len(v); i++ {
+		h = h.addByte(v[i])
+	}
+	return h
+}
+
+// addWord hashes v's eight little-endian bytes.
+func (h fnv64a) addWord(v uint64) fnv64a {
+	for i := 0; i < 64; i += 8 {
+		h = h.addByte(byte(v >> i))
+	}
+	return h
+}
+
+// stateHash starts a derivation hash from the stream's state words.
+func (s *Stream) stateHash() fnv64a {
+	h := fnvOffset64
+	for _, st := range s.s {
+		h = h.addWord(st)
+	}
+	return h
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -128,7 +174,15 @@ func mul64(x, y uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
+// MaxAbsNorm bounds |NormFloat64()|. The polar method returns
+// u·√(−2 ln q / q) with q = u² + v², and |u| ≤ √q, so |x| ≤ √(−2 ln q).
+// Float64 has 53-bit resolution, so u = 2f − 1 and v are exact multiples of
+// 2⁻⁵², the smallest accepted q is 2⁻¹⁰⁴, and |x| ≤ √(208 ln 2) ≈ 12.0073.
+// The constant rounds that up, which also covers the rounding of q.
+const MaxAbsNorm = 12.01
+
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
+// Its magnitude never exceeds MaxAbsNorm.
 func (s *Stream) NormFloat64() float64 {
 	for {
 		u := 2*s.Float64() - 1

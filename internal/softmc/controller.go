@@ -48,6 +48,8 @@ type Controller struct {
 	mod    *dram.Module
 	timing Timing
 	now    dram.PS
+	image  []byte // InitializeRow's row image; WriteRow copies it
+	fill   byte   // the byte image holds
 }
 
 // New builds a controller for the module with nominal timing.
@@ -111,11 +113,7 @@ func (c *Controller) InitializeRow(bank, row int, fill byte) error {
 		return fmt.Errorf("init row %d: %w", row, err)
 	}
 	c.advance(c.timing.TRCD)
-	image := make([]byte, c.mod.Geometry().RowBytes)
-	for i := range image {
-		image[i] = fill
-	}
-	if err := c.mod.WriteRow(c.now, bank, row, image); err != nil {
+	if err := c.mod.WriteRow(c.now, bank, row, c.rowImage(fill)); err != nil {
 		return fmt.Errorf("init row %d: %w", row, err)
 	}
 	// Honor charge restoration before closing the row.
@@ -125,6 +123,21 @@ func (c *Controller) InitializeRow(bank, row int, fill byte) error {
 	}
 	c.advance(c.timing.TRP)
 	return nil
+}
+
+// rowImage returns a full row of fill bytes. The buffer is reused across
+// calls and rewritten only when the fill byte changes.
+func (c *Controller) rowImage(fill byte) []byte {
+	if n := c.mod.Geometry().RowBytes; len(c.image) != n {
+		c.image, c.fill = make([]byte, n), 0
+	}
+	if c.fill != fill {
+		for i := range c.image {
+			c.image[i] = fill
+		}
+		c.fill = fill
+	}
+	return c.image
 }
 
 // ReadRow activates a row using the programmed tRCD, streams out every
@@ -137,11 +150,10 @@ func (c *Controller) ReadRow(bank, row int) ([]byte, error) {
 	geom := c.mod.Geometry()
 	out := make([]byte, 0, geom.RowBytes)
 	for col := 0; col < geom.Columns(); col++ {
-		d, err := c.mod.Read(c.now, bank, col)
-		if err != nil {
+		var err error
+		if out, err = c.mod.Read(out, c.now, bank, col); err != nil {
 			return nil, fmt.Errorf("read row %d col %d: %w", row, col, err)
 		}
-		out = append(out, d...)
 		c.advance(c.timing.TCCD)
 	}
 	if err := c.mod.Precharge(c.now, bank); err != nil {
@@ -176,7 +188,7 @@ func (c *Controller) ReadColumn(bank, row, col int) ([]byte, error) {
 		return nil, fmt.Errorf("read col: %w", err)
 	}
 	c.advance(c.timing.TRCD)
-	d, err := c.mod.Read(c.now, bank, col)
+	d, err := c.mod.Read(nil, c.now, bank, col)
 	if err != nil {
 		return nil, fmt.Errorf("read col: %w", err)
 	}

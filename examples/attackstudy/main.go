@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"github.com/dramstudy/rhvpp"
 )
@@ -27,7 +28,7 @@ func main() {
 	// --- Part 1: attack shapes ------------------------------------------
 	// Rows vary widely in strength; find this device's weakest row among a
 	// few candidates, as an attacker profiling a module would.
-	victim, weakest := 0, 1<<62
+	victim, weakest := 0, math.MaxInt
 	for _, cand := range []int{100, 120, 140, 160, 180} {
 		res, err := lab.CharacterizeRow(cand)
 		if err != nil {

@@ -49,7 +49,7 @@ func (t *Tester) measureRetentionBER(row int, pat pattern.Kind, windowMS float64
 	if err := t.ctrl.WaitMS(windowMS); err != nil {
 		return 0, err
 	}
-	data, err := t.ctrl.ReadRowSafe(b, row)
+	data, err := t.readRowSafe(row)
 	if err != nil {
 		return 0, err
 	}

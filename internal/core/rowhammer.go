@@ -18,6 +18,7 @@ type Tester struct {
 	cfg  Config
 	adj  mapping.AdjacencyMap // optional: probed adjacency overrides the scheme
 	ctx  context.Context      // cancels the characterization loops
+	row  []byte               // readback buffer reused by every BER measurement
 }
 
 // NewTester builds a tester for a controller.
@@ -107,12 +108,20 @@ func (t *Tester) MeasureBER(victim int, pat pattern.Kind, hc int) (float64, erro
 	// Read with the conservative safe latency: on modules whose tRCDmin
 	// exceeds the nominal value at reduced VPP, a nominal-timing read would
 	// corrupt data and masquerade as RowHammer flips.
-	data, err := t.ctrl.ReadRowSafe(b, victim)
+	data, err := t.readRowSafe(victim)
 	if err != nil {
 		return 0, err
 	}
 	flips := pat.CountMismatch(data)
 	return float64(flips) / float64(len(data)*8), nil
+}
+
+// readRowSafe reads a row at the safe latency into the tester's reused
+// buffer. The returned image is valid until the next call.
+func (t *Tester) readRowSafe(row int) ([]byte, error) {
+	var err error
+	t.row, err = t.ctrl.AppendRowSafe(t.row[:0], t.cfg.Bank, row)
+	return t.row, err
 }
 
 // measureBEREach repeats MeasureBER n times, handing each per-iteration

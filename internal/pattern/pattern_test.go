@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/dramstudy/rhvpp/internal/rng"
 )
 
 func TestAllReturnsSixPatterns(t *testing.T) {
@@ -203,5 +205,45 @@ func TestQuickMismatchSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// byteMismatch is the byte-at-a-time count CountMismatch must reproduce.
+func byteMismatch(k Kind, got []byte) int {
+	n := 0
+	for _, g := range got {
+		for x := g ^ k.Byte(); x != 0; x &= x - 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCountMismatchMatchesBytewise covers every length up to two words past
+// a 128-byte row, so each partial-word tail occurs, plus an 8 KiB paper
+// row, on uniformly random and on sparsely flipped contents.
+func TestCountMismatchMatchesBytewise(t *testing.T) {
+	s := rng.New(15)
+	lengths := []int{8192}
+	for n := 0; n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, k := range All() {
+		for _, n := range lengths {
+			random := make([]byte, n)
+			for i := range random {
+				random[i] = byte(s.Uint64())
+			}
+			sparse := make([]byte, n)
+			k.Fill(sparse)
+			for i := 0; n > 0 && i < 1+n/16; i++ {
+				sparse[s.Intn(n)] ^= 1 << uint(s.Intn(8))
+			}
+			for _, got := range [][]byte{random, sparse} {
+				if c, want := k.CountMismatch(got), byteMismatch(k, got); c != want {
+					t.Fatalf("%v length %d: CountMismatch %d, byte-wise %d", k, n, c, want)
+				}
+			}
+		}
 	}
 }

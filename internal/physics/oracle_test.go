@@ -66,18 +66,27 @@ func refWeakFailed(r retentionModel, c weakCell, elapsedMS, v, tempC float64) bo
 	return elapsedMS*accel >= tau
 }
 
+func refRetentionNoise(m *DeviceModel, bank, rowAddr, iter int) float64 {
+	return math.Exp(m.root.Derive("rnoise", bank, rowAddr, iter).Normal(0, 0.05))
+}
+
+func refBulkCount(m *DeviceModel, bank, rowAddr int, vpp, elapsedMS, tempC float64, iter int) int {
+	rp := m.row(bank, rowAddr)
+	n := m.geom.RowBits()
+	p := refBulkProb(m.retention, elapsedMS*refRetentionNoise(m, bank, rowAddr, iter), vpp, tempC, rp.retLambda)
+	count := int(p*float64(n) + rp.flipFrac)
+	if count > n {
+		count = n
+	}
+	return count
+}
+
 func refRetentionFlipPositions(m *DeviceModel, bank, rowAddr int, vpp, elapsedMS, tempC float64, iter int) []int32 {
 	if elapsedMS <= 0 || vpp < m.prof.VPPMin-1e-9 {
 		return nil
 	}
 	rp := m.row(bank, rowAddr)
-	n := m.geom.RowBits()
-	noise := math.Exp(m.root.Derive("rnoise", bank, rowAddr, iter).Normal(0, 0.05))
-	p := refBulkProb(m.retention, elapsedMS*noise, vpp, tempC, rp.retLambda)
-	count := int(p*float64(n) + rp.flipFrac)
-	if count > n {
-		count = n
-	}
+	count := refBulkCount(m, bank, rowAddr, vpp, elapsedMS, tempC, iter)
 	var out []int32
 	if count > 0 {
 		rp.retPermOnce.Do(func() {
@@ -166,6 +175,72 @@ func TestRetentionRowMatchesPerCallOracle(t *testing.T) {
 	}
 	if weakRows == 0 {
 		t.Fatal("no sampled row carries weak cells; the oracle never exercised them")
+	}
+}
+
+// TestBulkCountQuietBoundMatchesOracle straddles the quiet bound, below
+// which BulkCount returns 0 without drawing the noise, and the floor
+// crossing of each actual noise draw, at the smallest retention scale
+// (VPPmin) and across the tested temperatures and many iterations.
+func TestBulkCountQuietBoundMatchesOracle(t *testing.T) {
+	const bank = 0
+	skipped, counted := 0, 0
+	for _, name := range []string{"A0", "A3", "B3", "B6", "C0", "C4"} {
+		p, _ := ProfileByName(name)
+		m := NewDeviceModel(p, FullGeometry(), 2022)
+		for _, vpp := range []float64{p.VPPMin, 1.8, VPPNominal} {
+			for _, temp := range []float64{30, 45, 60, RetentionTestTempC, 95} {
+				for _, row := range []int{0, 4711, 32767} {
+					for iter := 0; iter < 40; iter++ {
+						r := m.RetentionRow(bank, row, vpp, temp, iter)
+						q := r.quietMS
+						// The elapsed time at which this draw's tEff reaches
+						// the screening floor.
+						cross := retentionFloorMS * r.rhoLambda / (r.accel * refRetentionNoise(m, bank, row, iter))
+						if cross <= q {
+							t.Fatalf("%s vpp %v %v°C row %d iter %d: floor crossing %v at or below the quiet bound %v", name, vpp, temp, row, iter, cross, q)
+						}
+						for _, ms := range []float64{0, q / 2, q * (1 - 1e-6), q, q * (1 + 1e-6), cross * (1 - 1e-9), cross, cross * (1 + 1e-9), cross * 1.5, 4000} {
+							want := refBulkCount(m, bank, row, vpp, ms, temp, iter)
+							fresh := m.RetentionRow(bank, row, vpp, temp, iter)
+							if got := fresh.BulkCount(ms); got != want {
+								t.Fatalf("%s vpp %v %v°C row %d iter %d %vms: bulk count %d, oracle %d", name, vpp, temp, row, iter, ms, got, want)
+							}
+							if ms < q {
+								if fresh.noise != 0 {
+									t.Fatalf("%s row %d iter %d: a read %vms below the quiet bound %vms drew the noise", name, row, iter, ms, q)
+								}
+								skipped++
+							} else {
+								counted++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if skipped == 0 || counted == 0 {
+		t.Fatalf("%d quiet and %d evaluated reads; the grid misses one side of the bound", skipped, counted)
+	}
+}
+
+// TestBulkCountLazyNoiseKeepsCounts reads one RetentionRow below the quiet
+// bound, above the floor, and below the bound again, as the read path does
+// for a row it reads before and after a wait: every count must match the
+// oracle, whichever read drew the noise.
+func TestBulkCountLazyNoiseKeepsCounts(t *testing.T) {
+	p, _ := ProfileByName("C0")
+	m := NewDeviceModel(p, FullGeometry(), 7)
+	for row := 0; row < 16; row++ {
+		for iter := 0; iter < 4; iter++ {
+			r := m.RetentionRow(1, row, p.VPPMin, 95, iter)
+			for _, ms := range []float64{1e-6, r.quietMS / 2, 16000, 4000, 1e-6, r.quietMS * 0.999} {
+				if got, want := r.BulkCount(ms), refBulkCount(m, 1, row, p.VPPMin, ms, 95, iter); got != want {
+					t.Fatalf("row %d iter %d %vms: bulk count %d, oracle %d", row, iter, ms, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -186,19 +186,42 @@ func (r retentionModel) sampleWeakCells(s *rng.Stream, geom Geometry, prof Modul
 const weakVoltageExponent = 3
 
 // RetentionRow holds the terms of a row's retention failures that stay
-// fixed while the row is open: the measurement noise of the write epoch, the
-// leakage acceleration at the die temperature, and the VPP-dependent
-// retention scales of the bulk and the weak cells. Only the elapsed time
-// varies per read.
+// fixed while the row is open: the leakage acceleration at the die
+// temperature, the VPP-dependent retention scales of the bulk and the weak
+// cells, and the measurement noise of the write epoch, drawn on first need.
+// Only the elapsed time varies per read.
 type RetentionRow struct {
 	m         *DeviceModel
 	rp        *rowParams // nil below VPPmin, where no read happens
 	bank, row int
-	noise     float64 // multiplier on the elapsed time (measurement noise)
+	iter      int     // measurement iteration; keys the noise draw
+	noise     float64 // multiplier on the elapsed time (measurement noise); 0 until drawn
 	accel     float64 // leakage doubles per 10 °C above the 80 °C reference
 	rhoLambda float64 // rho(vpp) times the row's retention multiplier
 	weakScale float64 // weak-cell retention at vpp relative to VPPmin
+	quietMS   float64 // no noise draw lifts a read before this above the floor
 }
+
+// retentionNoiseSigma is the log-space spread of the per-iteration
+// retention measurement noise: the elapsed time is scaled by
+// exp(retentionNoiseSigma·N) with N standard normal.
+const retentionNoiseSigma = 0.05
+
+// quietSlack is the relative margin the quiet bound keeps below the
+// screening floor. A read at elapsedMS < quietMS has, in exact arithmetic,
+// elapsedMS·noise·accel/rhoLambda < retentionFloorMS·(1−quietSlack) for any
+// noise draw, because |N| ≤ rng.MaxAbsNorm bounds the noise by
+// exp(retentionNoiseSigma·MaxAbsNorm). The floating-point products and
+// quotients behind quietMS and tEff, and math.Exp, add relative errors of a
+// few 2⁻⁵³ ≈ 1e-16, so the computed tEff stays below the floor by a
+// relative 1e-6. Log then lies at least ~1e-6 below log(retentionFloorMS),
+// far beyond its and Erfc's few-ulp errors, so Phi returns f < floorF, p is
+// 0 and the count is int(flipFrac) = 0 with flipFrac in [0,1): exactly what
+// BulkCount returns without evaluating them.
+const quietSlack = 1e-6
+
+// maxRetentionNoise bounds the retention noise multiplier over every draw.
+var maxRetentionNoise = math.Exp(retentionNoiseSigma * rng.MaxAbsNorm)
 
 // RetentionRow returns the row-invariant retention terms of a row at
 // voltage vpp and die temperature tempC for measurement iteration iter.
@@ -206,32 +229,37 @@ func (m *DeviceModel) RetentionRow(bank, rowAddr int, vpp, tempC float64, iter i
 	if vpp < m.prof.VPPMin-1e-9 {
 		return RetentionRow{}
 	}
-	ns := m.root.DeriveInts("rnoise", bank, rowAddr, iter)
 	rp := m.row(bank, rowAddr)
 	ret := m.retention
+	accel := math.Pow(2, (tempC-retentionTempRefC)/10)
+	rhoLambda := ret.rho(vpp) * rp.retLambda
 	return RetentionRow{
-		m: m, rp: rp, bank: bank, row: rowAddr,
-		noise:     math.Exp(ns.Normal(0, 0.05)),
-		accel:     math.Pow(2, (tempC-retentionTempRefC)/10),
-		rhoLambda: ret.rho(vpp) * rp.retLambda,
+		m: m, rp: rp, bank: bank, row: rowAddr, iter: iter,
+		accel:     accel,
+		rhoLambda: rhoLambda,
 		// A weak cell's retention time is its tier at VPPmin and recovers
 		// steeply at higher voltages.
 		weakScale: math.Pow(ret.rho(vpp)/ret.rho(ret.vppMin), weakVoltageExponent),
+		quietMS:   retentionFloorMS * (1 - quietSlack) * rhoLambda / (accel * maxRetentionNoise),
 	}
 }
 
 // BulkCount returns how many bulk (non-weak) cells have failed after
 // elapsedMS of unrefreshed time: the first BulkCount cells of BulkOrder.
+// Reads before the quiet bound, which is positive, return 0 without drawing
+// the noise; so do reads at non-positive elapsed times.
 func (r *RetentionRow) BulkCount(elapsedMS float64) int {
-	if r.rp == nil {
+	if r.rp == nil || elapsedMS < r.quietMS {
 		return 0
 	}
-	noisyMS := elapsedMS * r.noise
-	if noisyMS <= 0 {
-		return 0
+	if r.noise == 0 {
+		// The stream is derived from the never-advanced model root, so a
+		// late draw equals an eager one.
+		ns := r.m.root.DeriveInts("rnoise", r.bank, r.row, r.iter)
+		r.noise = math.Exp(ns.Normal(0, retentionNoiseSigma))
 	}
 	ret := r.m.retention
-	tEff := noisyMS * r.accel / r.rhoLambda
+	tEff := elapsedMS * r.noise * r.accel / r.rhoLambda
 	f := Phi((math.Log(tEff) - ret.mu) / ret.sigma)
 	p := 0.0
 	if f > ret.floorF {

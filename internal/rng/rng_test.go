@@ -80,7 +80,7 @@ var deriveVectors = []struct {
 	{2022, []any{"row", 0, 4711}, 0x018f2928fc44ba75, 0x4ae99915994252c8},
 	{2022, []any{"trcdcol", 0, 4711, 17}, 0x39a2705e89aef446, 0xaff345564b5930dc},
 	{2022, []any{"trcditer", 3, 32767, 127, 9}, 0xe20d9e98654737fb, 0x7b6858c655b9ab3e},
-	{7, []any{"hnoise", 15, 1 << 40, -1}, 0xb77f2bf793f6eb1f, 0x6af593feeac242a4},
+	{7, []any{"hnoise", 15, int64(1) << 40, -1}, 0xb77f2bf793f6eb1f, 0x6af593feeac242a4},
 	{7, []any{""}, 0x96e2bd70c1f6930b, 0x180ec3dd366cb324},
 	{7, []any{"ab", "c"}, 0x8a2f5c0ab8f77d78, 0x210fbc13e8af19a0},
 	{7, []any{"a", "bc"}, 0xbfd3424a1da9a211, 0x56723df94b5fe714},

@@ -126,14 +126,15 @@ func (c *Controller) InitializeRow(bank, row int, fill byte) error {
 }
 
 // rowImage returns a full row of fill bytes. The buffer is reused across
-// calls and rewritten only when the fill byte changes.
+// calls and rewritten, by doubling copies, only when the fill byte changes.
 func (c *Controller) rowImage(fill byte) []byte {
 	if n := c.mod.Geometry().RowBytes; len(c.image) != n {
 		c.image, c.fill = make([]byte, n), 0
 	}
-	if c.fill != fill {
-		for i := range c.image {
-			c.image[i] = fill
+	if c.fill != fill && len(c.image) > 0 {
+		c.image[0] = fill
+		for i := 1; i < len(c.image); i *= 2 {
+			copy(c.image[i:], c.image[:i])
 		}
 		c.fill = fill
 	}
@@ -143,15 +144,19 @@ func (c *Controller) rowImage(fill byte) []byte {
 // ReadRow activates a row using the programmed tRCD, streams out every
 // column burst, precharges, and returns the full row image.
 func (c *Controller) ReadRow(bank, row int) ([]byte, error) {
+	return c.appendRow(c.newRow(), bank, row)
+}
+
+// appendRow is ReadRow appending the row image to dst. On error it returns
+// nil.
+func (c *Controller) appendRow(dst []byte, bank, row int) ([]byte, error) {
 	if err := c.mod.Activate(c.now, bank, row); err != nil {
 		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
 	c.advance(c.timing.TRCD)
-	geom := c.mod.Geometry()
-	out := make([]byte, 0, geom.RowBytes)
-	for col := 0; col < geom.Columns(); col++ {
+	for col := 0; col < c.mod.Geometry().Columns(); col++ {
 		var err error
-		if out, err = c.mod.Read(out, c.now, bank, col); err != nil {
+		if dst, err = c.mod.Read(dst, c.now, bank, col); err != nil {
 			return nil, fmt.Errorf("read row %d col %d: %w", row, col, err)
 		}
 		c.advance(c.timing.TCCD)
@@ -160,7 +165,12 @@ func (c *Controller) ReadRow(bank, row int) ([]byte, error) {
 		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
 	c.advance(c.timing.TRP)
-	return out, nil
+	return dst, nil
+}
+
+// newRow returns an empty buffer with room for one row.
+func (c *Controller) newRow() []byte {
+	return make([]byte, 0, c.mod.Geometry().RowBytes)
 }
 
 // safeReadTRCDNS is a conservative activation latency above every tested
@@ -175,10 +185,16 @@ const safeReadTRCDNS = 30
 // regardless of the currently programmed tRCD override, restoring the
 // override afterwards.
 func (c *Controller) ReadRowSafe(bank, row int) ([]byte, error) {
+	return c.AppendRowSafe(c.newRow(), bank, row)
+}
+
+// AppendRowSafe is ReadRowSafe appending the row image to dst, so a caller
+// measuring row after row can reuse one buffer. On error it returns nil.
+func (c *Controller) AppendRowSafe(dst []byte, bank, row int) ([]byte, error) {
 	saved := c.timing.TRCD
 	c.timing.TRCD = safeReadTRCDNS
 	defer func() { c.timing.TRCD = saved }()
-	return c.ReadRow(bank, row)
+	return c.appendRow(dst, bank, row)
 }
 
 // ReadColumn activates a row with the programmed tRCD, reads a single column

@@ -1,11 +1,13 @@
 package softmc
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/dram"
 	"github.com/dramstudy/rhvpp/internal/mapping"
+	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/physics"
 )
 
@@ -38,6 +40,75 @@ func TestInitializeAndReadRow(t *testing.T) {
 		if b != 0xAA {
 			t.Fatalf("byte %d = %#x, want 0xAA", i, b)
 		}
+	}
+}
+
+// TestRowImageAllFill alternates fill bytes, starting from the zero fill a
+// new image already holds, at every preset row size and at one that is not
+// a power of two: the doubling fill must cover the whole row each time.
+func TestRowImageAllFill(t *testing.T) {
+	p, _ := physics.ProfileByName("A3")
+	for _, rowBytes := range []int{512, 1024, 2048, 8192, 960} {
+		geom := physics.Geometry{Banks: 1, RowsPerBank: 1024, RowBytes: rowBytes, SubarrayRows: 512}
+		c := New(dram.NewModule(p, geom, 7, dram.WithScheme(mapping.Direct{})))
+		for i, fill := range []byte{0x00, 0xAA, 0x55, 0xAA, 0xFF, 0x00, 0x33} {
+			if err := c.InitializeRow(0, i, fill); err != nil {
+				t.Fatal(err)
+			}
+			if len(c.image) != rowBytes {
+				t.Fatalf("%d-byte row: image holds %d bytes", rowBytes, len(c.image))
+			}
+			for j, b := range c.image {
+				if b != fill {
+					t.Fatalf("%d-byte row, fill %#x: image byte %d = %#x", rowBytes, fill, j, b)
+				}
+			}
+			data, err := c.ReadRowSafe(0, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, b := range data {
+				if b != fill {
+					t.Fatalf("%d-byte row, fill %#x: read byte %d = %#x", rowBytes, fill, j, b)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendRowSafeMatchesReadRowSafe reads the same row state into a
+// reused buffer, after a prefix, and through the allocating form.
+func TestAppendRowSafeMatchesReadRowSafe(t *testing.T) {
+	c := newCtrl(t, "B3")
+	if err := c.InitializeRow(0, 200, 0xCC); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InitializeRow(0, 199, 0x33); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InitializeRow(0, 201, 0x33); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.HammerDoubleSided(0, 199, 201, 300000); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.ReadRowSafe(0, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pattern.ThickCC.CountMismatch(want); got == 0 {
+		t.Fatal("hammered row read back clean; the comparison proves nothing")
+	}
+	buf := make([]byte, 3, 3+len(want))
+	got, err := c.AppendRowSafe(buf, 0, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &buf[0] || !bytes.Equal(got[3:], want) {
+		t.Fatal("AppendRowSafe did not append the row image to dst in place")
+	}
+	if _, err := c.AppendRowSafe(got[:0], 0, 1<<20); err == nil {
+		t.Fatal("out-of-range row read without error")
 	}
 }
 

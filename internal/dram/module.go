@@ -88,9 +88,10 @@ type Module struct {
 	scheme mapping.Scheme
 	geom   physics.Geometry
 
-	vpp   float64
-	tempC float64
-	now   PS
+	vpp    float64
+	vppMin float64 // the profile's VPPmin, read by every command
+	tempC  float64
+	now    PS
 
 	banks []bankState
 	trr   trrDefense
@@ -127,6 +128,7 @@ func NewModule(prof physics.ModuleProfile, geom physics.Geometry, seed uint64, o
 		scheme: mapping.DefaultFor(prof.Mfr),
 		geom:   geom,
 		vpp:    physics.VPPNominal,
+		vppMin: prof.VPPMin,
 		tempC:  physics.RowHammerTestTempC,
 	}
 	m.banks = make([]bankState, geom.Banks)
@@ -173,7 +175,7 @@ func (m *Module) Temperature() float64 { return m.tempC }
 // Responds reports whether the module communicates at the current VPP
 // (true iff VPP >= VPPmin).
 func (m *Module) Responds() bool {
-	return m.vpp >= m.Profile().VPPMin-1e-9
+	return m.vpp >= m.vppMin-1e-9
 }
 
 func (m *Module) checkTime(t PS) error {
@@ -303,10 +305,21 @@ func (m *Module) Precharge(t PS, bankIdx int) error {
 // moment — RowHammer disturbance, retention loss, and activation-timing
 // violations (if the read happens sooner after ACT than the row's tRCD
 // requirement at the current VPP). Flips compose by XOR: a bit hit by two
-// mechanisms reads back unflipped.
+// mechanisms reads back unflipped. Read is ReadRange of one burst.
 //
 //detlint:hotpath witness=TestModuleReadAllocsFree
 func (m *Module) Read(dst []byte, t PS, bankIdx, col int) ([]byte, error) {
+	return m.ReadRange(dst, t, 0, bankIdx, col, 1)
+}
+
+// ReadRange performs n RD bursts from the open row of a bank, columns col
+// to col+n-1, burst k at time t + k·step, and appends their data to dst. It
+// returns exactly what n calls of Read at those times would, and leaves the
+// module at the last burst's time. While a row is open only a burst's time
+// varies, so the row's state is checked and its physics looked up once.
+//
+//detlint:hotpath witness=TestModuleReadRangeAllocsFree
+func (m *Module) ReadRange(dst []byte, t, step PS, bankIdx, col, n int) ([]byte, error) {
 	if err := m.checkTime(t); err != nil {
 		return dst, err
 	}
@@ -317,56 +330,79 @@ func (m *Module) Read(dst []byte, t PS, bankIdx, col int) ([]byte, error) {
 	if bk.openRow < 0 {
 		return dst, ErrBankClosed
 	}
-	if col < 0 || col >= m.geom.Columns() {
-		return dst, fmt.Errorf("%w: column %d", ErrBadAddress, col) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
+	if n < 1 || col < 0 || col+n > m.geom.Columns() {
+		return dst, fmt.Errorf("%w: %d columns from %d", ErrBadAddress, n, col) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
+	}
+	if step < 0 && n > 1 {
+		return dst, fmt.Errorf("%w: burst step %d", ErrTimeRegression, step) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
 	rs := bk.row(bk.openRow)
 	rc := &bk.read
 	rc.update(m, bankIdx, bk.openRow, rs)
+	last := t + PS(n-1)*step
+	m.now = last
 
-	lo := col * BurstBytes
-	n := len(dst)
+	lo, hi := col*BurstBytes, (col+n)*BurstBytes
+	start := len(dst)
 	if rs.data != nil {
-		dst = append(dst, rs.data[lo:lo+BurstBytes]...)
+		dst = append(dst, rs.data[lo:hi]...)
 	} else {
-		dst = append(dst, zeroBurst[:]...)
+		for range n {
+			dst = append(dst, zeroBurst[:]...)
+		}
 	}
-	out := dst[n:]
+	out := dst[start:]
 
 	// RowHammer flips from accumulated neighbor activations.
 	if rc.hammer.n > 0 {
-		subtle.XORBytes(out, out, rc.hammer.bits[lo:lo+BurstBytes])
+		subtle.XORBytes(out, out, rc.hammer.bits[lo:hi])
 	}
 
-	// Retention flips from unrefreshed time: the failed bulk cells at this
+	// Retention flips from unrefreshed time: the failed bulk cells at each
 	// burst's time, plus the failed weak cells that are not among them.
+	// Elapsed time only grows across the bursts, so a bulk count proven
+	// constant over the range and no weak cell failed at the last burst
+	// leave one mask for the whole range.
 	if rs.data != nil {
-		elapsedMS := float64(t-rs.lastWrite) / float64(PSPerMS)
-		count := rc.ret.BulkCount(elapsedMS)
-		if count > 0 && rc.retBulk.order == nil {
-			rc.retBulk.setOrder(rc.ret.BulkOrder(), m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+		count, uniform := rc.ret.BulkCountRange(msSince(rs.lastWrite, t), msSince(rs.lastWrite, last))
+		if uniform {
+			rc.resizeBulk(m, count)
+			if rc.retBulk.n > 0 {
+				subtle.XORBytes(out, out, rc.retBulk.bits[lo:hi])
+			}
 		}
-		rc.retBulk.resize(count)
-		if rc.retBulk.n > 0 {
-			subtle.XORBytes(out, out, rc.retBulk.bits[lo:lo+BurstBytes])
-		}
-		rc.flips = rc.ret.AppendWeakFailures(rc.flips[:0], elapsedMS)
-		for _, pos := range rc.flips {
-			if rel := int(pos) - lo*8; rel >= 0 && rel < BurstBytes*8 && !rc.retBulk.has(pos) {
-				out[rel/8] ^= 1 << uint(rel%8)
+		rc.flips = rc.ret.AppendWeakFailures(rc.flips[:0], msSince(rs.lastWrite, last))
+		if !uniform || len(rc.flips) > 0 {
+			for k := range n {
+				at := msSince(rs.lastWrite, t+PS(k)*step)
+				off, b := lo+k*BurstBytes, out[k*BurstBytes:(k+1)*BurstBytes]
+				if !uniform {
+					rc.resizeBulk(m, rc.ret.BulkCount(at))
+					if rc.retBulk.n > 0 {
+						subtle.XORBytes(b, b, rc.retBulk.bits[off:off+BurstBytes])
+					}
+				}
+				rc.flips = rc.ret.AppendWeakFailures(rc.flips[:0], at)
+				rc.flipBurst(b, off, true)
 			}
 		}
 	}
 
-	// Activation-timing violations.
-	trcdNS := float64(t-bk.openedAt) / float64(PSPerNS)
-	rc.flips = rc.trcd.AppendFlips(rc.flips[:0], col, trcdNS, rs.writeEpoch)
-	for _, pos := range rc.flips {
-		rel := int(pos) - lo*8
-		out[rel/8] ^= 1 << uint(rel%8)
+	// Activation-timing violations. The time since ACT only grows across
+	// the bursts, so a first burst at or past the row's safe latency clears
+	// them all.
+	if nsSince(bk.openedAt, t) < rc.trcd.SafeNS() {
+		for k := range n {
+			rc.flips = rc.trcd.AppendFlips(rc.flips[:0], col+k, nsSince(bk.openedAt, t+PS(k)*step), rs.writeEpoch)
+			rc.flipBurst(out[k*BurstBytes:(k+1)*BurstBytes], lo+k*BurstBytes, false)
+		}
 	}
 	return dst, nil
 }
+
+// msSince and nsSince return the time from from to at in ms and ns.
+func msSince(from, at PS) float64 { return float64(at-from) / float64(PSPerMS) }
+func nsSince(from, at PS) float64 { return float64(at-from) / float64(PSPerNS) }
 
 // zeroBurst is the content of a burst from a never-written row.
 var zeroBurst [BurstBytes]byte
@@ -375,16 +411,30 @@ var zeroBurst [BurstBytes]byte
 // of the read. While a row is open no ACT can reach its bank, so the key
 // changes only through WR (data pattern), WriteRow (write epoch), SetVPP
 // and SetTemperature; between activations, neighbor ACTs (exposure) and
-// refreshes (write epoch) change it too.
+// refreshes (write epoch) change it too. The key has two levels: the row's
+// retention and tRCD terms depend only on rowKey, and of the state only the
+// write epoch reaches them, through the retention noise.
 type readKey struct {
-	phys, epoch int
-	vpp, tempC  float64
-	hcEq        float64 // double-sided-equivalent hammer exposure
-	pat         patternKind
-	hasData     bool
+	row   rowKey
+	state stateKey
 }
 
-// readCache holds the row-invariant part of Read for one row state, so a
+// rowKey selects a row's retention and tRCD terms.
+type rowKey struct {
+	phys       int
+	vpp, tempC float64
+}
+
+// stateKey is the row's written state: it selects the hammer flip count and
+// the retention measurement noise.
+type stateKey struct {
+	epoch   int
+	hcEq    float64 // double-sided-equivalent hammer exposure
+	pat     patternKind
+	hasData bool
+}
+
+// readCache holds the row-invariant part of a read for one row state, so a
 // full-row readback evaluates the row's physics once instead of once per
 // column burst. Its masks and buffers are per bank and reused across rows.
 type readCache struct {
@@ -398,34 +448,63 @@ type readCache struct {
 }
 
 // update recomputes the cached terms when the open row's state has changed
-// since the last read.
+// since the last read. A rewrite of the same row at the same VPP and
+// temperature re-keys only the retention noise and the hammer count.
 func (rc *readCache) update(m *Module, bankIdx, phys int, rs *rowState) {
 	key := readKey{
-		phys: phys, epoch: rs.writeEpoch,
-		vpp: m.vpp, tempC: m.tempC,
-		hcEq: rs.doubleSidedEquivalent(), pat: m.dominantPattern(rs),
-		hasData: rs.data != nil,
+		row: rowKey{phys: phys, vpp: m.vpp, tempC: m.tempC},
+		state: stateKey{
+			epoch: rs.writeEpoch, hcEq: rs.doubleSidedEquivalent(),
+			pat: m.dominantPattern(rs), hasData: rs.data != nil,
+		},
 	}
 	if rc.ok && key == rc.key {
 		return
 	}
-	if !rc.ok || key.phys != rc.key.phys {
+	if !rc.ok || key.row.phys != rc.key.row.phys {
 		// The cell orders are per row; a mask of another row's order is void.
 		rc.hammer.reset()
 		rc.retBulk.reset()
 	}
+	if !rc.ok || key.row != rc.key.row {
+		rc.ret = m.model.RetentionRow(bankIdx, phys, m.vpp, m.tempC, rs.writeEpoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+		rc.trcd = m.model.TRCDRow(bankIdx, phys, m.vpp)                             //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+	} else {
+		rc.ret.Rekey(rs.writeEpoch)
+	}
 	rc.ok, rc.key = true, key
 
+	st := key.state
 	n := 0
-	if key.hcEq > 0 {
-		n = m.model.HammerFlipCount(bankIdx, phys, key.pat, key.vpp, key.hcEq, key.tempC, key.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+	if st.hcEq > 0 {
+		n = m.model.HammerFlipCount(bankIdx, phys, st.pat, m.vpp, st.hcEq, m.tempC, st.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
 	}
 	if n > 0 && rc.hammer.order == nil {
 		rc.hammer.setOrder(m.model.HammerFlipPositions(bankIdx, phys, m.geom.RowBits()), m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
 	}
 	rc.hammer.resize(n)
-	rc.ret = m.model.RetentionRow(bankIdx, phys, key.vpp, key.tempC, key.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
-	rc.trcd = m.model.TRCDRow(bankIdx, phys, key.vpp)                           //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+}
+
+// resizeBulk moves the retention mask to the first count bulk cells,
+// attaching the row's retention order on first need.
+func (rc *readCache) resizeBulk(m *Module, count int) {
+	if count > 0 && rc.retBulk.order == nil {
+		rc.retBulk.setOrder(rc.ret.BulkOrder(), m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+	}
+	rc.retBulk.resize(count)
+}
+
+// flipBurst flips in burst b, which starts at byte off of the row, the
+// cells of rc.flips that fall inside it; with skipBulk, cells in the
+// retention mask are left alone.
+func (rc *readCache) flipBurst(b []byte, off int, skipBulk bool) {
+	for _, pos := range rc.flips {
+		rel := int(pos) - off*8
+		if rel < 0 || rel >= BurstBytes*8 || skipBulk && rc.retBulk.has(pos) {
+			continue
+		}
+		b[rel/8] ^= 1 << uint(rel%8)
+	}
 }
 
 // prefixMask is a row-sized bit mask of the first n cells of a row's

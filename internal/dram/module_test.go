@@ -126,6 +126,53 @@ func TestNoCommBelowVPPMin(t *testing.T) {
 	}
 }
 
+// TestRespondsAtVPPMinOnEveryPreset pins Responds at the module's VPPmin
+// and one supply step (1 mV) below it, for every module in the catalog.
+func TestRespondsAtVPPMinOnEveryPreset(t *testing.T) {
+	for _, p := range physics.Profiles() {
+		m := NewModule(p, testGeometry(), 42)
+		vmin := m.Profile().VPPMin
+		m.SetVPP(vmin)
+		if !m.Responds() {
+			t.Errorf("%s: no response at VPPmin %v", p.Name, vmin)
+		}
+		m.SetVPP(vmin - 0.001)
+		if m.Responds() {
+			t.Errorf("%s: responds at %v, 1 mV below VPPmin %v", p.Name, m.VPP(), vmin)
+		}
+	}
+}
+
+func TestReadRangeErrors(t *testing.T) {
+	m := newTestModule(t, "A3")
+	cols := m.Geometry().Columns()
+	if err := m.Activate(0, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	at := NSToPS(20)
+	for _, c := range []struct{ col, n int }{{-1, 2}, {0, 0}, {0, cols + 1}, {cols - 1, 2}, {cols, 1}} {
+		if _, err := m.ReadRange(nil, at, NSToPS(5), 0, c.col, c.n); !errors.Is(err, ErrBadAddress) {
+			t.Errorf("%d columns from %d: err = %v, want ErrBadAddress", c.n, c.col, err)
+		}
+	}
+	if _, err := m.ReadRange(nil, at, -1, 0, 0, 2); !errors.Is(err, ErrTimeRegression) {
+		t.Errorf("negative burst step: err = %v, want ErrTimeRegression", err)
+	}
+	got, err := m.ReadRange([]byte{7}, at, NSToPS(5), 0, 3, 4)
+	if err != nil || len(got) != 1+4*BurstBytes || got[0] != 7 {
+		t.Fatalf("ReadRange appended %d bytes (err %v), want 1 kept and %d read", len(got), err, 4*BurstBytes)
+	}
+	if want := at + 3*NSToPS(5); m.Now() != want {
+		t.Errorf("module at %d ps after the row call, want the last burst's %d", m.Now(), want)
+	}
+	if err := m.Precharge(m.Now(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReadRange(nil, m.Now(), NSToPS(5), 0, 0, 2); !errors.Is(err, ErrBankClosed) {
+		t.Errorf("row call on a closed bank: err = %v, want ErrBankClosed", err)
+	}
+}
+
 func TestSetVPPQuantizedToMillivolts(t *testing.T) {
 	m := newTestModule(t, "A3")
 	m.SetVPP(2.1234567)

@@ -3,6 +3,7 @@ package dram
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/physics"
@@ -57,6 +58,7 @@ type oracleRun struct {
 	name    string
 	bursts  int
 	flipped int // bursts that differ from the stored data
+	across  int // row calls read across a retention change (readAcross)
 }
 
 func (r *oracleRun) step(ns float64) { r.at += NSToPS(ns) }
@@ -104,21 +106,125 @@ func (r *oracleRun) read(bank, col int) {
 	r.bursts++
 }
 
-// readRow opens a row, reads every burst trcd ns after ACT at tCCD = 5 ns
-// (calling between(col) before each burst), and closes it.
+// readRow opens a row, reads every burst trcd ns after ACT at tCCD = 5 ns,
+// and closes it. With between nil the bursts come from one row call;
+// otherwise they are read one by one, calling between(col) before each.
 func (r *oracleRun) readRow(bank, row int, trcd float64, between func(col int)) {
 	r.t.Helper()
 	r.must(r.m.Activate(r.at, bank, row), "activate")
 	r.step(trcd)
-	for col := 0; col < r.m.Geometry().Columns(); col++ {
-		if between != nil {
+	if between == nil {
+		r.readRange(bank, r.m.Geometry().Columns())
+	} else {
+		for col := 0; col < r.m.Geometry().Columns(); col++ {
 			between(col)
+			r.read(bank, col)
+			r.step(5)
 		}
-		r.read(bank, col)
-		r.step(5)
 	}
 	r.must(r.m.Precharge(r.at, bank), "precharge")
 	r.step(physics.TRPNominalNS)
+}
+
+// perBurst makes readRow read burst by burst with nothing in between.
+func perBurst(int) {}
+
+// readRange checks a row call over columns 0..n-1, one burst every 5 ns
+// from the current time, burst by burst against refRead.
+func (r *oracleRun) readRange(bank, n int) {
+	r.t.Helper()
+	step := NSToPS(5)
+	want := make([][]byte, n)
+	for col := range want {
+		want[col] = refRead(r.m, r.at+PS(col)*step, bank, col)
+	}
+	got, err := r.m.ReadRange(nil, r.at, step, bank, 0, n)
+	r.must(err, "read range")
+	if len(got) != n*BurstBytes {
+		r.t.Fatalf("%s: row call returned %d bytes, want %d", r.name, len(got), n*BurstBytes)
+	}
+	rs := r.m.banks[bank].row(r.m.banks[bank].openRow)
+	for col, w := range want {
+		b := got[col*BurstBytes : (col+1)*BurstBytes]
+		if !bytes.Equal(b, w) {
+			r.t.Fatalf("%s: row call bank %d col %d at %d ps: burst %x, oracle %x", r.name, bank, col, r.at+PS(col)*step, b, w)
+		}
+		if rs.data != nil && !bytes.Equal(b, rs.data[col*BurstBytes:(col+1)*BurstBytes]) {
+			r.flipped++
+		}
+		r.bursts++
+	}
+	if now := r.m.Now(); now != r.at+PS(n-1)*step {
+		r.t.Fatalf("%s: row call left the module at %d ps, want the last burst's %d", r.name, now, r.at+PS(n-1)*step)
+	}
+	r.at += PS(n) * step
+}
+
+// straddle returns the elapsed time since the open row's last write, in
+// ps, at which the cached read terms change their answer: the bulk count
+// (weak false) or the set of failed weak cells (weak true) first differs
+// from its value at loPS. It also returns the column to read at that time:
+// the column of the newly failed weak cell, or the middle one. It returns
+// -1 if nothing changes before hiPS.
+func straddle(m *Module, bankIdx int, loPS, hiPS PS, weak bool) (PS, int) {
+	rc := &m.banks[bankIdx].read
+	failed := func(at PS) []int32 {
+		return rc.ret.AppendWeakFailures(nil, float64(at)/float64(PSPerMS))
+	}
+	state := func(at PS) int {
+		if weak {
+			return len(failed(at))
+		}
+		return rc.ret.BulkCount(float64(at) / float64(PSPerMS))
+	}
+	c0 := state(loPS)
+	if state(hiPS) == c0 {
+		return -1, 0
+	}
+	for hiPS-loPS > 1 {
+		mid := loPS + (hiPS-loPS)/2
+		if state(mid) == c0 {
+			loPS = mid
+		} else {
+			hiPS = mid
+		}
+	}
+	if !weak {
+		return hiPS, m.geom.Columns() / 2
+	}
+	before := failed(loPS)
+	for _, pos := range failed(hiPS) {
+		if !slices.Contains(before, pos) {
+			return hiPS, int(pos) / (BurstBytes * 8)
+		}
+	}
+	panic("weak failure count grew without a new cell")
+}
+
+// readAcross initializes a row and reads it in one row call timed so that
+// the straddled burst (see straddle) comes offset after the first change
+// of the bulk count (weak false) or of the failed weak cells (weak true)
+// past loMS. It reports whether such a change exists before hiMS and
+// leaves a straddled burst after the first and before the last.
+func (r *oracleRun) readAcross(bank, row int, fill byte, loMS, hiMS float64, weak bool, offset PS) bool {
+	r.t.Helper()
+	r.initRow(bank, row, fill)
+	// Sample the row's cached terms at its new state without reading.
+	r.must(r.m.Activate(r.at, bank, row), "activate")
+	bk := &r.m.banks[bank]
+	rs := bk.row(bk.openRow)
+	bk.read.update(r.m, bank, bk.openRow, rs)
+	r.must(r.m.Precharge(r.at, bank), "precharge")
+	r.step(physics.TRPNominalNS)
+	at, col := straddle(r.m, bank, MSToPS(loMS), MSToPS(hiMS), weak)
+	if at < 0 || col == 0 || col == r.m.geom.Columns()-1 {
+		return false
+	}
+	const trcd = 30
+	r.at = rs.lastWrite + at + offset - NSToPS(trcd+float64(col)*5)
+	r.readRow(bank, row, trcd, nil)
+	r.across++
+	return true
 }
 
 func TestReadMatchesPerBurstOracleAtPaperGeometry(t *testing.T) {
@@ -157,6 +263,11 @@ func TestReadMatchesPerBurstOracleAtPaperGeometry(t *testing.T) {
 				r.hammer(bank, victim+2, 4*hcFirst)
 				r.step(waitMS * 1e6)
 				r.readRow(bank, victim+2, 30, nil)
+			}
+			// Rows whose bulk count steps between their first and last
+			// burst, which the row call must count burst by burst.
+			for _, at := range []float64{1000, 4000, 16000} {
+				r.readAcross(bank, victim+4, 0xCC, at, 2*at, false, 0)
 			}
 			m.SetTemperature(physics.RowHammerTestTempC)
 
@@ -204,6 +315,7 @@ func TestReadMatchesPerBurstOracleAtPaperGeometry(t *testing.T) {
 			}
 			total.bursts += r.bursts
 			total.flipped += r.flipped
+			total.across += r.across
 		}
 	}
 	// Weak cells (B6 fails at the 64 ms window) after long waits at VPPmin,
@@ -221,11 +333,75 @@ func TestReadMatchesPerBurstOracleAtPaperGeometry(t *testing.T) {
 	for row := 0; row < 48; row++ {
 		r.readRow(0, row, 30, nil)
 	}
+	bulkAcross := total.across
+	// Rows read across the failure of a weak cell: its burst comes just
+	// before or exactly at the failure, and a later burst of the row past it.
+	for row := 48; row < 96; row++ {
+		if m.Model().GroundTruthWeakCells(0, m.Scheme().LogicalToPhysical(row)) == 0 {
+			continue
+		}
+		r.readAcross(0, row, 0xFF, 1, 20000, true, -1)
+		r.readAcross(0, row, 0xFF, 1, 20000, true, 0)
+	}
 	total.bursts += r.bursts
 	total.flipped += r.flipped
+	total.across += r.across
+	if bulkAcross == 0 || total.across == bulkAcross {
+		t.Fatalf("%d row calls across a bulk count step and %d across a weak-cell failure; want both", bulkAcross, total.across-bulkAcross)
+	}
 
 	// The sweep must have exercised flips, not only clean rows.
 	if total.flipped < total.bursts/10 {
+		t.Fatalf("only %d of %d bursts carried flips", total.flipped, total.bursts)
+	}
+	t.Logf("%d bursts checked, %d with flips, %d row calls across a retention change", total.bursts, total.flipped, total.across)
+}
+
+// TestRewriteThenBurstMatchesOracle drives the Alg. 2 access shape: write
+// the row, then open it and read one burst, over and over. Between
+// rewrites it varies the fill, the hammer exposure, the retention wait
+// (long enough that each write epoch's retention noise shows) and, every
+// few rewrites, VPP and temperature. Every burst must equal refRead, which
+// pins what a rewrite of the same row keeps and what it re-keys.
+func TestRewriteThenBurstMatchesOracle(t *testing.T) {
+	geom := physics.FullGeometry()
+	total := oracleRun{}
+	for _, name := range []string{"A0", "B6", "C0"} {
+		p, _ := physics.ProfileByName(name)
+		m := NewModule(p, geom, 2022)
+		r := &oracleRun{t: t, m: m, name: name + " rewrites"}
+		const bank, victim = 1, 500
+		phys := m.Scheme().LogicalToPhysical(victim)
+		hcFirst := int(m.Model().GroundTruthHCFirst(bank, phys, physics.VPPNominal))
+		fills := []byte{0xAA, 0x55, 0xFF, 0x00, 0xCC}
+		for i := 0; i < 120; i++ {
+			switch i % 24 {
+			case 6:
+				m.SetVPP(p.VPPMin)
+			case 12:
+				m.SetTemperature(physics.RetentionTestTempC)
+			case 18:
+				m.SetVPP(1.9)
+			case 23:
+				m.SetVPP(physics.VPPNominal)
+				m.SetTemperature(physics.RowHammerTestTempC)
+			}
+			r.initRow(bank, victim, fills[i%len(fills)])
+			if i%3 == 1 {
+				r.hammer(bank, victim, 2*hcFirst)
+			}
+			r.step([]float64{0, 16000e6, 4000e6, 300e6}[i%4])
+			reqNS := m.Model().GroundTruthRowTRCDNS(bank, phys, m.VPP())
+			r.must(m.Activate(r.at, bank, victim), "activate")
+			r.step([]float64{reqNS - 0.5, 13.5, 30}[i%3])
+			r.read(bank, (i*37)%geom.Columns())
+			r.must(m.Precharge(r.at, bank), "precharge")
+			r.step(physics.TRPNominalNS)
+		}
+		total.bursts += r.bursts
+		total.flipped += r.flipped
+	}
+	if total.flipped < total.bursts/4 {
 		t.Fatalf("only %d of %d bursts carried flips", total.flipped, total.bursts)
 	}
 	t.Logf("%d bursts checked, %d with flips", total.bursts, total.flipped)
@@ -254,5 +430,32 @@ func TestModuleReadAllocsFree(t *testing.T) {
 	read() // first burst samples the row and sizes the per-bank masks
 	if a := testing.AllocsPerRun(1000, read); a != 0 {
 		t.Errorf("Read allocates %v times per burst in steady state, want 0", a)
+	}
+}
+
+func TestModuleReadRangeAllocsFree(t *testing.T) {
+	p, _ := physics.ProfileByName("B3")
+	m := NewModule(p, physics.FullGeometry(), 2022)
+	m.SetTemperature(physics.RetentionTestTempC)
+	r := &oracleRun{t: t, m: m, name: "B3"}
+	const bank, victim = 0, 1000
+	r.initRow(bank, victim, 0xAA)
+	r.hammer(bank, victim, 300_000)
+	r.step(4000e6) // retention flips grow from row to row
+	cols := m.Geometry().Columns()
+	buf := make([]byte, 0, m.Geometry().RowBytes)
+	read := func() {
+		r.must(m.Activate(r.at, bank, victim), "activate")
+		r.step(10) // inside the tRCD requirement: the row's bursts draw
+		var err error
+		buf, err = m.ReadRange(buf[:0], r.at, NSToPS(5), bank, 0, cols)
+		r.must(err, "read range")
+		r.at = m.Now()
+		r.must(m.Precharge(r.at, bank), "precharge")
+		r.step(20e6)
+	}
+	read() // the first row samples the row and sizes the per-bank masks
+	if a := testing.AllocsPerRun(200, read); a != 0 {
+		t.Errorf("ReadRange allocates %v times per row in steady state, want 0", a)
 	}
 }

@@ -256,3 +256,118 @@ func TestHammerNoiseMatchesPerCallOracle(t *testing.T) {
 		}
 	}
 }
+
+// bulkStep returns the elapsed time, within (loMS, hiMS], at which the
+// oracle's bulk count first exceeds its count at loMS, or 0 if it never
+// does. The count is monotone in the elapsed time, so bisection finds it.
+func bulkStep(m *DeviceModel, bank, row int, vpp, tempC float64, iter int, loMS, hiMS float64) float64 {
+	c0 := refBulkCount(m, bank, row, vpp, loMS, tempC, iter)
+	if refBulkCount(m, bank, row, vpp, hiMS, tempC, iter) == c0 {
+		return 0
+	}
+	for i := 0; i < 200 && hiMS-loMS > loMS*1e-15; i++ {
+		mid := (loMS + hiMS) / 2
+		if refBulkCount(m, bank, row, vpp, mid, tempC, iter) == c0 {
+			loMS = mid
+		} else {
+			hiMS = mid
+		}
+	}
+	return hiMS
+}
+
+// TestBulkCountRangeMatchesPerReadCounts checks BulkCountRange over windows
+// of a full-row readback (128 bursts 6 ns apart) and wider, placed at fixed
+// retention times and straddling actual count steps: wherever it reports
+// one count, the oracle's count at every one of 129 points across the
+// window must be that count.
+func TestBulkCountRangeMatchesPerReadCounts(t *testing.T) {
+	const bank = 0
+	uniform, fallback := 0, 0
+	check := func(name string, m *DeviceModel, row int, vpp, temp float64, iter int, from, span float64) {
+		t.Helper()
+		r := m.RetentionRow(bank, row, vpp, temp, iter)
+		count, ok := r.BulkCountRange(from, from+span)
+		if !ok {
+			fallback++
+			return
+		}
+		uniform++
+		for k := 0; k <= 128; k++ {
+			ms := from + span*float64(k)/128
+			if k == 128 {
+				ms = from + span
+			}
+			if want := refBulkCount(m, bank, row, vpp, ms, temp, iter); want != count {
+				t.Fatalf("%s vpp %v %v°C row %d iter %d: window [%v, %v] reports count %d, oracle at %vms is %d",
+					name, vpp, temp, row, iter, from, from+span, count, ms, want)
+			}
+		}
+	}
+	const rowSpanMS = 128 * 6e-6
+	for _, name := range []string{"A0", "B3", "B6", "C0"} {
+		p, _ := ProfileByName(name)
+		m := NewDeviceModel(p, FullGeometry(), 2022)
+		for _, vpp := range []float64{p.VPPMin, 1.8, VPPNominal} {
+			for _, temp := range []float64{RetentionTestTempC, 95} {
+				for _, row := range []int{0, 4711} {
+					for iter := 0; iter < 3; iter++ {
+						q := m.RetentionRow(bank, row, vpp, temp, iter).quietMS
+						for _, from := range []float64{q * 0.9999995, q, 400, 4000, 16000, 64000} {
+							for _, span := range []float64{rowSpanMS, 1e-2, 1, 100} {
+								check(name, m, row, vpp, temp, iter, from, span)
+							}
+						}
+						// Windows straddling a step of the count, at the
+						// step, and just past it.
+						for _, at := range []float64{1000, 4000, 16000} {
+							step := bulkStep(m, bank, row, vpp, temp, iter, at, 2*at)
+							if step == 0 {
+								continue
+							}
+							for _, from := range []float64{step - rowSpanMS/2, step - rowSpanMS, step, step + 1e-9} {
+								check(name, m, row, vpp, temp, iter, from, rowSpanMS)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if uniform == 0 || fallback == 0 {
+		t.Fatalf("%d uniform and %d fallback windows; the grid misses one path", uniform, fallback)
+	}
+	t.Logf("%d uniform and %d fallback windows", uniform, fallback)
+}
+
+// TestRekeyMatchesFreshRetentionRow moves one RetentionRow across
+// measurement iterations, as the read path does when a row is rewritten,
+// and checks every count against a fresh row at that iteration.
+func TestRekeyMatchesFreshRetentionRow(t *testing.T) {
+	p, _ := ProfileByName("B3")
+	m := NewDeviceModel(p, FullGeometry(), 2022)
+	const bank, row = 1, 77
+	r := m.RetentionRow(bank, row, 1.8, RetentionTestTempC, 0)
+	for _, iter := range []int{0, 1, 1, 5, 2, 0} {
+		r.Rekey(iter)
+		for _, ms := range []float64{1, 4000, 16000} {
+			fresh := m.RetentionRow(bank, row, 1.8, RetentionTestTempC, iter)
+			if got, want := r.BulkCount(ms), fresh.BulkCount(ms); got != want {
+				t.Fatalf("iter %d %vms: rekeyed count %d, fresh %d", iter, ms, got, want)
+			}
+			if want := refBulkCount(m, bank, row, 1.8, ms, RetentionTestTempC, iter); r.BulkCount(ms) != want {
+				t.Fatalf("iter %d %vms: rekeyed count %d, oracle %d", iter, ms, r.BulkCount(ms), want)
+			}
+		}
+	}
+}
+
+// TestRetentionSigmaBound pins the spread cdfSlack's error argument assumes.
+func TestRetentionSigmaBound(t *testing.T) {
+	for _, p := range Profiles() {
+		m := NewDeviceModel(p, FullGeometry(), 2022)
+		if s := m.retention.sigma; s < 1.2 {
+			t.Errorf("%s: retention sigma %v below 1.2", p.Name, s)
+		}
+	}
+}

@@ -244,6 +244,15 @@ func (m *DeviceModel) RetentionRow(bank, rowAddr int, vpp, tempC float64, iter i
 	}
 }
 
+// Rekey moves the row to measurement iteration iter: a later draw of the
+// noise uses iter's stream. No other term depends on the iteration, so the
+// result equals RetentionRow at iter.
+func (r *RetentionRow) Rekey(iter int) {
+	if iter != r.iter {
+		r.iter, r.noise = iter, 0
+	}
+}
+
 // BulkCount returns how many bulk (non-weak) cells have failed after
 // elapsedMS of unrefreshed time: the first BulkCount cells of BulkOrder.
 // Reads before the quiet bound, which is positive, return 0 without drawing
@@ -252,6 +261,52 @@ func (r *RetentionRow) BulkCount(elapsedMS float64) int {
 	if r.rp == nil || elapsedMS < r.quietMS {
 		return 0
 	}
+	return r.countAt(r.bulkCDF(elapsedMS))
+}
+
+// cdfSlack is the margin BulkCountRange keeps around the bulk CDF. The
+// computed CDF at an elapsed time differs from the exact Phi(z) of that time
+// by less than 1e-13: the products and quotient behind tEff round three
+// times (< 4e-16 relative), Log adds less than one ulp of |ln tEff| < 64,
+// the shift and division by sigma (≥ 1.2 for every manufacturer's anchors,
+// 1.5 for the fallback) add a few ulps of z, Phi' ≤ 1/√(2π) carries all of
+// it to the CDF, and Erfc adds a few ulps of a value below 2. The rounding
+// of the range bound itself is a few ulps of a value below 1. A slack of
+// 1e-9 therefore covers twice the CDF error (once at the range's start, once
+// at the read) with four orders of magnitude to spare.
+const cdfSlack = 1e-9
+
+// invSqrt2Pi is 1/√(2π), the largest slope of Phi.
+const invSqrt2Pi = 0.3989422804014327
+
+// BulkCountRange reports the bulk count of every read at an elapsed time in
+// [fromMS, toMS], and true, when one count provably holds over the whole
+// range; otherwise it returns false and the caller counts read by read.
+// Reads past the quiet bound count countAt(Phi(z)) with z linear in
+// ln(elapsed), so over the range the exact CDF grows by at most
+// Phi'·Δz ≤ (toMS−fromMS)/fromMS/(sigma·√(2π)); widened by cdfSlack on each
+// side for rounding, the interval around the CDF at fromMS holds every
+// read's computed CDF. countAt is monotone in its argument, so equal counts
+// at the two ends pin every read's count.
+func (r *RetentionRow) BulkCountRange(fromMS, toMS float64) (int, bool) {
+	if r.rp == nil || toMS < r.quietMS {
+		return 0, true
+	}
+	if fromMS < r.quietMS {
+		return 0, false
+	}
+	f := r.bulkCDF(fromMS)
+	df := (toMS - fromMS) / fromMS * invSqrt2Pi / r.m.retention.sigma
+	n := r.countAt(f - cdfSlack)
+	if n != r.countAt(f+df+cdfSlack) {
+		return 0, false
+	}
+	return n, true
+}
+
+// bulkCDF is the bulk retention-time CDF at elapsedMS of unrefreshed time,
+// with the row's noise, which it draws on first need.
+func (r *RetentionRow) bulkCDF(elapsedMS float64) float64 {
 	if r.noise == 0 {
 		// The stream is derived from the never-advanced model root, so a
 		// late draw equals an eager one.
@@ -260,7 +315,13 @@ func (r *RetentionRow) BulkCount(elapsedMS float64) int {
 	}
 	ret := r.m.retention
 	tEff := elapsedMS * r.noise * r.accel / r.rhoLambda
-	f := Phi((math.Log(tEff) - ret.mu) / ret.sigma)
+	return Phi((math.Log(tEff) - ret.mu) / ret.sigma)
+}
+
+// countAt converts a bulk CDF value into the failed-cell count. Every step
+// is monotone in f, so the count is too.
+func (r *RetentionRow) countAt(f float64) int {
+	ret := r.m.retention
 	p := 0.0
 	if f > ret.floorF {
 		p = (f - ret.floorF) / (1 - ret.floorF)

@@ -123,6 +123,10 @@ func (m *DeviceModel) TRCDRow(bank, rowAddr int, vpp float64) TRCDRow {
 	}
 }
 
+// SafeNS returns the latency at and past which no column of the row fails
+// in any iteration, so AppendFlips appends nothing.
+func (r *TRCDRow) SafeNS() float64 { return r.safeNS }
+
 // ColumnReqNS returns the minimum reliable activation-to-read latency of
 // column col (ns) for measurement iteration iter.
 func (r *TRCDRow) ColumnReqNS(col, iter int) float64 {

@@ -50,6 +50,7 @@ type Controller struct {
 	now    dram.PS
 	image  []byte // InitializeRow's row image; WriteRow copies it
 	fill   byte   // the byte image holds
+	burst  []byte // ReadColumn's result, valid until the next call
 }
 
 // New builds a controller for the module with nominal timing.
@@ -154,13 +155,14 @@ func (c *Controller) appendRow(dst []byte, bank, row int) ([]byte, error) {
 		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
 	c.advance(c.timing.TRCD)
-	for col := 0; col < c.mod.Geometry().Columns(); col++ {
-		var err error
-		if dst, err = c.mod.Read(dst, c.now, bank, col); err != nil {
-			return nil, fmt.Errorf("read row %d col %d: %w", row, col, err)
-		}
-		c.advance(c.timing.TCCD)
+	// Every burst is one quantized tCCD after the one before.
+	step := dram.NSToPS(c.quantize(c.timing.TCCD))
+	cols := c.mod.Geometry().Columns()
+	dst, err := c.mod.ReadRange(dst, c.now, step, bank, 0, cols)
+	if err != nil {
+		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
+	c.now += dram.PS(cols) * step
 	if err := c.mod.Precharge(c.now, bank); err != nil {
 		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
@@ -198,16 +200,18 @@ func (c *Controller) AppendRowSafe(dst []byte, bank, row int) ([]byte, error) {
 }
 
 // ReadColumn activates a row with the programmed tRCD, reads a single column
-// burst, and closes the row — the per-column access of Alg. 2.
+// burst, and closes the row — the per-column access of Alg. 2. The returned
+// burst is the controller's buffer: it stays valid until the next call.
 func (c *Controller) ReadColumn(bank, row, col int) ([]byte, error) {
 	if err := c.mod.Activate(c.now, bank, row); err != nil {
 		return nil, fmt.Errorf("read col: %w", err)
 	}
 	c.advance(c.timing.TRCD)
-	d, err := c.mod.Read(nil, c.now, bank, col)
+	d, err := c.mod.Read(c.burst[:0], c.now, bank, col)
 	if err != nil {
 		return nil, fmt.Errorf("read col: %w", err)
 	}
+	c.burst = d
 	// Keep the row open long enough for restoration relative to ACT.
 	rest := c.timing.TRAS - c.timing.TRCD
 	if rest > 0 {

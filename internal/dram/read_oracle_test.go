@@ -107,27 +107,29 @@ func (r *oracleRun) read(bank, col int) {
 }
 
 // readRow opens a row, reads every burst trcd ns after ACT at tCCD = 5 ns,
-// and closes it. With between nil the bursts come from one row call;
-// otherwise they are read one by one, calling between(col) before each.
+// and closes it. With between nil it does this twice: first in one row
+// call, then, reopened at the same tRCD, burst by burst through Read, so
+// every row state is checked on both paths. Otherwise it reads burst by
+// burst once, calling between(col) before each.
 func (r *oracleRun) readRow(bank, row int, trcd float64, between func(col int)) {
 	r.t.Helper()
 	r.must(r.m.Activate(r.at, bank, row), "activate")
 	r.step(trcd)
 	if between == nil {
 		r.readRange(bank, r.m.Geometry().Columns())
-	} else {
-		for col := 0; col < r.m.Geometry().Columns(); col++ {
-			between(col)
-			r.read(bank, col)
-			r.step(5)
-		}
+		r.must(r.m.Precharge(r.at, bank), "precharge")
+		r.step(physics.TRPNominalNS)
+		r.readRow(bank, row, trcd, func(int) {})
+		return
+	}
+	for col := 0; col < r.m.Geometry().Columns(); col++ {
+		between(col)
+		r.read(bank, col)
+		r.step(5)
 	}
 	r.must(r.m.Precharge(r.at, bank), "precharge")
 	r.step(physics.TRPNominalNS)
 }
-
-// perBurst makes readRow read burst by burst with nothing in between.
-func perBurst(int) {}
 
 // readRange checks a row call over columns 0..n-1, one burst every 5 ns
 // from the current time, burst by burst against refRead.

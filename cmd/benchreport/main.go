@@ -37,6 +37,7 @@ var metrics = []metric{
 	{"transient_step_ns_incremental", "ns/step (fixed)", "", 0},
 	{"transient_step_ns_adaptive", "ns/step (adaptive)", "", 0},
 	{"adaptive_quiescent_step_reduction", "quiescent step cut", "x", 2},
+	{"mc_newton_iters_per_solve", "MC Newton iters/solve", "", 2},
 	{"mc_runs_per_sec_jobs1", "MC runs/s", "", 0},
 	{"mc_agg_runs_per_sec", "MC agg runs/s", "", 0},
 	{"mc_agg_bytes_per_run", "bytes/run", "", 0},

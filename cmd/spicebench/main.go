@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"github.com/dramstudy/rhvpp"
+	"github.com/dramstudy/rhvpp/internal/rng"
 	"github.com/dramstudy/rhvpp/internal/spice"
 )
 
@@ -45,6 +47,12 @@ type Snapshot struct {
 	// acceptance floor for the latter is 3x.
 	AdaptiveStepReduction      float64 `json:"adaptive_step_reduction_sweep"`
 	AdaptiveQuiescentReduction float64 `json:"adaptive_quiescent_step_reduction"`
+
+	// Newton iterations per implicit solve over a Monte-Carlo population
+	// drawn as the campaign draws it (seed 2022, ±5% variation, -runs runs
+	// per level), summed over the same nine-level sweep under the default
+	// adaptive engine: the count the Newton predictor exists to shrink.
+	MCNewtonItersPerSolve float64 `json:"mc_newton_iters_per_solve"`
 
 	// Monte-Carlo campaign throughput at 2.0 V, ±5% variation. The jobs1
 	// figure runs the default adaptive engine (best-of-3); the fixed-grid
@@ -158,6 +166,10 @@ func measure(runs, jobs int) (Snapshot, error) {
 	snap.StepSpeedupAdapt = ratio(snap.StepNSReference, snap.StepNSAdaptive)
 
 	snap.AdaptiveStepReduction, snap.AdaptiveQuiescentReduction, err = adaptiveReduction()
+	if err != nil {
+		return snap, err
+	}
+	snap.MCNewtonItersPerSolve, err = newtonItersPerSolve(runs)
 	if err != nil {
 		return snap, err
 	}
@@ -290,13 +302,15 @@ func stepCost(sim func(spice.CellParams, spice.Probe) (spice.ActivationResult, e
 	return float64(time.Since(start).Nanoseconds()) / float64(cells), nil //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
 }
 
+// sweepVPPs are the Fig. 8/9 sweep levels.
+var sweepVPPs = []float64{2.5, 2.4, 2.3, 2.2, 2.1, 2.0, 1.9, 1.8, 1.7}
+
 // adaptiveReduction aggregates the adaptive engine's step accounting over
 // the Fig. 8a/9a sweep: total solve reduction vs the fixed grid, and
 // cells-per-solve over the accepted coarse steps (the quiescent stretches).
 func adaptiveReduction() (overall, quiescent float64, err error) {
-	vpps := []float64{2.5, 2.4, 2.3, 2.2, 2.1, 2.0, 1.9, 1.8, 1.7}
 	var solves, cells, coarseCells, coarseSolves int
-	for _, vpp := range vpps {
+	for _, vpp := range sweepVPPs {
 		res, err := spice.SimulateActivation(spice.DefaultCellParams(vpp), nil)
 		if err != nil {
 			return 0, 0, fmt.Errorf("adaptive sweep at %.1fV: %w", vpp, err)
@@ -308,6 +322,28 @@ func adaptiveReduction() (overall, quiescent float64, err error) {
 	}
 	return ratio(float64(cells), float64(solves)),
 		ratio(float64(coarseCells), float64(coarseSolves)), nil
+}
+
+// newtonItersPerSolve returns total Newton iterations over total implicit
+// solves for runs Monte-Carlo activations per sweep level, each drawn from
+// the stream RunMonteCarloSweep derives for it. A run that fails to
+// converge still counts the work it did.
+func newtonItersPerSolve(runs int) (float64, error) {
+	ws := spice.NewWorkspace()
+	var iters, solves int
+	for _, vpp := range sweepVPPs {
+		root := rng.New(2022).Derive("spice-mc", fmt.Sprintf("%.2f", vpp))
+		for i := 0; i < runs; i++ {
+			p := spice.Vary(spice.DefaultCellParams(vpp), root.Derive("run", i), 0.05)
+			res, err := ws.Simulate(p, nil)
+			if err != nil && !errors.Is(err, spice.ErrNoConverge) {
+				return 0, fmt.Errorf("Monte-Carlo run %d at %.1fV: %w", i, vpp, err)
+			}
+			iters += res.Steps.NewtonIters
+			solves += res.Steps.Solves
+		}
+	}
+	return ratio(float64(iters), float64(solves)), nil
 }
 
 // bestOf returns the fastest of n mcThroughput measurements: one measurement

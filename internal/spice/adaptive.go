@@ -208,9 +208,13 @@ type adaptiveStepper struct {
 }
 
 // newAdaptiveStepper prepares the stepper (and the Transient's scratch) for
-// one activation at the given parameters. The engine must be at t=0 on its
-// base grid (freshly constructed or Reset).
+// one activation at the given parameters and switches the engine to the
+// three-point Newton predictor until its next Reset. The engine must be at
+// t=0 on its base grid (freshly constructed or Reset).
 func (tr *Transient) newAdaptiveStepper(cfg AdaptiveConfig, horizon float64) adaptiveStepper {
+	if tr.red != nil {
+		tr.red.quadratic = true
+	}
 	if tr.ad == nil {
 		tr.ad = &adaptiveScratch{
 			prev:  tr.newState(),

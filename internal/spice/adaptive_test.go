@@ -21,10 +21,16 @@ func fixedGrid(p CellParams) CellParams {
 // tRASmin threshold crossings quantized onto the 25 ps grid, and the
 // reliable/restored classifications — must be IDENTICAL (bit-for-bit, not
 // approximately) to the fixed-grid measurement, both on the Fig. 8a/9a
-// waveforms at every sweep VPP and on the golden campaign's Monte-Carlo
-// population (seed 2022, ±5% variation). This is the property the campaign
-// goldens' byte-identity rests on: identical crossing floats mean the exact
-// streaming quantiles in internal/stats see the same multiset either way.
+// waveforms at every sweep VPP and on Monte-Carlo populations at the golden
+// seed 2022 and the holdout seed 7 (±5% variation, 200 runs per level). This
+// is the property the campaign goldens' byte-identity rests on: identical
+// crossing floats mean the exact streaming quantiles in internal/stats see
+// the same multiset either way.
+//
+// The one exception is knownRestoreLag: a run whose adaptive restore
+// crossing lands exactly one grid cell early. The test requires that exact
+// lag there, so it fails both when another run diverges and when that run
+// starts to match.
 func TestAdaptiveCrossingsMatchFixedGrid(t *testing.T) {
 	for _, vpp := range goldenSweepVPPs {
 		p := DefaultCellParams(vpp)
@@ -42,20 +48,109 @@ func TestAdaptiveCrossingsMatchFixedGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden-population crossings in -short mode")
 	}
-	const runs = 24 // the golden campaign's per-level population
-	for _, vpp := range goldenSweepVPPs {
-		root := rng.New(2022).Derive("spice-mc", fmt.Sprintf("%.2f", vpp))
-		for i := 0; i < runs; i++ {
-			p := Vary(DefaultCellParams(vpp), root.Derive("run", i), 0.05)
-			fast, errA := SimulateActivation(p, nil)
-			fixed, errF := SimulateActivation(fixedGrid(p), nil)
-			if (errA == nil) != (errF == nil) {
-				t.Fatalf("vpp=%v run %d: error divergence: adaptive %v, fixed %v", vpp, i, errA, errF)
+	const runs = 200
+	adaptive, fixed := NewWorkspace(), NewWorkspace()
+	for _, seed := range []uint64{2022, 7} {
+		for _, vpp := range goldenSweepVPPs {
+			// The campaign's own derivation (RunMonteCarloSweep).
+			root := rng.New(seed).Derive("spice-mc", fmt.Sprintf("%.2f", vpp))
+			for i := 0; i < runs; i++ {
+				p := Vary(DefaultCellParams(vpp), root.Derive("run", i), 0.05)
+				fast, errA := adaptive.Simulate(p, nil)
+				grid, errF := fixed.Simulate(fixedGrid(p), nil)
+				at := fmt.Sprintf("seed=%d vpp=%v run %d", seed, vpp, i)
+				if (errA == nil) != (errF == nil) {
+					t.Fatalf("%s: error divergence: adaptive %v, fixed %v", at, errA, errF)
+				}
+				if errA != nil {
+					continue // both diverged: same Unreliable/Unrestored classification
+				}
+				if (knownRestoreLag == mcRunID{seed, vpp, i}) {
+					lagged := fast
+					lagged.TRASminNS = grid.TRASminNS
+					cell := p.StepPS * 1e-3
+					if lag := grid.TRASminNS - fast.TRASminNS; math.Abs(lag-cell) > 1e-9 {
+						t.Errorf("%s: known divergence changed: adaptive tRASmin %.17g, fixed %.17g, want one %.3g ns cell early",
+							at, fast.TRASminNS, grid.TRASminNS, cell)
+					}
+					assertSameMeasurement(t, at, lagged, grid)
+					continue
+				}
+				assertSameMeasurement(t, at, fast, grid)
 			}
-			if errA != nil {
-				continue // both diverged: same Unreliable/Unrestored classification
-			}
-			assertSameMeasurement(t, fmt.Sprintf("vpp=%v run %d", vpp, i), fast, fixed)
+		}
+	}
+}
+
+// mcRunID names one Monte-Carlo activation by the campaign's derivation.
+type mcRunID struct {
+	seed uint64
+	vpp  float64
+	run  int
+}
+
+// knownRestoreLag is the one run in the 3,600 that
+// TestAdaptiveCrossingsMatchFixedGrid checks whose adaptive crossing is
+// not the fixed grid's: its cell restores so slowly that the adaptive
+// trajectory, within AccuracyTolV of the fixed one, reaches the restore
+// target one 25 ps cell earlier (91.575 ns against 91.6 ns). The
+// two-point predictor gave the same lag. It is in the spice-mc benchmark
+// population, not in the golden campaign's 24 runs per level.
+var knownRestoreLag = mcRunID{2022, 1.8, 47}
+
+// TestEngineStateRoundTripsPredictorHistory pins the rewind contract the
+// adaptive stepper's trials rely on: save, step, load, step reproduces the
+// first step bit for bit, Newton count included, after the discarded steps
+// have rotated the whole three-point history and both step spacings past
+// the snapshot.
+func TestEngineStateRoundTripsPredictorHistory(t *testing.T) {
+	p := DefaultCellParams(2.0)
+	ckt, _, _ := buildCellCircuit(p)
+	base := p.StepPS * 1e-12
+	tr := NewTransient(ckt, base)
+	tr.newAdaptiveStepper(p.Adaptive, p.MaxNS*1e-9)
+	// Mid-ramp, with three unequal spacings in the history, so every
+	// coefficient of the quadratic predictor matters.
+	for _, dt := range []float64{base, base, base, base, 2 * base, 4 * base} {
+		tr.setDt(dt)
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := tr.red
+	if !r.quadratic || r.dtLast == r.dtLast2 {
+		t.Fatalf("setup: quadratic=%v dtLast=%g dtLast2=%g, want the three-point predictor over unequal spacings",
+			r.quadratic, r.dtLast, r.dtLast2)
+	}
+	snap := tr.newState()
+	tr.save(snap)
+	step := func() (v []float64, iters int) {
+		before := tr.newtIters
+		tr.setDt(2 * base)
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), tr.v...), tr.newtIters - before
+	}
+	wantV, wantIters := step()
+	for _, dt := range []float64{base, 8 * base} { // rotate the history out
+		tr.setDt(dt)
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.load(snap)
+	if r.dtLast != snap.dtLast || r.dtLast2 != snap.dtLast2 ||
+		!reflect.DeepEqual(r.xPrev3, snap.xPrev3) || !reflect.DeepEqual(r.xPrev2, snap.xPrev2) {
+		t.Fatalf("load did not restore the predictor history")
+	}
+	gotV, gotIters := step()
+	if gotIters != wantIters {
+		t.Errorf("replayed step took %d Newton iterations, first took %d", gotIters, wantIters)
+	}
+	for i := range wantV {
+		if gotV[i] != wantV[i] {
+			t.Errorf("node %d: replayed step %.17g, first %.17g", i+1, gotV[i], wantV[i])
 		}
 	}
 }

@@ -5,41 +5,50 @@ import "testing"
 // The five campaign VPP levels and the integration-work pins of the nominal
 // (unvaried) Table 2 activation at each. These are exact-count regressions:
 // the engines are deterministic, so any drift means the float-op sequence
-// changed, which is the event the pins exist to catch.
+// changed, which is the event the pins exist to catch. fixedNewtonIters is
+// the same activation on the fixed 25 ps grid.
 var steppingPins = []struct {
-	vpp         float64
-	solves      int
-	rejected    int
-	newtonIters int
+	vpp              float64
+	solves           int
+	rejected         int
+	newtonIters      int
+	fixedNewtonIters int
 }{
-	{1.7, 1339, 3, 2455},
-	{2.0, 1291, 4, 2274},
-	{2.2, 953, 2, 1814},
-	{2.5, 752, 1, 1483},
-	{2.8, 683, 2, 1347},
+	{1.7, 1339, 3, 1770, 3822},
+	{2.0, 1291, 4, 1560, 2293},
+	{2.2, 953, 2, 1106, 1802},
+	{2.5, 752, 1, 901, 1477},
+	{2.8, 683, 2, 840, 1335},
 }
 
 // TestScaledPredictorIterations pins the Newton iteration totals produced by
-// the slope-scaled extrapolating predictor. Before the predictor scaled the
-// extrapolation slope by dt/dtLast across setDt boundaries, the same runs
-// took 2460/2277/1814/1483/1347 iterations (VPP 1.7..2.8): the scaled guess
-// wins exactly where step sizes change (the low-VPP runs, which reject and
-// resize most) and is bit-identical to 2*x-y elsewhere — equal step sizes
-// keep the literal 2*xPrev-xPrev2 form, so fixed-grid histories are
-// untouched.
+// the adaptive stepper's three-point predictor. The two-point predictor it
+// replaced (2*x-y, its slope rescaled by dt/dtLast across setDt boundaries)
+// took 2455/2274/1814/1483/1347 iterations at VPP 1.7..2.8 over the same
+// solves, nearly always two per solve; those counts stay as the upper bound.
+// The fixed grid keeps the literal 2*xPrev-xPrev2 form, so its counts must
+// not move from the values recorded before the three-point predictor.
 func TestScaledPredictorIterations(t *testing.T) {
-	oldIters := []int{2460, 2277, 1814, 1483, 1347}
+	linearIters := []int{2455, 2274, 1814, 1483, 1347}
 	for i, pin := range steppingPins {
-		res, err := SimulateActivation(DefaultCellParams(pin.vpp), nil)
+		p := DefaultCellParams(pin.vpp)
+		res, err := SimulateActivation(p, nil)
 		if err != nil {
 			t.Fatalf("vpp=%.1f: %v", pin.vpp, err)
 		}
 		if got := res.Steps.NewtonIters; got != pin.newtonIters {
 			t.Errorf("vpp=%.1f: NewtonIters = %d, want %d", pin.vpp, got, pin.newtonIters)
 		}
-		if got := res.Steps.NewtonIters; got > oldIters[i] {
-			t.Errorf("vpp=%.1f: NewtonIters = %d exceeds the unscaled predictor's %d",
-				pin.vpp, got, oldIters[i])
+		if got := res.Steps.NewtonIters; got > linearIters[i] {
+			t.Errorf("vpp=%.1f: NewtonIters = %d exceeds the two-point predictor's %d",
+				pin.vpp, got, linearIters[i])
+		}
+		fixed, err := SimulateActivation(fixedGrid(p), nil)
+		if err != nil {
+			t.Fatalf("vpp=%.1f fixed grid: %v", pin.vpp, err)
+		}
+		if got := fixed.Steps.NewtonIters; got != pin.fixedNewtonIters {
+			t.Errorf("vpp=%.1f: fixed-grid NewtonIters = %d, want %d", pin.vpp, got, pin.fixedNewtonIters)
 		}
 	}
 }

@@ -152,7 +152,8 @@ func (tr *Transient) vPrev(node int) float64 {
 
 // setDt switches the integration step size. Capacitor companion
 // conductances are C/dt, so the reduced engine's static stamps are rebuilt;
-// the Newton history survives, only the extrapolating predictor resets.
+// the Newton history survives, and the adaptive predictor extrapolates it at
+// the real step spacings. Only the adaptive stepper changes the step size.
 //
 //detlint:hotpath witness=TestWorkspaceSimulateAllocs
 func (tr *Transient) setDt(dt float64) {
@@ -170,12 +171,12 @@ func (tr *Transient) setDt(dt float64) {
 // stepper attempt a trial step and retract it on an error-estimate or
 // Newton failure.
 type engineState struct {
-	t, dt  float64
-	steps  int
-	dtLast float64   // reduced-engine predictor slope scale
-	v      []float64 // node voltages
+	t, dt           float64
+	steps           int
+	dtLast, dtLast2 float64   // reduced-engine predictor step spacings
+	v               []float64 // node voltages
 	// Reduced-engine Newton history (nil when running the dense reference).
-	xPrev, xPrev2 []float64
+	xPrev, xPrev2, xPrev3 []float64
 	// Dense-engine solution vector (nil on the incremental path).
 	x []float64
 }
@@ -186,6 +187,7 @@ func (tr *Transient) newState() *engineState {
 	if tr.red != nil {
 		s.xPrev = make([]float64, tr.red.ku)
 		s.xPrev2 = make([]float64, tr.red.ku)
+		s.xPrev3 = make([]float64, tr.red.ku)
 	} else {
 		s.x = make([]float64, tr.dim)
 	}
@@ -198,9 +200,10 @@ func (tr *Transient) save(s *engineState) {
 	copy(s.v, tr.v)
 	if tr.red != nil {
 		s.steps = tr.red.steps
-		s.dtLast = tr.red.dtLast
+		s.dtLast, s.dtLast2 = tr.red.dtLast, tr.red.dtLast2
 		copy(s.xPrev, tr.red.xPrev)
 		copy(s.xPrev2, tr.red.xPrev2)
+		copy(s.xPrev3, tr.red.xPrev3)
 	} else {
 		copy(s.x, tr.x)
 	}
@@ -214,9 +217,10 @@ func (tr *Transient) load(s *engineState) {
 	copy(tr.v, s.v)
 	if tr.red != nil {
 		tr.red.steps = s.steps
-		tr.red.dtLast = s.dtLast
+		tr.red.dtLast, tr.red.dtLast2 = s.dtLast, s.dtLast2
 		copy(tr.red.xPrev, s.xPrev)
 		copy(tr.red.xPrev2, s.xPrev2)
+		copy(tr.red.xPrev3, s.xPrev3)
 	} else {
 		copy(tr.x, s.x)
 	}
@@ -308,8 +312,15 @@ type reduced struct {
 	newt   []float64 // Newton iterate
 	xPrev  []float64 // converged reduced solution of the previous step
 	xPrev2 []float64 // solution two steps back (Newton predictor)
-	steps  int       // completed steps (predictor needs two)
-	dtLast float64   // step size that produced xPrev (predictor slope scaling)
+	xPrev3 []float64 // solution three steps back (adaptive predictor)
+	steps  int       // completed steps (predictors need two or three)
+
+	dtLast  float64 // step size that produced xPrev
+	dtLast2 float64 // step size that produced xPrev2
+	// quadratic selects the adaptive stepper's three-point predictor; the
+	// fixed grid keeps the two-point 2*x-y form. Set by newAdaptiveStepper,
+	// cleared by every restamp (construction and Reset).
+	quadratic bool
 }
 
 // newReduced builds the incremental engine, or returns nil when the circuit
@@ -373,6 +384,7 @@ func newReduced(c *Circuit, nv int, dt float64, v []float64) *reduced {
 	r.newt = make([]float64, ku)
 	r.xPrev = make([]float64, ku)
 	r.xPrev2 = make([]float64, ku)
+	r.xPrev3 = make([]float64, ku)
 	r.restamp(c, dt, v)
 	return r
 }
@@ -385,10 +397,12 @@ func newReduced(c *Circuit, nv int, dt float64, v []float64) *reduced {
 func (r *reduced) restamp(c *Circuit, dt float64, v []float64) {
 	r.stampStatics(c, dt)
 	r.steps = 0
-	r.dtLast = dt
+	r.dtLast, r.dtLast2 = dt, dt
+	r.quadratic = false
 	for i, n := range r.nodes {
 		r.xPrev[i] = v[n-1]
 		r.xPrev2[i] = 0
+		r.xPrev3[i] = 0
 	}
 }
 
@@ -414,11 +428,11 @@ func (r *reduced) stampStatics(c *Circuit, dt float64) {
 }
 
 // setDt re-stamps the static system for a new step size. The Newton history
-// survives intact: the extrapolating predictor rescales its slope by the
-// dtNew/dtOld ratio at the next step (see stepReduced), so a step-size
-// change no longer costs two copy-previous initial guesses — on the
-// adaptive path, which changes dt on nearly every coarse transition, that
-// is worth about one Newton iteration per solve.
+// survives intact: the adaptive predictor extrapolates through it at the
+// real step spacings (see predict), so a step-size change no longer costs
+// copy-previous initial guesses — on the adaptive path, which changes dt on
+// nearly every coarse transition, that is worth about one Newton iteration
+// per solve.
 func (r *reduced) setDt(c *Circuit, dt float64) {
 	r.stampStatics(c, dt)
 }
@@ -606,6 +620,47 @@ func (r *reduced) solveGeneric(c *Circuit) error {
 	return solveDense(r.a, r.z, r.ku)
 }
 
+// predict writes the Newton initial guess for a step of size dt into
+// r.newt. The guess only changes where the iteration starts, not the fixed
+// point it converges to.
+//
+// The fixed grid extrapolates linearly with the literal 2*x-y form, which
+// the fixed-grid goldens pin (x+1*(x-y) differs from it by an ulp); its
+// step never changes, so that is the only form it reaches. The adaptive
+// stepper, once three solutions exist, extrapolates the Lagrange quadratic
+// through them at their real spacings h1 = dtLast and h2 = dtLast2: the
+// linear guess misses a smooth trajectory by its curvature (1e-6 to 1e-4 V
+// on this netlist), so nearly every solve spent a second Newton iteration
+// only to confirm convergence, and the quadratic guess removes most of
+// those. With two solutions it extrapolates the line through them, its
+// slope rescaled by dt/dtLast when the step changed.
+func (r *reduced) predict(dt float64) {
+	switch {
+	case r.quadratic && r.steps >= 3:
+		h0, h1, h2 := dt, r.dtLast, r.dtLast2
+		s01, s012 := h0+h1, h0+h1+h2
+		l1 := s01 * s012 / (h1 * (h1 + h2))
+		l2 := -h0 * s012 / (h1 * h2)
+		l3 := h0 * s01 / ((h1 + h2) * h2)
+		for i := range r.newt {
+			// Explicit rounding keeps each product out of a fused
+			// multiply-add, so the guess is the same on every architecture.
+			r.newt[i] = float64(l1*r.xPrev[i]) + float64(l2*r.xPrev2[i]) + float64(l3*r.xPrev3[i])
+		}
+	case r.steps >= 2 && dt == r.dtLast:
+		for i := range r.newt {
+			r.newt[i] = 2*r.xPrev[i] - r.xPrev2[i]
+		}
+	case r.steps >= 2:
+		ratio := dt / r.dtLast
+		for i := range r.newt {
+			r.newt[i] = r.xPrev[i] + ratio*(r.xPrev[i]-r.xPrev2[i])
+		}
+	default:
+		copy(r.newt, r.xPrev)
+	}
+}
+
 // stepReduced advances one backward-Euler step on the incremental engine.
 func (tr *Transient) stepReduced() error {
 	r := tr.red
@@ -641,27 +696,7 @@ func (tr *Transient) stepReduced() error {
 		}
 	}
 
-	// Newton initial guess: linear extrapolation of the last two converged
-	// solutions. The predictor only changes where the iteration starts, not
-	// the fixed point it converges to, and typically saves an iteration on
-	// smooth ramps. When the step size just changed, the slope is rescaled
-	// by dtNew/dtOld so the extrapolation survives setDt; the equal-step
-	// case keeps the literal 2*x-y form, which the fixed-grid goldens pin
-	// (x+r*(x-y) at r=1 differs from 2*x-y by an ulp).
-	if r.steps >= 2 {
-		if tr.dt == r.dtLast {
-			for i := range r.newt {
-				r.newt[i] = 2*r.xPrev[i] - r.xPrev2[i]
-			}
-		} else {
-			ratio := tr.dt / r.dtLast
-			for i := range r.newt {
-				r.newt[i] = r.xPrev[i] + ratio*(r.xPrev[i]-r.xPrev2[i])
-			}
-		}
-	} else {
-		copy(r.newt, r.xPrev)
-	}
+	r.predict(tr.dt)
 	for iter := 0; iter < newtonMaxIters; iter++ {
 		// The cell fast path runs the whole iteration — assembly, solve,
 		// damped update — in stack arrays; when a pivot guard trips it has
@@ -698,10 +733,10 @@ func (tr *Transient) stepReduced() error {
 		}
 		if maxDelta < newtonTol {
 			tr.newtIters += iter + 1
-			r.xPrev, r.xPrev2 = r.xPrev2, r.xPrev
+			r.xPrev, r.xPrev2, r.xPrev3 = r.xPrev3, r.xPrev, r.xPrev2
 			copy(r.xPrev, r.newt)
 			r.steps++
-			r.dtLast = tr.dt
+			r.dtLast, r.dtLast2 = tr.dt, r.dtLast
 			for i, n := range r.nodes {
 				tr.v[n-1] = r.newt[i]
 			}

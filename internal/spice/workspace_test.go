@@ -49,6 +49,41 @@ func TestWorkspaceMatchesFreshSimulation(t *testing.T) {
 	}
 }
 
+// TestWorkspaceFixedAfterAdaptiveMatchesFresh pins the predictor mode to
+// one run: the adaptive stepper switches a Workspace's engine to its
+// three-point predictor, and the next fixed-grid run on the same Workspace
+// must still match a fresh fixed-grid simulation bit for bit, Newton count
+// included.
+func TestWorkspaceFixedAfterAdaptiveMatchesFresh(t *testing.T) {
+	ws := NewWorkspace()
+	root := rng.New(5).Derive("ws-fixed-after-adaptive")
+	for i, vpp := range []float64{2.5, 1.7, 2.0} {
+		p := Vary(DefaultCellParams(vpp), root.Derive("run", i), 0.05)
+		if _, err := ws.Simulate(p, nil); err != nil {
+			t.Fatalf("run %d (%.1fV): adaptive: %v", i, vpp, err)
+		}
+		var wsCell, freshCell []float64
+		got, err := ws.Simulate(fixedGrid(p), func(_, _, vcell float64) {
+			wsCell = append(wsCell, vcell)
+		})
+		if err != nil {
+			t.Fatalf("run %d (%.1fV): workspace fixed grid: %v", i, vpp, err)
+		}
+		want, err := SimulateActivation(fixedGrid(p), func(_, _, vcell float64) {
+			freshCell = append(freshCell, vcell)
+		})
+		if err != nil {
+			t.Fatalf("run %d (%.1fV): fresh fixed grid: %v", i, vpp, err)
+		}
+		if got != want {
+			t.Fatalf("run %d (%.1fV): results diverge:\nworkspace %+v\nfresh     %+v", i, vpp, got, want)
+		}
+		if !reflect.DeepEqual(wsCell, freshCell) {
+			t.Fatalf("run %d (%.1fV): fixed-grid waveform differs after an adaptive run", i, vpp)
+		}
+	}
+}
+
 // TestWorkspaceSimulateAllocs is the satellite acceptance check for
 // workspace reuse: re-stamping varied parameters instead of rebuilding the
 // MNA system per run must eliminate steady-state allocations, by orders of

@@ -29,10 +29,11 @@
 // may-allocate summary (AllocsFact) for each of its functions, so a hot
 // function calling stats.(*Dist).Add is diagnosed exactly when Add (or
 // anything it transitively calls) allocates. A reasoned
-// //detlint:ignore hotalloc suppression removes a site from the local
-// report and from the exported summary, which is how deliberate
-// amortized allocations (lazy one-time map init in accumulators, O(jobs)
-// worker-pool setup) are kept out of their callers' diagnostics.
+// //detlint:ignore hotalloc suppression removes a site, or a call out of
+// the package, from the local report and from the exported summary,
+// which is how deliberate amortized allocations (lazy one-time map init
+// in accumulators, O(jobs) worker-pool setup) and error paths are kept
+// out of their callers' diagnostics.
 package hotalloc
 
 import (
@@ -40,6 +41,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -312,8 +314,8 @@ func hotAnnotation(decl *ast.FuncDecl) (hot bool, witness string, pos token.Pos)
 // collectBody walks one function body (including nested function
 // literals, whose allocations execute on behalf of the enclosing
 // function) and records allocation sites and outgoing call edges.
-// Suppressed sites are dropped here, so they reach neither the report nor
-// the exported fact.
+// Suppressed sites and suppressed calls out of the package are dropped
+// here, so they reach neither the report nor the exported fact.
 func collectBody(pass *analysis.Pass, rep *detlint.Reporter, fi *funcInfo) {
 	info := pass.TypesInfo
 	addSite := func(pos token.Pos, desc string) {
@@ -389,6 +391,7 @@ func collectBody(pass *analysis.Pass, rep *detlint.Reporter, fi *funcInfo) {
 
 	// Boxing at assignments, returns, and declarations.
 	collectBoxing(pass, fi, addSite)
+	fi.remote = slices.DeleteFunc(fi.remote, func(rc remoteCall) bool { return rep.Suppressed(rc.pos) })
 }
 
 // collectCall classifies one call expression: builtin allocators, type

@@ -81,12 +81,14 @@ func helper(n int) int {
 
 // Remote demonstrates fact-based cross-package checking: dep.Alloc's
 // summary travels through the fact store, dep.Clean has none, and
-// dep.Lazy's suppressed site was removed before export.
+// dep.Lazy's suppressed site and dep.Check's suppressed call were removed
+// before export.
 //
 //detlint:hotpath witness=BenchmarkRemote
 func Remote(n int, m map[int]int) int {
 	xs := dep.Alloc(n) // want "call to dep.Alloc may allocate"
 	_ = dep.Lazy(m)
+	_ = dep.Check(n)
 	return dep.Clean(len(xs))
 }
 

@@ -3,6 +3,8 @@
 // and hot callers in importing packages are diagnosed from those facts.
 package dep
 
+import "fmt"
+
 // Alloc allocates; importers calling it from hot code are flagged.
 func Alloc(n int) []int {
 	return make([]int, n)
@@ -21,4 +23,14 @@ func Lazy(m map[int]int) map[int]int {
 		m = make(map[int]int) //detlint:ignore hotalloc one-time lazy init, amortized to 0 allocs/run
 	}
 	return m
+}
+
+// Check calls fmt only on an error path whose call is suppressed with a
+// reason, so, like a suppressed site, the call leaves the summary and hot
+// callers stay clean.
+func Check(n int) error {
+	if n < 0 {
+		return fmt.Errorf("dep: negative %d", n) //detlint:ignore hotalloc error path, never taken in steady state
+	}
+	return nil
 }

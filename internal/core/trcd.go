@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
+	"github.com/dramstudy/rhvpp/internal/dram"
 	"github.com/dramstudy/rhvpp/internal/pattern"
 )
 
@@ -16,33 +18,27 @@ type TRCDResult struct {
 }
 
 // rowFaultyAtTRCD checks every column of the row at the currently programmed
-// tRCD, re-initializing the row before each column access as Alg. 2 does.
+// tRCD, re-initializing the row (at nominal timing) before each column
+// access as Alg. 2 does.
 func (t *Tester) rowFaultyAtTRCD(row int, pat pattern.Kind, iters int) (bool, error) {
 	b := t.cfg.Bank
 	cols := t.ctrl.Module().Geometry().Columns()
-	want := pat.Byte()
+	fill := pat.Byte()
+	want := bytes.Repeat([]byte{fill}, dram.BurstBytes)
 	for i := 0; i < iters; i++ {
 		if err := t.interrupted(); err != nil {
 			return false, err
 		}
 		for col := 0; col < cols; col++ {
-			// initialize_row runs with safe nominal timing.
-			trcd := t.ctrl.Timing().TRCD
-			t.ctrl.ResetTiming()
-			if err := t.ctrl.InitializeRow(b, row, want); err != nil {
-				return false, err
-			}
-			if err := t.ctrl.SetTRCD(trcd); err != nil {
+			if err := t.ctrl.InitializeRow(b, row, fill); err != nil {
 				return false, err
 			}
 			data, err := t.ctrl.ReadColumn(b, row, col)
 			if err != nil {
 				return false, err
 			}
-			for _, got := range data {
-				if got != want {
-					return true, nil
-				}
+			if !bytes.Equal(data, want) {
+				return true, nil
 			}
 		}
 	}

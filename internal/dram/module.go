@@ -62,6 +62,7 @@ const BurstBytes = 64
 // rowState is the mutable per-row device state.
 type rowState struct {
 	data       []byte // last written image; nil if never written
+	uniform    bool   // data is all data[0]
 	writeEpoch int    // counts full-row writes; keys measurement noise
 	lastWrite  PS     // time of last full-row write or refresh
 
@@ -198,7 +199,7 @@ func (m *Module) bank(b int) (*bankState, error) {
 
 func (m *Module) checkRow(r int) error {
 	if r < 0 || r >= m.geom.RowsPerBank {
-		return fmt.Errorf("%w: row %d", ErrBadAddress, r)
+		return fmt.Errorf("%w: row %d", ErrBadAddress, r) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
 	return nil
 }
@@ -250,40 +251,39 @@ func (m *Module) activateN(t PS, bankIdx, logicalRow, count int) error {
 		return err
 	}
 	if bk.openRow != -1 {
-		return fmt.Errorf("%w: bank %d row %d", ErrBankOpen, bankIdx, bk.openRow)
+		return fmt.Errorf("%w: bank %d row %d", ErrBankOpen, bankIdx, bk.openRow) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
 	phys := m.scheme.LogicalToPhysical(logicalRow)
 	bk.openRow = phys
 	bk.openedAt = t
 
 	c := float64(count)
-	sub := m.geom.SubarrayRows
 	// Distance-one neighbors accumulate full single-side exposure;
 	// distance-two neighbors a small fraction. Disturbance does not cross
-	// subarray boundaries (isolation sense amplifiers between subarrays).
-	if lo := phys - 1; lo >= 0 && sameSubarray(phys, lo, sub) {
+	// subarray boundaries (isolation sense amplifiers between subarrays),
+	// so a neighbor must lie in [first, end): the row's subarray cut at the
+	// end of the bank.
+	first, end := 0, m.geom.RowsPerBank
+	if sub := m.geom.SubarrayRows; sub > 0 {
+		first = phys - phys%sub
+		end = min(first+sub, end)
+	}
+	if lo := phys - 1; lo >= first {
 		bk.row(lo).hammerHi += c
 	}
-	if hi := phys + 1; hi < m.geom.RowsPerBank && sameSubarray(phys, hi, sub) {
+	if hi := phys + 1; hi < end {
 		bk.row(hi).hammerLo += c
 	}
-	if lo2 := phys - 2; lo2 >= 0 && sameSubarray(phys, lo2, sub) {
+	if lo2 := phys - 2; lo2 >= first {
 		bk.row(lo2).hammerD2 += c
 	}
-	if hi2 := phys + 2; hi2 < m.geom.RowsPerBank && sameSubarray(phys, hi2, sub) {
+	if hi2 := phys + 2; hi2 < end {
 		bk.row(hi2).hammerD2 += c
 	}
 	if m.trr != nil {
 		m.trr.observeActivations(phys, count)
 	}
 	return nil
-}
-
-func sameSubarray(a, b, sub int) bool {
-	if sub <= 0 {
-		return true
-	}
-	return a/sub == b/sub
 }
 
 // Precharge closes the open row of a bank.
@@ -597,14 +597,18 @@ func (m *Module) Write(t PS, bankIdx, col int, data []byte) error {
 		rs.data = make([]byte, m.geom.RowBytes)
 	}
 	copy(rs.data[col*BurstBytes:], data)
+	rs.uniform = false
 	return nil
 }
 
-// WriteRow writes a full row image in one call and resets the row's
+// WriteRow fills a full row with one byte in one call and resets the row's
 // disturbance and retention state, modeling a complete re-initialization
-// (the initialize_row step of the paper's algorithms). The bank must have
-// the row open.
-func (m *Module) WriteRow(t PS, bankIdx, logicalRow int, image []byte) error {
+// (the initialize_row step of the paper's algorithms, which writes one
+// data-pattern byte to every cell). The bank must have the row open. A row
+// that already holds only fill keeps its image; the rewrite still counts.
+//
+//detlint:hotpath witness=TestAlg2ColumnStepAllocsFree
+func (m *Module) WriteRow(t PS, bankIdx, logicalRow int, fill byte) error {
 	if err := m.checkTime(t); err != nil {
 		return err
 	}
@@ -617,16 +621,19 @@ func (m *Module) WriteRow(t PS, bankIdx, logicalRow int, image []byte) error {
 	}
 	phys := m.scheme.LogicalToPhysical(logicalRow)
 	if bk.openRow != phys {
-		return fmt.Errorf("%w: row %d not open", ErrBankClosed, logicalRow)
-	}
-	if len(image) != m.geom.RowBytes {
-		return fmt.Errorf("%w: row image must be %d bytes, got %d", ErrBadAddress, m.geom.RowBytes, len(image))
+		return fmt.Errorf("%w: row %d not open", ErrBankClosed, logicalRow) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
 	rs := bk.row(phys)
 	if rs.data == nil {
-		rs.data = make([]byte, m.geom.RowBytes)
+		rs.data = make([]byte, m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy row image creation, amortized over the row's rewrites
 	}
-	copy(rs.data, image)
+	if !rs.uniform || rs.data[0] != fill {
+		rs.data[0] = fill
+		for i := 1; i < len(rs.data); i *= 2 {
+			copy(rs.data[i:], rs.data[:i])
+		}
+		rs.uniform = true
+	}
 	rs.writeEpoch++
 	rs.lastWrite = t
 	rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
@@ -666,7 +673,8 @@ func (m *Module) refreshPhys(t PS, bankIdx int, bk *bankState, phys int) {
 		}
 		return
 	}
-	// Materialize hammer flips into the stored image.
+	// Materialize hammer and retention flips into the stored image.
+	rs.uniform = false
 	if hcEq := rs.doubleSidedEquivalent(); hcEq > 0 {
 		pat := m.dominantPattern(rs)
 		n := m.model.HammerFlipCount(bankIdx, phys, pat, m.vpp, hcEq, m.tempC, rs.writeEpoch)

@@ -30,8 +30,7 @@ func initRow(t *testing.T, m *Module, at PS, bank, row int, fill byte) PS {
 		t.Fatalf("activate row %d: %v", row, err)
 	}
 	at += NSToPS(physics.TRCDNominalNS)
-	image := bytes.Repeat([]byte{fill}, m.Geometry().RowBytes)
-	if err := m.WriteRow(at, bank, row, image); err != nil {
+	if err := m.WriteRow(at, bank, row, fill); err != nil {
 		t.Fatalf("write row %d: %v", row, err)
 	}
 	at += NSToPS(physics.TRASNominalNS)
@@ -346,6 +345,51 @@ func TestSubarrayBoundaryIsolation(t *testing.T) {
 	}
 }
 
+// TestActivateDisturbsOnlySubarrayNeighbors activates every row of small
+// banks, at subarray and bank edges alike, and checks the exposure each
+// activation leaves against the pairwise same-subarray predicate the
+// neighbor bounds replaced.
+func TestActivateDisturbsOnlySubarrayNeighbors(t *testing.T) {
+	sameSubarray := func(a, b, sub int) bool {
+		if sub <= 0 {
+			return true
+		}
+		return a/sub == b/sub
+	}
+	p, _ := physics.ProfileByName("B0")
+	for _, g := range []struct{ rows, sub int }{{40, 0}, {40, 1}, {40, 8}, {43, 8}, {40, 3}, {40, 40}, {40, 64}} {
+		geom := physics.Geometry{Banks: 1, RowsPerBank: g.rows, RowBytes: 64, SubarrayRows: g.sub}
+		m := NewModule(p, geom, 42, WithScheme(mapping.Direct{}))
+		for phys := 0; phys < g.rows; phys++ {
+			m.banks[0].rows = make(map[int]*rowState)
+			if err := m.ActivateMany(m.Now(), 0, phys, 1); err != nil {
+				t.Fatal(err)
+			}
+			for r := -2; r < g.rows+2; r++ { // two rows past either bank edge
+				var want rowState
+				if r >= 0 && r < g.rows && sameSubarray(phys, r, g.sub) {
+					switch r - phys {
+					case -1:
+						want.hammerHi = 1
+					case 1:
+						want.hammerLo = 1
+					case -2, 2:
+						want.hammerD2 = 1
+					}
+				}
+				var got rowState
+				if rs := m.banks[0].rows[r]; rs != nil {
+					got = *rs
+				}
+				if got.hammerLo != want.hammerLo || got.hammerHi != want.hammerHi || got.hammerD2 != want.hammerD2 {
+					t.Errorf("%d rows, subarrays of %d: ACT of row %d left row %d at lo/hi/d2 %v/%v/%v, want %v/%v/%v",
+						g.rows, g.sub, phys, r, got.hammerLo, got.hammerHi, got.hammerD2, want.hammerLo, want.hammerHi, want.hammerD2)
+				}
+			}
+		}
+	}
+}
+
 func TestRetentionFlipsAfterLongWait(t *testing.T) {
 	m := newTestModule(t, "C0", WithScheme(mapping.Direct{}))
 	m.SetTemperature(physics.RetentionTestTempC)
@@ -407,6 +451,68 @@ func TestRefreshRowLatchesFlipsAndResetsClock(t *testing.T) {
 	}
 }
 
+// TestWriteRowFillsWholeRow fills one row again and again, at every preset
+// row size and at one that is not a power of two: repeated fills, new
+// fills, a fill after a burst write and a fill after a refresh that latched
+// flips. Every readback must be the whole fill.
+func TestWriteRowFillsWholeRow(t *testing.T) {
+	p, _ := physics.ProfileByName("B0")
+	const bank, row = 0, 200
+	for _, rowBytes := range []int{512, 1024, 2048, 8192, 960} {
+		geom := physics.Geometry{Banks: 1, RowsPerBank: 1024, RowBytes: rowBytes, SubarrayRows: 512}
+		m := NewModule(p, geom, 42, WithScheme(mapping.Direct{}))
+		at := PS(0)
+		fill := func(f byte, after string) {
+			t.Helper()
+			at = initRow(t, m, at, bank, row, f)
+			var data []byte
+			data, at = readRow(t, m, at, bank, row)
+			if n := countFlips(data, f); n != 0 {
+				t.Fatalf("%d-byte row, fill %#x after %s: %d bits read back wrong", rowBytes, f, after, n)
+			}
+		}
+		for _, f := range []byte{0x00, 0x00, 0xAA, 0xAA, 0x55, 0xFF, 0x33, 0x33} {
+			fill(f, "a fill")
+		}
+
+		// A burst write leaves the row no longer all one byte.
+		if err := m.Activate(at, bank, row); err != nil {
+			t.Fatal(err)
+		}
+		at += NSToPS(physics.TRCDNominalNS)
+		if err := m.Write(at, bank, m.Geometry().Columns()-1, bytes.Repeat([]byte{0xCC}, BurstBytes)); err != nil {
+			t.Fatal(err)
+		}
+		at += NSToPS(physics.TRASNominalNS)
+		if err := m.Precharge(at, bank); err != nil {
+			t.Fatal(err)
+		}
+		fill(0x33, "a burst write")
+
+		// A refresh latches hammer flips into the stored row. They must
+		// miss its first byte, or the next fill refills the row because
+		// that byte differs.
+		at = initRow(t, m, at, bank, row-1, 0x00)
+		at = initRow(t, m, at, bank, row+1, 0x00)
+		fill(0xFF, "a fill")
+		for _, agg := range []int{row - 1, row + 1} {
+			if err := m.ActivateMany(at, bank, agg, 100_000); err != nil {
+				t.Fatal(err)
+			}
+			at = m.Now()
+		}
+		if err := m.RefreshRow(at, bank, row); err != nil {
+			t.Fatal(err)
+		}
+		latched, next := readRow(t, m, m.Now(), bank, row)
+		if countFlips(latched, 0xFF) == 0 || latched[0] != 0xFF {
+			t.Fatalf("%d-byte row: the refresh latched no flip past the first byte; the next fill proves nothing", rowBytes)
+		}
+		at = next
+		fill(0xFF, "a refresh that latched flips")
+	}
+}
+
 func TestReadDuringViolatedTRCDCorruptsData(t *testing.T) {
 	m := newTestModule(t, "A0", WithScheme(mapping.Direct{})) // tRCD-failing module
 	m.SetVPP(m.Profile().VPPMin)
@@ -445,10 +551,7 @@ func TestWriteRowValidation(t *testing.T) {
 	if err := m.Activate(0, 0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteRow(NSToPS(20), 0, 5, make([]byte, 3)); !errors.Is(err, ErrBadAddress) {
-		t.Errorf("short image err = %v, want ErrBadAddress", err)
-	}
-	if err := m.WriteRow(NSToPS(30), 0, 6, make([]byte, m.Geometry().RowBytes)); !errors.Is(err, ErrBankClosed) {
+	if err := m.WriteRow(NSToPS(30), 0, 6, 0x00); !errors.Is(err, ErrBankClosed) {
 		t.Errorf("wrong-row write err = %v, want ErrBankClosed", err)
 	}
 }

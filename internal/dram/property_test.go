@@ -84,8 +84,13 @@ func TestQuickReadAfterWriteIntegrity(t *testing.T) {
 			return false
 		}
 		at += NSToPS(physics.TRCDNominalNS)
-		if err := m.WriteRow(at, 0, row, image); err != nil {
+		if err := m.WriteRow(at, 0, row, 0x00); err != nil {
 			return false
+		}
+		for col := 0; col < m.Geometry().Columns(); col++ {
+			if err := m.Write(at, 0, col, image[col*BurstBytes:(col+1)*BurstBytes]); err != nil {
+				return false
+			}
 		}
 		at += NSToPS(physics.TRASNominalNS)
 		if err := m.Precharge(at, 0); err != nil {
@@ -131,11 +136,7 @@ func TestQuickHammerMonotonicity(t *testing.T) {
 			init := func(r int, fill byte) {
 				_ = m.Activate(at, 0, r)
 				at += NSToPS(14)
-				img := make([]byte, m.Geometry().RowBytes)
-				for i := range img {
-					img[i] = fill
-				}
-				_ = m.WriteRow(at, 0, r, img)
+				_ = m.WriteRow(at, 0, r, fill)
 				at += NSToPS(35)
 				_ = m.Precharge(at, 0)
 				at += NSToPS(14)

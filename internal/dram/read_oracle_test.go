@@ -74,7 +74,7 @@ func (r *oracleRun) initRow(bank, row int, fill byte) {
 	r.t.Helper()
 	r.must(r.m.Activate(r.at, bank, row), "activate")
 	r.step(physics.TRCDNominalNS)
-	r.must(r.m.WriteRow(r.at, bank, row, bytes.Repeat([]byte{fill}, r.m.Geometry().RowBytes)), "write row")
+	r.must(r.m.WriteRow(r.at, bank, row, fill), "write row")
 	r.step(physics.TRASNominalNS)
 	r.must(r.m.Precharge(r.at, bank), "precharge")
 	r.step(physics.TRPNominalNS)
@@ -298,7 +298,7 @@ func TestReadMatchesPerBurstOracleAtPaperGeometry(t *testing.T) {
 					m.SetVPP(vpp)
 					m.SetTemperature(physics.RowHammerTestTempC)
 				case 80:
-					r.must(m.WriteRow(r.at, bank, victim, bytes.Repeat([]byte{0x55}, geom.RowBytes)), "write row")
+					r.must(m.WriteRow(r.at, bank, victim, 0x55), "write row")
 				case 96:
 					r.must(m.Write(r.at, bank, 0, bytes.Repeat([]byte{0xCC}, BurstBytes)), "write")
 				}
@@ -459,5 +459,35 @@ func TestModuleReadRangeAllocsFree(t *testing.T) {
 	read() // the first row samples the row and sizes the per-bank masks
 	if a := testing.AllocsPerRun(200, read); a != 0 {
 		t.Errorf("ReadRange allocates %v times per row in steady state, want 0", a)
+	}
+}
+
+// TestAlg2ColumnStepAllocsFree drives the device commands of one Alg. 2
+// column step at 8 KiB rows — ACT, full-row fill, PRE, then ACT, one burst
+// inside the row's tRCD requirement, PRE — and asserts a steady-state step
+// allocates nothing.
+func TestAlg2ColumnStepAllocsFree(t *testing.T) {
+	p, _ := physics.ProfileByName("A0")
+	m := NewModule(p, physics.FullGeometry(), 2022)
+	m.SetVPP(p.VPPMin)
+	r := &oracleRun{t: t, m: m, name: "A0"}
+	const bank, row = 0, 1000
+	buf := make([]byte, 0, BurstBytes)
+	col := 0
+	step := func() {
+		r.initRow(bank, row, 0xAA)
+		r.must(m.Activate(r.at, bank, row), "activate")
+		r.step(9)
+		var err error
+		buf, err = m.Read(buf[:0], r.at, bank, col)
+		r.must(err, "read")
+		r.step(physics.TRASNominalNS - 9)
+		r.must(m.Precharge(r.at, bank), "precharge")
+		r.step(physics.TRPNominalNS)
+		col = (col + 1) % m.Geometry().Columns()
+	}
+	step() // the first step creates the row and samples its physics
+	if a := testing.AllocsPerRun(1000, step); a != 0 {
+		t.Errorf("an Alg. 2 column step allocates %v times in steady state, want 0", a)
 	}
 }

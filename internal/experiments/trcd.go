@@ -112,7 +112,11 @@ func RunTRCDSweep(ctx context.Context, o Options, prof physics.ModuleProfile) (T
 		}
 		sweep.FixVerified = true
 		for _, row := range rows {
-			data, err := readRowAtCurrentTiming(tb, row, wcdp[row].Byte())
+			// initialize_row runs at nominal timing; the read uses the fix.
+			if err := tb.Controller.InitializeRow(0, row, wcdp[row].Byte()); err != nil {
+				return sweep, err
+			}
+			data, err := tb.Controller.ReadRow(0, row)
 			if err != nil {
 				return sweep, err
 			}
@@ -125,20 +129,6 @@ func RunTRCDSweep(ctx context.Context, o Options, prof physics.ModuleProfile) (T
 		tb.Controller.ResetTiming()
 	}
 	return sweep, nil
-}
-
-func readRowAtCurrentTiming(tb *infra.Testbed, row int, fill byte) ([]byte, error) {
-	// Initialize with nominal-safe timing, then read with the programmed
-	// (possibly overridden) tRCD.
-	trcd := tb.Controller.Timing().TRCD
-	tb.Controller.ResetTiming()
-	if err := tb.Controller.InitializeRow(0, row, fill); err != nil {
-		return nil, err
-	}
-	if err := tb.Controller.SetTRCD(trcd); err != nil {
-		return nil, err
-	}
-	return tb.Controller.ReadRow(0, row)
 }
 
 // TRCDStudy is the Fig. 7 / §6.1 campaign.

@@ -3,6 +3,7 @@ package softmc
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/dram"
@@ -39,39 +40,6 @@ func TestInitializeAndReadRow(t *testing.T) {
 	for i, b := range data {
 		if b != 0xAA {
 			t.Fatalf("byte %d = %#x, want 0xAA", i, b)
-		}
-	}
-}
-
-// TestRowImageAllFill alternates fill bytes, starting from the zero fill a
-// new image already holds, at every preset row size and at one that is not
-// a power of two: the doubling fill must cover the whole row each time.
-func TestRowImageAllFill(t *testing.T) {
-	p, _ := physics.ProfileByName("A3")
-	for _, rowBytes := range []int{512, 1024, 2048, 8192, 960} {
-		geom := physics.Geometry{Banks: 1, RowsPerBank: 1024, RowBytes: rowBytes, SubarrayRows: 512}
-		c := New(dram.NewModule(p, geom, 7, dram.WithScheme(mapping.Direct{})))
-		for i, fill := range []byte{0x00, 0xAA, 0x55, 0xAA, 0xFF, 0x00, 0x33} {
-			if err := c.InitializeRow(0, i, fill); err != nil {
-				t.Fatal(err)
-			}
-			if len(c.image) != rowBytes {
-				t.Fatalf("%d-byte row: image holds %d bytes", rowBytes, len(c.image))
-			}
-			for j, b := range c.image {
-				if b != fill {
-					t.Fatalf("%d-byte row, fill %#x: image byte %d = %#x", rowBytes, fill, j, b)
-				}
-			}
-			data, err := c.ReadRowSafe(0, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, b := range data {
-				if b != fill {
-					t.Fatalf("%d-byte row, fill %#x: read byte %d = %#x", rowBytes, fill, j, b)
-				}
-			}
 		}
 	}
 }
@@ -138,6 +106,93 @@ func TestReadColumn(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("ReadColumn allocates %v times per access, want 0", a)
 	}
+}
+
+// TestAlg2ColumnStepAllocsFree runs one Alg. 2 column step at 8 KiB rows —
+// initialize_row, then one column read inside the row's tRCD requirement —
+// and asserts a steady-state step allocates nothing.
+func TestAlg2ColumnStepAllocsFree(t *testing.T) {
+	p, _ := physics.ProfileByName("A0")
+	c := New(dram.NewModule(p, physics.FullGeometry(), 2022))
+	c.Module().SetVPP(p.VPPMin)
+	if err := c.SetTRCD(9); err != nil {
+		t.Fatal(err)
+	}
+	const bank, row = 0, 1000
+	col := 0
+	step := func() {
+		if err := c.InitializeRow(bank, row, 0xAA); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadColumn(bank, row, col); err != nil {
+			t.Fatal(err)
+		}
+		col = (col + 1) % c.Module().Geometry().Columns()
+	}
+	step() // the first step creates the row and samples its physics
+	if a := testing.AllocsPerRun(1000, step); a != 0 {
+		t.Errorf("an Alg. 2 column step allocates %v times in steady state, want 0", a)
+	}
+}
+
+// perCommandQuantize is the command quantum rounding as each command
+// applied it to its own latency before the controller kept its timing
+// quantized once.
+func perCommandQuantize(ns float64) float64 {
+	q := physics.CommandQuantumNS
+	return math.Ceil(ns/q-1e-9) * q
+}
+
+func perCommandPS(ns float64) dram.PS { return dram.NSToPS(perCommandQuantize(ns)) }
+
+// TestClockAdvanceMatchesPerCommandQuantize programs every tRCD on the
+// command grid from 1.5 to 30 ns, and nominal timing, and checks that
+// InitializeRow, ReadColumn, ReadRow and ReadRowSafe advance the clock by the
+// sum of the latencies each command quantized for itself. InitializeRow
+// must advance as at nominal timing under every override, and a safe read
+// must leave the override programmed.
+func TestClockAdvanceMatchesPerCommandQuantize(t *testing.T) {
+	c := newCtrl(t, "B3")
+	nom := NominalTiming()
+	cols := dram.PS(c.Module().Geometry().Columns())
+	const bank, row = 0, 40
+	advance := func(what string, want dram.PS, op func() error) {
+		t.Helper()
+		t0 := c.Now()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := c.Now() - t0; got != want {
+			t.Errorf("%s at tRCD %v ns advanced %d ps, want %d", what, c.Timing().TRCD, got, want)
+		}
+	}
+	check := func(programmed float64) {
+		t.Helper()
+		trcd := perCommandPS(programmed)
+		column := trcd + perCommandPS(nom.TRP)
+		if rest := nom.TRAS - programmed; rest > 0 {
+			column += perCommandPS(rest)
+		}
+		initRow := func() error { return c.InitializeRow(bank, row, 0x55) }
+		readColumn := func() error { _, err := c.ReadColumn(bank, row, 3); return err }
+		advance("InitializeRow", perCommandPS(nom.TRCD)+perCommandPS(nom.TRAS)+perCommandPS(nom.TRP), initRow)
+		advance("ReadColumn", column, readColumn)
+		advance("ReadRow", trcd+cols*perCommandPS(nom.TCCD)+perCommandPS(nom.TRP),
+			func() error { _, err := c.ReadRow(bank, row); return err })
+		advance("ReadRowSafe", perCommandPS(safeReadTRCDNS)+cols*perCommandPS(nom.TCCD)+perCommandPS(nom.TRP),
+			func() error { _, err := c.ReadRowSafe(bank, row); return err })
+		advance("ReadColumn after ReadRowSafe", column, readColumn)
+	}
+	check(nom.TRCD)
+	for k := 1; k <= 20; k++ {
+		ns := float64(k) * physics.CommandQuantumNS
+		if err := c.SetTRCD(ns); err != nil {
+			t.Fatal(err)
+		}
+		check(perCommandQuantize(ns))
+	}
+	c.ResetTiming()
+	check(nom.TRCD)
 }
 
 func TestSetTRCDQuantization(t *testing.T) {

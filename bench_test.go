@@ -238,7 +238,7 @@ func BenchmarkSection61Guardband(b *testing.B) {
 // covered, so the adaptive figure folds the step-count reduction in.
 func BenchmarkTransientStep(b *testing.B) {
 	fixed := func(p spice.CellParams, probe spice.Probe) (spice.ActivationResult, error) {
-		p.Adaptive = spice.AdaptiveConfig{}
+		p.Adaptive = false
 		return spice.SimulateActivation(p, probe)
 	}
 	engines := []struct {
@@ -279,7 +279,6 @@ func BenchmarkMonteCarlo(b *testing.B) {
 		cfg  spice.MCConfig
 	}{
 		{"serial-dense-reference", spice.MCConfig{Jobs: 1, Reference: true}},
-		{"jobs=1-fixed-grid", spice.MCConfig{Jobs: 1, FixedGrid: true}},
 		{"jobs=1", spice.MCConfig{Jobs: 1}},
 		{"jobs=4", spice.MCConfig{Jobs: 4}},
 	}

@@ -68,33 +68,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return runServe(ctx, args[1:], stdout)
 	}
 
-	fs := flag.NewFlagSet("rhvpp", flag.ContinueOnError)
-	var ov optparse.Overrides
-	ov.Flags(fs) // the campaign knobs shared with `rhvpp serve` query params
-	var (
-		exp      = fs.String("exp", "", "experiment id to run (or 'all'); see -list")
-		list     = fs.Bool("list", false, "list experiment ids with titles and paper sections, then exit")
-		format   = fs.String("format", "text", "output format: text, json, or csv")
-		full     = fs.Bool("full", false, "use the paper's full-scale parameters (same as -preset paper)")
-		preset   = fs.String("preset", "", "campaign preset: default, paper, or golden (the pinned regression scope)")
-		outDir   = fs.String("out", "", "write each experiment's output to <out>/<id>.<ext> instead of stdout")
-		progress = fs.Bool("progress", false, "print per-unit completion lines to stderr while studies run")
-		shard    = fs.String("shard", "", "run shard i/n of the campaign work units and write a shard artifact (e.g. -shard 0/2)")
-		artPath  = fs.String("artifact", "", "shard artifact output path (with -shard; default shard-<i>-of-<n>.json)")
-		procs    = fs.Int("procs", 0, "fan study units out to N shard subprocesses of this binary")
-		shardRun = fs.String("shard-exec", "", "internal: execute the ShardRequest JSON file at this path, write the artifact to stdout")
-	)
+	fs, f := newRunFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	// Subprocess protocol mode (spawned by ProcRunner): no banners, the
 	// artifact is the only stdout output.
-	if *shardRun != "" {
-		return runShardExec(ctx, *shardRun, stdout)
+	if *f.shardRun != "" {
+		return runShardExec(ctx, *f.shardRun, stdout)
 	}
 
-	if *list {
+	if *f.list {
 		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		for _, e := range rhvpp.Experiments() {
 			studies := make([]string, 0, len(e.Studies))
@@ -110,43 +95,43 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return tw.Flush()
 	}
 
-	o, err := baseOptions(*preset, *full)
+	o, err := rhvpp.PresetOptions(*f.preset)
 	if err != nil {
 		return err
 	}
-	ov.Apply(&o)
+	f.ov.Apply(&o)
 
-	if *procs < 0 {
-		return fmt.Errorf("-procs %d is negative (use a positive subprocess count, or omit for in-process execution)", *procs)
+	if *f.procs < 0 {
+		return fmt.Errorf("-procs %d is negative (use a positive subprocess count, or omit for in-process execution)", *f.procs)
 	}
-	if *artPath != "" && *shard == "" {
+	if *f.artPath != "" && *f.shard == "" {
 		return fmt.Errorf("-artifact is only written by -shard runs (add -shard i/n, or drop -artifact)")
 	}
-	if *shard != "" {
+	if *f.shard != "" {
 		// A shard run emits an artifact, not rendered output, and always
 		// executes in-process: flags that only shape rendering or the
 		// subprocess backend would be silently dead here, so reject the
-		// contradiction instead (the -full/-preset stance).
+		// contradiction instead.
 		var conflicts []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
+		fs.Visit(func(fl *flag.Flag) {
+			switch fl.Name {
 			case "format", "out", "procs":
-				conflicts = append(conflicts, "-"+f.Name)
+				conflicts = append(conflicts, "-"+fl.Name)
 			}
 		})
 		if len(conflicts) > 0 {
 			return fmt.Errorf("-shard contradicts %s (a shard writes an artifact in-process; render via `rhvpp merge`)",
 				strings.Join(conflicts, ", "))
 		}
-		return runShard(ctx, o, *shard, *artPath, *exp, stdout)
+		return runShard(ctx, o, *f.shard, *f.artPath, *f.exp, stdout)
 	}
 
-	if *exp == "" {
+	if *f.exp == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -exp (use -list to see experiment ids)")
 	}
-	f := rhvpp.Format(*format)
-	if _, err := rhvpp.NewEncoder(f, io.Discard); err != nil {
+	format := rhvpp.Format(*f.format)
+	if _, err := rhvpp.NewEncoder(format, io.Discard); err != nil {
 		return err
 	}
 
@@ -154,31 +139,45 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *progress {
+	if *f.progress {
 		c.WithProgress(stderrProgress())
 	}
-	if *procs > 0 {
+	if *f.procs > 0 {
 		exe, err := os.Executable()
 		if err != nil {
 			return fmt.Errorf("-procs: resolving own binary: %w", err)
 		}
-		c.WithRunner(rhvpp.ProcRunner{Command: []string{exe, "-shard-exec"}, Shards: *procs})
+		c.WithRunner(rhvpp.ProcRunner{Command: []string{exe, "-shard-exec"}, Shards: *f.procs})
 	}
-	return renderExperiments(ctx, c, expandIDs(*exp), f, *outDir, stdout)
+	return renderExperiments(ctx, c, expandIDs(*f.exp), format, *f.outDir, stdout)
 }
 
-// baseOptions resolves the campaign preset through the shared resolver (the
-// serve API's `preset` query parameter goes through the same one). -full is
-// an alias for -preset paper; combining it with a different preset is
-// contradictory and rejected rather than silently resolved.
-func baseOptions(preset string, full bool) (rhvpp.Options, error) {
-	if full {
-		if preset != "" && preset != "paper" {
-			return rhvpp.Options{}, fmt.Errorf("-full contradicts -preset %s (drop one)", preset)
-		}
-		preset = "paper"
+// runFlags are the flags of a campaign run; `rhvpp merge` and `rhvpp serve`
+// parse their own.
+type runFlags struct {
+	ov                                                    optparse.Overrides
+	exp, format, preset, outDir, shard, artPath, shardRun *string
+	list, progress                                        *bool
+	procs                                                 *int
+}
+
+// newRunFlags registers the campaign-run flags on a fresh flag set.
+func newRunFlags() (*flag.FlagSet, *runFlags) {
+	fs := flag.NewFlagSet("rhvpp", flag.ContinueOnError)
+	f := &runFlags{
+		exp:      fs.String("exp", "", "experiment id to run (or 'all'); see -list"),
+		list:     fs.Bool("list", false, "list experiment ids with titles and paper sections, then exit"),
+		format:   fs.String("format", "text", "output format: text, json, or csv"),
+		preset:   fs.String("preset", "", "campaign preset: default, paper, or golden (the pinned regression scope)"),
+		outDir:   fs.String("out", "", "write each experiment's output to <out>/<id>.<ext> instead of stdout"),
+		progress: fs.Bool("progress", false, "print per-unit completion lines to stderr while studies run"),
+		shard:    fs.String("shard", "", "run shard i/n of the campaign work units and write a shard artifact (e.g. -shard 0/2)"),
+		artPath:  fs.String("artifact", "", "shard artifact output path (with -shard; default shard-<i>-of-<n>.json)"),
+		procs:    fs.Int("procs", 0, "fan study units out to N shard subprocesses of this binary"),
+		shardRun: fs.String("shard-exec", "", "internal: execute the ShardRequest JSON file at this path, write the artifact to stdout"),
 	}
-	return rhvpp.PresetOptions(preset)
+	f.ov.Flags(fs) // the campaign knobs shared with `rhvpp serve` query params
+	return fs, f
 }
 
 // stderrProgress returns a progress hook printing one line per completed

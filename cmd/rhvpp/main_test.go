@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,6 +44,62 @@ func TestListExperiments(t *testing.T) {
 	for _, want := range []string{"Module RowHammer characteristics", "§5, Table 3", "rowhammer"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-list missing descriptor text %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestReadmeFlagTableMatchesFlags keeps README's CLI flag table and the
+// flags run registers in step, in both directions. Flags whose usage starts
+// with "internal:" are subprocess plumbing and need no row.
+func TestReadmeFlagTableMatchesFlags(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cli, ok := strings.Cut(string(readme), "\n## CLI\n")
+	if !ok {
+		t.Fatal("README has no CLI section")
+	}
+	cli, _, _ = strings.Cut(cli, "\n## ")
+	var documented []string
+	for _, line := range strings.Split(cli, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `-"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			documented = append(documented, name)
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("README's CLI section has no flag table rows")
+	}
+	var registered []string
+	fs, _ := newRunFlags()
+	fs.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Usage, "internal:") {
+			registered = append(registered, f.Name)
+		}
+	})
+	for _, name := range registered {
+		if !slices.Contains(documented, name) {
+			t.Errorf("flag -%s has no row in README's CLI flag table", name)
+		}
+	}
+	for _, name := range documented {
+		if !slices.Contains(registered, name) {
+			t.Errorf("README's CLI flag table documents -%s, which rhvpp does not register", name)
+		}
+	}
+}
+
+func TestRetiredFlagsAreUnknown(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "table2", "-full"},
+		{"-exp", "fig8b", "-fixed-grid"},
+		{"-exp", "fig8b", "-ltetol", "1e-6"},
+	} {
+		var buf bytes.Buffer
+		err := run(t.Context(), args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[2]) {
+			t.Errorf("%v: err = %v, want an undefined-flag error", args, err)
 		}
 	}
 }
@@ -205,9 +263,6 @@ func TestShardValidation(t *testing.T) {
 		if err := run(t.Context(), shardFlags("-shard", spec), &buf); err == nil {
 			t.Errorf("malformed shard spec %q accepted", spec)
 		}
-	}
-	if err := run(t.Context(), []string{"-exp", "table2", "-full", "-preset", "golden"}, &buf); err == nil {
-		t.Error("contradictory -full -preset accepted")
 	}
 	// Flags that would be silently dead in shard mode are rejected.
 	for _, extra := range [][]string{

@@ -55,17 +55,14 @@ type Snapshot struct {
 	MCNewtonItersPerSolve float64 `json:"mc_newton_iters_per_solve"`
 
 	// Monte-Carlo campaign throughput at 2.0 V, ±5% variation. The jobs1
-	// figure runs the default adaptive engine (best-of-3); the fixed-grid
-	// variant is the A/B at the same worker count (2.0 V has a short
-	// quiescent tail, so the adaptive win concentrates in the lower-VPP
-	// levels that dominate the real sweep — see mc_agg_runs_per_sec).
-	MCRunsPerSecReference  float64 `json:"mc_runs_per_sec_serial_reference"`
-	MCRunsPerSecJobs1Fixed float64 `json:"mc_runs_per_sec_jobs1_fixed_grid"`
-	MCRunsPerSecJobs1      float64 `json:"mc_runs_per_sec_jobs1"`
-	MCRunsPerSecJobs       float64 `json:"mc_runs_per_sec_jobs"`
-	MCJobs                 int     `json:"mc_jobs"`
-	MCSpeedupJobs1         float64 `json:"mc_speedup_jobs1_vs_reference"`
-	MCSpeedupJobs          float64 `json:"mc_speedup_jobs_vs_reference"`
+	// figure runs the adaptive engine (best-of-3); the serial reference is
+	// the dense engine on the fixed grid.
+	MCRunsPerSecReference float64 `json:"mc_runs_per_sec_serial_reference"`
+	MCRunsPerSecJobs1     float64 `json:"mc_runs_per_sec_jobs1"`
+	MCRunsPerSecJobs      float64 `json:"mc_runs_per_sec_jobs"`
+	MCJobs                int     `json:"mc_jobs"`
+	MCSpeedupJobs1        float64 `json:"mc_speedup_jobs1_vs_reference"`
+	MCSpeedupJobs         float64 `json:"mc_speedup_jobs_vs_reference"`
 
 	// Full Fig. 8b/9b-style aggregate: one global run queue across a VPP
 	// sweep, streaming aggregation, per-worker workspace reuse. BytesPerRun
@@ -178,10 +175,6 @@ func measure(runs, jobs int) (Snapshot, error) {
 	if err != nil {
 		return snap, err
 	}
-	snap.MCRunsPerSecJobs1Fixed, err = mcThroughput(spice.MCConfig{Runs: runs, Jobs: 1, FixedGrid: true})
-	if err != nil {
-		return snap, err
-	}
 	one, err := bestOf(3, spice.MCConfig{Runs: runs, Jobs: 1})
 	if err != nil {
 		return snap, err
@@ -278,7 +271,7 @@ func mcAggregate(runs, jobs int) (runsPerSec, bytesPerRun float64, levels int, e
 
 // fixedGridActivation is SimulateActivation pinned to the fixed 25 ps grid.
 func fixedGridActivation(p spice.CellParams, probe spice.Probe) (spice.ActivationResult, error) {
-	p.Adaptive = spice.AdaptiveConfig{}
+	p.Adaptive = false
 	return spice.SimulateActivation(p, probe)
 }
 

@@ -33,7 +33,7 @@ func main() {
 		// The printed trace decimates assuming uniform 25 ps samples, so
 		// integrate the dense fixed grid (adaptive stepping probes only at
 		// accepted, non-uniformly spaced endpoints).
-		p.Adaptive = spice.AdaptiveConfig{}
+		p.Adaptive = false
 		_, err := spice.SimulateActivation(p, func(tNS, vbl, vcell float64) {
 			if step%20 == 0 {
 				fmt.Printf("%7.2f  %8.4f  %8.4f\n", tNS, vbl, vcell)

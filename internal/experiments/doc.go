@@ -13,10 +13,10 @@
 // are merged in catalog order, so output is byte-identical at any worker
 // count. The SPICE Monte-Carlo study runs all VPP levels through one
 // global run queue with per-level accumulators folded in (level, run)
-// order; by default it integrates adaptively with crossings quantized onto
-// the fixed 25 ps grid (identical values to fixed-grid integration — see
-// internal/spice), so Options.SpiceFixedGrid is an A/B knob, not a
-// correctness switch.
+// order; it integrates adaptively with crossings quantized onto the fixed
+// 25 ps grid (identical values to fixed-grid integration — see
+// internal/spice). The fixed grid itself only samples the Fig. 8a/9a
+// waveforms.
 //
 // # Sharding
 //

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -48,18 +47,6 @@ type Options struct {
 	// (0 = one worker per CPU). Results are merged in catalog order, so
 	// any value produces byte-identical output.
 	Jobs int
-	// SpiceFixedGrid forces the SPICE Monte-Carlo onto the historical fixed
-	// 25 ps integration grid instead of adaptive error-controlled stepping.
-	// The default adaptive configuration reports crossings quantized onto
-	// the same grid with identical values, so this knob exists for A/B
-	// benchmarking, not correctness. Omitted from the canonical options
-	// encoding when default, so existing shard artifacts stay mergeable.
-	SpiceFixedGrid bool `json:",omitempty"`
-	// SpiceLTETolV overrides the adaptive engine's step-doubling error
-	// tolerance in volts (0 = spice.DefaultLTETolV). Values beyond the
-	// default loosen the fixed-grid-equivalence guarantee; see
-	// docs/ARCHITECTURE.md for the accuracy contract.
-	SpiceLTETolV float64 `json:",omitempty"`
 }
 
 // Default returns a laptop-scale campaign preserving the paper's structure.
@@ -103,18 +90,10 @@ func KnownModuleNames() []string {
 // (every entry of ModuleNames must be a Table 3 label, with no duplicates)
 // or misread their own knobs: a negative Jobs is an error — it is neither
 // "serial" (that is 1) nor "one per CPU" (that is 0), so accepting it would
-// quietly run a configuration the caller never asked for. A non-finite
-// SpiceLTETolV is rejected too: it is no tolerance, and the canonical options
-// encoding behind the fingerprint cannot represent it.
+// quietly run a configuration the caller never asked for.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
-	}
-	if o.SpiceLTETolV < 0 {
-		return fmt.Errorf("experiments: SpiceLTETolV %g is negative (use 0 for the engine default, or a positive tolerance in volts)", o.SpiceLTETolV)
-	}
-	if math.IsNaN(o.SpiceLTETolV) || math.IsInf(o.SpiceLTETolV, 0) {
-		return fmt.Errorf("experiments: SpiceLTETolV %g is not finite (use 0 for the engine default, or a positive tolerance in volts)", o.SpiceLTETolV)
 	}
 	_, err := o.profiles()
 	return err

@@ -96,8 +96,6 @@ func mcConfig(o Options) spice.MCConfig {
 		Seed:      o.Seed,
 		Variation: 0.05,
 		Jobs:      o.jobs(),
-		FixedGrid: o.SpiceFixedGrid,
-		LTETolV:   o.SpiceLTETolV,
 	}
 }
 

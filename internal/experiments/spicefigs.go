@@ -51,7 +51,7 @@ func RunWaveforms(ctx context.Context) (Waveforms, error) {
 		// they are also the accuracy oracle the adaptive engine is pinned
 		// against, so this study always integrates densely (it is one cheap
 		// deterministic simulation per level).
-		p.Adaptive = spice.AdaptiveConfig{}
+		p.Adaptive = false
 		if _, err := spice.SimulateActivation(p, func(tNS, vbl, vcell float64) {
 			ts = append(ts, tNS)
 			bl = append(bl, vbl)

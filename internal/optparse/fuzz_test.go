@@ -14,7 +14,8 @@ import (
 // order through Set, then Apply over the default preset, then Validate —
 // the serving layer's path from a request to a campaign. Nothing on that
 // path may panic; a name outside Known() (including a retired knob such as
-// batch) must fail with the standard unknown-option error; and every
+// batch, ltetol or fixed-grid) must fail with the standard unknown-option
+// error; and every
 // campaign that survives Validate must have an OptionsFingerprint, because
 // the server keys its flights and store entries by it. Committed corpus
 // files under testdata/fuzz keep past findings in regression.
@@ -22,11 +23,11 @@ func FuzzQueryOptions(f *testing.F) {
 	for _, seed := range []string{
 		"",
 		"modules=B3,C0&rows=8&chunks=1&seed=77&stride=2&mc=50",
-		"ltetol=0.002&fixed-grid=true&jobs=2",
+		"ltetol=0.002&fixed-grid=true&jobs=2", // retired knobs
 		"jobs=-1",
 		"modules=ZZ",
 		"rows=eight",
-		"ltetol=+Inf",
+		"ltetol=+Inf", // retired knob
 		"rowz=5&rows=2",
 	} {
 		f.Add(seed)

@@ -35,11 +35,6 @@ type Overrides struct {
 	Stride int
 	// MCRuns overrides SpiceMCRuns when > 0.
 	MCRuns int
-	// LTETolV overrides SpiceLTETolV when != 0 (negative values pass
-	// through for Validate to reject with its canonical message).
-	LTETolV float64
-	// FixedGrid switches the SPICE Monte-Carlo to the fixed grid when true.
-	FixedGrid bool
 	// Jobs overrides Options.Jobs when JobsSet is true. Jobs is the one
 	// knob whose meaningful values include 0 (one worker per CPU) and
 	// whose invalid values (negative) must still reach Validate, so
@@ -51,8 +46,7 @@ type Overrides struct {
 // knobNames lists every Set-addressable knob in presentation order — the
 // same names the CLI registers as flags.
 var knobNames = []string{
-	"modules", "rows", "chunks", "seed", "stride", "mc",
-	"ltetol", "fixed-grid", "jobs",
+	"modules", "rows", "chunks", "seed", "stride", "mc", "jobs",
 }
 
 // Known returns the knob names Set accepts, in presentation order.
@@ -85,20 +79,6 @@ func (ov *Overrides) Set(name, value string) error {
 		return setInt(&ov.Stride, value, badValue)
 	case "mc":
 		return setInt(&ov.MCRuns, value, badValue)
-	case "ltetol":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return badValue(err)
-		}
-		ov.LTETolV = f
-		return nil
-	case "fixed-grid":
-		b, err := strconv.ParseBool(value)
-		if err != nil {
-			return badValue(err)
-		}
-		ov.FixedGrid = b
-		return nil
 	case "jobs":
 		if err := setInt(&ov.Jobs, value, badValue); err != nil {
 			return err
@@ -139,12 +119,6 @@ func (ov Overrides) Apply(o *experiments.Options) {
 	if ov.MCRuns > 0 {
 		o.SpiceMCRuns = ov.MCRuns
 	}
-	if ov.LTETolV != 0 {
-		o.SpiceLTETolV = ov.LTETolV // negative rejected by Options.Validate
-	}
-	if ov.FixedGrid {
-		o.SpiceFixedGrid = true
-	}
 	if ov.JobsSet {
 		o.Jobs = ov.Jobs
 	}
@@ -161,8 +135,6 @@ func (ov *Overrides) Flags(fs *flag.FlagSet) {
 	fs.Uint64Var(&ov.Seed, "seed", 0, "simulation seed (0 = default)")
 	fs.IntVar(&ov.Stride, "stride", 0, "VPP sweep stride (1 = every 0.1V level)")
 	fs.IntVar(&ov.MCRuns, "mc", 0, "SPICE Monte-Carlo runs per voltage (0 = default)")
-	fs.Float64Var(&ov.LTETolV, "ltetol", 0, "adaptive SPICE step-doubling error tolerance in volts (0 = engine default; beyond the default the fixed-grid crossing equivalence is best-effort)")
-	fs.BoolVar(&ov.FixedGrid, "fixed-grid", false, "integrate the SPICE Monte-Carlo on the historical fixed 25 ps grid (disables adaptive stepping)")
 	fs.Var(jobsFlag{ov}, "jobs", "concurrent module sweeps (0 = one per CPU)")
 }
 

@@ -39,37 +39,24 @@ import (
 //     instead of zero. The golden tests pin the resulting waveforms to the
 //     dense fixed-grid reference within AccuracyTolV and the quantized
 //     crossings bit-for-bit.
-type AdaptiveConfig struct {
-	// Enabled turns on adaptive coarsening. The zero value keeps the
-	// historical fixed-step integration, so hand-built CellParams are
-	// unaffected; DefaultCellParams enables it with the defaults below.
-	Enabled bool
-	// LTETolV is the step-doubling error tolerance in volts: the maximum
-	// node-voltage difference between a coarse step and its half-step pair
-	// for the step to be accepted. 0 means DefaultLTETolV.
-	LTETolV float64
-	// MaxStepPS caps the coarse step size in picoseconds. 0 means
-	// DefaultMaxStepPS. Values below four base steps (the smallest coarse
-	// size that beats base stepping — see minCoarse) disable coarsening,
-	// i.e. below 100 ps at the default 25 ps grid.
-	MaxStepPS float64
-	// ActivityTolV is the quiescence test: coarsening is attempted only
-	// after a base step that moved no node by more than this. 0 means
-	// DefaultActivityTolV.
-	ActivityTolV float64
-}
-
-// Adaptive-stepping defaults. The tolerance keeps the accumulated deviation
-// from the fixed grid within AccuracyTolV over the paper's horizons, which
-// in turn keeps grid-quantized threshold crossings identical to fixed-grid
-// crossings across the Fig. 8/9 sweep (pinned by tests).
+//
+// CellParams.Adaptive selects the stepper; the constants below fix its
+// tolerances. The tolerance keeps the accumulated deviation from the fixed
+// grid within AccuracyTolV over the paper's horizons, which in turn keeps
+// grid-quantized threshold crossings identical to fixed-grid crossings
+// across the Fig. 8/9 sweep (pinned by tests).
 const (
-	// DefaultLTETolV is the per-step error tolerance (volts).
-	DefaultLTETolV = 1e-6
-	// DefaultMaxStepPS caps coarse steps at 64 base cells of the 25 ps grid.
-	DefaultMaxStepPS = 1600
-	// DefaultActivityTolV is the per-base-step quiescence threshold (volts).
-	DefaultActivityTolV = 5e-4
+	// lteTolV is the step-doubling error tolerance (volts): the maximum
+	// node-voltage difference between a coarse step and its half-step pair
+	// for the step to be accepted.
+	lteTolV = 1e-6
+	// maxCoarsePS caps coarse steps at 64 base cells of the 25 ps grid. A
+	// base step above a quarter of it leaves no coarse size of at least
+	// minCoarse cells, so the stepper then covers every cell.
+	maxCoarsePS = 1600
+	// quietTolV is the quiescence test (volts): coarsening is attempted
+	// only after a base step that moved no node by more than this.
+	quietTolV = 5e-4
 	// AccuracyTolV is the documented accuracy contract of adaptive output:
 	// every accepted sample lies within this of the dense fixed-grid
 	// reference value at the same grid time (see TestAdaptiveMatchesReference;
@@ -88,36 +75,10 @@ const (
 	minCoarse = 4
 )
 
-// DefaultAdaptive returns the default error-controlled stepping
-// configuration used by DefaultCellParams.
-func DefaultAdaptive() AdaptiveConfig {
-	return AdaptiveConfig{Enabled: true}
-}
-
-// tol resolves the LTE tolerance.
-func (c AdaptiveConfig) tol() float64 {
-	if c.LTETolV > 0 {
-		return c.LTETolV
-	}
-	return DefaultLTETolV
-}
-
-// activity resolves the quiescence threshold.
-func (c AdaptiveConfig) activity() float64 {
-	if c.ActivityTolV > 0 {
-		return c.ActivityTolV
-	}
-	return DefaultActivityTolV
-}
-
-// maxMult resolves the step-size cap to a power-of-two cell multiple.
-func (c AdaptiveConfig) maxMult(basePS float64) int {
-	limit := c.MaxStepPS
-	if limit <= 0 {
-		limit = DefaultMaxStepPS
-	}
+// maxMult resolves maxCoarsePS to a power-of-two multiple of the base step.
+func maxMult(basePS float64) int {
 	m := 1
-	for float64(2*m)*basePS <= limit {
+	for float64(2*m)*basePS <= maxCoarsePS {
 		m *= 2
 	}
 	return m
@@ -159,12 +120,10 @@ type adaptiveScratch struct {
 // error-controlled coarse steps. It is constructed per measurement on the
 // stack; all heap state lives in the Transient's adaptiveScratch.
 type adaptiveStepper struct {
-	tr       *Transient
-	base     float64 // base step (seconds); every accepted step is a multiple
-	horizon  float64 // integration end time (seconds)
-	tol      float64 // accepted LTE bound (volts)
-	activity float64 // quiescence threshold per base step (volts)
-	maxMult  int     // coarse-step cap in base cells (power of two)
+	tr      *Transient
+	base    float64 // base step (seconds); every accepted step is a multiple
+	horizon float64 // integration end time (seconds)
+	maxMult int     // coarse-step cap in base cells (power of two)
 
 	mult      int // next coarse size to attempt (1 = base stepping)
 	cool      int // base cells to wait before re-attempting coarsening
@@ -211,7 +170,7 @@ type adaptiveStepper struct {
 // one activation at the given parameters and switches the engine to the
 // three-point Newton predictor until its next Reset. The engine must be at
 // t=0 on its base grid (freshly constructed or Reset).
-func (tr *Transient) newAdaptiveStepper(cfg AdaptiveConfig, horizon float64) adaptiveStepper {
+func (tr *Transient) newAdaptiveStepper(horizon float64) adaptiveStepper {
 	if tr.red != nil {
 		tr.red.quadratic = true
 	}
@@ -226,13 +185,11 @@ func (tr *Transient) newAdaptiveStepper(cfg AdaptiveConfig, horizon float64) ada
 		}
 	}
 	return adaptiveStepper{
-		tr:       tr,
-		base:     tr.baseDt,
-		horizon:  horizon,
-		tol:      cfg.tol(),
-		activity: cfg.activity(),
-		maxMult:  cfg.maxMult(tr.baseDt / 1e-12),
-		mult:     1,
+		tr:      tr,
+		base:    tr.baseDt,
+		horizon: horizon,
+		maxMult: maxMult(tr.baseDt / 1e-12),
+		mult:    1,
 	}
 }
 
@@ -264,7 +221,7 @@ func (st *adaptiveStepper) step() (int, error) {
 			// The linear LTE-vs-delta relation only holds within one
 			// dynamics regime, so the calibrated gate expires after a
 			// while instead of suppressing retries forever.
-			st.rejGate = delta * st.tol / st.rejLTE * 0.8
+			st.rejGate = delta * lteTolV / st.rejLTE * 0.8
 			st.rejGateAge = 8 * adaptiveCooldown
 		}
 	}
@@ -277,7 +234,7 @@ func (st *adaptiveStepper) step() (int, error) {
 		st.cool--
 		return 1, nil
 	}
-	if delta < st.activity && st.maxMult >= minCoarse &&
+	if delta < quietTolV && st.maxMult >= minCoarse &&
 		(st.rejGate == 0 || delta < st.rejGate) {
 		st.mult = minCoarse
 	}
@@ -388,7 +345,7 @@ func (st *adaptiveStepper) coarseStep() (int, error) {
 			sum += d * d
 		}
 		lte := math.Sqrt(sum / float64(len(tr.v)))
-		if lte > st.tol {
+		if lte > lteTolV {
 			tr.load(tr.ad.prev)
 			st.stats.Rejected++
 			if m == minCoarse {
@@ -444,7 +401,7 @@ func (st *adaptiveStepper) coarseStep() (int, error) {
 		st.accept(m, 3)
 		// Doubling the step quadruples the error, so escalate when the
 		// observed error leaves the factor-4 margin.
-		if lte <= st.tol/4 && 2*m <= st.maxMult {
+		if lte <= lteTolV/4 && 2*m <= st.maxMult {
 			st.mult = 2 * m
 		}
 		return m, nil
@@ -490,7 +447,7 @@ func (st *adaptiveStepper) trustedAccept(m int) bool {
 		// The second difference of equally-spaced endpoints is ~4x the
 		// pair's half-vs-full LTE estimate, so a pair-equivalent guard
 		// compares it against 4*tol.
-		if d := abs(ext - (2*tr.ad.end1[n-1] - tr.ad.end2[n-1])); d > 4*st.tol {
+		if d := abs(ext - (2*tr.ad.end1[n-1] - tr.ad.end2[n-1])); d > 4*lteTolV {
 			return false
 		}
 	}

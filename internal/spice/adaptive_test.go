@@ -1,7 +1,6 @@
 package spice
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,7 +11,7 @@ import (
 
 // fixedGrid returns p with adaptive stepping disabled.
 func fixedGrid(p CellParams) CellParams {
-	p.Adaptive = AdaptiveConfig{}
+	p.Adaptive = false
 	return p
 }
 
@@ -108,7 +107,7 @@ func TestEngineStateRoundTripsPredictorHistory(t *testing.T) {
 	ckt, _, _ := buildCellCircuit(p)
 	base := p.StepPS * 1e-12
 	tr := NewTransient(ckt, base)
-	tr.newAdaptiveStepper(p.Adaptive, p.MaxNS*1e-9)
+	tr.newAdaptiveStepper(p.MaxNS * 1e-9)
 	// Mid-ramp, with three unequal spacings in the history, so every
 	// coefficient of the quadratic predictor matters.
 	for _, dt := range []float64{base, base, base, base, 2 * base, 4 * base} {
@@ -239,13 +238,16 @@ func TestAdaptiveStepReduction(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDisabledByStepCap pins the documented MaxStepPS semantics: a
-// cap below twice the base step leaves no legal coarse size, so the run
-// must cover the grid cell-for-cell with one solve each, like the fixed
-// loop.
+// TestAdaptiveDisabledByStepCap pins the maxCoarsePS semantics: a base
+// step above a quarter of the cap leaves no coarse size of at least
+// minCoarse cells, so the run must cover the grid cell-for-cell with one
+// solve each, like the fixed loop.
 func TestAdaptiveDisabledByStepCap(t *testing.T) {
 	p := DefaultCellParams(2.0)
-	p.Adaptive.MaxStepPS = p.StepPS // < 2*StepPS: coarsening impossible
+	p.StepPS = maxCoarsePS / 2 // maxMult 2 < minCoarse: coarsening impossible
+	if m := maxMult(p.StepPS); m >= minCoarse {
+		t.Fatalf("maxMult(%v) = %d, want < %d", p.StepPS, m, minCoarse)
+	}
 	got, err := SimulateActivation(p, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -258,48 +260,4 @@ func TestAdaptiveDisabledByStepCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameMeasurement(t, "capped", got, fixed)
-}
-
-// TestAdaptiveConfigValidation rejects malformed tolerances before they
-// reach the engine.
-func TestAdaptiveConfigValidation(t *testing.T) {
-	for _, mutate := range []func(*CellParams){
-		func(p *CellParams) { p.Adaptive.LTETolV = -1 },
-		func(p *CellParams) { p.Adaptive.MaxStepPS = -1 },
-		func(p *CellParams) { p.Adaptive.ActivityTolV = -1 },
-	} {
-		p := DefaultCellParams(2.5)
-		mutate(&p)
-		if _, err := SimulateActivation(p, nil); err == nil {
-			t.Errorf("negative adaptive tolerance accepted: %+v", p.Adaptive)
-		}
-	}
-}
-
-// TestMonteCarloFixedGridEquivalence ties the engine-level property to the
-// campaign aggregates: a Monte-Carlo campaign run adaptively must produce
-// MCResults deep-equal to the FixedGrid campaign — same crossing multisets,
-// same classifications — which is what keeps shard artifacts and campaign
-// goldens byte-stable under the default config.
-func TestMonteCarloFixedGridEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo is slow")
-	}
-	ctx := context.Background()
-	for _, vpp := range []float64{2.3, 1.9} {
-		base := MCConfig{VPP: vpp, Runs: 16, Seed: 2022, Variation: 0.05, Jobs: 4}
-		adaptive, err := RunMonteCarlo(ctx, base)
-		if err != nil {
-			t.Fatalf("vpp=%v adaptive: %v", vpp, err)
-		}
-		cfg := base
-		cfg.FixedGrid = true
-		fixed, err := RunMonteCarlo(ctx, cfg)
-		if err != nil {
-			t.Fatalf("vpp=%v fixed: %v", vpp, err)
-		}
-		if !reflect.DeepEqual(adaptive, fixed) {
-			t.Errorf("vpp=%v: adaptive and fixed-grid campaigns diverge:\n%+v\n%+v", vpp, adaptive, fixed)
-		}
-	}
 }

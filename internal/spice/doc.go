@@ -7,8 +7,8 @@
 //
 // The engine is general: circuits are built from resistors, capacitors,
 // piecewise-linear voltage sources, and MOSFETs, then integrated on a fixed
-// base time grid, with optional error-controlled adaptive coarsening
-// through quiescent stretches. Only the features the paper's study needs
+// base time grid, with error-controlled adaptive coarsening through
+// quiescent stretches unless CellParams.Adaptive is false. Only the features the paper's study needs
 // are implemented — no AC analysis, no higher-order integration.
 //
 // # Engines and accuracy contracts
@@ -25,8 +25,8 @@
 //     MOSFET linearizations per iteration. On the fixed grid it is pinned
 //     to the reference within 1e-9 V on the Fig. 8a/9a waveforms at every
 //     sweep VPP (TestGoldenIncrementalMatchesReference).
-//   - Adaptive stepping (AdaptiveConfig, the DefaultCellParams default)
-//     drives the incremental engine with step-doubling error control,
+//   - Adaptive stepping (CellParams.Adaptive, set by DefaultCellParams and
+//     the only Monte-Carlo stepper) drives the incremental engine with step-doubling error control,
 //     covering quiescent stretches with multi-cell coarse steps. Samples
 //     stay within AccuracyTolV of the dense reference at shared grid times,
 //     and reported threshold crossings (tRCDmin, tRASmin) are quantized
@@ -36,6 +36,9 @@
 //     campaign goldens and shard artifacts byte-stable. The same test
 //     checks 200 runs per level at seeds 2022 and 7; one of those 3,600
 //     runs, a very slow restore, crosses one cell early (knownRestoreLag).
+//     Its tolerances are fixed constants, not options. The fixed grid
+//     (Adaptive false) remains for the Fig. 8a/9a waveforms, which need
+//     uniform samples, and as the oracle of these tests.
 //
 // # Newton predictors
 //

@@ -38,15 +38,15 @@ type CellParams struct {
 	StepPS float64 // base integration time step (the 25 ps measurement grid)
 	MaxNS  float64 // simulation horizon
 
-	// Adaptive configures error-controlled step coarsening through the
-	// quiescent stretches of the activation (see AdaptiveConfig). The zero
-	// value integrates every cell of the fixed StepPS grid, the historical
-	// behavior; DefaultCellParams enables adaptive stepping with defaults.
-	// Either way, measurements are reported on the StepPS grid: adaptive
-	// runs quantize threshold crossings back onto it (bit-identical to the
-	// fixed-grid crossing), so downstream exact-quantile statistics and
-	// shard merges never see off-grid values.
-	Adaptive AdaptiveConfig
+	// Adaptive turns on error-controlled step coarsening through the
+	// quiescent stretches of the activation (see adaptive.go);
+	// DefaultCellParams sets it. False integrates every cell of the fixed
+	// StepPS grid, which the Fig. 8a/9a waveforms and the test oracles
+	// need. Either way, measurements are reported on the StepPS grid:
+	// adaptive runs quantize threshold crossings back onto it
+	// (bit-identical to the fixed-grid crossing), so downstream
+	// exact-quantile statistics and shard merges never see off-grid values.
+	Adaptive bool
 }
 
 // DefaultCellParams returns the Table 2 netlist at the given VPP, with
@@ -76,7 +76,7 @@ func DefaultCellParams(vpp float64) CellParams {
 		RestoreFrac:   0.95,
 		StepPS:        25,
 		MaxNS:         120,
-		Adaptive:      DefaultAdaptive(),
+		Adaptive:      true,
 	}
 }
 
@@ -237,7 +237,7 @@ func stampCellValues(ckt *Circuit, n cellNodes, w cellWaves, p CellParams) {
 // reference always integrates the full fixed grid it is the oracle for),
 // the same measurements are driven through the error-controlled stepper.
 func measureActivation(tr *Transient, n cellNodes, p CellParams, probe Probe) (ActivationResult, error) {
-	if p.Adaptive.Enabled && tr.red != nil {
+	if p.Adaptive && tr.red != nil {
 		return measureActivationAdaptive(tr, n, p, probe)
 	}
 	var res ActivationResult
@@ -304,7 +304,7 @@ func measureActivationAdaptive(tr *Transient, n cellNodes, p CellParams, probe P
 	dipped := false
 	horizon := p.MaxNS * ns
 
-	st := tr.newAdaptiveStepper(p.Adaptive, horizon)
+	st := tr.newAdaptiveStepper(horizon)
 	for st.tGrid < horizon {
 		m, err := st.step()
 		if err != nil {
@@ -365,9 +365,6 @@ func simulateActivation(p CellParams, probe Probe, newEngine func(*Circuit, floa
 func (p CellParams) validate() error {
 	if p.VDD <= 0 || p.VPP <= 0 || p.StepPS <= 0 {
 		return errors.New("spice: invalid cell parameters")
-	}
-	if p.Adaptive.LTETolV < 0 || p.Adaptive.MaxStepPS < 0 || p.Adaptive.ActivityTolV < 0 {
-		return errors.New("spice: negative adaptive stepping tolerance")
 	}
 	return nil
 }

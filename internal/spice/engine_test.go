@@ -21,7 +21,7 @@ var goldenSweepVPPs = []float64{2.5, 2.4, 2.3, 2.2, 2.1, 2.0, 1.9, 1.8, 1.7}
 func TestGoldenIncrementalMatchesReference(t *testing.T) {
 	for _, vpp := range goldenSweepVPPs {
 		p := DefaultCellParams(vpp)
-		p.Adaptive = AdaptiveConfig{}
+		p.Adaptive = false
 		var fastBL, fastCell, refBL, refCell []float64
 		fast, err := SimulateActivation(p, func(_, vbl, vcell float64) {
 			fastBL = append(fastBL, vbl)

@@ -144,15 +144,10 @@ type MCConfig struct {
 	Jobs int
 	// Reference routes every run through the dense finite-difference
 	// reference engine instead of the incremental solver. It exists for the
-	// equivalence tests and as the benchmarks' pre-rework baseline; it
-	// implies FixedGrid (the reference is the fixed-grid oracle).
+	// equivalence tests and as the benchmarks' pre-rework baseline; the
+	// reference always integrates every cell of the fixed grid it is the
+	// oracle for.
 	Reference bool
-	// FixedGrid disables adaptive step coarsening and integrates every cell
-	// of the 25 ps grid, the pre-adaptive behavior.
-	FixedGrid bool
-	// LTETolV overrides the adaptive engine's step-doubling error tolerance
-	// in volts (0 = spice.DefaultLTETolV). Ignored under FixedGrid.
-	LTETolV float64
 }
 
 // jobs resolves the worker bound.
@@ -241,12 +236,6 @@ func RunMonteCarloSweep(ctx context.Context, vpps []float64, cfg MCConfig) ([]MC
 		func(ctx context.Context, i int) (mcRun, error) {
 			li, ri := i/cfg.Runs, i%cfg.Runs
 			p := Vary(DefaultCellParams(vpps[li]), roots[li].Derive("run", ri), cfg.Variation)
-			switch {
-			case cfg.Reference || cfg.FixedGrid:
-				p.Adaptive = AdaptiveConfig{}
-			case cfg.LTETolV > 0:
-				p.Adaptive.LTETolV = cfg.LTETolV
-			}
 			out, err := sim(p)
 			switch {
 			case errors.Is(err, ErrNoConverge):

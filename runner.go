@@ -343,7 +343,11 @@ func RunShard(ctx context.Context, o Options, shard, of int, units []WorkUnit) (
 // merged campaign can still render every experiment id.
 //
 // The campaign options come from the artifacts themselves; all shards must
-// carry the identical canonical options.
+// carry the identical canonical options, and those options must re-encode
+// to the same bytes. Decoding ignores unknown fields, so the re-encoding is
+// what refuses artifacts measured under an option this binary no longer
+// has (such as a retired SPICE tolerance), instead of rendering their
+// results under the options that remain.
 func MergeArtifacts(arts ...*ShardArtifact) (*Campaign, error) {
 	merged, err := artifact.Merge(arts)
 	if err != nil {
@@ -352,6 +356,13 @@ func MergeArtifacts(arts ...*ShardArtifact) (*Campaign, error) {
 	var o Options
 	if err := json.Unmarshal(merged.Options, &o); err != nil {
 		return nil, fmt.Errorf("rhvpp: decoding artifact options: %w", err)
+	}
+	canon, err := canonicalOptions(o)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(canon, merged.Options) {
+		return nil, fmt.Errorf("rhvpp: artifact options %s do not re-encode to themselves (%s): they carry an unknown or retired option", merged.Options, canon)
 	}
 	c, err := NewCampaign(o)
 	if err != nil {

@@ -318,13 +318,13 @@ func TestRunShardHonorsCancellation(t *testing.T) {
 
 // TestShardArtifactsMergeAcrossOptionsGrowth pins the omitempty contract
 // behind the //detlint:fingerprint v1 freeze: an artifact encoded by a
-// binary predating the post-v1 knobs (SpiceFixedGrid, SpiceLTETolV) must
-// still merge with one encoded today, because those fields vanish from the
-// canonical encoding at their zero values. A shard request written by a
-// binary that still had the retired batch-width execution-shape knob must
-// decode and fingerprint as if the field were absent. A non-default post-v1
-// knob that changes the measurement is a genuine fingerprint difference and
-// must refuse to merge.
+// binary predating any post-v1 option must still merge with one encoded
+// today, because such fields vanish from the canonical encoding at their
+// zero values. A shard request written by a binary that still had the
+// retired batch-width execution-shape knob must decode and fingerprint as
+// if the field were absent. An artifact set measured under a retired
+// measurement option (the SPICE step-doubling tolerance) must refuse to
+// merge: its results do not belong to the options that remain.
 func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
 	// optionsV1 mirrors Options as of the v1 fingerprint freeze, before
 	// any omitempty field existed. If canonicalOptions ever stops encoding
@@ -413,14 +413,17 @@ func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
 		}
 	}
 
-	// A non-default post-v1 knob must surface in the fingerprint.
-	o2 := o
-	o2.SpiceFixedGrid = true
-	b1, err := RunShard(t.Context(), o2, 1, 2, half1)
-	if err != nil {
-		t.Fatal(err)
+	// A shard set written with a retired, non-default tolerance: decoding
+	// drops the field, so only the canonical re-encoding can refuse it.
+	retired := func(a *ShardArtifact) *ShardArtifact {
+		r := *a
+		r.Options = bytes.Replace(a.Options, []byte(`{`), []byte(`{"SpiceLTETolV":0.0002,`), 1)
+		if bytes.Equal(r.Options, a.Options) {
+			t.Fatal("retired-option fixture did not inject the field")
+		}
+		return &r
 	}
-	if _, err := MergeArtifacts(a0, b1); err == nil {
-		t.Error("shards run under different SpiceFixedGrid settings merged; the knob is silently absent from the fingerprint")
+	if _, err := MergeArtifacts(retired(a0), retired(a1)); err == nil {
+		t.Error("shards measured under a retired SpiceLTETolV merged under the default options")
 	}
 }

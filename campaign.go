@@ -8,6 +8,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/dramstudy/rhvpp/internal/experiments"
 	"github.com/dramstudy/rhvpp/internal/report"
@@ -147,17 +148,14 @@ func (c *cell[T]) set(v T) {
 // toward the paper's 10K-runs-per-level (and beyond) grows campaign time,
 // not campaign memory.
 //
-// Study execution goes through a pluggable Runner backend: each study plans
-// into deterministic work units (per-module testbeds; per-VPP-level
-// Monte-Carlo run ranges), the Runner executes them, and the results fold
-// back in catalog/(level, run) order. The default LocalRunner runs units
-// in-process; WithRunner swaps in ProcRunner (shard subprocesses) or a
-// custom backend without changing a byte of output. The same seam powers
-// multi-host sharding: PlanUnits + ShardUnits + RunShard emit per-shard
-// artifacts, and MergeArtifacts folds them back into a preloaded Campaign.
+// Study execution runs in-process: each study plans into deterministic work
+// units (per-module testbeds; per-VPP-level Monte-Carlo run ranges), runs
+// them on the bounded worker pool, and folds the results back in
+// catalog/(level, run) order. The same units power multi-host sharding:
+// PlanUnits + ShardUnits + RunShard emit per-shard artifacts, and
+// MergeArtifacts folds them back into a preloaded Campaign.
 type Campaign struct {
 	opts     Options
-	runner   Runner
 	progress ProgressFunc
 
 	rowhammer cell[experiments.RowHammerStudy]
@@ -172,26 +170,14 @@ type Campaign struct {
 	runs map[Study]int
 }
 
-// NewCampaign validates the options and opens a session on the default
-// LocalRunner backend. Unknown or duplicated ModuleNames (and a negative
-// Jobs) are rejected here, before any testbed is built.
+// NewCampaign validates the options and opens a session. Unknown or
+// duplicated ModuleNames (and a negative Jobs) are rejected here, before any
+// testbed is built.
 func NewCampaign(o Options) (*Campaign, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return &Campaign{opts: o, runner: LocalRunner{}, runs: make(map[Study]int)}, nil
-}
-
-// WithRunner selects the execution backend for studies that have not run
-// yet and returns c for chaining. Call it before the first Run; studies
-// already memoized keep their results. Any Runner must satisfy the
-// byte-identical contract (see Runner), so swapping backends never changes
-// what a campaign reports — only where the work executes.
-func (c *Campaign) WithRunner(r Runner) *Campaign {
-	if r != nil {
-		c.runner = r
-	}
-	return c
+	return &Campaign{opts: o, runs: make(map[Study]int)}, nil
 }
 
 // Options returns the campaign's (immutable) parameters.
@@ -216,28 +202,30 @@ func (c *Campaign) countRun(s Study) {
 	c.mu.Unlock()
 }
 
-// runStudy executes one shardable study through the campaign's Runner: plan
-// the units, hand them to the backend, and index the serialized partials by
-// unit key for assembly. The assemble step verifies completeness against the
-// same plan, so a backend that drops or invents units fails loudly.
+// runStudy executes one shardable study in-process: plan the units, run
+// them with the campaign's progress hook, and index the serialized partials
+// by unit key for assembly. The assemble step verifies completeness against
+// the same plan.
 func (c *Campaign) runStudy(ctx context.Context, s Study) (map[string]json.RawMessage, error) {
 	units, err := c.Plan(s)
 	if err != nil {
 		return nil, err
 	}
-	results, err := c.execUnits(ctx, s, units)
+	var onUnit func(WorkUnit)
+	if fn := c.progress; fn != nil {
+		fn(ProgressEvent{Study: string(s), Total: len(units)})
+		var done atomic.Int64
+		onUnit = func(u WorkUnit) {
+			fn(ProgressEvent{Study: string(s), Key: u.Key, Done: int(done.Add(1)), Total: len(units)})
+		}
+	}
+	payloads, err := experiments.RunUnits(ctx, c.opts, string(s), units, onUnit)
 	if err != nil {
 		return nil, err
 	}
-	data := make(map[string]json.RawMessage, len(results))
-	for _, r := range results {
-		if r.Unit.Study != string(s) {
-			return nil, fmt.Errorf("rhvpp: runner returned unit %s/%q for the %s study", r.Unit.Study, r.Unit.Key, s)
-		}
-		if _, dup := data[r.Unit.Key]; dup {
-			return nil, fmt.Errorf("rhvpp: runner returned unit %s/%q twice", s, r.Unit.Key)
-		}
-		data[r.Unit.Key] = r.Data
+	data := make(map[string]json.RawMessage, len(payloads))
+	for i, raw := range payloads {
+		data[units[i].Key] = raw
 	}
 	return data, nil
 }

@@ -20,8 +20,7 @@
 //	rhvpp -shard 1/2 -artifact s1.json     # on tester B
 //	rhvpp merge -exp all s0.json s1.json   # anywhere
 //
-// `rhvpp -procs N ...` runs the same split on one machine by fanning units
-// out to N subprocesses of this binary (the ProcRunner backend).
+// -progress prints per-unit completion lines to stderr in both modes.
 package main
 
 import (
@@ -73,12 +72,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Subprocess protocol mode (spawned by ProcRunner): no banners, the
-	// artifact is the only stdout output.
-	if *f.shardRun != "" {
-		return runShardExec(ctx, *f.shardRun, stdout)
-	}
-
 	if *f.list {
 		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		for _, e := range rhvpp.Experiments() {
@@ -101,29 +94,29 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	f.ov.Apply(&o)
 
-	if *f.procs < 0 {
-		return fmt.Errorf("-procs %d is negative (use a positive subprocess count, or omit for in-process execution)", *f.procs)
-	}
 	if *f.artPath != "" && *f.shard == "" {
 		return fmt.Errorf("-artifact is only written by -shard runs (add -shard i/n, or drop -artifact)")
 	}
+	var progress io.Writer
+	if *f.progress {
+		progress = os.Stderr
+	}
 	if *f.shard != "" {
-		// A shard run emits an artifact, not rendered output, and always
-		// executes in-process: flags that only shape rendering or the
-		// subprocess backend would be silently dead here, so reject the
+		// A shard run emits an artifact, not rendered output: flags that
+		// only shape rendering would be silently dead here, so reject the
 		// contradiction instead.
 		var conflicts []string
 		fs.Visit(func(fl *flag.Flag) {
 			switch fl.Name {
-			case "format", "out", "procs":
+			case "format", "out":
 				conflicts = append(conflicts, "-"+fl.Name)
 			}
 		})
 		if len(conflicts) > 0 {
-			return fmt.Errorf("-shard contradicts %s (a shard writes an artifact in-process; render via `rhvpp merge`)",
+			return fmt.Errorf("-shard contradicts %s (a shard writes an artifact; render via `rhvpp merge`)",
 				strings.Join(conflicts, ", "))
 		}
-		return runShard(ctx, o, *f.shard, *f.artPath, *f.exp, stdout)
+		return runShard(ctx, o, *f.shard, *f.artPath, *f.exp, stdout, progress)
 	}
 
 	if *f.exp == "" {
@@ -139,15 +132,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *f.progress {
-		c.WithProgress(stderrProgress())
-	}
-	if *f.procs > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("-procs: resolving own binary: %w", err)
-		}
-		c.WithRunner(rhvpp.ProcRunner{Command: []string{exe, "-shard-exec"}, Shards: *f.procs})
+	if progress != nil {
+		c.WithProgress(printProgress(progress))
 	}
 	return renderExperiments(ctx, c, expandIDs(*f.exp), format, *f.outDir, stdout)
 }
@@ -155,10 +141,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 // runFlags are the flags of a campaign run; `rhvpp merge` and `rhvpp serve`
 // parse their own.
 type runFlags struct {
-	ov                                                    optparse.Overrides
-	exp, format, preset, outDir, shard, artPath, shardRun *string
-	list, progress                                        *bool
-	procs                                                 *int
+	ov                                          optparse.Overrides
+	exp, format, preset, outDir, shard, artPath *string
+	list, progress                              *bool
 }
 
 // newRunFlags registers the campaign-run flags on a fresh flag set.
@@ -173,26 +158,59 @@ func newRunFlags() (*flag.FlagSet, *runFlags) {
 		progress: fs.Bool("progress", false, "print per-unit completion lines to stderr while studies run"),
 		shard:    fs.String("shard", "", "run shard i/n of the campaign work units and write a shard artifact (e.g. -shard 0/2)"),
 		artPath:  fs.String("artifact", "", "shard artifact output path (with -shard; default shard-<i>-of-<n>.json)"),
-		procs:    fs.Int("procs", 0, "fan study units out to N shard subprocesses of this binary"),
-		shardRun: fs.String("shard-exec", "", "internal: execute the ShardRequest JSON file at this path, write the artifact to stdout"),
 	}
 	f.ov.Flags(fs) // the campaign knobs shared with `rhvpp serve` query params
 	return fs, f
 }
 
-// stderrProgress returns a progress hook printing one line per completed
-// work unit. Module-sweep events arrive concurrently from the worker pool,
-// so the hook serializes writes to keep lines whole.
-func stderrProgress() rhvpp.ProgressFunc {
+// printProgress returns a progress hook writing one line to w per study
+// announcement and per completed work unit. Module-sweep events arrive
+// concurrently from the worker pool, so the hook serializes writes to keep
+// lines whole.
+func printProgress(w io.Writer) rhvpp.ProgressFunc {
 	var mu sync.Mutex
 	return func(ev rhvpp.ProgressEvent) {
 		mu.Lock()
 		defer mu.Unlock()
 		if ev.Key == "" {
-			fmt.Fprintf(os.Stderr, "rhvpp: %s: %d units\n", ev.Study, ev.Total)
+			fmt.Fprintf(w, "rhvpp: %s: %d units\n", ev.Study, ev.Total)
 			return
 		}
-		fmt.Fprintf(os.Stderr, "rhvpp: %s %s %d/%d\n", ev.Study, ev.Key, ev.Done, ev.Total)
+		fmt.Fprintf(w, "rhvpp: %s %s %d/%d\n", ev.Study, ev.Key, ev.Done, ev.Total)
+	}
+}
+
+// shardProgress adapts fn to RunShardObserved's per-unit hook for a shard
+// executing units. RunShardObserved runs one study at a time, in the order
+// the studies first appear in units, so each study is announced (with this
+// shard's unit count) when the previous one completes, and each unit
+// reports the study's done/total.
+func shardProgress(units []rhvpp.WorkUnit, fn rhvpp.ProgressFunc) func(rhvpp.WorkUnit) {
+	var order []string
+	total := make(map[string]int)
+	for _, u := range units {
+		if total[u.Study] == 0 {
+			order = append(order, u.Study)
+		}
+		total[u.Study]++
+	}
+	announceNext := func() {
+		if len(order) > 0 {
+			fn(rhvpp.ProgressEvent{Study: order[0], Total: total[order[0]]})
+			order = order[1:]
+		}
+	}
+	announceNext()
+	var mu sync.Mutex
+	done := make(map[string]int)
+	return func(u rhvpp.WorkUnit) {
+		mu.Lock()
+		defer mu.Unlock()
+		done[u.Study]++
+		fn(rhvpp.ProgressEvent{Study: u.Study, Key: u.Key, Done: done[u.Study], Total: total[u.Study]})
+		if done[u.Study] == total[u.Study] {
+			announceNext()
+		}
 	}
 }
 
@@ -209,7 +227,7 @@ func expandIDs(exp string) []string {
 }
 
 // renderExperiments renders each id through the campaign, with the same
-// banner/stream layout for the local, subprocess-backed, and merged paths.
+// banner/stream layout for the local and merged paths.
 func renderExperiments(ctx context.Context, c *rhvpp.Campaign, ids []string,
 	f rhvpp.Format, outDir string, stdout io.Writer) error {
 	ext, ok := outExt[f]
@@ -295,8 +313,9 @@ func parseShardSpec(spec string) (shard, of int, err error) {
 // runShard executes this process's slice of the campaign plan and writes the
 // artifact atomically: the JSON lands in a temp file in the target directory
 // and is renamed into place only after a complete, successful run, so an
-// interrupted or failed shard leaves no partial artifact behind.
-func runShard(ctx context.Context, o rhvpp.Options, spec, path, exp string, stdout io.Writer) error {
+// interrupted or failed shard leaves no partial artifact behind. A non-nil
+// progress writer receives the shard's progress lines.
+func runShard(ctx context.Context, o rhvpp.Options, spec, path, exp string, stdout, progress io.Writer) error {
 	shard, of, err := parseShardSpec(spec)
 	if err != nil {
 		return err
@@ -313,7 +332,11 @@ func runShard(ctx context.Context, o rhvpp.Options, spec, path, exp string, stdo
 	if err != nil {
 		return err
 	}
-	art, err := rhvpp.RunShard(ctx, o, shard, of, mine)
+	var onUnit func(rhvpp.WorkUnit)
+	if progress != nil {
+		onUnit = shardProgress(mine, printProgress(progress))
+	}
+	art, err := rhvpp.RunShardObserved(ctx, o, shard, of, mine, onUnit)
 	if err != nil {
 		return err
 	}
@@ -348,25 +371,6 @@ func writeArtifactAtomic(path string, art *rhvpp.ShardArtifact) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// runShardExec is the ProcRunner subprocess protocol: read one ShardRequest,
-// execute it, write the artifact JSON to stdout.
-func runShardExec(ctx context.Context, reqPath string, stdout io.Writer) error {
-	fh, err := os.Open(reqPath)
-	if err != nil {
-		return err
-	}
-	defer fh.Close() //detlint:ignore sinkerr read-only descriptor, close cannot lose written data
-	req, err := rhvpp.DecodeShardRequest(fh)
-	if err != nil {
-		return err
-	}
-	art, err := rhvpp.RunShard(ctx, req.Options, req.Shard, req.Of, req.Units)
-	if err != nil {
-		return err
-	}
-	return rhvpp.EncodeArtifact(stdout, art)
 }
 
 // runMerge combines shard artifacts and renders experiments from the merged

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,20 +13,6 @@ import (
 
 	"github.com/dramstudy/rhvpp"
 )
-
-// TestMain doubles as the shard subprocess for the ProcRunner tests: when
-// re-executed with RHVPP_TEST_SHARD_EXEC=1, the test binary behaves like
-// `rhvpp <args>` instead of running the test suite.
-func TestMain(m *testing.M) {
-	if os.Getenv("RHVPP_TEST_SHARD_EXEC") == "1" {
-		if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "rhvpp:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 func TestListExperiments(t *testing.T) {
 	var buf bytes.Buffer
@@ -49,8 +34,7 @@ func TestListExperiments(t *testing.T) {
 }
 
 // TestReadmeFlagTableMatchesFlags keeps README's CLI flag table and the
-// flags run registers in step, in both directions. Flags whose usage starts
-// with "internal:" are subprocess plumbing and need no row.
+// flags run registers in step, in both directions.
 func TestReadmeFlagTableMatchesFlags(t *testing.T) {
 	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
@@ -73,11 +57,7 @@ func TestReadmeFlagTableMatchesFlags(t *testing.T) {
 	}
 	var registered []string
 	fs, _ := newRunFlags()
-	fs.VisitAll(func(f *flag.Flag) {
-		if !strings.HasPrefix(f.Usage, "internal:") {
-			registered = append(registered, f.Name)
-		}
-	})
+	fs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name) })
 	for _, name := range registered {
 		if !slices.Contains(documented, name) {
 			t.Errorf("flag -%s has no row in README's CLI flag table", name)
@@ -95,6 +75,8 @@ func TestRetiredFlagsAreUnknown(t *testing.T) {
 		{"-exp", "table2", "-full"},
 		{"-exp", "fig8b", "-fixed-grid"},
 		{"-exp", "fig8b", "-ltetol", "1e-6"},
+		{"-exp", "all", "-procs", "2"},
+		{"-exp", "all", "-shard-exec", "req.json"},
 	} {
 		var buf bytes.Buffer
 		err := run(t.Context(), args, &buf)
@@ -266,7 +248,7 @@ func TestShardValidation(t *testing.T) {
 	}
 	// Flags that would be silently dead in shard mode are rejected.
 	for _, extra := range [][]string{
-		{"-format", "json"}, {"-out", "/tmp/x"}, {"-procs", "2"},
+		{"-format", "json"}, {"-out", "/tmp/x"},
 	} {
 		args := append(shardFlags("-shard", "0/2"), extra...)
 		if err := run(t.Context(), args, &buf); err == nil {
@@ -276,9 +258,6 @@ func TestShardValidation(t *testing.T) {
 	// ...and so are their render-mode inverses.
 	if err := run(t.Context(), shardFlags("-artifact", "/tmp/x.json"), &buf); err == nil {
 		t.Error("-artifact without -shard accepted")
-	}
-	if err := run(t.Context(), shardFlags("-procs", "-4"), &buf); err == nil {
-		t.Error("negative -procs accepted")
 	}
 	// An experiment with no shardable studies cannot be sharded.
 	if err := run(t.Context(), []string{"-exp", "table1", "-shard", "0/2"}, &buf); err == nil {
@@ -359,82 +338,29 @@ func TestPresetGoldenSelectsPinnedScope(t *testing.T) {
 	}
 }
 
-// TestProcRunnerEndToEnd drives the subprocess backend against this test
-// binary (re-executed via TestMain): output must match the in-process run
-// byte for byte.
-func TestProcRunnerEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess fan-out in -short mode")
-	}
-	t.Setenv("RHVPP_TEST_SHARD_EXEC", "1") // inherited by the children
-	exe, err := os.Executable()
-	if err != nil {
+// TestShardProgress: a shard run with a progress writer announces each of
+// its studies with the shard's own unit count, then prints one done/total
+// line per unit it executes.
+func TestShardProgress(t *testing.T) {
+	o := rhvpp.GoldenOptions()
+	path := filepath.Join(t.TempDir(), "s0.json")
+	var stdout, progress bytes.Buffer
+	if err := runShard(t.Context(), o, "0/2", path, "cv", &stdout, &progress); err != nil {
 		t.Fatal(err)
 	}
-	o := rhvpp.DefaultOptions()
-	o.ModuleNames = []string{"B3", "C0"}
-	o.RowsPerChunk = 3
-	o.Chunks = 2
-	o.VPPStride = 4
-
-	render := func(c *rhvpp.Campaign) string {
-		var buf bytes.Buffer
-		enc := rhvpp.NewTextEncoder(&buf)
-		for _, id := range []string{"cv", "guardband"} {
-			if err := c.Run(t.Context(), id, enc); err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-		}
-		return buf.String()
+	if !strings.Contains(stdout.String(), "(3 of 6 plan units)") {
+		t.Fatalf("golden cv shard 0/2 should run 3 of 6 plan units:\n%s", stdout.String())
 	}
-	local, err := rhvpp.NewCampaign(o)
-	if err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSuffix(progress.String(), "\n"), "\n")
+	if len(lines) != 4 || lines[0] != "rhvpp: cv: 3 units" {
+		t.Fatalf("want one announcement and 3 unit lines, got:\n%s", progress.String())
 	}
-	want := render(local)
-
-	proc, err := rhvpp.NewCampaign(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.WithRunner(rhvpp.ProcRunner{Command: []string{exe, "-shard-exec"}, Shards: 2})
-	if got := render(proc); got != want {
-		t.Errorf("ProcRunner output differs from LocalRunner:\n--- proc ---\n%s\n--- local ---\n%s", got, want)
-	}
-	// The studies ran remotely exactly once each, from this session's view.
-	for _, s := range []rhvpp.Study{rhvpp.StudyCV, rhvpp.StudyTRCD} {
-		if got := proc.StudyRuns()[s]; got != 1 {
-			t.Errorf("study %s executed %d times, want 1", s, got)
+	for _, line := range lines[1:] {
+		if !strings.HasPrefix(line, "rhvpp: cv ") || !strings.Contains(line, "/3") {
+			t.Errorf("unit line %q is not a cv done/3 line", line)
 		}
 	}
-}
-
-func TestShardExecProtocol(t *testing.T) {
-	o := rhvpp.DefaultOptions()
-	o.ModuleNames = []string{"B3"}
-	o.RowsPerChunk = 3
-	o.Chunks = 2
-	units, err := rhvpp.PlanUnits(o, rhvpp.StudyCV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := filepath.Join(t.TempDir(), "req.json")
-	raw, err := json.Marshal(rhvpp.ShardRequest{Shard: 0, Of: 1, Options: o, Units: units})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(req, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run(t.Context(), []string{"-shard-exec", req}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	art, err := rhvpp.DecodeArtifact(&buf)
-	if err != nil {
-		t.Fatalf("shard-exec stdout is not an artifact: %v", err)
-	}
-	if len(art.Units) != 1 || art.Units[0].Key != "B3" {
-		t.Errorf("unexpected artifact units: %+v", art.Units)
+	if !strings.HasSuffix(lines[3], " 3/3") {
+		t.Errorf("last unit line %q should report 3/3", lines[3])
 	}
 }

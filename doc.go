@@ -39,9 +39,8 @@
 // golden tests (see docs/ARCHITECTURE.md for the full paper-to-code map):
 //
 //   - Byte-identical rendering at any scale-out: the same Options render
-//     the same bytes at any Options.Jobs worker count, under the
-//     subprocess ProcRunner backend, and across any -shard i/n split
-//     merged with MergeArtifacts — work units are deterministic, every
+//     the same bytes at any Options.Jobs worker count and across any
+//     -shard i/n split merged with MergeArtifacts — work units are deterministic, every
 //     parallel unit draws from its own index-derived RNG stream, and
 //     partials fold in catalog/(level, run) order.
 //   - Dense-reference accuracy: the SPICE engines are pinned to the dense
@@ -53,8 +52,7 @@
 //     path for the Fig. 8a/9a waveforms and the test oracles, not an option.
 //
 // Campaigns can be split across processes or hosts with Plan / ShardUnits /
-// RunShard / MergeArtifacts (the Runner seam); see README.md for the CLI
-// workflow.
+// RunShard / MergeArtifacts; see README.md for the CLI workflow.
 //
 // The coding invariants behind the byte-identical guarantee are catalogued
 // in docs/DETERMINISM.md and enforced statically by the internal/analysis

@@ -155,6 +155,9 @@ func Merge(arts []*Artifact) (*Artifact, error) {
 		if a.Of != of {
 			return nil, fmt.Errorf("artifact: mixed shard set sizes %d and %d", of, a.Of)
 		}
+		if a.Shard < 0 || a.Shard >= of {
+			return nil, fmt.Errorf("artifact: shard %d of %d is not a valid shard position", a.Shard, of)
+		}
 		if string(a.Options) != opts {
 			return nil, fmt.Errorf("artifact: shard %d was measured under different campaign options", a.Shard)
 		}

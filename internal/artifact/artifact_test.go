@@ -117,6 +117,18 @@ func TestMergeRejectsBrokenShardSets(t *testing.T) {
 	if _, err := Merge([]*Artifact{mkArtifact(t, 0, 2, `{}`), mkArtifact(t, 0, 1, `{}`)}); err == nil {
 		t.Error("mixed shard set sizes accepted")
 	}
+	// Shard positions outside [0, of): Decode refuses them, and so must
+	// Merge for artifacts built in memory.
+	outside := mkArtifact(t, 0, 1, `{}`)
+	outside.Shard = 3
+	if _, err := Merge([]*Artifact{outside}); err == nil {
+		t.Error("shard 3 of 1 accepted")
+	}
+	negative := mkArtifact(t, 0, 2, `{}`)
+	negative.Shard = -1
+	if _, err := Merge([]*Artifact{negative, mkArtifact(t, 1, 2, `{}`)}); err == nil {
+		t.Error("shard -1 of 2 accepted")
+	}
 	// Mismatched options.
 	if _, err := Merge([]*Artifact{mkArtifact(t, 0, 2, `{"seed":1}`), mkArtifact(t, 1, 2, `{"seed":2}`)}); err == nil {
 		t.Error("mismatched options accepted")

@@ -189,19 +189,21 @@ func validateUnits(o Options, study string, units []UnitRef) ([]UnitRef, error) 
 // level's runs fold in (level, run) order — per-level results are identical
 // no matter how levels are grouped into shards, because every run draws from
 // its own per-level, per-index RNG stream.
-func RunUnits(ctx context.Context, o Options, study string, units []UnitRef) ([]json.RawMessage, error) {
-	return RunUnitsObserved(ctx, o, study, units, nil)
-}
-
-// RunUnitsObserved is RunUnits with a completion hook: onUnit fires once per
-// unit as its partial result becomes available. Module-study hooks fire from
-// the pool's worker goroutines (concurrently, in completion order — the
-// results themselves still fold in catalog order); SPICE Monte-Carlo hooks
-// fire in level order after the sweep, because the global run queue
-// interleaves levels and a level is not "done" until the sweep is. The hook
-// observes execution only — a nil onUnit is exactly RunUnits, and the
-// returned payloads are byte-identical either way.
-func RunUnitsObserved(ctx context.Context, o Options, study string, units []UnitRef, onUnit func(UnitRef)) ([]json.RawMessage, error) {
+//
+// The optional onUnit hook fires once per unit as its partial result
+// becomes available. Module-study hooks fire from the pool's worker
+// goroutines (concurrently, in completion order — the results themselves
+// still fold in catalog order); SPICE Monte-Carlo hooks fire in level order
+// after the sweep, because the global run queue interleaves levels and a
+// level is not "done" until the sweep is. The hook observes execution only:
+// a nil or absent hook returns byte-identical payloads. The parameter is
+// variadic only so four-argument callers keep compiling; callers pass at
+// most one hook.
+func RunUnits(ctx context.Context, o Options, study string, units []UnitRef, onUnit ...func(UnitRef)) ([]json.RawMessage, error) {
+	hook := func(UnitRef) {}
+	if len(onUnit) > 0 && onUnit[0] != nil {
+		hook = onUnit[0]
+	}
 	if len(units) == 0 {
 		return nil, nil
 	}
@@ -222,9 +224,7 @@ func RunUnitsObserved(ctx context.Context, o Options, study string, units []Unit
 			if out[i], err = json.Marshal(r); err != nil {
 				return nil, fmt.Errorf("experiments: encoding MC level %s: %w", units[i].Key, err)
 			}
-			if onUnit != nil {
-				onUnit(units[i])
-			}
+			hook(units[i])
 		}
 		return out, nil
 	}
@@ -239,9 +239,7 @@ func RunUnitsObserved(ctx context.Context, o Options, study string, units []Unit
 			if err != nil {
 				return nil, fmt.Errorf("experiments: encoding %s unit %s: %w", study, u.Key, err)
 			}
-			if onUnit != nil {
-				onUnit(u)
-			}
+			hook(u)
 			return raw, nil
 		})
 }

@@ -60,13 +60,13 @@ func TestPlanStudyDeterministicCatalogOrder(t *testing.T) {
 func TestRunUnitsRejectsForeignUnits(t *testing.T) {
 	o := shardOptions()
 	ctx := t.Context()
-	if _, err := RunUnits(ctx, o, StudyNameCV, []UnitRef{{Study: StudyNameCV, Key: "A9", Index: 0}}); err == nil {
+	if _, err := RunUnits(ctx, o, StudyNameCV, []UnitRef{{Study: StudyNameCV, Key: "A9", Index: 0}}, nil); err == nil {
 		t.Error("unit outside the module selection accepted")
 	}
-	if _, err := RunUnits(ctx, o, StudyNameCV, []UnitRef{{Study: StudyNameTRCD, Key: "B3", Index: 0}}); err == nil {
+	if _, err := RunUnits(ctx, o, StudyNameCV, []UnitRef{{Study: StudyNameTRCD, Key: "B3", Index: 0}}, nil); err == nil {
 		t.Error("unit of a different study accepted")
 	}
-	if _, err := RunUnits(ctx, o, StudyNameCV, []UnitRef{{Study: StudyNameCV, Key: "B3", Index: 5}}); err == nil {
+	if _, err := RunUnits(ctx, o, StudyNameCV, []UnitRef{{Study: StudyNameCV, Key: "B3", Index: 5}}, nil); err == nil {
 		t.Error("unit with wrong index accepted")
 	}
 }
@@ -88,7 +88,7 @@ func runStudyViaUnits(t *testing.T, o Options, study string, k int) map[string]j
 				units = append(units, u)
 			}
 		}
-		payloads, err := RunUnits(t.Context(), o, study, units)
+		payloads, err := RunUnits(t.Context(), o, study, units, nil)
 		if err != nil {
 			t.Fatalf("%s shard %d/%d: %v", study, shard, k, err)
 		}

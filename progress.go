@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/dramstudy/rhvpp/internal/artifact"
 	"github.com/dramstudy/rhvpp/internal/experiments"
@@ -35,63 +34,13 @@ type ProgressEvent struct {
 // catalog order the results fold in.
 type ProgressFunc func(ProgressEvent)
 
-// ObservedRunner is optionally implemented by execution backends that can
-// report per-unit completion while RunStudy executes. Campaign.WithProgress
-// uses it when the configured Runner provides it; for plain Runners the
-// campaign falls back to emitting every unit's event after RunStudy returns,
-// so progress consumers still see a complete (if bursty) event stream.
-type ObservedRunner interface {
-	Runner
-	// RunStudyObserved is RunStudy plus a completion hook; the returned
-	// results must be byte-identical to a RunStudy call.
-	RunStudyObserved(ctx context.Context, o Options, study Study, units []WorkUnit, onUnit func(WorkUnit)) ([]UnitResult, error)
-}
-
-// RunStudyObserved implements ObservedRunner on the in-process backend.
-func (LocalRunner) RunStudyObserved(ctx context.Context, o Options, study Study, units []WorkUnit, onUnit func(WorkUnit)) ([]UnitResult, error) {
-	payloads, err := experiments.RunUnitsObserved(ctx, o, string(study), units, onUnit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]UnitResult, len(units))
-	for i, u := range units {
-		out[i] = UnitResult{Unit: u, Data: payloads[i]}
-	}
-	return out, nil
-}
-
 // WithProgress installs a progress hook for studies that have not run yet
-// and returns c for chaining. Call it before the first Run, like WithRunner.
+// and returns c for chaining. Call it before the first Run.
 // The hook observes execution only; installing one never changes a byte of
 // what the campaign reports.
 func (c *Campaign) WithProgress(fn ProgressFunc) *Campaign {
 	c.progress = fn
 	return c
-}
-
-// execUnits hands one study's units to the configured Runner, threading the
-// campaign's progress hook through backends that support it.
-func (c *Campaign) execUnits(ctx context.Context, s Study, units []WorkUnit) ([]UnitResult, error) {
-	fn := c.progress
-	if fn == nil {
-		return c.runner.RunStudy(ctx, c.opts, s, units)
-	}
-	fn(ProgressEvent{Study: string(s), Total: len(units)})
-	var done atomic.Int64
-	onUnit := func(u WorkUnit) {
-		fn(ProgressEvent{Study: string(s), Key: u.Key, Done: int(done.Add(1)), Total: len(units)})
-	}
-	if or, ok := c.runner.(ObservedRunner); ok {
-		return or.RunStudyObserved(ctx, c.opts, s, units, onUnit)
-	}
-	results, err := c.runner.RunStudy(ctx, c.opts, s, units)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		onUnit(r.Unit)
-	}
-	return results, nil
 }
 
 // RunShardObserved is RunShard with a per-unit completion hook — the
@@ -110,7 +59,7 @@ func RunShardObserved(ctx context.Context, o Options, shard, of int, units []Wor
 		return nil, err
 	}
 	// Group by study, preserving unit order within each study; execute each
-	// study's units through the local backend.
+	// study's units in-process.
 	byStudy := make(map[string][]WorkUnit)
 	var order []string
 	for _, u := range units {
@@ -121,7 +70,7 @@ func RunShardObserved(ctx context.Context, o Options, shard, of int, units []Wor
 	}
 	for _, study := range order {
 		su := byStudy[study]
-		payloads, err := experiments.RunUnitsObserved(ctx, o, study, su, onUnit)
+		payloads, err := experiments.RunUnits(ctx, o, study, su, onUnit)
 		if err != nil {
 			return nil, fmt.Errorf("rhvpp: shard %d/%d study %s: %w", shard, of, study, err)
 		}

@@ -237,67 +237,12 @@ func TestMergeArtifactsValidation(t *testing.T) {
 	if _, err := MergeArtifacts(a1, a0); err != nil {
 		t.Errorf("valid shard set rejected: %v", err)
 	}
-}
-
-// staticRunner returns canned results; used to test Campaign's runner-output
-// validation.
-type staticRunner struct{ results []UnitResult }
-
-func (r staticRunner) RunStudy(context.Context, Options, Study, []WorkUnit) ([]UnitResult, error) {
-	return r.results, nil
-}
-
-func TestCampaignRejectsMisbehavingRunner(t *testing.T) {
-	o := shardTestOptions()
-	raw := json.RawMessage(`{}`)
-	foreign := UnitResult{Unit: WorkUnit{Study: string(StudyTRCD), Key: "B3", Index: 0}, Data: raw}
-	c, err := NewCampaign(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WithRunner(staticRunner{[]UnitResult{foreign}}).CV(t.Context()); err == nil {
-		t.Error("foreign-study unit accepted")
-	}
-	dup := UnitResult{Unit: WorkUnit{Study: string(StudyCV), Key: "B3", Index: 0}, Data: raw}
-	c2, _ := NewCampaign(o)
-	if _, err := c2.WithRunner(staticRunner{[]UnitResult{dup, dup}}).CV(t.Context()); err == nil {
-		t.Error("duplicate unit accepted")
-	}
-	// Missing units surface as an incomplete-assembly error naming the unit.
-	c3, _ := NewCampaign(o)
-	_, err = c3.WithRunner(staticRunner{nil}).CV(t.Context())
-	if err == nil || !strings.Contains(err.Error(), "B3") {
-		t.Errorf("missing units should fail naming the first missing unit, got: %v", err)
-	}
-}
-
-// TestProcRunnerNeedsCommand pins the explicit-configuration contract.
-func TestProcRunnerNeedsCommand(t *testing.T) {
-	c, err := NewCampaign(shardTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WithRunner(ProcRunner{Shards: 2}).CV(t.Context()); err == nil {
-		t.Error("ProcRunner without Command must error")
-	}
-}
-
-// TestProcRunnerReportsSubprocessFailure: a failing shard subprocess surfaces
-// as a genuine error (with the shard named), not a hang or a cancellation.
-func TestProcRunnerReportsSubprocessFailure(t *testing.T) {
-	c, err := NewCampaign(shardTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.WithRunner(ProcRunner{Command: []string{"false"}, Shards: 2}).CV(t.Context())
-	if err == nil {
-		t.Fatal("failing subprocess reported success")
-	}
-	if errors.Is(err, context.Canceled) {
-		t.Errorf("subprocess failure mis-reported as cancellation: %v", err)
-	}
-	if !strings.Contains(err.Error(), "shard") {
-		t.Errorf("error should locate the failing shard: %v", err)
+	// A complete shard set missing one unit fails naming that unit.
+	short := *a0
+	short.Units = a0.Units[1:]
+	missing := a0.Units[0].Key
+	if _, err := MergeArtifacts(&short, a1); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("shard set missing unit %s: err = %v, want an error naming it", missing, err)
 	}
 }
 
@@ -320,9 +265,7 @@ func TestRunShardHonorsCancellation(t *testing.T) {
 // behind the //detlint:fingerprint v1 freeze: an artifact encoded by a
 // binary predating any post-v1 option must still merge with one encoded
 // today, because such fields vanish from the canonical encoding at their
-// zero values. A shard request written by a binary that still had the
-// retired batch-width execution-shape knob must decode and fingerprint as
-// if the field were absent. An artifact set measured under a retired
+// zero values. An artifact set measured under a retired
 // measurement option (the SPICE step-doubling tolerance) must refuse to
 // merge: its results do not belong to the options that remain.
 func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
@@ -384,33 +327,6 @@ func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
 	a1.Options = old
 	if _, err := MergeArtifacts(a0, a1); err != nil {
 		t.Errorf("pre-growth artifact refused to merge with a current one: %v", err)
-	}
-
-	// A shard request from a binary that still carried the batch width: the
-	// unknown field is ignored on decode and never reaches the fingerprint.
-	current, err := json.Marshal(ShardRequest{Shard: 1, Of: 2, Options: o, Units: half1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := bytes.Replace(current, []byte(`"options":{`), []byte(`"options":{"SpiceBatchWidth":8,`), 1)
-	if bytes.Equal(legacy, current) {
-		t.Fatal("legacy shard request fixture did not inject the retired field")
-	}
-	wantFP, err := OptionsFingerprint(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		raw  []byte
-	}{{"current", current}, {"legacy", legacy}} {
-		req, err := DecodeShardRequest(bytes.NewReader(tc.raw))
-		if err != nil {
-			t.Fatalf("%s shard request: %v", tc.name, err)
-		}
-		if fp, err := OptionsFingerprint(req.Options); err != nil || fp != wantFP {
-			t.Errorf("%s shard request fingerprint = %s (err %v), want %s", tc.name, fp, err, wantFP)
-		}
 	}
 
 	// A shard set written with a retired, non-default tolerance: decoding

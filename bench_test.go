@@ -1,7 +1,7 @@
 package rhvpp
 
-// One benchmark per table and figure of the paper's evaluation (see the
-// per-experiment index in DESIGN.md), plus the ablations. Each benchmark
+// One benchmark per table and figure of the paper's evaluation (`rhvpp
+// -list` prints the per-experiment index), plus the ablations. Each benchmark
 // runs the corresponding experiment end to end — device simulation,
 // characterization algorithms, aggregation — at a laptop-scale configuration
 // and reports the experiment's headline number as a custom metric so the
@@ -9,8 +9,7 @@ package rhvpp
 //
 //	go test -bench=. -benchmem
 //
-// The full rows/series are regenerated by `go run ./cmd/rhvpp -exp <id>`;
-// EXPERIMENTS.md records paper-vs-measured for every entry.
+// The full rows/series are regenerated by `go run ./cmd/rhvpp -exp <id>`.
 
 import (
 	"io"

@@ -44,11 +44,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	benchOut := flag.String("bench", "",
 		"after a run, record detlint_ns_per_pkg plus the per-analyzer detlint_analyzer_ns_per_pkg breakdown into this JSON snapshot file (read-modify-write)")
-	for _, a := range suite.All() {
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			flag.Var(f.Value, a.Name+"."+f.Name, f.Usage)
-		})
-	}
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {

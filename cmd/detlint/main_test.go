@@ -225,7 +225,7 @@ func TestRecordBenchPerAnalyzer(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"mc_runs_per_sec_jobs1": 2600}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := recordBench(path, 123.5, map[string]float64{"goshared": 10, "optfinger": 20}); err != nil {
+	if err := recordBench(path, 123.5, map[string]float64{"hotalloc": 10, "sinkerr": 20}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -243,7 +243,7 @@ func TestRecordBenchPerAnalyzer(t *testing.T) {
 	if snap.MC != 2600 {
 		t.Errorf("unrelated key clobbered: %v", snap.MC)
 	}
-	if snap.NS != 123.5 || snap.Analyzer["goshared"] != 10 || snap.Analyzer["optfinger"] != 20 {
+	if snap.NS != 123.5 || snap.Analyzer["hotalloc"] != 10 || snap.Analyzer["sinkerr"] != 20 {
 		t.Errorf("bench keys mismatch: %+v", snap)
 	}
 }

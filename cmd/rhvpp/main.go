@@ -1,6 +1,6 @@
 // Command rhvpp regenerates the paper's tables and figures from the
 // simulated study. Each experiment id corresponds to one table/figure of the
-// evaluation (see DESIGN.md for the full index). All ids run within one
+// evaluation (`rhvpp -list` prints the full index). All ids run within one
 // Campaign session, so experiments sharing a study (e.g. table3 and fig3-6)
 // measure the hardware once; module sweeps run -jobs modules at a time with
 // byte-identical output at any worker count, and ctrl-C (or SIGTERM) cancels

@@ -4,7 +4,7 @@
 //
 // The physical study cannot run without 272 DDR4 chips, an FPGA, and a lab
 // power supply; this package substitutes a behavioral DDR4 device simulator
-// calibrated against every number the paper publishes (see DESIGN.md), a
+// calibrated against every number the paper publishes (internal/physics), a
 // SoftMC-class memory controller, the bench instruments around them, and a
 // SPICE-class circuit simulator for the paper's Figs. 8-9 — and then runs
 // the paper's own characterization algorithms on top.
@@ -56,10 +56,9 @@
 //
 // The coding invariants behind the byte-identical guarantee are catalogued
 // in docs/DETERMINISM.md and enforced statically by the internal/analysis
-// suite: `go run ./cmd/detlint ./...`. The shard protocol itself is under
-// the same suite (docs/CONTRACTS.md): the canonical options fingerprint in
-// this package's canonicalOptions is pinned to the Options struct's
-// //detlint:fingerprint freeze, its exclusions carry //detlint:execshape
-// justifications, and the study-dispatch switches here must cover the
-// whole catalog exported by internal/experiments.
+// suite: `go run ./cmd/detlint ./...`. The shard protocol is pinned by
+// runtime tests (docs/CONTRACTS.md): TestCanonicalOptionsContract holds the
+// canonical options fingerprint to its frozen v1 field set and Jobs-only
+// exclusion, and internal/experiments' TestUnitPathMatchesDirectDrivers
+// makes every study in its shard catalog reproduce its direct driver.
 package rhvpp

@@ -31,14 +31,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-// allowPattern exempts whole packages from the check; the default exempts
-// the sanctioned RNG package itself.
-var allowPattern = `(^|/)internal/rng$`
-
-func init() {
-	Analyzer.Flags.StringVar(&allowPattern, "allow", allowPattern,
-		"regexp of package paths exempt from the deterministic-source contract")
-}
+// allow exempts the sanctioned RNG package itself from the check.
+var allow = regexp.MustCompile(`(^|/)internal/rng$`)
 
 // bannedImports are packages whose very import is a violation: nothing in
 // them is deterministic-safe.
@@ -62,10 +56,6 @@ var bannedFuncs = map[string]map[string]string{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	allow, err := regexp.Compile(allowPattern)
-	if err != nil {
-		return nil, err
-	}
 	if allow.MatchString(pass.Pkg.Path()) {
 		return nil, nil
 	}

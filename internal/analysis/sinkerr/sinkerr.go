@@ -6,8 +6,8 @@
 // artifact into a silently truncated campaign when MergeArtifacts folds
 // it. The analyzer tracks calls into error-critical packages — the
 // artifact envelope codec and the I/O layers it rides on (encoding/json,
-// encoding/csv, os, io, bufio by default; -paths extends the set) — and
-// reports three ways their error results get lost:
+// encoding/csv, os, io, bufio) — and reports three ways their error
+// results get lost:
 //
 //   - discarded outright: the call is an expression statement, so the
 //     error is never bound (enc.Encode(v) on a line of its own);
@@ -56,12 +56,7 @@ var Analyzer = &analysis.Analyzer{
 // the import path exactly; a bare name matches any package whose path base
 // is that name (so "artifact" covers the module's internal/artifact, and
 // fixtures can model critical packages by directory name).
-var paths = "encoding/json,encoding/csv,os,io,bufio,artifact"
-
-func init() {
-	Analyzer.Flags.StringVar(&paths, "paths", paths,
-		"comma-separated error-critical packages (exact import path, or bare path base)")
-}
+const paths = "encoding/json,encoding/csv,os,io,bufio,artifact"
 
 var errorType = types.Universe.Lookup("error").Type()
 

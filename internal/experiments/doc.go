@@ -1,5 +1,5 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation, plus the ablation studies listed in DESIGN.md. Each
+// paper's evaluation, plus the ablation studies (`rhvpp -list`). Each
 // driver assembles a testbed per module, runs the core characterization
 // algorithms across the VPP sweep, and returns structured results together
 // with render helpers that emit the same rows/series the paper reports
@@ -45,9 +45,9 @@
 // Drivers must observe the determinism contracts of docs/DETERMINISM.md
 // (sorted map walks, total comparators, internal/rng only, cancellable
 // loops); `go run ./cmd/detlint ./...` checks them statically, and the
-// optfinger analyzer holds Options to its //detlint:fingerprint v1
-// freeze (docs/CONTRACTS.md). This package defines the shard-protocol
-// catalog (ShardableStudies); TestUnitPathMatchesDirectDrivers requires
-// every catalog study to reproduce its direct driver through PlanStudy,
-// RunUnits and its Assemble* function.
+// root package's TestCanonicalOptionsContract holds Options to its frozen
+// v1 fingerprint field set (docs/CONTRACTS.md). This package defines the
+// shard-protocol catalog (ShardableStudies); TestUnitPathMatchesDirectDrivers
+// requires every catalog study to reproduce its direct driver through
+// PlanStudy, RunUnits and its Assemble* function.
 package experiments

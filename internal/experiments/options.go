@@ -15,12 +15,10 @@ import (
 // same structure at a size a laptop simulates in seconds, and Paper restores
 // the full parameters.
 //
-// The directive below freezes the v1 canonical-fingerprint field set
-// (docs/CONTRACTS.md, "Fingerprint completeness"): fields added later must
-// carry `json:",omitempty"` so shard artifacts produced before the addition
-// still merge with ones produced after.
-//
-//detlint:fingerprint v1=Seed,Geometry,Config,Chunks,RowsPerChunk,ModuleNames,VPPStride,SpiceMCRuns,RetentionVPPLevels,Jobs
+// The fields below are the frozen v1 canonical-fingerprint set
+// (docs/CONTRACTS.md): fields added later must carry `json:",omitempty"` so
+// shard artifacts produced before the addition still merge with ones
+// produced after. The root package's TestCanonicalOptionsContract pins it.
 type Options struct {
 	// Seed selects the simulated device population.
 	Seed uint64
@@ -64,7 +62,7 @@ func Default() Options {
 }
 
 // Paper returns the full-scale parameters (very slow; provided for
-// completeness and documented in EXPERIMENTS.md).
+// completeness).
 func Paper() Options {
 	o := Default()
 	o.Geometry = physics.FullGeometry()

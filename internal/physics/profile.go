@@ -8,7 +8,7 @@
 //     per-cell behavior (RowHammer thresholds, retention times, activation
 //     latencies) calibrated so that running the paper's own algorithms
 //     against the simulated devices lands on the published aggregates
-//     (DESIGN.md §3 lists every calibration target).
+//     (the catalog below carries every calibration target).
 //
 // The model separates the two error mechanisms the paper identifies:
 // electron injection / capacitive crosstalk, whose strength scales with the

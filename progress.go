@@ -1,6 +1,7 @@
 package rhvpp
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -120,9 +121,11 @@ func OpenArtifactStore(dir string) (*ArtifactStore, error) { return artifact.Ope
 // true, no study recomputed); otherwise the full shardable plan executes
 // in-process — reporting per-unit completion through onUnit — and the
 // complete artifact persists to the store before the campaign returns. A
-// corrupt store entry is treated as a miss and overwritten by the fresh
-// computation, so one damaged file degrades a daemon to a recompute instead
-// of wedging the fingerprint. With a nil store it always computes.
+// corrupt store entry — one that does not decode, carries options other
+// than o's canonical encoding, or does not merge — is treated as a miss and
+// overwritten by the fresh computation, so one damaged file degrades a
+// daemon to a recompute instead of wedging the fingerprint or serving
+// another campaign's results. With a nil store it always computes.
 //
 // The returned campaign memoizes like any other: the deliberately-local
 // waveform study (and nothing else) computes on first render.
@@ -135,13 +138,9 @@ func CachedCampaign(ctx context.Context, o Options, st *ArtifactStore, onUnit fu
 		return nil, false, err
 	}
 	if st != nil {
-		art, err := st.Get(fp)
+		c, err := storedCampaign(st, fp, o)
 		switch {
 		case err == nil:
-			c, err := MergeArtifacts(art)
-			if err != nil {
-				return nil, false, fmt.Errorf("rhvpp: stored artifact %s: %w", fp, err)
-			}
 			return c, true, nil
 		case errors.Is(err, ErrArtifactNotFound), errors.Is(err, ErrArtifactCorrupt):
 			// Miss either way: recompute, and overwrite the damaged entry.
@@ -167,6 +166,29 @@ func CachedCampaign(ctx context.Context, o Options, st *ArtifactStore, onUnit fu
 		return nil, false, err
 	}
 	return c, false, nil
+}
+
+// storedCampaign opens the store entry at fp as o's campaign. An entry
+// whose options differ from o's canonical encoding, or that MergeArtifacts
+// rejects, is ErrArtifactCorrupt: the store is keyed by fingerprint, so
+// such an entry is damage, not another campaign to serve.
+func storedCampaign(st *ArtifactStore, fp string, o Options) (*Campaign, error) {
+	art, err := st.Get(fp)
+	if err != nil {
+		return nil, err
+	}
+	canon, err := canonicalOptions(o)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(art.Options, canon) {
+		return nil, fmt.Errorf("%w: %s: entry options %s are not %s", ErrArtifactCorrupt, fp, art.Options, canon)
+	}
+	c, err := MergeArtifacts(art)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrArtifactCorrupt, fp, err)
+	}
+	return c, nil
 }
 
 // PresetOptions resolves a campaign preset by name: "" or "default" (the

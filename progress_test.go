@@ -5,14 +5,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"os"
 	"sync"
 	"testing"
-
-	"github.com/dramstudy/rhvpp/internal/core"
-	"github.com/dramstudy/rhvpp/internal/physics"
 )
 
 // collectProgress is a concurrency-safe ProgressFunc recording every event.
@@ -205,6 +201,85 @@ func TestCachedCampaignHealsCorruptEntry(t *testing.T) {
 	}
 }
 
+// TestCachedCampaignRejectsForeignEntries checks that a store entry is
+// served only under the options it was measured with: an artifact of
+// campaign A filed at B's fingerprint, or an entry that no longer merges,
+// is a corrupt entry that B recomputes and overwrites, never A's results
+// under B's key and never a wedged fingerprint.
+func TestCachedCampaignRejectsForeignEntries(t *testing.T) {
+	st, err := OpenArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := campaignOptions("B3")
+	b := a
+	b.Seed++
+	if _, _, err := CachedCampaign(t.Context(), a, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	fpA, err := OptionsFingerprint(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpB, err := OptionsFingerprint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artA, err := st.Get(fpA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(fpB, artA); err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := canonicalOptions(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// heals requires that a call under b recomputes over the planted entry
+	// and that the following call is a hit on b's own options.
+	heals := func(what string) {
+		t.Helper()
+		if _, fromStore, err := CachedCampaign(t.Context(), b, st, nil); err != nil {
+			t.Fatalf("%s wedged the fingerprint: %v", what, err)
+		} else if fromStore {
+			t.Fatalf("%s served as a hit", what)
+		}
+		c, fromStore, err := CachedCampaign(t.Context(), b, st, nil)
+		if err != nil || !fromStore {
+			t.Fatalf("healed entry: fromStore=%v err=%v, want a hit", fromStore, err)
+		}
+		if c.Options().Seed != b.Seed {
+			t.Errorf("healed campaign has seed %d, want %d", c.Options().Seed, b.Seed)
+		}
+		got, err := st.Get(fpB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Options, wantB) {
+			t.Errorf("entry at B's fingerprint carries options %s, want %s", got.Options, wantB)
+		}
+	}
+	heals("campaign A's artifact at B's fingerprint")
+
+	broken, err := st.Get(fpB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop one SPICE level (a study with a unit per level), so the entry
+	// is incomplete rather than merely missing a study computed on first use.
+	for i, u := range broken.Units {
+		if u.Study == string(StudySpiceMC) {
+			broken.Units = append(broken.Units[:i], broken.Units[i+1:]...)
+			break
+		}
+	}
+	if err := st.Put(fpB, broken); err != nil {
+		t.Fatal(err)
+	}
+	heals("an entry missing a unit")
+}
+
 // TestCachedCampaignFindsPreGrowthEntries pins the omitempty contract at the
 // store: an entry written before the post-v1 options fields existed lives at
 // the same fingerprint today's options produce (at default knob values), so
@@ -226,28 +301,8 @@ func TestCachedCampaignFindsPreGrowthEntries(t *testing.T) {
 
 	// Rewrite the stored artifact's embedded options to the pre-growth (v1)
 	// encoding, as a server from before the omitempty fields would have
-	// written it. optionsV1 mirrors the frozen field set — see
-	// TestShardArtifactsMergeAcrossOptionsGrowth for the encoding pin.
-	type optionsV1 struct {
-		Seed                 uint64
-		Geometry             physics.Geometry
-		Config               core.Config
-		Chunks, RowsPerChunk int
-		ModuleNames          []string
-		VPPStride            int
-		SpiceMCRuns          int
-		RetentionVPPLevels   []float64
-		Jobs                 int
-	}
-	old, err := json.Marshal(optionsV1{
-		Seed: o.Seed, Geometry: o.Geometry, Config: o.Config,
-		Chunks: o.Chunks, RowsPerChunk: o.RowsPerChunk, ModuleNames: o.ModuleNames,
-		VPPStride: o.VPPStride, SpiceMCRuns: o.SpiceMCRuns,
-		RetentionVPPLevels: o.RetentionVPPLevels,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// written it.
+	old := encodeV1(t, o)
 	art, err := st.Get(fp)
 	if err != nil {
 		t.Fatal(err)

@@ -100,9 +100,9 @@ func ShardUnits(units []WorkUnit, shard, of int) ([]WorkUnit, error) {
 // canonicalOptions is the options fingerprint embedded in artifacts.
 // Execution-irrelevant knobs are excluded: Jobs changes only how fast a
 // shard runs, never what it measures, so shards produced at different
-// worker counts merge freely.
+// worker counts merge freely. TestCanonicalOptionsContract pins that Jobs
+// is the only field it changes.
 func canonicalOptions(o Options) (json.RawMessage, error) {
-	//detlint:execshape Jobs only splits the worker budget; every unit computes the same bytes at any count
 	o.Jobs = 0
 	raw, err := json.Marshal(o)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -261,35 +263,27 @@ func TestRunShardHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestShardArtifactsMergeAcrossOptionsGrowth pins the omitempty contract
-// behind the //detlint:fingerprint v1 freeze: an artifact encoded by a
-// binary predating any post-v1 option must still merge with one encoded
-// today, because such fields vanish from the canonical encoding at their
-// zero values. An artifact set measured under a retired
-// measurement option (the SPICE step-doubling tolerance) must refuse to
-// merge: its results do not belong to the options that remain.
-func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
-	// optionsV1 mirrors Options as of the v1 fingerprint freeze, before
-	// any omitempty field existed. If canonicalOptions ever stops encoding
-	// byte-identically to this shape at default knob values, artifacts
-	// from older campaign runs stop merging — that is the regression this
-	// test exists to catch.
-	type optionsV1 struct {
-		Seed                 uint64
-		Geometry             physics.Geometry
-		Config               core.Config
-		Chunks, RowsPerChunk int
-		ModuleNames          []string
-		VPPStride            int
-		SpiceMCRuns          int
-		RetentionVPPLevels   []float64
-		Jobs                 int
-	}
-	o := shardTestOptions()
-	now, err := canonicalOptions(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+// optionsV1 mirrors Options as of the v1 fingerprint freeze, before any
+// omitempty field existed; its fields are the frozen v1 list. If
+// canonicalOptions ever stops encoding byte-identically to this shape at
+// default knob values, artifacts from older campaign runs stop merging and
+// their store entries stop being found.
+type optionsV1 struct {
+	Seed                 uint64
+	Geometry             physics.Geometry
+	Config               core.Config
+	Chunks, RowsPerChunk int
+	ModuleNames          []string
+	VPPStride            int
+	SpiceMCRuns          int
+	RetentionVPPLevels   []float64
+	Jobs                 int
+}
+
+// encodeV1 returns o's canonical options as a binary predating every
+// post-v1 option encoded them.
+func encodeV1(t *testing.T, o Options) []byte {
+	t.Helper()
 	old, err := json.Marshal(optionsV1{
 		Seed:               o.Seed,
 		Geometry:           o.Geometry,
@@ -304,6 +298,104 @@ func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return old
+}
+
+// TestCanonicalOptionsContract pins the fingerprint's completeness over
+// the real types. Every Options field is exported (an unexported knob
+// would never reach the encoding); the optionsV1 fields keep their v1 tags
+// and every later field carries json:",omitempty", so artifacts encoded
+// before it existed keep their bytes; and canonicalOptions changes Jobs and
+// nothing else, so no measurement knob is excluded from the fingerprint.
+func TestCanonicalOptionsContract(t *testing.T) {
+	rt := reflect.TypeFor[Options]()
+	v1 := reflect.TypeFor[optionsV1]()
+	for i := range rt.NumField() {
+		f := rt.Field(i)
+		if !f.IsExported() {
+			t.Errorf("Options.%s is unexported, so the fingerprint never sees it", f.Name)
+			continue
+		}
+		tag := f.Tag.Get("json")
+		if old, ok := v1.FieldByName(f.Name); ok {
+			if want := old.Tag.Get("json"); tag != want {
+				t.Errorf("v1 field Options.%s has json tag %q, want %q: old artifacts would change bytes", f.Name, tag, want)
+			}
+		} else if tag != ",omitempty" {
+			t.Errorf(`post-v1 field Options.%s has json tag %q, want ",omitempty": old artifacts would change bytes`, f.Name, tag)
+		}
+	}
+	for i := range v1.NumField() {
+		if _, ok := rt.FieldByName(v1.Field(i).Name); !ok {
+			t.Errorf("v1 field %s is gone from Options", v1.Field(i).Name)
+		}
+	}
+
+	var o Options
+	next := 0
+	fillLeaves(t, reflect.ValueOf(&o).Elem(), &next)
+	if o.Jobs == 0 {
+		t.Fatal("fill left Jobs zero")
+	}
+	raw, err := canonicalOptions(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Options
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := o
+	want.Jobs = 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("canonicalOptions must change Jobs and nothing else:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// fillLeaves sets every leaf under v to a distinct non-zero value, with
+// two elements per slice, so a canonicalizer that drops any field shows.
+func fillLeaves(t *testing.T, v reflect.Value, next *int) {
+	t.Helper()
+	*next++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			fillLeaves(t, v.Field(i), next)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := range v.Len() {
+			fillLeaves(t, v.Index(i), next)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*next))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*next))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*next) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", *next))
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("fillLeaves: no distinct value for a %s leaf; extend it", v.Type())
+	}
+}
+
+// TestShardArtifactsMergeAcrossOptionsGrowth pins the omitempty contract
+// behind the v1 freeze: an artifact encoded by a binary predating any
+// post-v1 option must still merge with one encoded today, because such
+// fields vanish from the canonical encoding at their zero values. An
+// artifact set measured under a retired measurement option (the SPICE
+// step-doubling tolerance) must refuse to merge: its results do not belong
+// to the options that remain.
+func TestShardArtifactsMergeAcrossOptionsGrowth(t *testing.T) {
+	o := shardTestOptions()
+	now, err := canonicalOptions(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := encodeV1(t, o)
 	if !bytes.Equal(now, old) {
 		t.Fatalf("canonical options drifted from the v1 freeze:\n v1: %s\nnow: %s", old, now)
 	}

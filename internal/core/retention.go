@@ -49,11 +49,7 @@ func (t *Tester) measureRetentionBER(row int, pat pattern.Kind, windowMS float64
 	if err := t.ctrl.WaitMS(windowMS); err != nil {
 		return 0, err
 	}
-	data, err := t.readRowSafe(row)
-	if err != nil {
-		return 0, err
-	}
-	return float64(pat.CountMismatch(data)) / float64(len(data)*8), nil
+	return t.berRowSafe(row, pat)
 }
 
 // RetentionSweep implements Alg. 3 for one row: BER across the ladder of

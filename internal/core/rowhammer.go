@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/dramstudy/rhvpp/internal/dram"
 	"github.com/dramstudy/rhvpp/internal/mapping"
 	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/softmc"
@@ -18,7 +19,6 @@ type Tester struct {
 	cfg  Config
 	adj  mapping.AdjacencyMap // optional: probed adjacency overrides the scheme
 	ctx  context.Context      // cancels the characterization loops
-	row  []byte               // readback buffer reused by every BER measurement
 }
 
 // NewTester builds a tester for a controller.
@@ -108,20 +108,18 @@ func (t *Tester) MeasureBER(victim int, pat pattern.Kind, hc int) (float64, erro
 	// Read with the conservative safe latency: on modules whose tRCDmin
 	// exceeds the nominal value at reduced VPP, a nominal-timing read would
 	// corrupt data and masquerade as RowHammer flips.
-	data, err := t.readRowSafe(victim)
+	return t.berRowSafe(victim, pat)
+}
+
+// berRowSafe reads a row back at the safe latency and returns the fraction
+// of its bits that differ from the pattern (compare_data).
+func (t *Tester) berRowSafe(row int, pat pattern.Kind) (float64, error) {
+	flips, err := t.ctrl.CountRowSafe(t.cfg.Bank, row, pat.Byte())
 	if err != nil {
 		return 0, err
 	}
-	flips := pat.CountMismatch(data)
-	return float64(flips) / float64(len(data)*8), nil
-}
-
-// readRowSafe reads a row at the safe latency into the tester's reused
-// buffer. The returned image is valid until the next call.
-func (t *Tester) readRowSafe(row int) ([]byte, error) {
-	var err error
-	t.row, err = t.ctrl.AppendRowSafe(t.row[:0], t.cfg.Bank, row)
-	return t.row, err
+	bits := t.ctrl.Module().Geometry().Columns() * dram.BurstBytes * 8
+	return float64(flips) / float64(bits), nil
 }
 
 // measureBEREach repeats MeasureBER n times, handing each per-iteration

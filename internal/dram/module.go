@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"github.com/dramstudy/rhvpp/internal/mapping"
+	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/physics"
 )
 
@@ -320,28 +321,108 @@ func (m *Module) Read(dst []byte, t PS, bankIdx, col int) ([]byte, error) {
 //
 //detlint:hotpath witness=TestModuleReadRangeAllocsFree
 func (m *Module) ReadRange(dst []byte, t, step PS, bankIdx, col, n int) ([]byte, error) {
-	if err := m.checkTime(t); err != nil {
-		return dst, err
-	}
-	bk, err := m.bank(bankIdx)
+	bk, rs, err := m.openRead(t, step, bankIdx, col, n)
 	if err != nil {
 		return dst, err
 	}
+	return m.appendRange(dst, t, step, bankIdx, bk, rs, col, n), nil
+}
+
+// CountRange returns the number of bits that ReadRange with the same
+// arguments would read back different from fill, and has exactly its
+// effect on the module and its clock. A whole-row read of a row holding
+// only fill, at or past the row's safe activation latency, with one
+// retention state over the read, is counted from the flip counts without a
+// row image; any other read is assembled into the bank's scratch row and
+// popcounted.
+//
+//detlint:hotpath witness=TestModuleCountRangeAllocsFree
+func (m *Module) CountRange(t, step PS, bankIdx, col, n int, fill byte) (int, error) {
+	bk, rs, err := m.openRead(t, step, bankIdx, col, n)
+	if err != nil {
+		return 0, err
+	}
+	if count, ok := m.countRow(t, step, bk, rs, col, n, fill); ok {
+		return count, nil
+	}
+	rc := &bk.read
+	rc.row = m.appendRange(rc.row[:0], t, step, bankIdx, bk, rs, col, n)
+	return pattern.Mismatch(rc.row, fill), nil
+}
+
+// openRead checks a read of n bursts from col at t + k·step, brings the
+// bank's read cache to the open row's state and moves the module to the
+// last burst's time.
+func (m *Module) openRead(t, step PS, bankIdx, col, n int) (*bankState, *rowState, error) {
+	if err := m.checkTime(t); err != nil {
+		return nil, nil, err
+	}
+	bk, err := m.bank(bankIdx)
+	if err != nil {
+		return nil, nil, err
+	}
 	if bk.openRow < 0 {
-		return dst, ErrBankClosed
+		return nil, nil, ErrBankClosed
 	}
 	if n < 1 || col < 0 || col+n > m.geom.Columns() {
-		return dst, fmt.Errorf("%w: %d columns from %d", ErrBadAddress, n, col) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
+		return nil, nil, fmt.Errorf("%w: %d columns from %d", ErrBadAddress, n, col) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
 	if step < 0 && n > 1 {
-		return dst, fmt.Errorf("%w: burst step %d", ErrTimeRegression, step) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
+		return nil, nil, fmt.Errorf("%w: burst step %d", ErrTimeRegression, step) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
 	rs := bk.row(bk.openRow)
-	rc := &bk.read
-	rc.update(m, bankIdx, bk.openRow, rs)
-	last := t + PS(n-1)*step
-	m.now = last
+	bk.read.update(m, bankIdx, bk.openRow, rs)
+	m.now = t + PS(n-1)*step
+	return bk, rs, nil
+}
 
+// countRow returns the mismatch count of a read against fill, and true,
+// when it follows from the read cache alone: the read covers the whole row,
+// the row holds only fill, no burst violates the row's activation latency,
+// the bulk retention count is one count over the read and the same weak
+// cells have failed at its first and last burst. Then the flipped cells are
+// the hammer prefix XOR the failed retention cells, and the count is the
+// hammer count when no retention cell has failed, or the retention count
+// when no hammer flip has happened. Otherwise it returns false.
+func (m *Module) countRow(t, step PS, bk *bankState, rs *rowState, col, n int, fill byte) (int, bool) {
+	rc := &bk.read
+	if rs.data == nil || !rs.uniform || rs.data[0] != fill || col != 0 || n != m.geom.Columns() ||
+		nsSince(bk.openedAt, t) < rc.trcd.SafeNS() {
+		return 0, false
+	}
+	first, last := msSince(rs.lastWrite, t), msSince(rs.lastWrite, t+PS(n-1)*step)
+	bulk, uniform := rc.ret.BulkCountRange(first, last)
+	if !uniform {
+		return 0, false
+	}
+	// Weak cells only fail over time, so equal counts are equal sets.
+	rc.flips = rc.ret.AppendWeakFailures(rc.flips[:0], first)
+	weak := len(rc.flips)
+	rc.flips = rc.ret.AppendWeakFailures(rc.flips[:0], last)
+	switch {
+	case len(rc.flips) != weak:
+		return 0, false
+	case bulk == 0 && weak == 0:
+		return rc.hammerN, true
+	case rc.hammerN > 0:
+		return 0, false
+	}
+	count := bulk
+	if weak > 0 {
+		rc.resizeBulk(m, bulk)
+		for _, pos := range rc.flips {
+			if !rc.retBulk.has(pos) {
+				count++
+			}
+		}
+	}
+	return count, true
+}
+
+// appendRange appends the data of an openRead-checked read to dst.
+func (m *Module) appendRange(dst []byte, t, step PS, bankIdx int, bk *bankState, rs *rowState, col, n int) []byte {
+	rc := &bk.read
+	last := t + PS(n-1)*step
 	lo, hi := col*BurstBytes, (col+n)*BurstBytes
 	start := len(dst)
 	if rs.data != nil {
@@ -354,7 +435,8 @@ func (m *Module) ReadRange(dst []byte, t, step PS, bankIdx, col, n int) ([]byte,
 	out := dst[start:]
 
 	// RowHammer flips from accumulated neighbor activations.
-	if rc.hammer.n > 0 {
+	if rc.hammerN > 0 {
+		rc.resizeHammer(m, bankIdx, bk.openRow)
 		subtle.XORBytes(out, out, rc.hammer.bits[lo:hi])
 	}
 
@@ -397,7 +479,7 @@ func (m *Module) ReadRange(dst []byte, t, step PS, bankIdx, col, n int) ([]byte,
 			rc.flipBurst(out[k*BurstBytes:(k+1)*BurstBytes], lo+k*BurstBytes, false)
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // msSince and nsSince return the time from from to at in ms and ns.
@@ -440,11 +522,13 @@ type stateKey struct {
 type readCache struct {
 	ok      bool
 	key     readKey
-	hammer  prefixMask           // RowHammer flips at the key's exposure
+	hammerN int                  // RowHammer flips at the key's exposure
+	hammer  prefixMask           // the first hammerN cells once a read needs them
 	ret     physics.RetentionRow // retention terms at the key's VPP, temperature and epoch
 	retBulk prefixMask           // failed bulk cells at the last read's time
 	trcd    physics.TRCDRow      // activation-latency terms at the key's VPP
 	flips   []int32              // scratch for one burst's weak-cell and tRCD flips
+	row     []byte               // scratch image of CountRange's assembled reads
 }
 
 // update recomputes the cached terms when the open row's state has changed
@@ -475,14 +559,20 @@ func (rc *readCache) update(m *Module, bankIdx, phys int, rs *rowState) {
 	rc.ok, rc.key = true, key
 
 	st := key.state
-	n := 0
+	rc.hammerN = 0
 	if st.hcEq > 0 {
-		n = m.model.HammerFlipCount(bankIdx, phys, st.pat, m.vpp, st.hcEq, m.tempC, st.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+		rc.hammerN = m.model.HammerFlipCount(bankIdx, phys, st.pat, m.vpp, st.hcEq, m.tempC, st.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
 	}
-	if n > 0 && rc.hammer.order == nil {
+}
+
+// resizeHammer moves the hammer mask to the first hammerN cells, attaching
+// the row's hammer order on first need, so a row that is only counted never
+// samples it.
+func (rc *readCache) resizeHammer(m *Module, bankIdx, phys int) {
+	if rc.hammer.order == nil {
 		rc.hammer.setOrder(m.model.HammerFlipPositions(bankIdx, phys, m.geom.RowBits()), m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
 	}
-	rc.hammer.resize(n)
+	rc.hammer.resize(rc.hammerN)
 }
 
 // resizeBulk moves the retention mask to the first count bulk cells,

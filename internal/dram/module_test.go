@@ -153,9 +153,15 @@ func TestReadRangeErrors(t *testing.T) {
 		if _, err := m.ReadRange(nil, at, NSToPS(5), 0, c.col, c.n); !errors.Is(err, ErrBadAddress) {
 			t.Errorf("%d columns from %d: err = %v, want ErrBadAddress", c.n, c.col, err)
 		}
+		if _, err := m.CountRange(at, NSToPS(5), 0, c.col, c.n, 0); !errors.Is(err, ErrBadAddress) {
+			t.Errorf("count of %d columns from %d: err = %v, want ErrBadAddress", c.n, c.col, err)
+		}
 	}
 	if _, err := m.ReadRange(nil, at, -1, 0, 0, 2); !errors.Is(err, ErrTimeRegression) {
 		t.Errorf("negative burst step: err = %v, want ErrTimeRegression", err)
+	}
+	if _, err := m.CountRange(at, -1, 0, 0, 2, 0); !errors.Is(err, ErrTimeRegression) {
+		t.Errorf("count with a negative burst step: err = %v, want ErrTimeRegression", err)
 	}
 	got, err := m.ReadRange([]byte{7}, at, NSToPS(5), 0, 3, 4)
 	if err != nil || len(got) != 1+4*BurstBytes || got[0] != 7 {
@@ -169,6 +175,9 @@ func TestReadRangeErrors(t *testing.T) {
 	}
 	if _, err := m.ReadRange(nil, m.Now(), NSToPS(5), 0, 0, 2); !errors.Is(err, ErrBankClosed) {
 		t.Errorf("row call on a closed bank: err = %v, want ErrBankClosed", err)
+	}
+	if _, err := m.CountRange(m.Now(), NSToPS(5), 0, 0, 2, 0); !errors.Is(err, ErrBankClosed) {
+		t.Errorf("row count on a closed bank: err = %v, want ErrBankClosed", err)
 	}
 }
 

@@ -491,3 +491,347 @@ func TestAlg2ColumnStepAllocsFree(t *testing.T) {
 		t.Errorf("an Alg. 2 column step allocates %v times in steady state, want 0", a)
 	}
 }
+
+// twinRun drives two modules of one device instance with the same command
+// stream. At each row call one twin counts with CountRange and the other
+// reads with ReadRange, checked burst by burst against refRead; the roles
+// alternate, so both twins' read caches see counts and reads. The count
+// must equal the read's mismatch popcount against the fill, and the twins
+// must leave the call at the same time.
+type twinRun struct {
+	t       *testing.T
+	m       [2]*Module
+	at      PS
+	name    string
+	calls   int
+	fast    int // calls counted without a row image
+	flipped int // calls whose count is non-zero
+}
+
+func newTwinRun(t *testing.T, name string, geom physics.Geometry, seed uint64, vpp, tempC float64) *twinRun {
+	p, _ := physics.ProfileByName(name)
+	r := &twinRun{t: t, name: fmt.Sprintf("%s@%.2fV", name, vpp)}
+	for i := range r.m {
+		r.m[i] = NewModule(p, geom, seed)
+		r.m[i].SetVPP(vpp)
+		r.m[i].SetTemperature(tempC)
+	}
+	return r
+}
+
+func (r *twinRun) step(ns float64) { r.at += NSToPS(ns) }
+
+// each issues one command to both twins.
+func (r *twinRun) each(what string, cmd func(m *Module) error) {
+	r.t.Helper()
+	for _, m := range r.m {
+		if err := cmd(m); err != nil {
+			r.t.Fatalf("%s: %s: %v", r.name, what, err)
+		}
+	}
+}
+
+func (r *twinRun) setTemperature(c float64) {
+	r.each("temperature", func(m *Module) error { m.SetTemperature(c); return nil })
+}
+
+func (r *twinRun) initRow(bank, row int, fill byte) {
+	r.t.Helper()
+	r.each("activate", func(m *Module) error { return m.Activate(r.at, bank, row) })
+	r.step(physics.TRCDNominalNS)
+	r.each("write row", func(m *Module) error { return m.WriteRow(r.at, bank, row, fill) })
+	r.step(physics.TRASNominalNS)
+	r.each("precharge", func(m *Module) error { return m.Precharge(r.at, bank) })
+	r.step(physics.TRPNominalNS)
+}
+
+// hammer activates the victim's physical neighbors count times each.
+func (r *twinRun) hammer(bank, victim, count int) {
+	r.t.Helper()
+	sch := r.m[0].Scheme()
+	phys := sch.LogicalToPhysical(victim)
+	for _, p := range []int{phys - 1, phys + 1} {
+		r.each("hammer", func(m *Module) error { return m.ActivateMany(r.at, bank, sch.PhysicalToLogical(p), count) })
+		r.at = r.m[0].Now()
+	}
+}
+
+// writeBurst writes one burst of b into an initialized row.
+func (r *twinRun) writeBurst(bank, row, col int, b byte) {
+	r.t.Helper()
+	r.each("activate", func(m *Module) error { return m.Activate(r.at, bank, row) })
+	r.step(physics.TRCDNominalNS)
+	r.each("write", func(m *Module) error { return m.Write(r.at, bank, col, bytes.Repeat([]byte{b}, BurstBytes)) })
+	r.step(physics.TRASNominalNS)
+	r.each("precharge", func(m *Module) error { return m.Precharge(r.at, bank) })
+	r.step(physics.TRPNominalNS)
+}
+
+// count opens a row on both twins and, trcd ns after ACT, counts it against
+// fill on one and reads it on the other, one burst every 5 ns.
+func (r *twinRun) count(bank, row int, trcd float64, fill byte) {
+	r.t.Helper()
+	r.each("activate", func(m *Module) error { return m.Activate(r.at, bank, row) })
+	r.step(trcd)
+	counter, reader := r.m[r.calls%2], r.m[1-r.calls%2]
+	cols, step := counter.Geometry().Columns(), NSToPS(5)
+	want := make([][]byte, cols)
+	for col := range want {
+		want[col] = refRead(reader, r.at+PS(col)*step, bank, col)
+	}
+	rc := &counter.banks[bank].read
+	rc.row = rc.row[:0]
+	got, err := counter.CountRange(r.at, step, bank, 0, cols, fill)
+	if err != nil {
+		r.t.Fatalf("%s: count range: %v", r.name, err)
+	}
+	data, err := reader.ReadRange(nil, r.at, step, bank, 0, cols)
+	if err != nil {
+		r.t.Fatalf("%s: read range: %v", r.name, err)
+	}
+	if !bytes.Equal(data, bytes.Join(want, nil)) {
+		r.t.Fatalf("%s: row call %d of bank %d row %d differs from the per-burst oracle", r.name, r.calls, bank, row)
+	}
+	if n := countFlips(data, fill); got != n {
+		r.t.Fatalf("%s: call %d, bank %d row %d at tRCD %.2f ns against %#x: CountRange %d, ReadRange mismatches %d",
+			r.name, r.calls, bank, row, trcd, fill, got, n)
+	}
+	if counter.Now() != reader.Now() {
+		r.t.Fatalf("%s: call %d: CountRange left the module at %d ps, ReadRange at %d", r.name, r.calls, counter.Now(), reader.Now())
+	}
+	if len(rc.row) == 0 {
+		r.fast++
+	}
+	if got > 0 {
+		r.flipped++
+	}
+	r.calls++
+	r.at = counter.Now() + step
+	r.each("precharge", func(m *Module) error { return m.Precharge(r.at, bank) })
+	r.step(physics.TRPNominalNS)
+}
+
+// countAcross initializes a row and counts it with the straddled burst
+// (see straddle) offset after the first change of the bulk count (weak
+// false) or of the failed weak cells (weak true) past loMS. It reports
+// whether such a change exists before hiMS away from the row's ends.
+func (r *twinRun) countAcross(bank, row int, fill byte, loMS, hiMS float64, weak bool, offset PS) bool {
+	r.t.Helper()
+	r.initRow(bank, row, fill)
+	// Sample the row's cached terms at its new state without reading.
+	m := r.m[0]
+	r.each("activate", func(m *Module) error { return m.Activate(r.at, bank, row) })
+	bk := &m.banks[bank]
+	rs := bk.row(bk.openRow)
+	bk.read.update(m, bank, bk.openRow, rs)
+	r.each("precharge", func(m *Module) error { return m.Precharge(r.at, bank) })
+	r.step(physics.TRPNominalNS)
+	at, col := straddle(m, bank, MSToPS(loMS), MSToPS(hiMS), weak)
+	if at < 0 || col == 0 || col == m.geom.Columns()-1 {
+		return false
+	}
+	const trcd = 30
+	r.at = rs.lastWrite + at + offset - NSToPS(trcd+float64(col)*5)
+	r.count(bank, row, trcd, fill)
+	return true
+}
+
+// TestCountRangeMatchesReadRangeOnTwins drives, at 8 KiB rows, the row
+// states TestReadMatchesPerBurstOracleAtPaperGeometry reads — hammer
+// counts, retention waits with and without hammering, bulk counts and weak
+// cells that change mid-row, tRCD on both sides of the skip bound, rows of
+// two banks read alternately — plus a burst-written row, a never-written
+// row and fills that do not match, and counts each on one twin while the
+// other reads it.
+func TestCountRangeMatchesReadRangeOnTwins(t *testing.T) {
+	geom := physics.FullGeometry()
+	var calls, fast, flipped, across int
+	tally := func(r *twinRun) {
+		calls += r.calls
+		fast += r.fast
+		flipped += r.flipped
+	}
+	for _, name := range []string{"A0", "B2", "B3", "C0"} {
+		p, _ := physics.ProfileByName(name)
+		for _, vpp := range []float64{physics.VPPNominal, 1.9, p.VPPMin} {
+			r := newTwinRun(t, name, geom, 2022, vpp, physics.RowHammerTestTempC)
+			m := r.m[0]
+			const bank, victim = 1, 1000
+			hcFirst := int(m.Model().GroundTruthHCFirst(bank, m.Scheme().LogicalToPhysical(victim), vpp))
+			reqNS := m.Model().GroundTruthRowTRCDNS(bank, m.Scheme().LogicalToPhysical(victim), vpp)
+
+			// Hammer counts around and far above HCfirst, counted safely,
+			// then once more on the reopened, unchanged row.
+			for i, hc := range []int{0, hcFirst / 2, hcFirst + hcFirst/10, 4 * hcFirst} {
+				fill := []byte{0xAA, 0x55, 0xFF, 0x00}[i]
+				r.initRow(bank, victim, fill)
+				r.hammer(bank, victim, hc)
+				r.count(bank, victim, 30, fill)
+				r.count(bank, victim, 30, fill)
+			}
+
+			// Retention waits, with hammer flips and without, then rows
+			// whose bulk count steps between their first and last burst.
+			r.setTemperature(physics.RetentionTestTempC)
+			for _, waitMS := range []float64{64, 128, 4000, 16000} {
+				for _, hc := range []int{4 * hcFirst, 0} {
+					r.initRow(bank, victim+2, 0xCC)
+					r.hammer(bank, victim+2, hc)
+					r.step(waitMS * 1e6)
+					r.count(bank, victim+2, 30, 0xCC)
+				}
+			}
+			for _, at := range []float64{1000, 4000, 16000} {
+				if r.countAcross(bank, victim+4, 0xCC, at, 2*at, false, 0) {
+					across++
+				}
+			}
+			r.setTemperature(physics.RowHammerTestTempC)
+
+			// tRCD on both sides of the row's requirement and of the
+			// draw-skip bound.
+			for _, trcd := range []float64{6, reqNS - 1.5, reqNS - 0.2, reqNS, reqNS + 0.5, reqNS + 0.75, 13.5, 30} {
+				r.initRow(bank, victim, 0x33)
+				r.hammer(bank, victim, 2*hcFirst)
+				r.count(bank, victim, trcd, 0x33)
+			}
+
+			// A burst-written row, a hammered row counted against another
+			// fill, and a never-written row against zeros and ones.
+			r.initRow(bank, victim, 0xFF)
+			r.writeBurst(bank, victim, 9, 0xF0)
+			r.hammer(bank, victim, 2*hcFirst)
+			r.count(bank, victim, 30, 0xFF)
+			r.initRow(bank, victim, 0xAA)
+			r.hammer(bank, victim, 2*hcFirst)
+			r.count(bank, victim, 30, 0x55)
+			r.hammer(bank, 3000, 4*hcFirst)
+			r.count(bank, 3000, 30, 0x00)
+			r.count(bank, 3000, 30, 0xFF)
+
+			// Two rows of two banks counted alternately, so each bank's
+			// cache switches rows.
+			r.initRow(0, victim, 0xAA)
+			r.hammer(0, victim, 2*hcFirst)
+			for i := 0; i < 3; i++ {
+				r.count(0, victim, 30, 0xAA)
+				r.count(bank, victim, 30, 0xAA)
+				r.count(bank, 3000, reqNS-1, 0x00)
+			}
+			tally(r)
+		}
+	}
+	bulkAcross := across
+
+	// Weak cells (B6 fails at the 64 ms window) after a long wait at
+	// VPPmin, some of them among the failed bulk cells, then rows counted
+	// across the failure of a weak cell.
+	p, _ := physics.ProfileByName("B6")
+	r := newTwinRun(t, "B6", geom, 7, p.VPPMin, physics.RetentionTestTempC)
+	for row := 0; row < 48; row++ {
+		r.initRow(0, row, 0xFF)
+	}
+	r.step(20000e6)
+	for row := 0; row < 48; row++ {
+		r.count(0, row, 30, 0xFF)
+	}
+	for row := 48; row < 96; row++ {
+		if r.m[0].Model().GroundTruthWeakCells(0, r.m[0].Scheme().LogicalToPhysical(row)) == 0 {
+			continue
+		}
+		for _, offset := range []PS{-1, 0} {
+			if r.countAcross(0, row, 0xFF, 1, 20000, true, offset) {
+				across++
+			}
+		}
+	}
+	tally(r)
+
+	if bulkAcross == 0 || across == bulkAcross {
+		t.Fatalf("%d counts across a bulk count step and %d across a weak-cell failure; want both", bulkAcross, across-bulkAcross)
+	}
+	// Both paths must have run, on flipped rows and on clean ones.
+	if fast == 0 || fast == calls || flipped < calls/4 || flipped == calls {
+		t.Fatalf("%d of %d counts without a row image, %d with flips", fast, calls, flipped)
+	}
+	t.Logf("%d counts, %d without a row image, %d with flips, %d across a retention change", calls, fast, flipped, across)
+}
+
+// TestCountRangeLeavesHammerOrderUnsampled runs one Alg. 1 measurement at
+// 8 KiB rows — victim and aggressors initialized, a double-sided hammer, a
+// count at the safe latency — and checks that the count never attached the
+// row's hammer permutation. A read of the same state must still match the
+// per-burst oracle.
+func TestCountRangeLeavesHammerOrderUnsampled(t *testing.T) {
+	p, _ := physics.ProfileByName("B3")
+	m := NewModule(p, physics.FullGeometry(), 2022)
+	r := &oracleRun{t: t, m: m, name: "B3"}
+	const bank, victim = 0, 1000
+	phys := m.Scheme().LogicalToPhysical(victim)
+	r.initRow(bank, victim, 0xAA)
+	r.initRow(bank, m.Scheme().PhysicalToLogical(phys-1), 0x55)
+	r.initRow(bank, m.Scheme().PhysicalToLogical(phys+1), 0x55)
+	r.hammer(bank, victim, 300_000)
+	r.must(m.Activate(r.at, bank, victim), "activate")
+	r.step(30)
+	n, err := m.CountRange(r.at, NSToPS(5), bank, 0, m.Geometry().Columns(), 0xAA)
+	r.must(err, "count range")
+	rc := &m.banks[bank].read
+	if n == 0 || n != rc.hammerN {
+		t.Fatalf("count %d, hammer flips %d: want the hammer count, and flips", n, rc.hammerN)
+	}
+	r.at = m.Now() + NSToPS(5)
+	r.must(m.Precharge(r.at, bank), "precharge")
+	r.step(physics.TRPNominalNS)
+	if rc.hammer.order != nil {
+		t.Fatal("counting the row sampled its hammer permutation")
+	}
+	r.readRow(bank, victim, 30, nil)
+	if r.flipped == 0 {
+		t.Fatal("the read after the count carried no flips")
+	}
+}
+
+// TestModuleCountRangeAllocsFree counts a row over and over in steady
+// state, once where the count needs no row image and once where it
+// assembles the row, and asserts neither allocates.
+func TestModuleCountRangeAllocsFree(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		tempC  float64
+		wait   float64 // ns after the hammer, and between counts
+		trcd   float64
+		noCopy bool
+	}{
+		{"hammer only", physics.RowHammerTestTempC, 1e3, 30, true},
+		{"retention and tRCD flips", physics.RetentionTestTempC, 20e6, 10, false},
+	} {
+		p, _ := physics.ProfileByName("B3")
+		m := NewModule(p, physics.FullGeometry(), 2022)
+		m.SetTemperature(c.tempC)
+		r := &oracleRun{t: t, m: m, name: "B3 " + c.name}
+		const bank, victim = 0, 1000
+		r.initRow(bank, victim, 0xAA)
+		r.hammer(bank, victim, 300_000)
+		r.step(c.wait)
+		cols := m.Geometry().Columns()
+		rc := &m.banks[bank].read
+		count := func() {
+			r.must(m.Activate(r.at, bank, victim), "activate")
+			r.step(c.trcd)
+			rc.row = rc.row[:0]
+			n, err := m.CountRange(r.at, NSToPS(5), bank, 0, cols, 0xAA)
+			r.must(err, "count range")
+			if n == 0 || (len(rc.row) == 0) != c.noCopy {
+				t.Fatalf("%s: count %d, row image %d bytes", r.name, n, len(rc.row))
+			}
+			r.at = m.Now()
+			r.must(m.Precharge(r.at, bank), "precharge")
+			r.step(c.wait)
+		}
+		count() // the first count samples the row and sizes the bank's buffers
+		if a := testing.AllocsPerRun(200, count); a != 0 {
+			t.Errorf("%s: CountRange allocates %v times per row in steady state, want 0", r.name, a)
+		}
+	}
+}

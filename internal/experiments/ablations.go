@@ -54,11 +54,7 @@ func RunAttackComparison(ctx context.Context, o Options, moduleName string, hc i
 		if err := attack(victim, lo, hi); err != nil {
 			return 0, err
 		}
-		data, err := ctrl.ReadRowSafe(0, victim)
-		if err != nil {
-			return 0, err
-		}
-		return pattern.RowStripeFF.CountMismatch(data), nil
+		return ctrl.CountRowSafe(0, victim, 0xFF)
 	}
 
 	victims := []int{100, 140, 180, 220, 260, 300}

@@ -67,15 +67,12 @@ func Verify(t *core.Tester, plan RefreshPlan, rows []int, fill byte) (failed int
 		if err := ctrl.WaitMS(plan.WindowFor(row)); err != nil {
 			return failed, err
 		}
-		data, err := ctrl.ReadRowSafe(bank, row)
+		flips, err := ctrl.CountRowSafe(bank, row, fill)
 		if err != nil {
 			return failed, err
 		}
-		for _, b := range data {
-			if b != fill {
-				failed++
-				break
-			}
+		if flips > 0 {
+			failed++
 		}
 	}
 	return failed, nil
@@ -161,15 +158,12 @@ func VerifyFine(t *core.Tester, plan FineRefreshPlan, rows []int, fill byte) (fa
 		if err := ctrl.WaitMS(plan.WindowFor(row)); err != nil {
 			return failed, err
 		}
-		data, err := ctrl.ReadRowSafe(bank, row)
+		flips, err := ctrl.CountRowSafe(bank, row, fill)
 		if err != nil {
 			return failed, err
 		}
-		for _, b := range data {
-			if b != fill {
-				failed++
-				break
-			}
+		if flips > 0 {
+			failed++
 		}
 	}
 	return failed, nil

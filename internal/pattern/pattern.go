@@ -114,10 +114,13 @@ func (k Kind) Bit(bitOffset int) bool {
 
 // CountMismatch returns the number of bits in got that differ from pattern
 // k's expected fill. It is the BER numerator of the paper's compare_data
-// step. It compares eight bytes per step; byte order does not matter to a
-// popcount, so the count is the same on every architecture.
-func (k Kind) CountMismatch(got []byte) int {
-	want := k.Byte()
+// step.
+func (k Kind) CountMismatch(got []byte) int { return Mismatch(got, k.Byte()) }
+
+// Mismatch returns the number of bits in got that differ from a row filled
+// with the byte want. It compares eight bytes per step; byte order does not
+// matter to a popcount, so the count is the same on every architecture.
+func Mismatch(got []byte, want byte) int {
 	want64 := uint64(want) * 0x0101010101010101
 	n, i := 0, 0
 	for ; i+8 <= len(got); i += 8 {

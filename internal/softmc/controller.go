@@ -162,33 +162,44 @@ func (c *Controller) InitializeRow(bank, row int, fill byte) error {
 // ReadRow activates a row using the programmed tRCD, streams out every
 // column burst, precharges, and returns the full row image.
 func (c *Controller) ReadRow(bank, row int) ([]byte, error) {
-	return c.appendRow(c.newRow(), bank, row, c.q)
+	return c.readRow(bank, row, c.q)
 }
 
-// appendRow is ReadRow at timing q appending the row image to dst. On
-// error it returns nil.
-func (c *Controller) appendRow(dst []byte, bank, row int, q quanta) ([]byte, error) {
-	if err := c.mod.Activate(c.now, bank, row); err != nil {
-		return nil, fmt.Errorf("read row %d: %w", row, err)
+// readRow is ReadRow at timing q.
+func (c *Controller) readRow(bank, row int, q quanta) ([]byte, error) {
+	cols, err := c.openRow(bank, row, q)
+	if err != nil {
+		return nil, err
 	}
-	c.now += q.trcd
-	// Every burst is one tCCD after the one before.
-	cols := c.mod.Geometry().Columns()
-	dst, err := c.mod.ReadRange(dst, c.now, q.tccd, bank, 0, cols)
+	data, err := c.mod.ReadRange(make([]byte, 0, c.mod.Geometry().RowBytes), c.now, q.tccd, bank, 0, cols)
 	if err != nil {
 		return nil, fmt.Errorf("read row %d: %w", row, err)
 	}
-	c.now += dram.PS(cols) * q.tccd
-	if err := c.mod.Precharge(c.now, bank); err != nil {
-		return nil, fmt.Errorf("read row %d: %w", row, err)
+	if err := c.closeRow(bank, row, cols, q); err != nil {
+		return nil, err
 	}
-	c.now += q.trp
-	return dst, nil
+	return data, nil
 }
 
-// newRow returns an empty buffer with room for one row.
-func (c *Controller) newRow() []byte {
-	return make([]byte, 0, c.mod.Geometry().RowBytes)
+// openRow activates a row for a full-row read at timing q and returns the
+// number of column bursts; the first is due at the controller's clock.
+func (c *Controller) openRow(bank, row int, q quanta) (int, error) {
+	if err := c.mod.Activate(c.now, bank, row); err != nil {
+		return 0, fmt.Errorf("read row %d: %w", row, err)
+	}
+	c.now += q.trcd
+	return c.mod.Geometry().Columns(), nil
+}
+
+// closeRow advances the clock past a row's cols bursts, each one tCCD after
+// the one before, and precharges the bank.
+func (c *Controller) closeRow(bank, row, cols int, q quanta) error {
+	c.now += dram.PS(cols) * q.tccd
+	if err := c.mod.Precharge(c.now, bank); err != nil {
+		return fmt.Errorf("read row %d: %w", row, err)
+	}
+	c.now += q.trp
+	return nil
 }
 
 // safeReadTRCDNS is a conservative activation latency above every tested
@@ -203,13 +214,27 @@ const safeReadTRCDNS = 30
 // regardless of the currently programmed tRCD override, which stays
 // programmed.
 func (c *Controller) ReadRowSafe(bank, row int) ([]byte, error) {
-	return c.AppendRowSafe(c.newRow(), bank, row)
+	return c.readRow(bank, row, safeQuanta)
 }
 
-// AppendRowSafe is ReadRowSafe appending the row image to dst, so a caller
-// measuring row after row can reuse one buffer. On error it returns nil.
-func (c *Controller) AppendRowSafe(dst []byte, bank, row int) ([]byte, error) {
-	return c.appendRow(dst, bank, row, safeQuanta)
+// CountRowSafe reads a full row as ReadRowSafe does and returns how many of
+// its bits differ from fill: the compare_data step of Algs. 1 and 3, with
+// no row image handed out. It issues the same commands and leaves the
+// controller and the module at the same time as ReadRowSafe.
+func (c *Controller) CountRowSafe(bank, row int, fill byte) (int, error) {
+	q := safeQuanta
+	cols, err := c.openRow(bank, row, q)
+	if err != nil {
+		return 0, err
+	}
+	n, err := c.mod.CountRange(c.now, q.tccd, bank, 0, cols, fill)
+	if err != nil {
+		return 0, fmt.Errorf("read row %d: %w", row, err)
+	}
+	if err := c.closeRow(bank, row, cols, q); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // ReadColumn activates a row with the programmed tRCD, reads a single column
@@ -319,15 +344,12 @@ func (c *Controller) HammerObserveVictims(aggressor, count int, candidates []int
 		if r == aggressor {
 			continue
 		}
-		data, err := c.ReadRowSafe(0, r)
+		flips, err := c.CountRowSafe(0, r, fill)
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range data {
-			if b != fill {
-				victims = append(victims, r)
-				break
-			}
+		if flips > 0 {
+			victims = append(victims, r)
 		}
 	}
 	return victims, nil

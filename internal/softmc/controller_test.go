@@ -44,39 +44,87 @@ func TestInitializeAndReadRow(t *testing.T) {
 	}
 }
 
-// TestAppendRowSafeMatchesReadRowSafe reads the same row state into a
-// reused buffer, after a prefix, and through the allocating form.
-func TestAppendRowSafeMatchesReadRowSafe(t *testing.T) {
-	c := newCtrl(t, "B3")
-	if err := c.InitializeRow(0, 200, 0xCC); err != nil {
-		t.Fatal(err)
+// TestCountRowSafeMatchesReadRowSafe drives two controllers of one device
+// instance with the same commands and, in each row state, counts the row on
+// one and reads it on the other: the count must be the read's mismatch
+// count, and both clocks must agree. The states cover hammer flips alone,
+// retention flips alone and both, a programmed tRCD override, a
+// burst-written row, a never-written row and a fill that does not match.
+func TestCountRowSafeMatchesReadRowSafe(t *testing.T) {
+	var twins [2]*Controller
+	for i := range twins {
+		twins[i] = newCtrl(t, "B6")
+		twins[i].Module().SetVPP(twins[i].Module().Profile().VPPMin)
 	}
-	if err := c.InitializeRow(0, 199, 0x33); err != nil {
-		t.Fatal(err)
+	each := func(cmd func(c *Controller) error) {
+		t.Helper()
+		for _, c := range twins {
+			if err := cmd(c); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := c.InitializeRow(0, 201, 0x33); err != nil {
-		t.Fatal(err)
+	calls, flipped := 0, 0
+	check := func(row int, fill byte) {
+		t.Helper()
+		counter, reader := twins[calls%2], twins[1-calls%2]
+		got, err := counter.CountRowSafe(0, row, fill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := reader.ReadRowSafe(0, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pattern.Mismatch(data, fill); got != want {
+			t.Fatalf("state %d, row %d against %#x: CountRowSafe %d, ReadRowSafe mismatches %d", calls, row, fill, got, want)
+		}
+		if counter.Now() != reader.Now() || counter.Module().Now() != reader.Module().Now() {
+			t.Fatalf("state %d: clocks %d/%d after CountRowSafe, %d/%d after ReadRowSafe",
+				calls, counter.Now(), counter.Module().Now(), reader.Now(), reader.Module().Now())
+		}
+		if got > 0 {
+			flipped++
+		}
+		calls++
 	}
-	if err := c.HammerDoubleSided(0, 199, 201, 300000); err != nil {
-		t.Fatal(err)
+	hammer := func(row int, fill byte, hc int) {
+		each(func(c *Controller) error { return c.InitializeRow(0, row, fill) })
+		each(func(c *Controller) error { return c.HammerDoubleSided(0, row-1, row+1, hc) })
 	}
-	want, err := c.ReadRowSafe(0, 200)
-	if err != nil {
-		t.Fatal(err)
+	for _, hc := range []int{0, 300_000, 1_000_000} {
+		for _, waitMS := range []float64{0, 64, 2000, 16000} {
+			hammer(200, 0xCC, hc)
+			each(func(c *Controller) error { return c.WaitMS(waitMS) })
+			check(200, 0xCC)
+			check(200, 0xCC)
+		}
 	}
-	if got := pattern.ThickCC.CountMismatch(want); got == 0 {
-		t.Fatal("hammered row read back clean; the comparison proves nothing")
+	each(func(c *Controller) error { return c.SetTRCD(6) })
+	hammer(300, 0x33, 300_000)
+	check(300, 0x33)
+	each(func(c *Controller) error { c.ResetTiming(); return nil })
+	hammer(400, 0xFF, 300_000)
+	each(func(c *Controller) error {
+		if err := c.Module().Activate(c.Now(), 0, 400); err != nil {
+			return err
+		}
+		return c.Module().Write(c.Now()+dram.NSToPS(15), 0, 7, bytes.Repeat([]byte{0x0F}, dram.BurstBytes))
+	})
+	each(func(c *Controller) error {
+		c.now += dram.NSToPS(50)
+		return c.Module().Precharge(c.Now(), 0)
+	})
+	check(400, 0xFF)
+	hammer(500, 0xAA, 300_000)
+	check(500, 0x55)
+	each(func(c *Controller) error { return c.HammerDoubleSided(0, 599, 601, 1_000_000) })
+	check(600, 0x00)
+	if flipped < calls/2 || flipped == calls {
+		t.Fatalf("%d of %d states read back flips; the comparison proves little", flipped, calls)
 	}
-	buf := make([]byte, 3, 3+len(want))
-	got, err := c.AppendRowSafe(buf, 0, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &buf[0] || !bytes.Equal(got[3:], want) {
-		t.Fatal("AppendRowSafe did not append the row image to dst in place")
-	}
-	if _, err := c.AppendRowSafe(got[:0], 0, 1<<20); err == nil {
-		t.Fatal("out-of-range row read without error")
+	if _, err := twins[0].CountRowSafe(0, 1<<20, 0); err == nil {
+		t.Fatal("out-of-range row counted without error")
 	}
 }
 
@@ -147,10 +195,10 @@ func perCommandPS(ns float64) dram.PS { return dram.NSToPS(perCommandQuantize(ns
 
 // TestClockAdvanceMatchesPerCommandQuantize programs every tRCD on the
 // command grid from 1.5 to 30 ns, and nominal timing, and checks that
-// InitializeRow, ReadColumn, ReadRow and ReadRowSafe advance the clock by the
-// sum of the latencies each command quantized for itself. InitializeRow
-// must advance as at nominal timing under every override, and a safe read
-// must leave the override programmed.
+// InitializeRow, ReadColumn, ReadRow, ReadRowSafe and CountRowSafe advance
+// the clock by the sum of the latencies each command quantized for itself.
+// InitializeRow must advance as at nominal timing under every override, and
+// a safe read must leave the override programmed.
 func TestClockAdvanceMatchesPerCommandQuantize(t *testing.T) {
 	c := newCtrl(t, "B3")
 	nom := NominalTiming()
@@ -181,7 +229,9 @@ func TestClockAdvanceMatchesPerCommandQuantize(t *testing.T) {
 			func() error { _, err := c.ReadRow(bank, row); return err })
 		advance("ReadRowSafe", perCommandPS(safeReadTRCDNS)+cols*perCommandPS(nom.TCCD)+perCommandPS(nom.TRP),
 			func() error { _, err := c.ReadRowSafe(bank, row); return err })
-		advance("ReadColumn after ReadRowSafe", column, readColumn)
+		advance("CountRowSafe", perCommandPS(safeReadTRCDNS)+cols*perCommandPS(nom.TCCD)+perCommandPS(nom.TRP),
+			func() error { _, err := c.CountRowSafe(bank, row, 0x55); return err })
+		advance("ReadColumn after a safe read", column, readColumn)
 	}
 	check(nom.TRCD)
 	for k := 1; k <= 20; k++ {
@@ -384,4 +434,45 @@ func TestRefreshAdvancesClock(t *testing.T) {
 	if c.Now() <= t0 {
 		t.Error("refresh did not advance the clock")
 	}
+}
+
+// benchAlg1Readback times one Alg. 1 measurement at 8 KiB rows: the victim
+// initialized, a double-sided hammer at the reference count, then the
+// victim's mismatch count against its fill, taken by count.
+func benchAlg1Readback(b *testing.B, count func(c *Controller, bank, row int, fill byte) (int, error)) {
+	p, _ := physics.ProfileByName("B3")
+	c := New(dram.NewModule(p, physics.FullGeometry(), 2022))
+	const bank, victim, fill = 0, 1000, 0xAA
+	sch := c.Module().Scheme()
+	phys := sch.LogicalToPhysical(victim)
+	lo, hi := sch.PhysicalToLogical(phys-1), sch.PhysicalToLogical(phys+1)
+	for _, agg := range []int{lo, hi} {
+		if err := c.InitializeRow(bank, agg, ^byte(fill)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := c.InitializeRow(bank, victim, fill); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.HammerDoubleSided(bank, lo, hi, physics.ReferenceHammerCount); err != nil {
+			b.Fatal(err)
+		}
+		if n, err := count(c, bank, victim, fill); err != nil || n == 0 {
+			b.Fatalf("count %d, err %v: want flips", n, err)
+		}
+	}
+}
+
+func BenchmarkCountRowSafe(b *testing.B) {
+	benchAlg1Readback(b, (*Controller).CountRowSafe)
+}
+
+// BenchmarkReadRowSafe is BenchmarkCountRowSafe counted from the row image.
+func BenchmarkReadRowSafe(b *testing.B) {
+	benchAlg1Readback(b, func(c *Controller, bank, row int, fill byte) (int, error) {
+		data, err := c.ReadRowSafe(bank, row)
+		return pattern.Mismatch(data, fill), err
+	})
 }

@@ -12,6 +12,7 @@ package rhvpp
 // The full rows/series are regenerated by `go run ./cmd/rhvpp -exp <id>`.
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -35,6 +36,21 @@ func benchOptions(modules ...string) Options {
 	o.RetentionVPPLevels = []float64{2.5, 1.9, 1.5}
 	o.ModuleNames = modules
 	return o
+}
+
+// benchStudy opens a fresh Campaign and computes one of its studies through
+// the accessor, the path every campaign, shard and served request takes.
+func benchStudy[T any](b *testing.B, o Options, study func(*Campaign, context.Context) (T, error)) T {
+	b.Helper()
+	c, err := NewCampaign(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := study(c, b.Context())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
 }
 
 // BenchmarkCampaignAll regenerates every experiment id through one Campaign:
@@ -96,10 +112,7 @@ func BenchmarkTable3ModuleCharacterization(b *testing.B) {
 	o := benchOptions("B3", "C0")
 	var hcRatio float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunRowHammerStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).RowHammer)
 		sw := st.Sweeps[0] // B3
 		hcRatio = sw.AtVPPMin().ModuleHCFirst / sw.Nominal().ModuleHCFirst
 	}
@@ -111,10 +124,7 @@ func BenchmarkFig3BERvsVPP(b *testing.B) {
 	o := benchOptions("B3")
 	var normBER float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunRowHammerStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).RowHammer)
 		if err := st.RenderFig3(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -128,10 +138,7 @@ func BenchmarkFig4BERPopulation(b *testing.B) {
 	o := benchOptions("B3", "B0")
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunRowHammerStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).RowHammer)
 		if err := st.RenderFig4(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -148,10 +155,7 @@ func BenchmarkFig5HCfirstVsVPP(b *testing.B) {
 	o := benchOptions("B3")
 	var normHC float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunRowHammerStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).RowHammer)
 		if err := st.RenderFig5(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -165,10 +169,7 @@ func BenchmarkFig6HCfirstPopulation(b *testing.B) {
 	o := benchOptions("C0", "C6")
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunRowHammerStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).RowHammer)
 		if err := st.RenderFig6(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -186,10 +187,7 @@ func BenchmarkSection5Aggregates(b *testing.B) {
 	o := benchOptions("B3", "C0", "A8")
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunRowHammerStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).RowHammer)
 		mean = st.Section5Aggregates().MeanHCIncreasePct
 	}
 	// Paper: +7.4% across all modules (these three are strong responders).
@@ -200,10 +198,7 @@ func BenchmarkFig7TRCDvsVPP(b *testing.B) {
 	o := benchOptions("A0", "C0")
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunTRCDStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).TRCD)
 		if err := st.RenderFig7(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -220,10 +215,7 @@ func BenchmarkSection61Guardband(b *testing.B) {
 	o := benchOptions("A3", "A4", "A6", "B0", "B7", "C0", "C2", "C6", "B2")
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunTRCDStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).TRCD)
 		reduction = st.Summary().MeanGuardbandReduction
 	}
 	// Paper: 21.9% mean guardband reduction (quantized to the 1.5ns grid).
@@ -329,10 +321,7 @@ func BenchmarkFig8bTRCDminDistribution(b *testing.B) {
 	o := benchOptions()
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunMCStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).SpiceMC)
 		if err := st.RenderFig8b(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -359,10 +348,7 @@ func BenchmarkFig9bTRASminDistribution(b *testing.B) {
 	o := benchOptions()
 	var restored float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunMCStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).SpiceMC)
 		if err := st.RenderFig9b(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -377,10 +363,7 @@ func BenchmarkFig10aRetentionBER(b *testing.B) {
 	o.RowsPerChunk = 3
 	var ber float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunRetentionStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).Retention)
 		if err := st.RenderFig10a(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -394,10 +377,7 @@ func BenchmarkFig10bRetentionHistogram(b *testing.B) {
 	o := benchOptions("C0", "A3")
 	o.RowsPerChunk = 3
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunRetentionStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).Retention)
 		if err := st.RenderFig10b(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -409,10 +389,7 @@ func BenchmarkFig11RetentionWords(b *testing.B) {
 	o.RowsPerChunk = 60
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		wa, err := experiments.RunWordAnalysis(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		wa := benchStudy(b, o, (*Campaign).WordAnalysis)
 		if err := wa.RenderFig11(NewTextEncoder(io.Discard)); err != nil {
 			b.Fatal(err)
 		}
@@ -426,10 +403,7 @@ func BenchmarkStatCV(b *testing.B) {
 	o := benchOptions("B0")
 	var p90 float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RunCVStudy(b.Context(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := benchStudy(b, o, (*Campaign).CV)
 		p90 = st.P90
 	}
 	// Paper §4.6: CV P90 = 0.08.

@@ -183,9 +183,9 @@ func NewCampaign(o Options) (*Campaign, error) {
 // Options returns the campaign's (immutable) parameters.
 func (c *Campaign) Options() Options { return c.opts }
 
-// StudyRuns reports how many times each study driver actually executed in
-// this session. After rendering every experiment id, each entry is still 1 —
-// the property the memoization exists for.
+// StudyRuns reports how many times each study actually executed in this
+// session. After rendering every experiment id, each entry is still 1 — the
+// property the memoization exists for.
 func (c *Campaign) StudyRuns() map[Study]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -202,68 +202,52 @@ func (c *Campaign) countRun(s Study) {
 	c.mu.Unlock()
 }
 
-// runStudy executes one shardable study in-process: plan the units, run
-// them with the campaign's progress hook, and index the serialized partials
-// by unit key for assembly. The assemble step verifies completeness against
-// the same plan.
-func (c *Campaign) runStudy(ctx context.Context, s Study) (map[string]json.RawMessage, error) {
-	units, err := c.Plan(s)
-	if err != nil {
-		return nil, err
-	}
-	var onUnit func(WorkUnit)
-	if fn := c.progress; fn != nil {
-		fn(ProgressEvent{Study: string(s), Total: len(units)})
-		var done atomic.Int64
-		onUnit = func(u WorkUnit) {
-			fn(ProgressEvent{Study: string(s), Key: u.Key, Done: int(done.Add(1)), Total: len(units)})
+// shardedStudy returns a shardable study from its cell, computing it on
+// first use: plan the units, run them in-process with the campaign's
+// progress hook, and assemble the payloads, indexed by unit key, into the
+// cell. The assemble step verifies completeness against the same plan.
+func shardedStudy[T any](ctx context.Context, c *Campaign, s Study, cl *cell[T],
+	assemble func(Options, map[string]json.RawMessage) (T, error)) (T, error) {
+	return cl.get(func() (T, error) {
+		c.countRun(s)
+		var zero T
+		units, err := c.Plan(s)
+		if err != nil {
+			return zero, err
 		}
-	}
-	payloads, err := experiments.RunUnits(ctx, c.opts, string(s), units, onUnit)
-	if err != nil {
-		return nil, err
-	}
-	data := make(map[string]json.RawMessage, len(payloads))
-	for i, raw := range payloads {
-		data[units[i].Key] = raw
-	}
-	return data, nil
+		var onUnit func(WorkUnit)
+		if fn := c.progress; fn != nil {
+			fn(ProgressEvent{Study: string(s), Total: len(units)})
+			var done atomic.Int64
+			onUnit = func(u WorkUnit) {
+				fn(ProgressEvent{Study: string(s), Key: u.Key, Done: int(done.Add(1)), Total: len(units)})
+			}
+		}
+		payloads, err := experiments.RunUnits(ctx, c.opts, string(s), units, onUnit)
+		if err != nil {
+			return zero, err
+		}
+		data := make(map[string]json.RawMessage, len(payloads))
+		for i, raw := range payloads {
+			data[units[i].Key] = raw
+		}
+		return assemble(c.opts, data)
+	})
 }
 
 // RowHammer returns the session's Alg. 1 study, computing it on first use.
 func (c *Campaign) RowHammer(ctx context.Context) (RowHammerStudy, error) {
-	return c.rowhammer.get(func() (experiments.RowHammerStudy, error) {
-		c.countRun(StudyRowHammer)
-		data, err := c.runStudy(ctx, StudyRowHammer)
-		if err != nil {
-			return experiments.RowHammerStudy{}, err
-		}
-		return experiments.AssembleRowHammerStudy(c.opts, data)
-	})
+	return shardedStudy(ctx, c, StudyRowHammer, &c.rowhammer, experiments.AssembleRowHammerStudy)
 }
 
 // TRCD returns the session's Alg. 2 study, computing it on first use.
 func (c *Campaign) TRCD(ctx context.Context) (TRCDStudy, error) {
-	return c.trcd.get(func() (experiments.TRCDStudy, error) {
-		c.countRun(StudyTRCD)
-		data, err := c.runStudy(ctx, StudyTRCD)
-		if err != nil {
-			return experiments.TRCDStudy{}, err
-		}
-		return experiments.AssembleTRCDStudy(c.opts, data)
-	})
+	return shardedStudy(ctx, c, StudyTRCD, &c.trcd, experiments.AssembleTRCDStudy)
 }
 
 // Retention returns the session's Alg. 3 study, computing it on first use.
 func (c *Campaign) Retention(ctx context.Context) (RetentionStudy, error) {
-	return c.retention.get(func() (experiments.RetentionStudy, error) {
-		c.countRun(StudyRetention)
-		data, err := c.runStudy(ctx, StudyRetention)
-		if err != nil {
-			return experiments.RetentionStudy{}, err
-		}
-		return experiments.AssembleRetentionStudy(c.opts, data)
-	})
+	return shardedStudy(ctx, c, StudyRetention, &c.retention, experiments.AssembleRetentionStudy)
 }
 
 // SpiceWaveforms returns the session's transient traces, computing them on
@@ -279,39 +263,18 @@ func (c *Campaign) SpiceWaveforms(ctx context.Context) (Waveforms, error) {
 
 // SpiceMC returns the session's Monte-Carlo study, computing it on first use.
 func (c *Campaign) SpiceMC(ctx context.Context) (MCStudy, error) {
-	return c.spiceMC.get(func() (experiments.MCStudy, error) {
-		c.countRun(StudySpiceMC)
-		data, err := c.runStudy(ctx, StudySpiceMC)
-		if err != nil {
-			return experiments.MCStudy{}, err
-		}
-		return experiments.AssembleMCStudy(c.opts, data)
-	})
+	return shardedStudy(ctx, c, StudySpiceMC, &c.spiceMC, experiments.AssembleMCStudy)
 }
 
 // WordAnalysis returns the session's Fig. 11 study, computing it on first
 // use.
 func (c *Campaign) WordAnalysis(ctx context.Context) (WordAnalysis, error) {
-	return c.words.get(func() (experiments.WordAnalysis, error) {
-		c.countRun(StudyWordAnalysis)
-		data, err := c.runStudy(ctx, StudyWordAnalysis)
-		if err != nil {
-			return experiments.WordAnalysis{}, err
-		}
-		return experiments.AssembleWordAnalysis(c.opts, data)
-	})
+	return shardedStudy(ctx, c, StudyWordAnalysis, &c.words, experiments.AssembleWordAnalysis)
 }
 
 // CV returns the session's §4.6 variation study, computing it on first use.
 func (c *Campaign) CV(ctx context.Context) (CVStudy, error) {
-	return c.cv.get(func() (experiments.CVStudy, error) {
-		c.countRun(StudyCV)
-		data, err := c.runStudy(ctx, StudyCV)
-		if err != nil {
-			return experiments.CVStudy{}, err
-		}
-		return experiments.AssembleCVStudy(c.opts, data)
-	})
+	return shardedStudy(ctx, c, StudyCV, &c.cv, experiments.AssembleCVStudy)
 }
 
 // Run renders one experiment by id into enc, reusing every study already

@@ -59,6 +59,7 @@
 // suite: `go run ./cmd/detlint ./...`. The shard protocol is pinned by
 // runtime tests (docs/CONTRACTS.md): TestCanonicalOptionsContract holds the
 // canonical options fingerprint to its frozen v1 field set and Jobs-only
-// exclusion, and internal/experiments' TestUnitPathMatchesDirectDrivers
-// makes every study in its shard catalog reproduce its direct driver.
+// exclusion, and internal/experiments' TestUnitPathIndependentOfSplit
+// makes every study in its shard catalog assemble to the same result
+// however its work units are split.
 package rhvpp

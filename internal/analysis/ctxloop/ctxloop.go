@@ -10,7 +10,7 @@
 //     all while running per-item loops that do real work — every caller's
 //     cancel is silently ignored for the whole sweep.
 //
-// Passing ctx into a callee (tester.WithContext(ctx), runPool(ctx, ...))
+// Passing ctx into a callee (tester.WithContext(ctx), pool.Run(ctx, ...))
 // counts as consulting it: cancellation then propagates through the
 // callee. This is the static side of the PR 1 contract that `rhvpp`
 // shards exit promptly and artifact-free on SIGINT/SIGTERM.

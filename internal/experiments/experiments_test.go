@@ -85,10 +85,7 @@ func TestModuleSweepNominalMatchesTable3(t *testing.T) {
 }
 
 func TestRowHammerStudyRenders(t *testing.T) {
-	st, err := RunRowHammerStudy(t.Context(), testOptions("B3", "C0"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := runStudy(t, testOptions("B3", "C0"), StudyNameRowHammer, AssembleRowHammerStudy)
 	if len(st.Sweeps) != 2 {
 		t.Fatalf("sweeps = %d", len(st.Sweeps))
 	}
@@ -112,10 +109,7 @@ func TestRowHammerStudyRenders(t *testing.T) {
 }
 
 func TestSection5AggregatesDirections(t *testing.T) {
-	st, err := RunRowHammerStudy(t.Context(), testOptions("B3", "C0", "C6"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := runStudy(t, testOptions("B3", "C0", "C6"), StudyNameRowHammer, AssembleRowHammerStudy)
 	a := st.Section5Aggregates()
 	// These three modules all show the dominant trend; aggregates must
 	// point the right way even on a small sample.
@@ -165,10 +159,7 @@ func TestTRCDSweepPassingAndFailing(t *testing.T) {
 
 func TestTRCDStudySummary(t *testing.T) {
 	o := testOptions("C0", "B2", "A3", "B0", "C2")
-	st, err := RunTRCDStudy(t.Context(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := runStudy(t, o, StudyNameTRCD, AssembleTRCDStudy)
 	s := st.Summary()
 	if s.FailingModules != 1 || s.PassingModules != 4 {
 		t.Errorf("summary = %+v", s)
@@ -246,10 +237,7 @@ func TestWaveformsShapes(t *testing.T) {
 
 func TestMCStudyShapes(t *testing.T) {
 	o := testOptions()
-	st, err := RunMCStudy(t.Context(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := runStudy(t, o, StudyNameSpiceMC, AssembleMCStudy)
 	// Mean tRCDmin grows monotonically (within noise) as VPP drops, and
 	// every level above 1.7V is fully reliable.
 	first := st.Results[0]
@@ -272,10 +260,7 @@ func TestMCStudyShapes(t *testing.T) {
 func TestRetentionStudyShapes(t *testing.T) {
 	o := testOptions("A3", "B0", "C0")
 	o.RowsPerChunk = 3
-	st, err := RunRetentionStudy(t.Context(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := runStudy(t, o, StudyNameRetention, AssembleRetentionStudy)
 	for _, mfr := range []physics.Manufacturer{physics.MfrA, physics.MfrB, physics.MfrC} {
 		mean := st.MeanBER[mfr]
 		if len(mean) == 0 {
@@ -313,10 +298,7 @@ func TestWordAnalysisFig11(t *testing.T) {
 	o := testOptions("B6", "C5", "A3")
 	o.RowsPerChunk = 120
 	o.Chunks = 2
-	wa, err := RunWordAnalysis(t.Context(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wa := runStudy(t, o, StudyNameWordAnalysis, AssembleWordAnalysis)
 	if !wa.SECDEDSafe {
 		t.Error("multi-flip words found at smallest failing windows (Obsv. 14 violated)")
 	}
@@ -340,10 +322,7 @@ func TestWordAnalysisFig11(t *testing.T) {
 
 func TestCVStudyPercentiles(t *testing.T) {
 	o := testOptions("B0", "B7")
-	st, err := RunCVStudy(t.Context(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := runStudy(t, o, StudyNameCV, AssembleCVStudy)
 	if st.CVs.N() == 0 {
 		t.Fatal("no CV series measured")
 	}
@@ -522,14 +501,14 @@ func TestStudiesStopOnCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
 	o := testOptions("B3")
-	if _, err := RunRowHammerStudy(ctx, o); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunRowHammerStudy error = %v, want context.Canceled", err)
-	}
-	if _, err := RunTRCDStudy(ctx, o); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunTRCDStudy error = %v, want context.Canceled", err)
-	}
-	if _, err := RunRetentionStudy(ctx, o); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunRetentionStudy error = %v, want context.Canceled", err)
+	for _, study := range ShardableStudies() {
+		units, err := PlanStudy(o, study)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunUnits(ctx, o, study, units, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: RunUnits error = %v, want context.Canceled", study, err)
+		}
 	}
 	if _, err := RunWaveforms(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunWaveforms error = %v, want context.Canceled", err)
@@ -541,10 +520,7 @@ func TestRowHammerStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 	render := func(jobs int) string {
 		o := base
 		o.Jobs = jobs
-		st, err := RunRowHammerStudy(t.Context(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := runStudy(t, o, StudyNameRowHammer, AssembleRowHammerStudy)
 		var buf bytes.Buffer
 		enc := report.NewText(&buf)
 		if err := enc.Table(st.Table3()); err != nil {

@@ -62,7 +62,8 @@ func Table1(enc report.Encoder) error {
 }
 
 // CVStudy is the §4.6 statistical-significance analysis: the coefficient of
-// variation across repeated measurements.
+// variation across ten repeated BER measurements per row (paper: 0.08 / 0.13
+// / 0.24 at the 90th / 95th / 99th percentiles).
 type CVStudy struct {
 	// CVs summarizes the coefficient-of-variation population, one sample
 	// per (module, row, VPP) measurement series, as a streaming exact
@@ -74,28 +75,8 @@ type CVStudy struct {
 	P99 float64
 }
 
-// RunCVStudy measures BER ten times per row on a sample of modules and
-// voltages and summarizes the CV distribution (paper: 0.08 / 0.13 / 0.24 at
-// the 90th / 95th / 99th percentiles). Modules run through the worker pool;
-// their populations merge in catalog order.
-func RunCVStudy(ctx context.Context, o Options) (CVStudy, error) {
-	profs, err := o.profiles()
-	if err != nil {
-		return CVStudy{}, err
-	}
-	perModule, err := runPool(ctx, o.jobs(), profs,
-		func(ctx context.Context, prof physics.ModuleProfile) (stats.Dist, error) {
-			return runModuleCV(ctx, o, prof)
-		})
-	if err != nil {
-		return CVStudy{}, err
-	}
-	return assembleCV(perModule), nil
-}
-
 // assembleCV merges per-module CV populations — already in catalog order —
-// into the study summary; shared by the in-process driver and the
-// shard-artifact assembly.
+// into the study summary.
 func assembleCV(perModule []stats.Dist) CVStudy {
 	var st CVStudy
 	for _, cvs := range perModule {

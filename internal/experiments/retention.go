@@ -56,26 +56,10 @@ func retentionGrid(o Options) (vpps, windows []float64, idx4s int) {
 	return o.RetentionVPPLevels, o.Config.RetentionWindowsMS, idx4s
 }
 
-// RunRetentionStudy sweeps retention behavior per module at 80C.
-func RunRetentionStudy(ctx context.Context, o Options) (RetentionStudy, error) {
-	profs, err := o.profiles()
-	if err != nil {
-		return RetentionStudy{}, err
-	}
-	perModule, err := runPool(ctx, o.jobs(), profs,
-		func(ctx context.Context, prof physics.ModuleProfile) (ModuleRetention, error) {
-			return RunModuleRetention(ctx, o, prof)
-		})
-	if err != nil {
-		return RetentionStudy{}, err
-	}
-	return assembleRetention(o, perModule)
-}
-
 // assembleRetention folds per-module partials — already in catalog order —
-// into the per-manufacturer study aggregates. It is the single merge path
-// shared by the in-process driver and the shard-artifact assembly, so a
-// merged multi-shard campaign reproduces the single-process bytes.
+// into the per-manufacturer study aggregates. Payloads from one process or
+// from many shards fold through it alike, so a merged multi-shard campaign
+// reproduces the single-process bytes.
 func assembleRetention(o Options, perModule []ModuleRetention) (RetentionStudy, error) {
 	st := RetentionStudy{
 		WindowsMS:  o.Config.RetentionWindowsMS,
@@ -265,26 +249,8 @@ type ModuleWords struct {
 	MultiFlips bool                 `json:"multi_flips"`
 }
 
-// RunWordAnalysis performs the Fig. 11 measurement through the controller,
-// one pooled worker per module.
-func RunWordAnalysis(ctx context.Context, o Options) (WordAnalysis, error) {
-	profs, err := o.profiles()
-	if err != nil {
-		return WordAnalysis{}, err
-	}
-	perModule, err := runPool(ctx, o.jobs(), profs,
-		func(ctx context.Context, prof physics.ModuleProfile) (ModuleWords, error) {
-			return RunModuleWords(ctx, o, prof)
-		})
-	if err != nil {
-		return WordAnalysis{}, err
-	}
-	return assembleWordAnalysis(perModule), nil
-}
-
 // assembleWordAnalysis folds per-module partials (in catalog order) into the
-// Fig. 11 aggregates — the merge path shared by the in-process driver and the
-// shard-artifact assembly.
+// Fig. 11 aggregates.
 func assembleWordAnalysis(perModule []ModuleWords) WordAnalysis {
 	wa := WordAnalysis{
 		Distribution64:  map[physics.Manufacturer]map[int]float64{},

@@ -148,24 +148,6 @@ type RowHammerStudy struct {
 	Sweeps []ModuleSweep
 }
 
-// RunRowHammerStudy sweeps every selected module, Options.Jobs modules at a
-// time. Each module owns an independent deterministic testbed and the sweeps
-// are stored in catalog order, so the study is identical at any worker count.
-func RunRowHammerStudy(ctx context.Context, o Options) (RowHammerStudy, error) {
-	profs, err := o.profiles()
-	if err != nil {
-		return RowHammerStudy{}, err
-	}
-	sweeps, err := runPool(ctx, o.jobs(), profs,
-		func(ctx context.Context, prof physics.ModuleProfile) (ModuleSweep, error) {
-			return RunModuleSweep(ctx, o, prof)
-		})
-	if err != nil {
-		return RowHammerStudy{}, err
-	}
-	return RowHammerStudy{Sweeps: sweeps}, nil
-}
-
 // RenderFig3 emits the normalized BER curves (one panel per manufacturer).
 func (st RowHammerStudy) RenderFig3(enc report.Encoder) error {
 	return st.renderNormPanels(enc, "Fig. 3: Normalized RowHammer BER vs VPP",

@@ -3,9 +3,9 @@
 // for the RowHammer / tRCD / retention / word-analysis / CV sweeps, one
 // per-VPP-level Monte-Carlo run range for the SPICE study — and each unit's
 // partial result serializes to JSON, travels as a shard artifact, and folds
-// back in catalog/(level, run) order. Because the single-process drivers
-// already compute exactly these partials and merge them in the same order,
-// a sharded campaign reproduces the single-process output byte for byte.
+// back in catalog/(level, run) order. A single-process campaign runs the
+// same units and folds them through the same Assemble* functions, so a
+// sharded campaign reproduces the single-process output byte for byte.
 
 package experiments
 
@@ -17,6 +17,7 @@ import (
 
 	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/physics"
+	"github.com/dramstudy/rhvpp/internal/pool"
 	"github.com/dramstudy/rhvpp/internal/spice"
 	"github.com/dramstudy/rhvpp/internal/stats"
 )
@@ -182,13 +183,13 @@ func validateUnits(o Options, study string, units []UnitRef) ([]UnitRef, error) 
 // RunUnits executes the given work units of ONE study and returns each
 // unit's serialized partial result, index-aligned with units.
 //
-// Module-sweep units run Options.Jobs at a time through the shared bounded
-// pool, exactly like the in-process study drivers. SPICE Monte-Carlo units
-// run as ONE RunMonteCarloSweep over the units' levels, so a shard keeps the
-// global run queue (workers stay busy across level boundaries) and each
-// level's runs fold in (level, run) order — per-level results are identical
-// no matter how levels are grouped into shards, because every run draws from
-// its own per-level, per-index RNG stream.
+// Module-sweep units run Options.Jobs at a time through the bounded pool of
+// internal/pool. SPICE Monte-Carlo units run as ONE RunMonteCarloSweep over
+// the units' levels, so a shard keeps the global run queue (workers stay
+// busy across level boundaries) and each level's runs fold in (level, run)
+// order — per-level results are identical no matter how levels are grouped
+// into shards, because every run draws from its own per-level, per-index RNG
+// stream.
 //
 // The optional onUnit hook fires once per unit as its partial result
 // becomes available. Module-study hooks fire from the pool's worker
@@ -228,7 +229,7 @@ func RunUnits(ctx context.Context, o Options, study string, units []UnitRef, onU
 		}
 		return out, nil
 	}
-	return runPool(ctx, o.jobs(), units,
+	return pool.Run(ctx, o.jobs(), units,
 		func(ctx context.Context, u UnitRef) (json.RawMessage, error) {
 			prof, _ := physics.ProfileByName(u.Key) // validated above
 			part, err := runModuleUnit(ctx, o, study, prof)

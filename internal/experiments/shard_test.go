@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dramstudy/rhvpp/internal/physics"
 	"github.com/dramstudy/rhvpp/internal/report"
 	"github.com/dramstudy/rhvpp/internal/stats"
 )
@@ -72,8 +73,9 @@ func TestRunUnitsRejectsForeignUnits(t *testing.T) {
 }
 
 // runStudyViaUnits executes the study's full plan through the serialized
-// unit path — optionally split into k alternating "shards" run separately —
-// and assembles the result, i.e. exactly what a sharded campaign does.
+// unit path — split into k alternating "shards" run as separate RunUnits
+// calls — and returns the payloads keyed by unit, exactly what a sharded
+// campaign hands to assembly.
 func runStudyViaUnits(t *testing.T, o Options, study string, k int) map[string]json.RawMessage {
 	t.Helper()
 	plan, err := PlanStudy(o, study)
@@ -99,6 +101,18 @@ func runStudyViaUnits(t *testing.T, o Options, study string, k int) map[string]j
 	return data
 }
 
+// runStudy runs the study's whole plan through RunUnits in one call and
+// assembles it, as an in-process campaign does.
+func runStudy[T any](t *testing.T, o Options, study string,
+	assemble func(Options, map[string]json.RawMessage) (T, error)) T {
+	t.Helper()
+	st, err := assemble(o, runStudyViaUnits(t, o, study, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // renderStudy renders a study's experiments into one text buffer, the
 // byte-level contract the equivalence tests compare on.
 func renderStudy(t *testing.T, render func(enc report.Encoder) error) string {
@@ -110,146 +124,134 @@ func renderStudy(t *testing.T, render func(enc report.Encoder) error) string {
 	return buf.String()
 }
 
-// TestUnitPathMatchesDirectDrivers is the sharding acceptance property at
-// the experiments layer: for every shardable study, running the plan's units
-// through serialize->assemble (split 1-way and 2-way) reproduces the direct
-// in-process driver's result exactly. Every study in ShardableStudies must
-// have a check here, so a new study cannot join the shard protocol without
-// the plan -> run -> assemble equivalence being exercised.
-func TestUnitPathMatchesDirectDrivers(t *testing.T) {
+// splitCheck assembles one study from unit payloads and renders every
+// experiment drawn from it.
+type splitCheck func(t *testing.T, o Options, data map[string]json.RawMessage) (study any, text string)
+
+func newSplitCheck[T any](assemble func(Options, map[string]json.RawMessage) (T, error),
+	renders ...func(T, report.Encoder) error) splitCheck {
+	return func(t *testing.T, o Options, data map[string]json.RawMessage) (any, string) {
+		t.Helper()
+		st, err := assemble(o, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := renderStudy(t, func(enc report.Encoder) error {
+			for _, render := range renders {
+				if err := render(st, enc); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		return st, text
+	}
+}
+
+// TestUnitPathIndependentOfSplit is the sharding acceptance property at the
+// experiments layer: for every shardable study, the plan's units run
+// through serialize->assemble in one RunUnits call, or split 2- or 3-way
+// across separate calls, assemble to deeply equal studies that render
+// identical bytes. Every study in ShardableStudies must have a check here,
+// so a new study cannot join the shard protocol without it.
+func TestUnitPathIndependentOfSplit(t *testing.T) {
 	o := shardOptions()
-	ctx := t.Context()
-
-	checks := map[string]func(t *testing.T){
-		StudyNameRowHammer: func(t *testing.T) {
-			direct, err := RunRowHammerStudy(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := 1; k <= 2; k++ {
-				st, err := AssembleRowHammerStudy(o, runStudyViaUnits(t, o, StudyNameRowHammer, k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(st, direct) {
-					t.Errorf("k=%d: assembled RowHammer study differs from direct driver", k)
-				}
-				want := renderStudy(t, func(enc report.Encoder) error { return enc.Table(direct.Table3()) })
-				got := renderStudy(t, func(enc report.Encoder) error { return enc.Table(st.Table3()) })
-				if got != want {
-					t.Errorf("k=%d: Table 3 bytes diverge", k)
-				}
-			}
-		},
-
-		StudyNameTRCD: func(t *testing.T) {
-			direct, err := RunTRCDStudy(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := 1; k <= 2; k++ {
-				st, err := AssembleTRCDStudy(o, runStudyViaUnits(t, o, StudyNameTRCD, k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(st, direct) {
-					t.Errorf("k=%d: assembled tRCD study differs from direct driver", k)
-				}
-			}
-		},
-
-		StudyNameRetention: func(t *testing.T) {
-			direct, err := RunRetentionStudy(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := 1; k <= 2; k++ {
-				st, err := AssembleRetentionStudy(o, runStudyViaUnits(t, o, StudyNameRetention, k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := renderStudy(t, direct.RenderFig10b)
-				got := renderStudy(t, st.RenderFig10b)
-				if got != want {
-					t.Errorf("k=%d: Fig. 10b bytes diverge:\n--- direct ---\n%s\n--- units ---\n%s", k, want, got)
-				}
-				if !reflect.DeepEqual(st.MeanBER, direct.MeanBER) {
-					t.Errorf("k=%d: MeanBER grids diverge", k)
-				}
-			}
-		},
-
-		StudyNameWordAnalysis: func(t *testing.T) {
-			direct, err := RunWordAnalysis(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := 1; k <= 2; k++ {
-				st, err := AssembleWordAnalysis(o, runStudyViaUnits(t, o, StudyNameWordAnalysis, k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(st, direct) {
-					t.Errorf("k=%d: assembled word analysis differs from direct driver", k)
-				}
-			}
-		},
-
-		StudyNameCV: func(t *testing.T) {
-			direct, err := RunCVStudy(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := 1; k <= 2; k++ {
-				st, err := AssembleCVStudy(o, runStudyViaUnits(t, o, StudyNameCV, k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.P90 != direct.P90 || st.P95 != direct.P95 || st.P99 != direct.P99 || st.CVs.N() != direct.CVs.N() {
-					t.Errorf("k=%d: assembled CV study differs: %+v vs %+v", k, st, direct)
-				}
-			}
-		},
-
-		StudyNameSpiceMC: func(t *testing.T) {
-			direct, err := RunMCStudy(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// k=2 splits the levels across two separate sweeps: per-level results
-			// must match the all-levels-in-one-queue run exactly.
-			for k := 1; k <= 2; k++ {
-				st, err := AssembleMCStudy(o, runStudyViaUnits(t, o, StudyNameSpiceMC, k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := renderStudy(t, direct.RenderFig8b) + renderStudy(t, direct.RenderFig9b)
-				got := renderStudy(t, st.RenderFig8b) + renderStudy(t, st.RenderFig9b)
-				if got != want {
-					t.Errorf("k=%d: Fig. 8b/9b bytes diverge:\n--- direct ---\n%s\n--- units ---\n%s", k, want, got)
-				}
-			}
-		},
+	checks := map[string]splitCheck{
+		StudyNameRowHammer: newSplitCheck(AssembleRowHammerStudy,
+			RowHammerStudy.RenderFig3, RowHammerStudy.RenderFig4,
+			RowHammerStudy.RenderFig5, RowHammerStudy.RenderFig6,
+			func(st RowHammerStudy, enc report.Encoder) error { return enc.Table(st.Table3()) },
+			func(st RowHammerStudy, enc report.Encoder) error { return st.Section5Aggregates().Render(enc) }),
+		StudyNameTRCD: newSplitCheck(AssembleTRCDStudy, TRCDStudy.RenderFig7,
+			func(st TRCDStudy, enc report.Encoder) error { return st.Summary().Render(enc) }),
+		StudyNameRetention:    newSplitCheck(AssembleRetentionStudy, RetentionStudy.RenderFig10a, RetentionStudy.RenderFig10b),
+		StudyNameWordAnalysis: newSplitCheck(AssembleWordAnalysis, WordAnalysis.RenderFig11),
+		StudyNameCV:           newSplitCheck(AssembleCVStudy, CVStudy.Render),
+		// Split MC levels run as separate sweeps: per-level results must
+		// match the all-levels-in-one-queue run exactly.
+		StudyNameSpiceMC: newSplitCheck(AssembleMCStudy, MCStudy.RenderFig8b, MCStudy.RenderFig9b),
 	}
 
 	covered := 0
 	for _, name := range ShardableStudies() {
 		if checks[name] == nil {
-			t.Errorf("shardable study %q has no unit-path equivalence check", name)
+			t.Errorf("shardable study %q has no split-independence check", name)
 		} else {
 			covered++
 		}
 	}
 	if covered != len(checks) {
-		t.Errorf("%d equivalence checks name studies missing from ShardableStudies", len(checks)-covered)
+		t.Errorf("%d split checks name studies missing from ShardableStudies", len(checks)-covered)
 	}
 	if testing.Short() {
-		t.Skip("full study equivalence sweep in -short mode")
+		t.Skip("full split-independence sweep in -short mode")
 	}
 	for _, name := range ShardableStudies() {
-		if check := checks[name]; check != nil {
-			t.Run(name, check)
+		check := checks[name]
+		if check == nil {
+			continue
 		}
+		t.Run(name, func(t *testing.T) {
+			whole, wholeText := check(t, o, runStudyViaUnits(t, o, name, 1))
+			for k := 2; k <= 3; k++ {
+				st, text := check(t, o, runStudyViaUnits(t, o, name, k))
+				if !reflect.DeepEqual(st, whole) {
+					t.Errorf("k=%d: assembled study differs from the 1-way run", k)
+				}
+				if text != wholeText {
+					t.Errorf("k=%d: rendered bytes diverge:\n--- 1-way ---\n%s\n--- %d-way ---\n%s", k, wholeText, k, text)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepWiresRoundTrip pins the lossless JSON form of the two partials
+// that travel as wire structs: a RowHammer or tRCD sweep survives
+// *ToWire -> JSON -> *FromWire deeply equal. The split test compares
+// round-tripped studies with each other, so it cannot catch a field the
+// wire form drops.
+func TestSweepWiresRoundTrip(t *testing.T) {
+	o := shardOptions()
+	prof, _ := physics.ProfileByName("B3")
+	sweep, err := RunModuleSweep(t.Context(), o, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sw moduleSweepWire
+	roundTripJSON(t, sweepToWire(sweep), &sw)
+	back, err := sweepFromWire(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, sweep) {
+		t.Errorf("RowHammer sweep changed across the wire:\n got %+v\nwant %+v", back, sweep)
+	}
+
+	trcd, err := RunTRCDSweep(t.Context(), o, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tw trcdSweepWire
+	roundTripJSON(t, trcdToWire(trcd), &tw)
+	trcdBack, err := trcdFromWire(tw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(trcdBack, trcd) {
+		t.Errorf("tRCD sweep changed across the wire:\n got %+v\nwant %+v", trcdBack, trcd)
+	}
+}
+
+// roundTripJSON encodes v and decodes the bytes into out.
+func roundTripJSON(t *testing.T, v, out any) {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -103,22 +103,6 @@ type MCStudy struct {
 	Results []spice.MCResult
 }
 
-// RunMCStudy executes the Monte-Carlo sweep (runs per level from Options)
-// over a single global run queue: all levels' runs feed one worker pool
-// (Options.Jobs), so workers stay busy across level boundaries even when a
-// slowly-converging low-VPP level would otherwise drain a per-level pool.
-// Every run draws from its own index-derived generator and folds into the
-// per-level streaming accumulators in (level, run) order, so results are
-// byte-identical at any worker count while aggregation memory stays
-// independent of the run count.
-func RunMCStudy(ctx context.Context, o Options) (MCStudy, error) {
-	results, err := spice.RunMonteCarloSweep(ctx, spiceSweepVPPs, mcConfig(o))
-	if err != nil {
-		return MCStudy{}, fmt.Errorf("Monte Carlo sweep: %w", err)
-	}
-	return MCStudy{Results: results}, nil
-}
-
 // RenderFig8b emits the tRCDmin distribution per VPP level, straight from
 // the per-level streaming summaries.
 func (st MCStudy) RenderFig8b(enc report.Encoder) error {

@@ -136,23 +136,6 @@ type TRCDStudy struct {
 	Sweeps []TRCDSweep
 }
 
-// RunTRCDStudy sweeps every selected module through the bounded worker pool,
-// merging sweeps in catalog order.
-func RunTRCDStudy(ctx context.Context, o Options) (TRCDStudy, error) {
-	profs, err := o.profiles()
-	if err != nil {
-		return TRCDStudy{}, err
-	}
-	sweeps, err := runPool(ctx, o.jobs(), profs,
-		func(ctx context.Context, prof physics.ModuleProfile) (TRCDSweep, error) {
-			return RunTRCDSweep(ctx, o, prof)
-		})
-	if err != nil {
-		return TRCDStudy{}, err
-	}
-	return TRCDStudy{Sweeps: sweeps}, nil
-}
-
 // RenderFig7 emits the per-module tRCDmin curves by manufacturer panel.
 func (st TRCDStudy) RenderFig7(enc report.Encoder) error {
 	for _, mfr := range []physics.Manufacturer{physics.MfrA, physics.MfrB, physics.MfrC} {

@@ -1,5 +1,5 @@
 // Package stats provides the statistical primitives used by the
-// characterization methodology and the experiment drivers: summary
+// characterization methodology and the experiment studies: summary
 // statistics (mean, standard deviation, coefficient of variation), order
 // statistics (percentiles, confidence intervals), and binned population
 // densities for the paper's population-distribution figures (Figs. 4, 6,
@@ -7,10 +7,10 @@
 //
 // Two layers share one vocabulary: the batch helpers in stats.go operate on
 // whole []float64 samples (and serve as the accuracy oracles in the tests),
-// while the streaming accumulators in stream.go (Moments, MinMax, Fraction,
-// ValueCounts, StreamingHistogram, and the composite Dist) fold samples one
-// at a time with memory independent of the sample count — the form the campaign aggregation pipeline uses so run
-// counts stop bounding memory.
+// while the streaming accumulators in stream.go (Moments, MinMax,
+// ValueCounts, and the composite Dist) fold samples one at a time with
+// memory independent of the sample count — the form the campaign
+// aggregation pipeline uses so run counts stop bounding memory.
 //
 // # Accuracy and merge-ordering invariants
 //

@@ -1,10 +1,9 @@
 // JSON round-tripping for the streaming accumulators, so study partials can
 // leave the process as shard artifacts and merge back elsewhere. Every
-// accumulator (Moments, MinMax, Fraction, ValueCounts,
-// StreamingHistogram, and the composite Dist via its exported fields)
-// serializes its full internal state: Unmarshal(Marshal(a)) reproduces an
-// accumulator whose every query — and every future Add or Merge — behaves
-// identically to the original. encoding/json emits the shortest decimal that
+// accumulator (Moments, MinMax, ValueCounts, and the composite Dist via its
+// exported fields) serializes its full internal state: Unmarshal(Marshal(a))
+// reproduces an accumulator whose every query — and every future Add or
+// Merge — behaves identically to the original. encoding/json emits the shortest decimal that
 // parses back to the identical float64, so the round trip is bit-exact.
 //
 // Quantiles stay exact across shards because Dist carries them as the
@@ -70,31 +69,6 @@ func (m *MinMax) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-type fractionJSON struct {
-	Threshold float64 `json:"threshold"`
-	N         int     `json:"n"`
-	Below     int     `json:"below"`
-	Above     int     `json:"above"`
-}
-
-// MarshalJSON encodes the accumulator's full state.
-func (f Fraction) MarshalJSON() ([]byte, error) {
-	return json.Marshal(fractionJSON{Threshold: f.Threshold, N: f.n, Below: f.below, Above: f.above})
-}
-
-// UnmarshalJSON restores an accumulator previously encoded by MarshalJSON.
-func (f *Fraction) UnmarshalJSON(b []byte) error {
-	var w fractionJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	if w.N < 0 || w.Below < 0 || w.Above < 0 || w.Below+w.Above > w.N {
-		return fmt.Errorf("stats: inconsistent Fraction counts n=%d below=%d above=%d", w.N, w.Below, w.Above)
-	}
-	*f = Fraction{Threshold: w.Threshold, n: w.N, below: w.Below, above: w.Above}
-	return nil
-}
-
 // valueCountsJSON is the wire form of ValueCounts: the distinct values in
 // ascending order with their parallel counts (JSON objects cannot key on
 // float64, and the sorted encoding keeps artifact bytes deterministic).
@@ -145,43 +119,5 @@ func (v *ValueCounts) UnmarshalJSON(b []byte) error {
 		out.n += c
 	}
 	*v = out
-	return nil
-}
-
-// streamingHistogramJSON is the wire form of StreamingHistogram. The total is
-// derived from the bins on decode.
-type streamingHistogramJSON struct {
-	Lo   float64 `json:"lo"`
-	Hi   float64 `json:"hi"`
-	Bins []int   `json:"bins"`
-}
-
-// MarshalJSON encodes the accumulator's full state.
-func (s *StreamingHistogram) MarshalJSON() ([]byte, error) {
-	bins := s.bins
-	if bins == nil {
-		bins = []int{}
-	}
-	return json.Marshal(streamingHistogramJSON{Lo: s.lo, Hi: s.hi, Bins: bins})
-}
-
-// UnmarshalJSON restores an accumulator previously encoded by MarshalJSON.
-func (s *StreamingHistogram) UnmarshalJSON(b []byte) error {
-	var w streamingHistogramJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	if _, err := NewHistogram(nil, w.Lo, w.Hi, len(w.Bins)); err != nil {
-		return fmt.Errorf("stats: decoding StreamingHistogram: %w", err)
-	}
-	out := StreamingHistogram{lo: w.Lo, hi: w.Hi, bins: make([]int, len(w.Bins))}
-	for i, c := range w.Bins {
-		if c < 0 {
-			return fmt.Errorf("stats: StreamingHistogram with negative bin count %d", c)
-		}
-		out.bins[i] = c
-		out.total += c
-	}
-	*s = out
 	return nil
 }

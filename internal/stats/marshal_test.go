@@ -222,33 +222,23 @@ func TestDistMergePinsWholeStream(t *testing.T) {
 	}
 }
 
-// TestMinMaxAndFractionMergePinWholeStream covers the two counting
-// accumulators' merge + round-trip in one sweep.
-func TestMinMaxAndFractionMergePinWholeStream(t *testing.T) {
+// TestMinMaxMergePinsWholeStream covers the extremes accumulator's merge +
+// round-trip.
+func TestMinMaxMergePinsWholeStream(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	xs := continuous(r, 333)
 	var wholeM, mergedM MinMax
-	wholeF := NewFraction(10)
-	mergedF := NewFraction(10)
 	for _, x := range xs {
 		wholeM.Add(x)
-		wholeF.Add(x)
 	}
 	for _, part := range split(xs, 4) {
 		var pm MinMax
-		pf := NewFraction(10)
 		for _, x := range part {
 			pm.Add(x)
-			pf.Add(x)
 		}
 		var qm MinMax
-		var qf Fraction
 		roundTrip(t, pm, &qm)
-		roundTrip(t, pf, &qf)
 		mergedM.Merge(qm)
-		if err := mergedF.Merge(qf); err != nil {
-			t.Fatal(err)
-		}
 	}
 	gmin, _ := mergedM.Min()
 	wmin, _ := wholeM.Min()
@@ -256,55 +246,6 @@ func TestMinMaxAndFractionMergePinWholeStream(t *testing.T) {
 	wmax, _ := wholeM.Max()
 	if gmin != wmin || gmax != wmax || mergedM.N() != wholeM.N() {
 		t.Errorf("MinMax merge diverged: (%v,%v,%d) != (%v,%v,%d)", gmin, gmax, mergedM.N(), wmin, wmax, wholeM.N())
-	}
-	if mergedF.Below() != wholeF.Below() || mergedF.Above() != wholeF.Above() {
-		t.Errorf("Fraction merge diverged: below %v/%v above %v/%v",
-			mergedF.Below(), wholeF.Below(), mergedF.Above(), wholeF.Above())
-	}
-	if err := mergedF.Merge(NewFraction(11)); err == nil {
-		t.Error("merging mismatched thresholds must error")
-	}
-}
-
-// TestStreamingHistogramMergePinsWholeStream covers the fixed-bin accumulator.
-func TestStreamingHistogramMergePinsWholeStream(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	xs := continuous(r, 400)
-	whole, err := NewStreamingHistogram(0, 20, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, _ := NewStreamingHistogram(0, 20, 16)
-	for _, x := range xs {
-		if err := whole.Add(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, part := range split(xs, 3) {
-		p, _ := NewStreamingHistogram(0, 20, 16)
-		for _, x := range part {
-			if err := p.Add(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var q StreamingHistogram
-		roundTrip(t, p, &q)
-		if err := merged.Merge(&q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, w := merged.Histogram(), whole.Histogram()
-	if g.Total != w.Total {
-		t.Fatalf("totals %d != %d", g.Total, w.Total)
-	}
-	for i := range g.Bins {
-		if g.Bins[i] != w.Bins[i] {
-			t.Errorf("bin %d: %+v != %+v", i, g.Bins[i], w.Bins[i])
-		}
-	}
-	other, _ := NewStreamingHistogram(0, 10, 16)
-	if err := merged.Merge(other); err == nil {
-		t.Error("merging mismatched layouts must error")
 	}
 }
 
@@ -382,16 +323,5 @@ func TestValueCountsRejectsCorruptEncodings(t *testing.T) {
 	var m Moments
 	if err := json.Unmarshal([]byte(`{"n":-1}`), &m); err == nil {
 		t.Error("negative-n Moments accepted")
-	}
-	var h StreamingHistogram
-	if err := json.Unmarshal([]byte(`{"lo":0,"hi":0,"bins":[1]}`), &h); err == nil {
-		t.Error("degenerate histogram bounds accepted")
-	}
-	if err := json.Unmarshal([]byte(`{"lo":0,"hi":1,"bins":[-1]}`), &h); err == nil {
-		t.Error("negative histogram bin accepted")
-	}
-	var f Fraction
-	if err := json.Unmarshal([]byte(`{"threshold":1,"n":1,"below":2,"above":0}`), &f); err == nil {
-		t.Error("inconsistent Fraction counts accepted")
 	}
 }

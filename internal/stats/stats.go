@@ -217,20 +217,6 @@ func (h Histogram) Mode() Bin {
 	return best
 }
 
-// Normalize divides each element of xs by base and returns a new slice.
-// It is the helper behind every "normalized to nominal VPP" series in the
-// paper. A zero base yields an all-zero slice rather than Inf/NaN values.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
 // FractionBelow returns the fraction of xs strictly below the threshold.
 func FractionBelow(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {
@@ -259,24 +245,8 @@ func FractionAbove(xs []float64, threshold float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs. Non-positive entries make the
-// geometric mean undefined; they yield an error.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean of non-positive value")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// Summary bundles the descriptive statistics the experiment drivers report
-// for each measured series.
+// Summary bundles the descriptive statistics of one measured series; see
+// Dist.Summary.
 type Summary struct {
 	N      int
 	Mean   float64
@@ -288,17 +258,4 @@ type Summary struct {
 	P90    float64
 	P95    float64
 	P99    float64
-}
-
-// Summarize computes a Summary of xs. It is a thin wrapper over one-shot
-// accumulation into a streaming Dist: the mean, extremes, quantiles, and
-// fractions are identical to the historical batch computation, while the
-// standard deviation comes from the Welford recurrence (see the accuracy
-// contract in stream.go). It returns ErrEmpty for an empty sample.
-func Summarize(xs []float64) (Summary, error) {
-	var d Dist
-	for _, x := range xs {
-		d.Add(x)
-	}
-	return d.Summary()
 }

@@ -219,26 +219,6 @@ func TestHistogramMode(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	xs := []float64{2, 4, 6}
-	got := Normalize(xs, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if xs[0] != 2 {
-		t.Error("Normalize mutated input")
-	}
-	zero := Normalize(xs, 0)
-	for i, v := range zero {
-		if v != 0 {
-			t.Errorf("Normalize by 0 produced non-zero at %d: %v", i, v)
-		}
-	}
-}
-
 func TestFractions(t *testing.T) {
 	xs := []float64{0.5, 1.0, 1.5, 2.0}
 	if got := FractionBelow(xs, 1.0); !almostEqual(got, 0.25, 1e-12) {
@@ -249,39 +229,6 @@ func TestFractions(t *testing.T) {
 	}
 	if FractionBelow(nil, 1) != 0 || FractionAbove(nil, 1) != 0 {
 		t.Error("fractions of empty sample should be 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 10, 1e-9) {
-		t.Errorf("GeoMean(1,100) = %v, want 10", got)
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("GeoMean of negative accepted")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Errorf("GeoMean(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 10 || !almostEqual(s.Mean, 5.5, 1e-12) || s.Min != 1 || s.Max != 10 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if !almostEqual(s.P50, 5.5, 1e-9) {
-		t.Errorf("P50 = %v, want 5.5", s.P50)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -327,27 +274,6 @@ func TestQuickHistogramConservation(t *testing.T) {
 			total += b.Count
 		}
 		return total == len(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickNormalizeRoundTrip(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e100 {
-				xs = append(xs, x)
-			}
-		}
-		norm := Normalize(xs, 4)
-		for i := range xs {
-			if !almostEqual(norm[i]*4, xs[i], 1e-9*math.Max(1, math.Abs(xs[i]))) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

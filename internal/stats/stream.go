@@ -15,7 +15,7 @@
 //     partial accumulators adds their partial sums, which associates the
 //     float additions differently than one flat left-to-right sum — a
 //     Merge-based mean is deterministic for a fixed merge order (the
-//     drivers merge in catalog order) but may differ from the concatenated
+//     studies merge in catalog order) but may differ from the concatenated
 //     batch mean in the last ulp.
 //   - Moments.Variance uses Welford's recurrence; it matches the two-pass
 //     batch Variance to ~1e-12 relative error (not bit-identical).
@@ -27,7 +27,7 @@
 //     error rates, fixed command-grid latencies), never by the run count.
 //
 // Merging is deterministic: Merge folds partial accumulators in the order
-// the caller chooses (the drivers merge in catalog/level order), so output
+// the caller chooses (the studies merge in catalog/level order), so output
 // is byte-identical at any worker count.
 package stats
 
@@ -175,60 +175,6 @@ func (m MinMax) Max() (float64, error) {
 		return 0, ErrEmpty
 	}
 	return m.max, nil
-}
-
-// Fraction counts how much of a stream falls strictly below / strictly
-// above a fixed threshold, the streaming form of FractionBelow/FractionAbove.
-type Fraction struct {
-	Threshold    float64
-	n            int
-	below, above int
-}
-
-// NewFraction returns a Fraction accumulator for the given threshold.
-func NewFraction(threshold float64) Fraction { return Fraction{Threshold: threshold} }
-
-// Add folds one sample.
-//
-//detlint:hotpath witness=TestAccumulatorAddAllocsFree
-func (f *Fraction) Add(x float64) {
-	f.n++
-	if x < f.Threshold {
-		f.below++
-	} else if x > f.Threshold {
-		f.above++
-	}
-}
-
-// Merge folds another accumulator into f. It returns an error when the
-// thresholds differ, since mixed-threshold counts are meaningless.
-func (f *Fraction) Merge(o Fraction) error {
-	if f.Threshold != o.Threshold {
-		return fmt.Errorf("stats: merging Fraction accumulators with thresholds %v and %v", f.Threshold, o.Threshold)
-	}
-	f.n += o.n
-	f.below += o.below
-	f.above += o.above
-	return nil
-}
-
-// N returns the sample count.
-func (f Fraction) N() int { return f.n }
-
-// Below returns the fraction strictly below the threshold (0 when empty).
-func (f Fraction) Below() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return float64(f.below) / float64(f.n)
-}
-
-// Above returns the fraction strictly above the threshold (0 when empty).
-func (f Fraction) Above() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return float64(f.above) / float64(f.n)
 }
 
 // ValueCounts is an exact streaming multiset: it counts occurrences per
@@ -447,79 +393,6 @@ func (v ValueCounts) Histogram(lo, hi float64, n int) (Histogram, error) {
 	return h, nil
 }
 
-// StreamingHistogram is a fixed-bin histogram accumulator: O(bins) memory
-// regardless of the stream length, for when the value range is known up
-// front and the lossless ValueCounts multiset is unnecessary.
-type StreamingHistogram struct {
-	lo, hi float64
-	bins   []int
-	total  int
-}
-
-// NewStreamingHistogram returns an accumulator with n equal-width buckets
-// spanning [lo, hi]; out-of-range samples clamp into the edge bins, exactly
-// like NewHistogram.
-func NewStreamingHistogram(lo, hi float64, n int) (*StreamingHistogram, error) {
-	if _, err := NewHistogram(nil, lo, hi, n); err != nil {
-		return nil, err
-	}
-	return &StreamingHistogram{lo: lo, hi: hi, bins: make([]int, n)}, nil
-}
-
-// Add folds one sample. Non-finite samples are rejected with an error.
-func (s *StreamingHistogram) Add(x float64) error {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return fmt.Errorf("stats: non-finite histogram sample %v", x)
-	}
-	n := len(s.bins)
-	width := (s.hi - s.lo) / float64(n)
-	idx := int((x - s.lo) / width)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	s.bins[idx]++
-	s.total++
-	return nil
-}
-
-// Merge folds another accumulator into s. The bin layouts must match.
-func (s *StreamingHistogram) Merge(o *StreamingHistogram) error {
-	if o == nil {
-		return nil
-	}
-	if s.lo != o.lo || s.hi != o.hi || len(s.bins) != len(o.bins) {
-		return errors.New("stats: merging streaming histograms with different bin layouts")
-	}
-	for i, c := range o.bins {
-		s.bins[i] += c
-	}
-	s.total += o.total
-	return nil
-}
-
-// N returns the sample count.
-func (s *StreamingHistogram) N() int { return s.total }
-
-// Histogram materializes the accumulated counts in the batch Histogram
-// shape, identical to NewHistogram over the same samples.
-func (s *StreamingHistogram) Histogram() Histogram {
-	n := len(s.bins)
-	h := Histogram{Bins: make([]Bin, n), Total: s.total}
-	width := (s.hi - s.lo) / float64(n)
-	for i := range h.Bins {
-		h.Bins[i].Lo = s.lo + float64(i)*width
-		h.Bins[i].Hi = s.lo + float64(i+1)*width
-		h.Bins[i].Count = s.bins[i]
-		if s.total > 0 {
-			h.Bins[i].Fraction = float64(s.bins[i]) / float64(s.total)
-		}
-	}
-	return h
-}
-
 // Dist is the streaming distribution summary the campaign aggregates use:
 // exact mean (accumulation order), exact min/max, exact quantiles and
 // fractions via the lossless ValueCounts multiset, and Welford variance —
@@ -547,7 +420,7 @@ func (d *Dist) Add(x float64) {
 }
 
 // Merge folds another distribution into d. Merge order fixes the floating-
-// point summation order of Mean; the drivers merge in catalog/level order so
+// point summation order of Mean; the studies merge in catalog/level order so
 // results are identical at any worker count.
 func (d *Dist) Merge(o Dist) {
 	d.Moments.Merge(o.Moments)
@@ -622,9 +495,9 @@ func (d Dist) Histogram(lo, hi float64, n int) (Histogram, error) {
 }
 
 // Summary materializes the descriptive statistics in the batch Summary
-// shape. CV is 0 for a zero-mean stream, matching the historical Summarize
-// behavior. It returns ErrEmpty for an empty stream and an error when any
-// non-finite sample contaminated it.
+// shape. CV is 0 for a zero-mean stream, where the ratio is undefined. It
+// returns ErrEmpty for an empty stream and an error when any non-finite
+// sample contaminated it.
 func (d Dist) Summary() (Summary, error) {
 	if err := d.Counts.err(); err != nil {
 		return Summary{}, err

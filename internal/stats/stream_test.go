@@ -105,47 +105,28 @@ func TestMomentsMergeMatchesWhole(t *testing.T) {
 	}
 }
 
-// TestMinMaxAndFractionMatchBatch pins the running extremes and threshold
-// fractions to their batch counterparts.
-func TestMinMaxAndFractionMatchBatch(t *testing.T) {
-	f := func(raw []float64, thr float64) bool {
+// TestMinMaxMatchesBatch pins the running extremes to their batch
+// counterparts.
+func TestMinMaxMatchesBatch(t *testing.T) {
+	f := func(raw []float64) bool {
 		xs := finite(raw)
-		if math.IsNaN(thr) {
-			thr = 0
-		}
 		var mm MinMax
-		fr := NewFraction(thr)
 		for _, x := range xs {
 			mm.Add(x)
-			fr.Add(x)
 		}
 		if len(xs) == 0 {
 			_, errMin := mm.Min()
 			_, errMax := mm.Max()
-			return errMin == ErrEmpty && errMax == ErrEmpty && fr.Below() == 0 && fr.Above() == 0
+			return errMin == ErrEmpty && errMax == ErrEmpty
 		}
 		wantMin, _ := Min(xs)
 		wantMax, _ := Max(xs)
 		gotMin, _ := mm.Min()
 		gotMax, _ := mm.Max()
-		return gotMin == wantMin && gotMax == wantMax &&
-			fr.Below() == FractionBelow(xs, thr) && fr.Above() == FractionAbove(xs, thr)
+		return gotMin == wantMin && gotMax == wantMax
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFractionMergeRejectsMixedThresholds(t *testing.T) {
-	a, b := NewFraction(1), NewFraction(2)
-	if err := a.Merge(b); err == nil {
-		t.Error("merge of different thresholds accepted")
-	}
-	c := NewFraction(1)
-	c.Add(0.5)
-	c.Add(1.5)
-	if err := a.Merge(c); err != nil || !almostEqual(a.Below(), 0.5, 1e-12) {
-		t.Errorf("merge failed: %v, below %v", err, a.Below())
 	}
 }
 
@@ -297,6 +278,22 @@ func TestValueCountsRange(t *testing.T) {
 	}
 }
 
+// TestSummarize pins Dist.Summary to hand-computed values, independent of
+// the batch oracles.
+func TestSummarize(t *testing.T) {
+	var d Dist
+	for x := 1.0; x <= 10; x++ {
+		d.Add(x)
+	}
+	s, err := d.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.N != 10 || s.Mean != 5.5 || s.Min != 1 || s.Max != 10 || s.P50 != 5.5 {
+		t.Errorf("Summary = %+v", s)
+	}
+}
+
 // TestDistSummaryMatchesBatch pins the composite accumulator's Summary to
 // the batch oracles field by field.
 func TestDistSummaryMatchesBatch(t *testing.T) {
@@ -347,53 +344,6 @@ func TestDistSummaryMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamingHistogramMatchesBatch pins the fixed-bin accumulator and its
-// merge to NewHistogram.
-func TestStreamingHistogramMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = rng.Float64()*4 - 2 // includes clamped outliers vs [-1, 1]
-	}
-	want, err := NewHistogram(xs, -1, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := NewStreamingHistogram(-1, 1, 8)
-	b, _ := NewStreamingHistogram(-1, 1, 8)
-	for i, x := range xs {
-		h := a
-		if i%2 == 1 {
-			h = b
-		}
-		if err := h.Add(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	got := a.Histogram()
-	if got.Total != want.Total {
-		t.Fatalf("total = %d, want %d", got.Total, want.Total)
-	}
-	for i := range want.Bins {
-		if got.Bins[i] != want.Bins[i] {
-			t.Errorf("bin %d = %+v, want %+v", i, got.Bins[i], want.Bins[i])
-		}
-	}
-	if _, err := NewStreamingHistogram(1, 1, 4); err == nil {
-		t.Error("lo == hi accepted")
-	}
-	if err := a.Add(math.NaN()); err == nil {
-		t.Error("NaN sample accepted")
-	}
-	other, _ := NewStreamingHistogram(0, 1, 8)
-	if err := a.Merge(other); err == nil {
-		t.Error("mismatched bin layout merge accepted")
-	}
-}
-
 // TestDistAggregationAllocatesO1 is the memory-bound acceptance property at
 // the estimator level: folding a long quantized stream into a Dist performs
 // no per-sample allocations once the distinct-value set is populated.
@@ -424,13 +374,11 @@ func TestDistAggregationAllocatesO1(t *testing.T) {
 func TestAccumulatorAddAllocsFree(t *testing.T) {
 	var m Moments
 	var mm MinMax
-	f := NewFraction(0.5)
 	i := 0
 	if allocs := testing.AllocsPerRun(1000, func() {
 		x := float64(i%7) * 0.25
 		m.Add(x)
 		mm.Add(x)
-		f.Add(x)
 		i++
 	}); allocs > 0 {
 		t.Errorf("scalar accumulator Add allocates %v per sample, want 0", allocs)

@@ -150,56 +150,52 @@ func MergeArtifacts(arts ...*ShardArtifact) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	byStudy := make(map[string]map[string]json.RawMessage)
-	for _, u := range merged.Units {
-		m := byStudy[u.Study]
-		if m == nil {
-			m = make(map[string]json.RawMessage)
-			byStudy[u.Study] = m
-		}
-		m[u.Key] = u.Data
+	byStudy := make(map[Study]map[string]json.RawMessage)
+	for _, s := range ShardableStudies() {
+		byStudy[s] = make(map[string]json.RawMessage)
 	}
-	for study, data := range byStudy {
-		switch Study(study) {
+	for _, u := range merged.Units {
+		data, ok := byStudy[Study(u.Study)]
+		if !ok {
+			return nil, fmt.Errorf("rhvpp: artifact carries units of unknown study %q", u.Study)
+		}
+		data[u.Key] = u.Data
+	}
+	// Fold in plan order, so a shard set broken in several studies always
+	// reports the same study's error.
+	for _, s := range ShardableStudies() {
+		data := byStudy[s]
+		if len(data) == 0 {
+			continue
+		}
+		switch s {
 		case StudyRowHammer:
-			st, err := experiments.AssembleRowHammerStudy(o, data)
-			if err != nil {
-				return nil, err
-			}
-			c.rowhammer.set(st)
+			err = preload(o, data, &c.rowhammer, experiments.AssembleRowHammerStudy)
 		case StudyTRCD:
-			st, err := experiments.AssembleTRCDStudy(o, data)
-			if err != nil {
-				return nil, err
-			}
-			c.trcd.set(st)
+			err = preload(o, data, &c.trcd, experiments.AssembleTRCDStudy)
 		case StudyRetention:
-			st, err := experiments.AssembleRetentionStudy(o, data)
-			if err != nil {
-				return nil, err
-			}
-			c.retention.set(st)
+			err = preload(o, data, &c.retention, experiments.AssembleRetentionStudy)
 		case StudyWordAnalysis:
-			st, err := experiments.AssembleWordAnalysis(o, data)
-			if err != nil {
-				return nil, err
-			}
-			c.words.set(st)
+			err = preload(o, data, &c.words, experiments.AssembleWordAnalysis)
 		case StudyCV:
-			st, err := experiments.AssembleCVStudy(o, data)
-			if err != nil {
-				return nil, err
-			}
-			c.cv.set(st)
+			err = preload(o, data, &c.cv, experiments.AssembleCVStudy)
 		case StudySpiceMC:
-			st, err := experiments.AssembleMCStudy(o, data)
-			if err != nil {
-				return nil, err
-			}
-			c.spiceMC.set(st)
-		default:
-			return nil, fmt.Errorf("rhvpp: artifact carries units of unknown study %q", study)
+			err = preload(o, data, &c.spiceMC, experiments.AssembleMCStudy)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return c, nil
+}
+
+// preload assembles a study's merged unit payloads into its cell, so the
+// campaign's accessor returns the result without running the study.
+func preload[T any](o Options, data map[string]json.RawMessage, cl *cell[T],
+	assemble func(Options, map[string]json.RawMessage) (T, error)) error {
+	st, err := assemble(o, data)
+	if err == nil {
+		cl.set(st)
+	}
+	return err
 }

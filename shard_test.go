@@ -248,6 +248,32 @@ func TestMergeArtifactsValidation(t *testing.T) {
 	}
 }
 
+// TestMergeArtifactsReportsFirstBrokenStudy: a shard set broken in two
+// studies reports the error of the first one in ShardableStudies order on
+// every merge, not whichever study a map walk happens to reach first.
+func TestMergeArtifactsReportsFirstBrokenStudy(t *testing.T) {
+	o := shardTestOptions()
+	art, err := RunShard(t.Context(), o, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := PlanUnits(o, StudyTRCD, StudyRowHammer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units {
+		if err := art.Add(u.Study, u.Key, u.Index, map[string]string{"module": "ZZ"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		_, err := MergeArtifacts(art)
+		if err == nil || !strings.Contains(err.Error(), "sweep partial names unknown module") {
+			t.Fatalf("merge %d: err = %v, want the RowHammer study's unknown-module error", i, err)
+		}
+	}
+}
+
 // TestRunShardHonorsCancellation: a canceled shard run returns the context
 // error so callers do not write a partial artifact.
 func TestRunShardHonorsCancellation(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,6 +37,19 @@ func TestNewCampaignValidatesModuleNames(t *testing.T) {
 	}
 	if _, err := NewCampaign(campaignOptions("B3")); err != nil {
 		t.Fatalf("valid module rejected: %v", err)
+	}
+}
+
+// TestNewCampaignRejectsBadTRCDStep checks that an Alg. 2 latency step
+// that is not positive and finite fails up front: a zero step would spin the
+// tRCD sweep at its start latency.
+func TestNewCampaignRejectsBadTRCDStep(t *testing.T) {
+	for _, step := range []float64{0, -1.5, math.NaN(), math.Inf(1)} {
+		o := GoldenOptions()
+		o.Config.TRCDStepNS = step
+		if _, err := NewCampaign(o); err == nil || !strings.Contains(err.Error(), "TRCDStepNS") {
+			t.Errorf("TRCDStepNS %v: NewCampaign error %v, want one naming the step", step, err)
+		}
 	}
 }
 

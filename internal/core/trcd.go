@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
-	"github.com/dramstudy/rhvpp/internal/dram"
 	"github.com/dramstudy/rhvpp/internal/pattern"
 )
 
@@ -21,25 +19,13 @@ type TRCDResult struct {
 // tRCD, re-initializing the row (at nominal timing) before each column
 // access as Alg. 2 does.
 func (t *Tester) rowFaultyAtTRCD(row int, pat pattern.Kind, iters int) (bool, error) {
-	b := t.cfg.Bank
-	cols := t.ctrl.Module().Geometry().Columns()
-	fill := pat.Byte()
-	want := bytes.Repeat([]byte{fill}, dram.BurstBytes)
 	for i := 0; i < iters; i++ {
 		if err := t.interrupted(); err != nil {
 			return false, err
 		}
-		for col := 0; col < cols; col++ {
-			if err := t.ctrl.InitializeRow(b, row, fill); err != nil {
-				return false, err
-			}
-			data, err := t.ctrl.ReadColumn(b, row, col)
-			if err != nil {
-				return false, err
-			}
-			if !bytes.Equal(data, want) {
-				return true, nil
-			}
+		col, err := t.ctrl.SweepColumns(t.cfg.Bank, row, pat.Byte())
+		if err != nil || col >= 0 {
+			return col >= 0, err
 		}
 	}
 	return false, nil

@@ -258,12 +258,20 @@ func (m *Module) activateN(t PS, bankIdx, logicalRow, count int) error {
 	bk.openRow = phys
 	bk.openedAt = t
 
-	c := float64(count)
-	// Distance-one neighbors accumulate full single-side exposure;
-	// distance-two neighbors a small fraction. Disturbance does not cross
-	// subarray boundaries (isolation sense amplifiers between subarrays),
-	// so a neighbor must lie in [first, end): the row's subarray cut at the
-	// end of the bank.
+	m.disturb(bk, phys, float64(count))
+	if m.trr != nil {
+		m.trr.observeActivations(phys, count)
+	}
+	return nil
+}
+
+// disturb adds c activations of physical row phys to its neighbors'
+// exposure. Distance-one neighbors accumulate full single-side exposure;
+// distance-two neighbors a small fraction. Disturbance does not cross
+// subarray boundaries (isolation sense amplifiers between subarrays), so a
+// neighbor must lie in [first, end): the row's subarray cut at the end of
+// the bank.
+func (m *Module) disturb(bk *bankState, phys int, c float64) {
 	first, end := 0, m.geom.RowsPerBank
 	if sub := m.geom.SubarrayRows; sub > 0 {
 		first = phys - phys%sub
@@ -281,10 +289,6 @@ func (m *Module) activateN(t PS, bankIdx, logicalRow, count int) error {
 	if hi2 := phys + 2; hi2 < end {
 		bk.row(hi2).hammerD2 += c
 	}
-	if m.trr != nil {
-		m.trr.observeActivations(phys, count)
-	}
-	return nil
 }
 
 // Precharge closes the open row of a bank.
@@ -535,13 +539,15 @@ type readCache struct {
 // since the last read. A rewrite of the same row at the same VPP and
 // temperature re-keys only the retention noise and the hammer count.
 func (rc *readCache) update(m *Module, bankIdx, phys int, rs *rowState) {
-	key := readKey{
-		row: rowKey{phys: phys, vpp: m.vpp, tempC: m.tempC},
-		state: stateKey{
-			epoch: rs.writeEpoch, hcEq: rs.doubleSidedEquivalent(),
-			pat: m.dominantPattern(rs), hasData: rs.data != nil,
-		},
-	}
+	rc.load(m, bankIdx, phys, stateKey{
+		epoch: rs.writeEpoch, hcEq: rs.doubleSidedEquivalent(),
+		pat: m.dominantPattern(rs), hasData: rs.data != nil,
+	})
+}
+
+// load brings the cached terms to physical row phys in state st.
+func (rc *readCache) load(m *Module, bankIdx, phys int, st stateKey) {
+	key := readKey{row: rowKey{phys: phys, vpp: m.vpp, tempC: m.tempC}, state: st}
 	if rc.ok && key == rc.key {
 		return
 	}
@@ -551,14 +557,13 @@ func (rc *readCache) update(m *Module, bankIdx, phys int, rs *rowState) {
 		rc.retBulk.reset()
 	}
 	if !rc.ok || key.row != rc.key.row {
-		rc.ret = m.model.RetentionRow(bankIdx, phys, m.vpp, m.tempC, rs.writeEpoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
-		rc.trcd = m.model.TRCDRow(bankIdx, phys, m.vpp)                             //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+		rc.ret = m.model.RetentionRow(bankIdx, phys, m.vpp, m.tempC, st.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+		rc.trcd = m.model.TRCDRow(bankIdx, phys, m.vpp)                        //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
 	} else {
-		rc.ret.Rekey(rs.writeEpoch)
+		rc.ret.Rekey(st.epoch)
 	}
 	rc.ok, rc.key = true, key
 
-	st := key.state
 	rc.hammerN = 0
 	if st.hcEq > 0 {
 		rc.hammerN = m.model.HammerFlipCount(bankIdx, phys, st.pat, m.vpp, st.hcEq, m.tempC, st.epoch) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
@@ -713,7 +718,12 @@ func (m *Module) WriteRow(t PS, bankIdx, logicalRow int, fill byte) error {
 	if bk.openRow != phys {
 		return fmt.Errorf("%w: row %d not open", ErrBankClosed, logicalRow) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
-	rs := bk.row(phys)
+	m.rewrite(bk.row(phys), t, fill, 1)
+	return nil
+}
+
+// rewrite applies n full-row writes of fill to a row, the last at t.
+func (m *Module) rewrite(rs *rowState, t PS, fill byte, n int) {
 	if rs.data == nil {
 		rs.data = make([]byte, m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy row image creation, amortized over the row's rewrites
 	}
@@ -724,10 +734,129 @@ func (m *Module) WriteRow(t PS, bankIdx, logicalRow int, fill byte) error {
 		}
 		rs.uniform = true
 	}
-	rs.writeEpoch++
+	rs.writeEpoch += n
 	rs.lastWrite = t
 	rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
-	return nil
+}
+
+// rewritten is the read-cache state of a row just rewritten with fill for
+// the epoch-th time.
+func rewritten(epoch int, fill byte) stateKey {
+	return stateKey{epoch: epoch, pat: patternFromByte(fill), hasData: true}
+}
+
+// SweepTiming spaces the commands of one ColumnSweep step: each field is
+// the time from one command to the next.
+type SweepTiming struct {
+	// InitRCD, InitRAS and InitRP follow the re-initialization's ACT, its
+	// full-row write and its PRE.
+	InitRCD, InitRAS, InitRP PS
+	// RCD, Rest and RP follow the column read's ACT, its burst and its PRE.
+	RCD, Rest, RP PS
+}
+
+// ColumnSweep runs the column loop of the paper's Alg. 2 over a row in one
+// call. Step col, from column 0, re-initializes the row (ACT, WriteRow with
+// fill, PRE), opens it again, reads column col and precharges; the loop
+// stops after the first column that reads back anything but fill. It
+// returns that column, or -1, and the time the next command is due, and
+// leaves the module exactly as those commands issued one at a time from t
+// would.
+//
+// Every read happens one fixed time after its own write, into a row that
+// holds only fill and has no disturbance exposure. When no retention flip
+// can exist at that elapsed time, a column reads back other than fill
+// exactly when its read violates its activation latency, which the row's
+// tRCD terms decide without drawing the flipped bits, and the k steps apply
+// at once: 2k activations to each neighbor, k write epochs. Otherwise, and
+// whenever a command would fail, the steps are replayed command by command.
+//
+//detlint:hotpath witness=TestAlg2ColumnStepAllocsFree
+func (m *Module) ColumnSweep(t PS, st SweepTiming, bankIdx, logicalRow int, fill byte) (int, PS, error) {
+	if t < m.now || !m.Responds() || bankIdx < 0 || bankIdx >= len(m.banks) ||
+		logicalRow < 0 || logicalRow >= m.geom.RowsPerBank || m.banks[bankIdx].openRow != -1 ||
+		min(st.InitRCD, st.InitRAS, st.InitRP, st.RCD, st.Rest, st.RP) < 0 {
+		return m.sweepByCommand(t, st, bankIdx, logicalRow, fill)
+	}
+	bk := &m.banks[bankIdx]
+	phys := m.scheme.LogicalToPhysical(logicalRow)
+	rs := bk.row(phys)
+	rc := &bk.read
+	rc.load(m, bankIdx, phys, rewritten(rs.writeEpoch+1, fill))
+	// One bulk count over [0, elapsed] holds only below the row's quiet
+	// bound, where the count is 0 for every measurement-noise draw and so
+	// for every step's write epoch; weak cells fail by elapsed time alone.
+	elapsed := msSince(0, st.InitRAS+st.InitRP+st.RCD)
+	_, quiet := rc.ret.BulkCountRange(0, elapsed)
+	if rc.flips = rc.ret.AppendWeakFailures(rc.flips[:0], elapsed); !quiet || len(rc.flips) > 0 {
+		return m.sweepByCommand(t, st, bankIdx, logicalRow, fill)
+	}
+
+	// A violation flips at least one bit of the column and nothing else
+	// does, so a column is faulty iff its requirement exceeds the latency.
+	cols, faulty := m.geom.Columns(), -1
+	if trcdNS := nsSince(0, st.RCD); trcdNS < rc.trcd.SafeNS() {
+		for col := range cols {
+			if rc.trcd.ColumnReqNS(col, rs.writeEpoch+col+1) > trcdNS {
+				faulty = col
+				break
+			}
+		}
+	}
+	k := cols
+	if faulty >= 0 {
+		k = faulty + 1
+	}
+
+	m.disturb(bk, phys, float64(2*k))
+	if m.trr != nil {
+		for range 2 * k {
+			m.trr.observeActivations(phys, 1)
+		}
+	}
+	last := t + PS(k-1)*(st.InitRCD+st.InitRAS+st.InitRP+st.RCD+st.Rest+st.RP) // the last step's ACT
+	m.rewrite(rs, last+st.InitRCD, fill, k)
+	bk.openedAt = rs.lastWrite + st.InitRAS + st.InitRP
+	rc.load(m, bankIdx, phys, rewritten(rs.writeEpoch, fill))
+	rc.resizeBulk(m, 0)
+	m.now = bk.openedAt + st.RCD + st.Rest
+	return faulty, m.now + st.RP, nil
+}
+
+// sweepByCommand is ColumnSweep issued one command at a time. On an error
+// it returns the time of the failing command.
+func (m *Module) sweepByCommand(t PS, st SweepTiming, bankIdx, logicalRow int, fill byte) (int, PS, error) {
+	for col := range m.geom.Columns() {
+		if err := m.Activate(t, bankIdx, logicalRow); err != nil {
+			return -1, t, err
+		}
+		t += st.InitRCD
+		if err := m.WriteRow(t, bankIdx, logicalRow, fill); err != nil {
+			return -1, t, err
+		}
+		t += st.InitRAS
+		if err := m.Precharge(t, bankIdx); err != nil {
+			return -1, t, err
+		}
+		t += st.InitRP
+		if err := m.Activate(t, bankIdx, logicalRow); err != nil {
+			return -1, t, err
+		}
+		t += st.RCD
+		flips, err := m.CountRange(t, 0, bankIdx, col, 1, fill)
+		if err != nil {
+			return -1, t, err
+		}
+		t += st.Rest
+		if err := m.Precharge(t, bankIdx); err != nil {
+			return -1, t, err
+		}
+		t += st.RP
+		if flips > 0 {
+			return col, t, nil
+		}
+	}
+	return -1, t, nil
 }
 
 // RefreshRow refreshes one row (logical address): the row's current content

@@ -462,36 +462,6 @@ func TestModuleReadRangeAllocsFree(t *testing.T) {
 	}
 }
 
-// TestAlg2ColumnStepAllocsFree drives the device commands of one Alg. 2
-// column step at 8 KiB rows — ACT, full-row fill, PRE, then ACT, one burst
-// inside the row's tRCD requirement, PRE — and asserts a steady-state step
-// allocates nothing.
-func TestAlg2ColumnStepAllocsFree(t *testing.T) {
-	p, _ := physics.ProfileByName("A0")
-	m := NewModule(p, physics.FullGeometry(), 2022)
-	m.SetVPP(p.VPPMin)
-	r := &oracleRun{t: t, m: m, name: "A0"}
-	const bank, row = 0, 1000
-	buf := make([]byte, 0, BurstBytes)
-	col := 0
-	step := func() {
-		r.initRow(bank, row, 0xAA)
-		r.must(m.Activate(r.at, bank, row), "activate")
-		r.step(9)
-		var err error
-		buf, err = m.Read(buf[:0], r.at, bank, col)
-		r.must(err, "read")
-		r.step(physics.TRASNominalNS - 9)
-		r.must(m.Precharge(r.at, bank), "precharge")
-		r.step(physics.TRPNominalNS)
-		col = (col + 1) % m.Geometry().Columns()
-	}
-	step() // the first step creates the row and samples its physics
-	if a := testing.AllocsPerRun(1000, step); a != 0 {
-		t.Errorf("an Alg. 2 column step allocates %v times in steady state, want 0", a)
-	}
-}
-
 // twinRun drives two modules of one device instance with the same command
 // stream. At each row call one twin counts with CountRange and the other
 // reads with ReadRange, checked burst by burst against refRead; the roles

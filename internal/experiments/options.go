@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -88,10 +89,15 @@ func KnownModuleNames() []string {
 // (every entry of ModuleNames must be a Table 3 label, with no duplicates)
 // or misread their own knobs: a negative Jobs is an error — it is neither
 // "serial" (that is 1) nor "one per CPU" (that is 0), so accepting it would
-// quietly run a configuration the caller never asked for.
+// quietly run a configuration the caller never asked for. An Alg. 2 step
+// that is not positive and finite is an error too: a zero step never moves
+// the latency sweep off its start.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
+	}
+	if step := o.Config.TRCDStepNS; !(step > 0) || math.IsInf(step, 1) {
+		return fmt.Errorf("experiments: Config.TRCDStepNS %v is not a positive, finite latency step", step)
 	}
 	_, err := o.profiles()
 	return err

@@ -49,7 +49,6 @@ type Controller struct {
 	timing Timing
 	q      quanta // timing on the command quantum
 	now    dram.PS
-	burst  []byte // ReadColumn's result, valid until the next call
 }
 
 // quanta is a Timing rounded up to the command quantum once, in
@@ -237,28 +236,23 @@ func (c *Controller) CountRowSafe(bank, row int, fill byte) (int, error) {
 	return n, nil
 }
 
-// ReadColumn activates a row with the programmed tRCD, reads a single column
-// burst, and closes the row — the per-column access of Alg. 2. The returned
-// burst is the controller's buffer: it stays valid until the next call.
+// SweepColumns runs the column loop of Alg. 2 over a row: for each column
+// from 0, initialize_row at nominal timing (as InitializeRow does), then ACT
+// at the programmed tRCD, one column burst and PRE once tRAS has passed
+// since ACT, until a column reads back anything but fill. It returns that
+// column, or -1 when every column read back clean.
 //
 //detlint:hotpath witness=TestAlg2ColumnStepAllocsFree
-func (c *Controller) ReadColumn(bank, row, col int) ([]byte, error) {
-	if err := c.mod.Activate(c.now, bank, row); err != nil {
-		return nil, fmt.Errorf("read col: %w", err) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
-	}
-	c.now += c.q.trcd
-	d, err := c.mod.Read(c.burst[:0], c.now, bank, col)
+func (c *Controller) SweepColumns(bank, row int, fill byte) (int, error) {
+	col, next, err := c.mod.ColumnSweep(c.now, dram.SweepTiming{
+		InitRCD: nominalQuanta.trcd, InitRAS: nominalQuanta.tras, InitRP: nominalQuanta.trp,
+		RCD: c.q.trcd, Rest: c.q.rest, RP: c.q.trp,
+	}, bank, row, fill)
+	c.now = next
 	if err != nil {
-		return nil, fmt.Errorf("read col: %w", err) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
+		return -1, fmt.Errorf("sweep row %d: %w", row, err) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
 	}
-	c.burst = d
-	// Keep the row open long enough for restoration relative to ACT.
-	c.now += c.q.rest
-	if err := c.mod.Precharge(c.now, bank); err != nil {
-		return nil, fmt.Errorf("read col: %w", err) //detlint:ignore hotalloc error path, never taken by a well-formed command stream
-	}
-	c.now += c.q.trp
-	return d, nil
+	return col, nil
 }
 
 // Hammer performs count activate/precharge cycles of a single row

@@ -128,58 +128,54 @@ func TestCountRowSafeMatchesReadRowSafe(t *testing.T) {
 	}
 }
 
-func TestReadColumn(t *testing.T) {
+// TestSweepColumns sweeps a row at nominal timing and VPP, where every
+// column reads back clean, and then reads the row back intact.
+func TestSweepColumns(t *testing.T) {
 	c := newCtrl(t, "A3")
-	if err := c.InitializeRow(0, 11, 0x55); err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.ReadColumn(0, 11, 3)
+	col, err := c.SweepColumns(0, 11, 0x55)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d) != dram.BurstBytes {
-		t.Fatalf("burst length %d", len(d))
+	if col != -1 {
+		t.Fatalf("column %d faulty at nominal timing and VPP", col)
 	}
-	for _, b := range d {
-		if b != 0x55 {
-			t.Fatalf("corrupted burst byte %#x", b)
-		}
+	data, err := c.ReadRow(0, 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The burst lives in the controller's buffer: an Alg. 2 access in
-	// steady state allocates nothing.
-	if a := testing.AllocsPerRun(100, func() {
-		if _, err := c.ReadColumn(0, 11, 3); err != nil {
-			t.Fatal(err)
-		}
-	}); a != 0 {
-		t.Errorf("ReadColumn allocates %v times per access, want 0", a)
+	if n := pattern.Mismatch(data, 0x55); n != 0 {
+		t.Fatalf("%d bits flipped in the swept row", n)
+	}
+	if _, err := c.SweepColumns(0, 1<<20, 0x55); err == nil {
+		t.Fatal("out-of-range row swept without error")
 	}
 }
 
-// TestAlg2ColumnStepAllocsFree runs one Alg. 2 column step at 8 KiB rows —
-// initialize_row, then one column read inside the row's tRCD requirement —
-// and asserts a steady-state step allocates nothing.
+// TestAlg2ColumnStepAllocsFree sweeps a row with Alg. 2's column loop at
+// 8 KiB rows, once at a latency where no column can fail and once inside
+// the row's tRCD requirement, and asserts a steady-state sweep allocates
+// nothing.
 func TestAlg2ColumnStepAllocsFree(t *testing.T) {
 	p, _ := physics.ProfileByName("A0")
-	c := New(dram.NewModule(p, physics.FullGeometry(), 2022))
-	c.Module().SetVPP(p.VPPMin)
-	if err := c.SetTRCD(9); err != nil {
-		t.Fatal(err)
-	}
-	const bank, row = 0, 1000
-	col := 0
-	step := func() {
-		if err := c.InitializeRow(bank, row, 0xAA); err != nil {
+	for _, tc := range []struct {
+		trcd   float64
+		faulty bool
+	}{{30, false}, {9, true}} {
+		c := New(dram.NewModule(p, physics.FullGeometry(), 2022))
+		c.Module().SetVPP(p.VPPMin)
+		if err := c.SetTRCD(tc.trcd); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.ReadColumn(bank, row, col); err != nil {
-			t.Fatal(err)
+		sweep := func() {
+			col, err := c.SweepColumns(0, 1000, 0xAA)
+			if err != nil || (col >= 0) != tc.faulty {
+				t.Fatalf("tRCD %v ns: column %d, err %v", tc.trcd, col, err)
+			}
 		}
-		col = (col + 1) % c.Module().Geometry().Columns()
-	}
-	step() // the first step creates the row and samples its physics
-	if a := testing.AllocsPerRun(1000, step); a != 0 {
-		t.Errorf("an Alg. 2 column step allocates %v times in steady state, want 0", a)
+		sweep() // the first sweep creates the row and samples its physics
+		if a := testing.AllocsPerRun(100, sweep); a != 0 {
+			t.Errorf("tRCD %v ns: SweepColumns allocates %v times in steady state, want 0", tc.trcd, a)
+		}
 	}
 }
 
@@ -195,15 +191,17 @@ func perCommandPS(ns float64) dram.PS { return dram.NSToPS(perCommandQuantize(ns
 
 // TestClockAdvanceMatchesPerCommandQuantize programs every tRCD on the
 // command grid from 1.5 to 30 ns, and nominal timing, and checks that
-// InitializeRow, ReadColumn, ReadRow, ReadRowSafe and CountRowSafe advance
-// the clock by the sum of the latencies each command quantized for itself.
-// InitializeRow must advance as at nominal timing under every override, and
-// a safe read must leave the override programmed.
+// InitializeRow, ReadRow, ReadRowSafe and CountRowSafe advance the clock by
+// the sum of the latencies each command quantized for itself, and
+// SweepColumns by that of one InitializeRow and one column access for each
+// column it swept. InitializeRow must advance as at nominal timing under
+// every override, and a safe read must leave the override programmed.
 func TestClockAdvanceMatchesPerCommandQuantize(t *testing.T) {
 	c := newCtrl(t, "B3")
 	nom := NominalTiming()
 	cols := dram.PS(c.Module().Geometry().Columns())
 	const bank, row = 0, 40
+	sweeps, faulty := 0, 0
 	advance := func(what string, want dram.PS, op func() error) {
 		t.Helper()
 		t0 := c.Now()
@@ -221,17 +219,33 @@ func TestClockAdvanceMatchesPerCommandQuantize(t *testing.T) {
 		if rest := nom.TRAS - programmed; rest > 0 {
 			column += perCommandPS(rest)
 		}
-		initRow := func() error { return c.InitializeRow(bank, row, 0x55) }
-		readColumn := func() error { _, err := c.ReadColumn(bank, row, 3); return err }
-		advance("InitializeRow", perCommandPS(nom.TRCD)+perCommandPS(nom.TRAS)+perCommandPS(nom.TRP), initRow)
-		advance("ReadColumn", column, readColumn)
+		initRow := perCommandPS(nom.TRCD) + perCommandPS(nom.TRAS) + perCommandPS(nom.TRP)
+		sweep := func(what string) {
+			t.Helper()
+			t0 := c.Now()
+			col, err := c.SweepColumns(bank, row, 0x55)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			swept := cols
+			if col >= 0 {
+				swept = dram.PS(col + 1)
+				faulty++
+			}
+			if got, want := c.Now()-t0, swept*(initRow+column); got != want {
+				t.Errorf("%s at tRCD %v ns over %d columns advanced %d ps, want %d", what, c.Timing().TRCD, swept, got, want)
+			}
+			sweeps++
+		}
+		advance("InitializeRow", initRow, func() error { return c.InitializeRow(bank, row, 0x55) })
+		sweep("SweepColumns")
 		advance("ReadRow", trcd+cols*perCommandPS(nom.TCCD)+perCommandPS(nom.TRP),
 			func() error { _, err := c.ReadRow(bank, row); return err })
 		advance("ReadRowSafe", perCommandPS(safeReadTRCDNS)+cols*perCommandPS(nom.TCCD)+perCommandPS(nom.TRP),
 			func() error { _, err := c.ReadRowSafe(bank, row); return err })
 		advance("CountRowSafe", perCommandPS(safeReadTRCDNS)+cols*perCommandPS(nom.TCCD)+perCommandPS(nom.TRP),
 			func() error { _, err := c.CountRowSafe(bank, row, 0x55); return err })
-		advance("ReadColumn after a safe read", column, readColumn)
+		sweep("SweepColumns after a safe read")
 	}
 	check(nom.TRCD)
 	for k := 1; k <= 20; k++ {
@@ -243,6 +257,9 @@ func TestClockAdvanceMatchesPerCommandQuantize(t *testing.T) {
 	}
 	c.ResetTiming()
 	check(nom.TRCD)
+	if faulty == 0 || faulty == sweeps {
+		t.Errorf("%d of %d sweeps stopped at a faulty column; want some of them", faulty, sweeps)
+	}
 }
 
 func TestSetTRCDQuantization(t *testing.T) {
@@ -332,32 +349,20 @@ func TestHammerDoubleSidedFlipsVictim(t *testing.T) {
 	}
 }
 
+// TestShortTRCDReadCorrupts sweeps a failing module's row at VPPmin with a
+// 3 ns tRCD, far inside its requirement: some column must read back
+// corrupted.
 func TestShortTRCDReadCorrupts(t *testing.T) {
 	c := newCtrl(t, "A0")
 	c.Module().SetVPP(c.Module().Profile().VPPMin)
-	if err := c.InitializeRow(0, 30, 0xAA); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.SetTRCD(3.0); err != nil {
 		t.Fatal(err)
 	}
-	corrupt := false
-	for col := 0; col < c.Module().Geometry().Columns() && !corrupt; col++ {
-		d, err := c.ReadColumn(0, 30, col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range d {
-			if b != 0xAA {
-				corrupt = true
-				break
-			}
-		}
-		if err := c.InitializeRow(0, 30, 0xAA); err != nil {
-			t.Fatal(err)
-		}
+	col, err := c.SweepColumns(0, 30, 0xAA)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !corrupt {
+	if col < 0 {
 		t.Error("no corruption at tRCD=3ns on a failing module at VPPmin")
 	}
 }
@@ -475,4 +480,30 @@ func BenchmarkReadRowSafe(b *testing.B) {
 		data, err := c.ReadRowSafe(bank, row)
 		return pattern.Mismatch(data, fill), err
 	})
+}
+
+// BenchmarkSweepColumns times one Alg. 2 sweep of a row at 8 KiB rows on a
+// failing module at VPPmin: at a latency where no column can fail, and
+// inside the row's tRCD requirement, where the sweep stops at the first
+// faulty column.
+func BenchmarkSweepColumns(b *testing.B) {
+	p, _ := physics.ProfileByName("A0")
+	for _, bc := range []struct {
+		name string
+		trcd float64
+	}{{"safe", 30}, {"unsafe", 9}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(dram.NewModule(p, physics.FullGeometry(), 2022))
+			c.Module().SetVPP(p.VPPMin)
+			if err := c.SetTRCD(bc.trcd); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := c.SweepColumns(0, 1000, 0xAA); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

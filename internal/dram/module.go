@@ -794,10 +794,12 @@ func (m *Module) ColumnSweep(t PS, st SweepTiming, bankIdx, logicalRow int, fill
 
 	// A violation flips at least one bit of the column and nothing else
 	// does, so a column is faulty iff its requirement exceeds the latency.
+	// No requirement of a column reaches its ColumnSafeNS, so a column whose
+	// bound the latency meets is not faulty without drawing its noise.
 	cols, faulty := m.geom.Columns(), -1
 	if trcdNS := nsSince(0, st.RCD); trcdNS < rc.trcd.SafeNS() {
 		for col := range cols {
-			if rc.trcd.ColumnReqNS(col, rs.writeEpoch+col+1) > trcdNS {
+			if rc.trcd.ColumnSafeNS(col) > trcdNS && rc.trcd.ColumnReqNS(col, rs.writeEpoch+col+1) > trcdNS {
 				faulty = col
 				break
 			}

@@ -2,7 +2,6 @@ package physics
 
 import (
 	"math"
-	"sync"
 
 	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/rng"
@@ -120,10 +119,11 @@ func spreadFor(m Manufacturer) mfrSpread {
 	}
 }
 
-// DeviceModel is the ground-truth behavioral model of one DIMM. It is safe
-// for concurrent use. The characterization code never touches it directly:
-// it lives behind the dram.Module command interface, exactly as real silicon
-// lives behind the DDR4 bus.
+// DeviceModel is the ground-truth behavioral model of one DIMM. Like the
+// dram.Module that owns it, it is NOT safe for concurrent use: it samples
+// and memoizes per-row state on first need. The characterization code never
+// touches it directly: it lives behind the dram.Module command interface,
+// exactly as real silicon lives behind the DDR4 bus.
 type DeviceModel struct {
 	prof ModuleProfile
 	geom Geometry
@@ -142,7 +142,6 @@ type DeviceModel struct {
 	trcd      trcdModel
 	retention retentionModel
 
-	mu   sync.Mutex
 	rows map[rowKey]*rowParams
 }
 
@@ -168,11 +167,23 @@ type rowParams struct {
 	retLambda float64 // per-row retention-time multiplier
 	weak      []weakCell
 
-	permOnce sync.Once
-	perm     []int32 // weakest-first cell ordering for hammer flips
+	hnoise rng.Prefix // "hnoise" over (bank, row): hammer noise per iteration
+	rnoise rng.Prefix // "rnoise" over (bank, row): retention noise per iteration
 
-	retPermOnce sync.Once
-	retPerm     []int32 // weakest-first cell ordering for retention flips
+	// Sampled or evaluated on first need.
+	perm    []int32     // weakest-first cell ordering for hammer flips
+	retPerm []int32     // weakest-first cell ordering for retention flips
+	trcdJit []float64   // per-column tRCD jitter below the worst column
+	curve   hammerCurve // hammer flip curve at curve.vpp
+}
+
+// hammerCurve is a row's flip-count curve at one VPP: the HCfirst threshold
+// and the log-normal the flip count follows above it.
+type hammerCurve struct {
+	ok     bool
+	vpp    float64
+	hcf    float64
+	mu, sg float64
 }
 
 // NewDeviceModel builds the behavioral model for one module profile. The
@@ -265,13 +276,11 @@ func (m *DeviceModel) hump(v float64) float64 {
 // row returns (sampling on first use) the ground-truth parameters of a row.
 func (m *DeviceModel) row(bank, rowAddr int) *rowParams {
 	key := rowKey{bank, rowAddr}
-	m.mu.Lock()
 	rp, ok := m.rows[key]
 	if !ok {
 		rp = m.sampleRow(bank, rowAddr)
 		m.rows[key] = rp
 	}
-	m.mu.Unlock()
 	return rp
 }
 
@@ -344,6 +353,8 @@ func (m *DeviceModel) sampleRow(bank, rowAddr int) *rowParams {
 	// this coefficient powers the ext-temp extension experiment.
 	rp.tempCoeff = s.Normal(0.10, 0.12)
 	rp.weak = m.retention.sampleWeakCells(&s, m.geom, m.prof)
+	rp.hnoise = m.root.Prefix("hnoise", bank, rowAddr)
+	rp.rnoise = m.root.Prefix("rnoise", bank, rowAddr)
 	return rp
 }
 
@@ -351,7 +362,10 @@ func (m *DeviceModel) sampleRow(bank, rowAddr int) *rowParams {
 // data pattern k on the given row at voltage vpp. The worst-case pattern has
 // factor 1; weaker patterns have smaller factors (more hammers needed).
 func (m *DeviceModel) PatternFactor(bank, rowAddr int, k pattern.Kind, vpp float64) float64 {
-	rp := m.row(bank, rowAddr)
+	return patternFactor(m.row(bank, rowAddr), k, vpp)
+}
+
+func patternFactor(rp *rowParams, k pattern.Kind, vpp float64) float64 {
 	idx := patternIndex(k)
 	if idx < 0 {
 		return 0.5
@@ -401,19 +415,37 @@ func (m *DeviceModel) HammerFlipCount(bank, rowAddr int, pat pattern.Kind, vpp, 
 		return 0
 	}
 	rp := m.row(bank, rowAddr)
-	n := float64(m.geom.RowBits())
-
-	eff := hcEq * m.PatternFactor(bank, rowAddr, pat, vpp)
+	eff := hcEq * patternFactor(rp, pat, vpp)
 	eff *= clamp(1+rp.tempCoeff*(tempC-RowHammerTestTempC)/50, 0.5, 1.8)
-	ns := m.root.DeriveInts("hnoise", bank, rowAddr, iter)
+	ns := rp.hnoise.Ints(iter)
 	eff *= math.Exp(ns.Normal(0, measurementNoiseSigma))
 
-	hcf := rp.hcNom * m.normHC(rp, vpp)
-	if eff < hcf {
+	c := m.hammerCurve(rp, vpp)
+	if eff < c.hcf {
 		// The first flip is a sharp threshold: below the row's HCfirst no
 		// cell has accumulated enough disturbance to cross its margin.
 		return 0
 	}
+	n := float64(m.geom.RowBits())
+	p := LogNormalCDF(eff, c.mu, c.sg)
+	count := int(p*n + 0.5)
+	if count < 1 {
+		count = 1
+	}
+	if count > m.geom.RowBits() {
+		count = m.geom.RowBits()
+	}
+	return count
+}
+
+// hammerCurve returns the row's flip-count curve at vpp, evaluating it only
+// when vpp differs from the last call's: it depends on nothing else.
+func (m *DeviceModel) hammerCurve(rp *rowParams, vpp float64) hammerCurve {
+	if rp.curve.ok && rp.curve.vpp == vpp {
+		return rp.curve
+	}
+	n := float64(m.geom.RowBits())
+	hcf := rp.hcNom * m.normHC(rp, vpp)
 	// The BER anchor cannot drop below the flip floor implied by the
 	// HCfirst anchor itself (a row that flips at hcf has >= 1 flipped bit
 	// at the reference count when hcf < refHC).
@@ -432,15 +464,8 @@ func (m *DeviceModel) HammerFlipCount(bank, rowAddr int, pat pattern.Kind, vpp, 
 	// re-anchor at the HCfirst point, which must stay exact.
 	sg = clamp(sg, 0.15, 4.0)
 	mu := math.Log(hcf) - sg*PhiInv(p1)
-	p := LogNormalCDF(eff, mu, sg)
-	count := int(p*n + 0.5)
-	if count < 1 {
-		count = 1
-	}
-	if count > m.geom.RowBits() {
-		count = m.geom.RowBits()
-	}
-	return count
+	rp.curve = hammerCurve{ok: true, vpp: vpp, hcf: hcf, mu: mu, sg: sg}
+	return rp.curve
 }
 
 // HammerFlipPositions returns the bit positions (within the row) of the
@@ -448,9 +473,9 @@ func (m *DeviceModel) HammerFlipCount(bank, rowAddr int, pat pattern.Kind, vpp, 
 // exposure flips a superset of a smaller exposure's cells.
 func (m *DeviceModel) HammerFlipPositions(bank, rowAddr, count int) []int32 {
 	rp := m.row(bank, rowAddr)
-	rp.permOnce.Do(func() {
+	if rp.perm == nil {
 		rp.perm = m.cellPermutation("hammerperm", bank, rowAddr)
-	})
+	}
 	if count > len(rp.perm) {
 		count = len(rp.perm)
 	}
@@ -470,12 +495,4 @@ func (m *DeviceModel) cellPermutation(label string, bank, rowAddr int) []int32 {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// ResetRowCache drops all sampled per-row state. Intended for tests that
-// want to resample with a different geometry.
-func (m *DeviceModel) ResetRowCache() {
-	m.mu.Lock()
-	m.rows = make(map[rowKey]*rowParams)
-	m.mu.Unlock()
 }

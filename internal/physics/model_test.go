@@ -372,16 +372,6 @@ func TestInteriorVPPRecModuleHCPeaks(t *testing.T) {
 	}
 }
 
-func TestResetRowCache(t *testing.T) {
-	m := newTestModel(t, "A3")
-	before := m.GroundTruthHCFirst(0, 5, 2.5)
-	m.ResetRowCache()
-	after := m.GroundTruthHCFirst(0, 5, 2.5)
-	if before != after {
-		t.Error("row resampling after reset changed deterministic values")
-	}
-}
-
 func TestTemperatureFactorNeutralAt50C(t *testing.T) {
 	// The paper characterizes RowHammer at 50C; Table 3 calibration must be
 	// untouched there, and flips must vary when the die heats or cools.

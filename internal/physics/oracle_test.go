@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"github.com/dramstudy/rhvpp/internal/pattern"
 )
 
 // The ref* functions are the per-call tRCD and retention evaluations the
@@ -89,9 +91,9 @@ func refRetentionFlipPositions(m *DeviceModel, bank, rowAddr int, vpp, elapsedMS
 	count := refBulkCount(m, bank, rowAddr, vpp, elapsedMS, tempC, iter)
 	var out []int32
 	if count > 0 {
-		rp.retPermOnce.Do(func() {
+		if rp.retPerm == nil {
 			rp.retPerm = m.cellPermutation("retperm", bank, rowAddr)
-		})
+		}
 		out = append(out, rp.retPerm[:count]...)
 	}
 	if len(rp.weak) > 0 {
@@ -135,7 +137,8 @@ func TestTRCDRowMatchesPerCallOracle(t *testing.T) {
 						}
 						// Both sides of the requirement and of the skip bound,
 						// the controller's safe read, and the 1.5 ns grid.
-						for _, trcd := range []float64{req - 4, req - 0.4, req - 1e-9, req, req + 1e-9, r.safeNS - 1e-9, r.safeNS, 30, 12, 13.5} {
+						colSafe := r.ColumnSafeNS(col)
+						for _, trcd := range []float64{req - 4, req - 0.4, req - 1e-9, req, req + 1e-9, colSafe - 1e-9, colSafe, r.safeNS - 1e-9, r.safeNS, 30, 12, 13.5} {
 							got := r.AppendFlips(nil, col, trcd, iter)
 							want := refTRCDFlipPositions(m, bank, row, col, trcd, vpp, iter)
 							if !slices.Equal(got, want) {
@@ -249,7 +252,7 @@ func TestHammerNoiseMatchesPerCallOracle(t *testing.T) {
 	m := NewDeviceModel(p, FullGeometry(), 2022)
 	for _, row := range []int{0, 255, 256, 4711, 32767} {
 		for iter := 0; iter < 12; iter++ {
-			ns := m.root.DeriveInts("hnoise", 0, row, iter)
+			ns := m.row(0, row).hnoise.Ints(iter)
 			if got, want := ns.Normal(0, measurementNoiseSigma), refHammerNoise(m, 0, row, iter); got != want {
 				t.Fatalf("row %d iter %d: hammer noise %v, oracle %v", row, iter, got, want)
 			}
@@ -368,6 +371,94 @@ func TestRetentionSigmaBound(t *testing.T) {
 		m := NewDeviceModel(p, FullGeometry(), 2022)
 		if s := m.retention.sigma; s < 1.2 {
 			t.Errorf("%s: retention sigma %v below 1.2", p.Name, s)
+		}
+	}
+}
+
+// TestColumnReqNSMatchesDeriveIntsOracle recomputes every column's
+// requirement from freshly derived "trcdcol" and "trcditer" streams, with
+// the row's worst column undisturbed, and checks the per-column bound the
+// Alg. 2 sweep skips by: each requirement lies below its column's bound,
+// which is SafeNS for the worst column and at most SafeNS for the others.
+func TestColumnReqNSMatchesDeriveIntsOracle(t *testing.T) {
+	const bank = 2
+	for _, name := range []string{"A0", "B5", "C0"} {
+		p, _ := ProfileByName(name)
+		m := NewDeviceModel(p, FullGeometry(), 7)
+		for _, row := range []int{3, 1000, 32766} {
+			for _, vpp := range []float64{p.VPPMin, 2.0, VPPNominal, p.VPPMin} {
+				r := m.TRCDRow(bank, row, vpp)
+				reqNS := m.GroundTruthRowTRCDNS(bank, row, vpp)
+				worstSeen := false
+				for col := range m.geom.Columns() {
+					base := reqNS
+					if col != r.worst {
+						cs := m.root.DeriveInts("trcdcol", bank, row, col)
+						base -= math.Abs(cs.Normal(0, trcdColumnJitterNS))
+					}
+					colSafe := r.ColumnSafeNS(col)
+					if colSafe > r.SafeNS() {
+						t.Fatalf("%s row %d col %d: column bound %v above the row's %v", name, row, col, colSafe, r.SafeNS())
+					}
+					if col == r.worst {
+						worstSeen = true
+						if colSafe != r.SafeNS() {
+							t.Fatalf("%s row %d: worst column's bound %v, SafeNS %v", name, row, colSafe, r.SafeNS())
+						}
+					}
+					for iter := range 24 {
+						is := m.root.DeriveInts("trcditer", bank, row, col, iter)
+						want := base + is.Normal(0, trcdIterNoiseNS)
+						got := r.ColumnReqNS(col, iter)
+						if got != want {
+							t.Fatalf("%s vpp %v row %d col %d iter %d: requirement %v, oracle %v", name, vpp, row, col, iter, got, want)
+						}
+						if got >= colSafe {
+							t.Fatalf("%s row %d col %d iter %d: requirement %v reaches the column bound %v", name, row, col, iter, got, colSafe)
+						}
+					}
+				}
+				if !worstSeen {
+					t.Fatalf("%s row %d: worst column %d outside the row", name, row, r.worst)
+				}
+			}
+		}
+	}
+}
+
+// TestHammerFlipCountMemoMatchesFreshModel asks one long-lived model, whose
+// per-row hammer curve is memoized, and a fresh model per call, which has
+// nothing memoized, the same questions while VPP moves back and forth
+// across every pattern, several temperatures, exposures and iterations.
+func TestHammerFlipCountMemoMatchesFreshModel(t *testing.T) {
+	const bank, seed = 1, 2022
+	for _, name := range []string{"A2", "B3"} {
+		p, _ := ProfileByName(name)
+		memo := NewDeviceModel(p, testGeometry(), seed)
+		vpps := []float64{VPPNominal, p.VPPMin, VPPNominal, 2.0, 2.0, p.VPPMin, VPPNominal}
+		flipped := 0
+		for _, row := range []int{5, 700} {
+			hcf := memo.GroundTruthHCFirst(bank, row, VPPNominal)
+			for _, vpp := range vpps {
+				for _, pat := range pattern.All() {
+					for _, tempC := range []float64{50, 80} {
+						for _, hcEq := range []float64{0.5 * hcf, 1.2 * hcf, 4 * hcf} {
+							for _, iter := range []int{0, 7} {
+								fresh := NewDeviceModel(p, testGeometry(), seed)
+								got := memo.HammerFlipCount(bank, row, pat, vpp, hcEq, tempC, iter)
+								want := fresh.HammerFlipCount(bank, row, pat, vpp, hcEq, tempC, iter)
+								if got != want {
+									t.Fatalf("%s row %d %v vpp %v %v C hcEq %v iter %d: memoized %d flips, fresh %d", name, row, pat, vpp, tempC, hcEq, iter, got, want)
+								}
+								flipped += min(got, 1)
+							}
+						}
+					}
+				}
+			}
+		}
+		if flipped == 0 {
+			t.Fatalf("%s: no query flipped a bit; the curve went untested", name)
 		}
 	}
 }

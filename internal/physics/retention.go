@@ -310,7 +310,7 @@ func (r *RetentionRow) bulkCDF(elapsedMS float64) float64 {
 	if r.noise == 0 {
 		// The stream is derived from the never-advanced model root, so a
 		// late draw equals an eager one.
-		ns := r.m.root.DeriveInts("rnoise", r.bank, r.row, r.iter)
+		ns := r.rp.rnoise.Ints(r.iter)
 		r.noise = math.Exp(ns.Normal(0, retentionNoiseSigma))
 	}
 	ret := r.m.retention
@@ -338,9 +338,9 @@ func (r *RetentionRow) countAt(f float64) int {
 // on first use.
 func (r *RetentionRow) BulkOrder() []int32 {
 	rp := r.rp
-	rp.retPermOnce.Do(func() {
+	if rp.retPerm == nil {
 		rp.retPerm = r.m.cellPermutation("retperm", r.bank, r.row)
-	})
+	}
 	return rp.retPerm
 }
 

@@ -97,14 +97,17 @@ func (t trcdModel) rowReqNS(rowBase, rowScale, v float64) float64 {
 
 // TRCDRow holds the terms of a row's activation-latency response that stay
 // fixed while the row is open at one VPP: the noiseless worst-column
-// requirement and the index of the worst column. Only the per-column jitter
-// and the per-iteration noise are drawn per read.
+// requirement, the index of the worst column and the per-column jitter
+// below it, which the row samples once, on the first query below SafeNS.
+// Only the per-iteration noise is drawn per read.
 type TRCDRow struct {
 	m         *DeviceModel
+	rp        *rowParams
 	bank, row int
-	reqNS     float64 // worst-column requirement without noise
-	worst     int     // column whose requirement is reqNS before noise
-	safeNS    float64 // no column's requirement reaches this latency
+	reqNS     float64    // worst-column requirement without noise
+	worst     int        // column whose requirement is reqNS before noise
+	safeNS    float64    // no column's requirement reaches this latency
+	iter      rng.Prefix // "trcditer" over (bank, row)
 }
 
 // TRCDRow returns the row-invariant activation-latency terms of a row at
@@ -113,13 +116,14 @@ func (m *DeviceModel) TRCDRow(bank, rowAddr int, vpp float64) TRCDRow {
 	rp := m.row(bank, rowAddr)
 	req := m.trcd.rowReqNS(rp.trcdBase, rp.trcdScale, vpp)
 	return TRCDRow{
-		m: m, bank: bank, row: rowAddr,
+		m: m, rp: rp, bank: bank, row: rowAddr,
 		reqNS: req,
 		worst: rp.trcdWorst,
 		// The column jitter only lowers a requirement and the iteration
 		// noise adds at most MaxAbsNorm standard deviations, so no draw can
 		// push a requirement to safeNS.
 		safeNS: req + rng.MaxAbsNorm*trcdIterNoiseNS,
+		iter:   m.root.Prefix("trcditer", bank, rowAddr),
 	}
 }
 
@@ -127,18 +131,39 @@ func (m *DeviceModel) TRCDRow(bank, rowAddr int, vpp float64) TRCDRow {
 // in any iteration, so AppendFlips appends nothing.
 func (r *TRCDRow) SafeNS() float64 { return r.safeNS }
 
+// ColumnSafeNS returns the latency at and past which column col fails in no
+// iteration: its noiseless requirement plus the iteration noise's bound, by
+// the argument of SafeNS. It is SafeNS for the worst column and at most
+// SafeNS for every other.
+func (r *TRCDRow) ColumnSafeNS(col int) float64 {
+	return r.reqNS - r.jitter()[col] + rng.MaxAbsNorm*trcdIterNoiseNS
+}
+
 // ColumnReqNS returns the minimum reliable activation-to-read latency of
 // column col (ns) for measurement iteration iter.
 func (r *TRCDRow) ColumnReqNS(col, iter int) float64 {
-	req := r.reqNS
-	// Per-column offset: one hash-selected worst column defines the row's
-	// requirement; others are faster by a deterministic jitter.
-	if col != r.worst {
-		cs := r.m.root.DeriveInts("trcdcol", r.bank, r.row, col)
-		req -= math.Abs(cs.Normal(0, trcdColumnJitterNS))
+	is := r.iter.Ints(col, iter)
+	return r.reqNS - r.jitter()[col] + is.Normal(0, trcdIterNoiseNS)
+}
+
+// jitter returns the row's per-column offsets below its requirement,
+// sampling them on first use. One hash-selected worst column defines the
+// row's requirement and has offset 0; the others are faster by a
+// deterministic jitter drawn from their own stream.
+func (r *TRCDRow) jitter() []float64 {
+	if r.rp.trcdJit == nil {
+		cols := r.m.geom.Columns()
+		jit := make([]float64, cols) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+		p := r.m.root.Prefix("trcdcol", r.bank, r.row)
+		for col := range cols {
+			if col != r.worst {
+				cs := p.Ints(col)
+				jit[col] = math.Abs(cs.Normal(0, trcdColumnJitterNS))
+			}
+		}
+		r.rp.trcdJit = jit
 	}
-	is := r.m.root.DeriveInts("trcditer", r.bank, r.row, col, iter)
-	return req + is.Normal(0, trcdIterNoiseNS)
+	return r.rp.trcdJit
 }
 
 // AppendFlips appends to dst the bit positions (row-relative), in draw
@@ -148,7 +173,7 @@ func (r *TRCDRow) ColumnReqNS(col, iter int) float64 {
 // bits, growing with the timing shortfall. Reads at or beyond the row's
 // noise bound skip the draws: their outcome is known without them.
 func (r *TRCDRow) AppendFlips(dst []int32, col int, trcdNS float64, iter int) []int32 {
-	if trcdNS >= r.safeNS {
+	if trcdNS >= r.safeNS || trcdNS >= r.ColumnSafeNS(col) {
 		return dst
 	}
 	req := r.ColumnReqNS(col, iter)

@@ -147,3 +147,19 @@ func TestTRCDFixThresholdsHold(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkColumnReqNS evaluates every column's requirement of an 8 KiB row
+// at VPPmin for one Alg. 2 iteration, as a sweep below SafeNS does.
+func BenchmarkColumnReqNS(b *testing.B) {
+	p, _ := ProfileByName("A0")
+	m := NewDeviceModel(p, FullGeometry(), 2022)
+	r := m.TRCDRow(0, 1000, p.VPPMin)
+	cols := m.Geometry().Columns()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		for col := range cols {
+			sink += r.ColumnReqNS(col, i)
+		}
+	}
+	_ = sink
+}

@@ -16,6 +16,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Stream is a deterministic pseudo-random number generator. The zero value is
@@ -79,11 +80,33 @@ func (s *Stream) Derive(labels ...any) *Stream {
 // allocates nothing: the DRAM read path derives its per-column streams
 // with it.
 func (s *Stream) DeriveInts(label string, ids ...int) Stream {
-	h := s.stateHash().addString(label).addByte(labelSep)
+	return s.Prefix(label, ids...).Ints()
+}
+
+// Prefix is a derivation hash stopped after a stream's state, a label and
+// leading ids. Callers that derive many streams sharing that prefix hash it
+// once and hash only the trailing ids per stream.
+type Prefix struct{ h fnv64a }
+
+// Prefix hashes the stream's state, label and the leading ids. It does not
+// advance the stream, and it keeps the state of the call: streams derived
+// from it after s has drawn are the ones s derived before.
+func (s *Stream) Prefix(label string, ids ...int) Prefix {
+	return Prefix{s.stateHash().addString(label).addByte(labelSep)}.extend(ids)
+}
+
+// Ints returns the stream DeriveInts(label, leading..., ids...) returns for
+// the prefix's stream, label and leading ids. It allocates nothing.
+func (p Prefix) Ints(ids ...int) Stream {
+	return seeded(uint64(p.extend(ids).h))
+}
+
+// extend hashes ids after the prefix, each ended by the label separator.
+func (p Prefix) extend(ids []int) Prefix {
 	for _, id := range ids {
-		h = h.addWord(uint64(int64(id))).addByte(labelSep)
+		p.h = p.h.addWord(uint64(int64(id))).addByte(labelSep)
 	}
-	return seeded(uint64(h))
+	return p
 }
 
 // fnv64a is a running 64-bit FNV-1a hash.
@@ -150,28 +173,15 @@ func (s *Stream) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded sampling.
 	v := s.Uint64()
-	hi, lo := mul64(v, uint64(n))
+	hi, lo := bits.Mul64(v, uint64(n))
 	if lo < uint64(n) {
 		thresh := uint64(-n) % uint64(n)
 		for lo < thresh {
 			v = s.Uint64()
-			hi, lo = mul64(v, uint64(n))
+			hi, lo = bits.Mul64(v, uint64(n))
 		}
 	}
 	return int(hi)
-}
-
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1, w2 := t&mask32, t>>32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return hi, lo
 }
 
 // MaxAbsNorm bounds |NormFloat64()|. The polar method returns

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +161,79 @@ func TestDeriveIntsAllocsFree(t *testing.T) {
 		t.Errorf("DeriveInts allocates %v times per call, want 0", a)
 	}
 	_ = sink
+}
+
+// TestPrefixMatchesDeriveInts checks that every split of the ids between
+// Prefix and Ints derives the stream DeriveInts derives, on the derive
+// vectors and on random labels and ids.
+func TestPrefixMatchesDeriveInts(t *testing.T) {
+	splitsMatch := func(seed uint64, label string, ids []int) bool {
+		s := New(seed)
+		want := s.DeriveInts(label, ids...)
+		for k := 0; k <= len(ids); k++ {
+			got := s.Prefix(label, ids[:k]...).Ints(ids[k:]...)
+			if got != want {
+				t.Logf("seed %d label %q ids %v: split at %d derives another stream", seed, label, ids, k)
+				return false
+			}
+		}
+		return true
+	}
+	for _, v := range deriveVectors {
+		label, ok := firstString(v.labels)
+		if !ok {
+			continue
+		}
+		ids, ok := ints(v.labels[1:])
+		if !ok {
+			continue
+		}
+		if !splitsMatch(v.seed, label, ids) {
+			t.Errorf("New(%d): a Prefix/Ints split of (%q, %v) differs from DeriveInts", v.seed, label, ids)
+		}
+		if s := New(v.seed).Prefix(label, ids...).Ints(); s.Uint64() != v.draw {
+			t.Errorf("New(%d).Prefix(%q, %v).Ints() misses the vector's draw", v.seed, label, ids)
+		}
+	}
+	if err := quick.Check(splitsMatch, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPrefixIntsAllocsFree(t *testing.T) {
+	p := New(1).Prefix("trcditer", 0, 4711)
+	var sink uint64
+	if a := testing.AllocsPerRun(100, func() {
+		c := p.Ints(17, 3)
+		sink += c.Uint64()
+	}); a != 0 {
+		t.Errorf("Prefix.Ints allocates %v times per call, want 0", a)
+	}
+	_ = sink
+}
+
+// TestIntnPermGoldenVectors pins Intn's bounded sampling and Perm on draws
+// recorded from the portable 32-bit-limb 128-bit product.
+func TestIntnPermGoldenVectors(t *testing.T) {
+	s := New(2022)
+	for _, v := range []struct{ n, want int }{
+		{1, 0}, {2, 1}, {3, 2}, {6, 3}, {7, 5}, {10, 8}, {512, 421}, {1000, 540},
+		{65536, 63413}, {1048576, 475822}, {1073741827, 848819256}, {2147483647, 1289587652},
+	} {
+		if got := s.Intn(v.n); got != v.want {
+			t.Errorf("Intn(%d) = %d, want %d", v.n, got, v.want)
+		}
+	}
+	if got, want := New(7).Perm(12), []int{5, 2, 11, 6, 10, 4, 8, 9, 3, 7, 1, 0}; !slices.Equal(got, want) {
+		t.Errorf("New(7).Perm(12) = %v, want %v", got, want)
+	}
+	h := uint64(14695981039346656037) // FNV-1a over the permutation's values
+	for _, v := range New(7).Perm(65536) {
+		h = (h ^ uint64(v)) * 1099511628211
+	}
+	if h != 0xa6aef74467e837d5 {
+		t.Errorf("New(7).Perm(65536) hashes to %#x, want 0xa6aef74467e837d5", h)
+	}
 }
 
 func TestMaxAbsNormBoundsThePolarMethod(t *testing.T) {
@@ -403,4 +477,14 @@ func BenchmarkDerive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = s.Derive("row", i)
 	}
+}
+
+func BenchmarkPrefixInts(b *testing.B) {
+	p := New(1).Prefix("trcditer", 0, 4711)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		s := p.Ints(i, 3)
+		sink += s.Uint64()
+	}
+	_ = sink
 }

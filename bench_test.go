@@ -259,17 +259,14 @@ func BenchmarkTransientStep(b *testing.B) {
 }
 
 // BenchmarkMonteCarlo measures the Fig. 8b/9b campaign throughput at a
-// mid-sweep VPP. The serial-dense-reference sub-benchmark is the pre-rework
-// baseline (one worker, full re-stamp, finite-difference Jacobians); jobs=1
-// isolates the incremental-assembly + analytic-Jacobian speedup and jobs=4
-// adds the worker pool. All variants produce byte-identical MCResults.
+// mid-sweep VPP: jobs=1 is one worker's solver throughput and jobs=4 adds
+// the worker pool. Both produce byte-identical MCResults.
 func BenchmarkMonteCarlo(b *testing.B) {
 	const runs = 24
 	cases := []struct {
 		name string
 		cfg  spice.MCConfig
 	}{
-		{"serial-dense-reference", spice.MCConfig{Jobs: 1, Reference: true}},
 		{"jobs=1", spice.MCConfig{Jobs: 1}},
 		{"jobs=4", spice.MCConfig{Jobs: 4}},
 	}

@@ -1,7 +1,6 @@
 // Command spicebench measures the SPICE solver's headline throughput —
-// transient steps per second and Monte-Carlo runs per second, incremental
-// engine vs the dense finite-difference reference — and writes a JSON
-// snapshot. CI runs it on every change so the perf trajectory of the
+// transient step cost against the dense finite-difference reference, and
+// Monte-Carlo runs per second — and writes a JSON snapshot. CI runs it on every change so the perf trajectory of the
 // hottest path in the repository is recorded next to the code
 // (BENCH_spice.json at the repository root holds the latest committed
 // snapshot).
@@ -54,15 +53,11 @@ type Snapshot struct {
 	// adaptive engine: the count the Newton predictor exists to shrink.
 	MCNewtonItersPerSolve float64 `json:"mc_newton_iters_per_solve"`
 
-	// Monte-Carlo campaign throughput at 2.0 V, ±5% variation. The jobs1
-	// figure runs the adaptive engine (best-of-3); the serial reference is
-	// the dense engine on the fixed grid.
-	MCRunsPerSecReference float64 `json:"mc_runs_per_sec_serial_reference"`
-	MCRunsPerSecJobs1     float64 `json:"mc_runs_per_sec_jobs1"`
-	MCRunsPerSecJobs      float64 `json:"mc_runs_per_sec_jobs"`
-	MCJobs                int     `json:"mc_jobs"`
-	MCSpeedupJobs1        float64 `json:"mc_speedup_jobs1_vs_reference"`
-	MCSpeedupJobs         float64 `json:"mc_speedup_jobs_vs_reference"`
+	// Monte-Carlo campaign throughput at 2.0 V, ±5% variation: one worker
+	// (best-of-3) and MCJobs workers.
+	MCRunsPerSecJobs1 float64 `json:"mc_runs_per_sec_jobs1"`
+	MCRunsPerSecJobs  float64 `json:"mc_runs_per_sec_jobs"`
+	MCJobs            int     `json:"mc_jobs"`
 
 	// Full Fig. 8b/9b-style aggregate: one global run queue across a VPP
 	// sweep, streaming aggregation, per-worker workspace reuse. BytesPerRun
@@ -171,10 +166,6 @@ func measure(runs, jobs int) (Snapshot, error) {
 		return snap, err
 	}
 
-	ref, err := mcThroughput(spice.MCConfig{Runs: runs, Jobs: 1, Reference: true})
-	if err != nil {
-		return snap, err
-	}
 	one, err := bestOf(3, spice.MCConfig{Runs: runs, Jobs: 1})
 	if err != nil {
 		return snap, err
@@ -183,11 +174,8 @@ func measure(runs, jobs int) (Snapshot, error) {
 	if err != nil {
 		return snap, err
 	}
-	snap.MCRunsPerSecReference = ref
 	snap.MCRunsPerSecJobs1 = one
 	snap.MCRunsPerSecJobs = many
-	snap.MCSpeedupJobs1 = ratio(one, ref)
-	snap.MCSpeedupJobs = ratio(many, ref)
 
 	aggRate, aggBytes, levels, err := mcAggregate(runs, jobs)
 	if err != nil {

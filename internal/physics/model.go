@@ -485,14 +485,7 @@ func (m *DeviceModel) HammerFlipPositions(bank, rowAddr, count int) []int32 {
 // cellPermutation derives the weakest-first cell ordering for a row.
 func (m *DeviceModel) cellPermutation(label string, bank, rowAddr int) []int32 {
 	s := m.root.DeriveInts(label, bank, rowAddr)
-	n := m.geom.RowBits()
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
+	p := make([]int32, m.geom.RowBits())
+	s.PermInto(p)
 	return p
 }

@@ -149,15 +149,22 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits (xoshiro256++).
 func (s *Stream) Uint64() uint64 {
-	result := rotl(s.s[0]+s.s[3], 23) + s.s[0]
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = rotl(s.s[3], 45)
-	return result
+	var v uint64
+	v, s.s[0], s.s[1], s.s[2], s.s[3] = next(s.s[0], s.s[1], s.s[2], s.s[3])
+	return v
+}
+
+// next is one xoshiro256++ step: the output and the successor state.
+func next(s0, s1, s2, s3 uint64) (v, t0, t1, t2, t3 uint64) {
+	v = rotl(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return v, s0, s1, s2, s3
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -231,24 +238,35 @@ func (s *Stream) Exp(rate float64) float64 {
 	return -math.Log(1-s.Float64()) / rate
 }
 
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
+// PermInto fills p with a random permutation of [0, len(p)) (Fisher–Yates).
+// It makes exactly the draws of the loop
+//
+//	for i := len(p) - 1; i > 0; i-- {
+//		j := s.Intn(i + 1)
+//		p[i], p[j] = p[j], p[i]
+//	}
+//
+// over an identity-filled p, and leaves the stream in the same state, but
+// holds the generator's four words in locals for the whole shuffle.
+func (s *Stream) PermInto(p []int32) {
 	for i := range p {
-		p[i] = i
+		p[i] = int32(i)
 	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	for i := len(p) - 1; i > 0; i-- {
+		// Intn(i+1), with Uint64 inlined on the local state.
+		n := uint64(i + 1)
+		var v uint64
+		v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(v, n)
+		if lo < n {
+			thresh := -n % n
+			for lo < thresh {
+				v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(v, n)
+			}
+		}
+		p[i], p[hi] = p[hi], p[i]
 	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of the first n elements using the
-// provided swap function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
+	s.s = [4]uint64{s0, s1, s2, s3}
 }

@@ -212,7 +212,14 @@ func TestPrefixIntsAllocsFree(t *testing.T) {
 	_ = sink
 }
 
-// TestIntnPermGoldenVectors pins Intn's bounded sampling and Perm on draws
+// perm returns a fresh permutation of [0, n) drawn by PermInto.
+func perm(s *Stream, n int) []int32 {
+	p := make([]int32, n)
+	s.PermInto(p)
+	return p
+}
+
+// TestIntnPermGoldenVectors pins Intn's bounded sampling and PermInto on draws
 // recorded from the portable 32-bit-limb 128-bit product.
 func TestIntnPermGoldenVectors(t *testing.T) {
 	s := New(2022)
@@ -224,15 +231,15 @@ func TestIntnPermGoldenVectors(t *testing.T) {
 			t.Errorf("Intn(%d) = %d, want %d", v.n, got, v.want)
 		}
 	}
-	if got, want := New(7).Perm(12), []int{5, 2, 11, 6, 10, 4, 8, 9, 3, 7, 1, 0}; !slices.Equal(got, want) {
-		t.Errorf("New(7).Perm(12) = %v, want %v", got, want)
+	if got, want := perm(New(7), 12), []int32{5, 2, 11, 6, 10, 4, 8, 9, 3, 7, 1, 0}; !slices.Equal(got, want) {
+		t.Errorf("New(7).PermInto(12) = %v, want %v", got, want)
 	}
 	h := uint64(14695981039346656037) // FNV-1a over the permutation's values
-	for _, v := range New(7).Perm(65536) {
+	for _, v := range perm(New(7), 65536) {
 		h = (h ^ uint64(v)) * 1099511628211
 	}
 	if h != 0xa6aef74467e837d5 {
-		t.Errorf("New(7).Perm(65536) hashes to %#x, want 0xa6aef74467e837d5", h)
+		t.Errorf("New(7).PermInto(65536) hashes to %#x, want 0xa6aef74467e837d5", h)
 	}
 }
 
@@ -412,34 +419,38 @@ func TestExpMean(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	s := New(41)
 	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
+		p := perm(s, n)
 		seen := make([]bool, n)
 		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+			if v < 0 || int(v) >= n || seen[v] {
+				t.Fatalf("PermInto(%d) = %v is not a permutation", n, p)
 			}
 			seen[v] = true
 		}
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(43)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Errorf("shuffle changed element multiset: sum %d != %d", got, sum)
+// TestPermIntoMatchesIntnLoop pins PermInto to the Fisher–Yates loop over
+// Intn it replaces: the same permutation and the same stream state after
+// it.
+func TestPermIntoMatchesIntnLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 100, 4099, 65536} {
+		s, ref := New(uint64(n)+3), New(uint64(n)+3)
+		got := perm(s, n)
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		for i := n - 1; i > 0; i-- {
+			j := ref.Intn(i + 1)
+			want[i], want[j] = want[j], want[i]
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("n=%d: PermInto differs from the Intn loop", n)
+		}
+		if s.s != ref.s {
+			t.Errorf("n=%d: stream state after PermInto %x, after the Intn loop %x", n, s.s, ref.s)
+		}
 	}
 }
 
@@ -469,6 +480,14 @@ func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.Uint64()
+	}
+}
+
+func BenchmarkPermInto(b *testing.B) {
+	s := New(7)
+	p := make([]int32, 65536)
+	for i := 0; i < b.N; i++ {
+		s.PermInto(p)
 	}
 }
 

@@ -1,0 +1,188 @@
+package spice
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/dramstudy/rhvpp/internal/rng"
+)
+
+// bitsEqual reports whether two vectors hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// deviceRegion classifies a device's operating point the way mosDev.stamp
+// does: 0 cutoff, 1 triode, 2 saturation, plus whether drain and source
+// swapped roles.
+func deviceRegion(d mosDev, vd, vg, vs float64) (region int, reversed bool) {
+	if d.pmos {
+		vd, vg, vs = -vd, -vg, -vs
+	}
+	if vd < vs {
+		vd, vs, reversed = vs, vd, true
+	}
+	vds, vov := vd-vs, vg-vs-d.vt0
+	switch {
+	case vov <= 0:
+		return 0, reversed
+	case vds < vov:
+		return 1, reversed
+	}
+	return 2, reversed
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestCellIterMatchesGeneric pins the fixed-slot kernel to the generic
+// copy-stamp-solve path bit for bit. Each trial switches the step size,
+// draws a node history, a source time and a Newton iterate, and overrides
+// the driven levels at random, so the five devices visit cutoff, triode and
+// saturation in both orientations, NMOS and PMOS. The oracle is a reduced
+// engine built fresh from the circuit at that step size and forced onto the
+// generic path: the per-step pass must match it exactly (a value left stale
+// by setDt or restamp shows here), and one kernel iteration must leave the
+// same iterate and convergence norm as solveGeneric followed by update.
+// Random states far from a real activation trip the pivot guards on a
+// minority of iterations; a declined iteration must leave the iterate
+// untouched.
+func TestCellIterMatchesGeneric(t *testing.T) {
+	src := rand.New(rand.NewSource(27))
+	root := rng.New(27).Derive("cell-kernel")
+	params := func(run int) CellParams {
+		return Vary(DefaultCellParams(1.7+0.1*float64(run%9)), root.Derive("run", run), 0.05)
+	}
+	ckt, nodes, waves := buildCellCircuit(params(0))
+	tr := NewTransient(ckt, 25e-12)
+	r := tr.red
+	if r == nil || !r.cell {
+		t.Fatal("the Table 2 netlist did not select the cell kernel")
+	}
+	const trials = 3000
+	seen := map[[3]int]bool{}
+	trips := 0
+	for trial := 0; trial < trials; trial++ {
+		if trial%100 == 99 {
+			stampCellValues(ckt, nodes, waves, params(trial/100))
+			tr.Reset()
+		}
+		dt := []float64{25e-12, 50e-12, 400e-12, 1.6e-9}[src.Intn(4)]
+		tr.setDt(dt)
+		for i := range tr.v {
+			tr.v[i] = src.Float64()*1.6 - 0.2
+		}
+		tNext := src.Float64() * 10e-9
+		r.loadStep(tNext, tr.v)
+
+		ref := newReduced(ckt, tr.nv, dt, tr.v)
+		ref.cell = false
+		ref.loadStep(tNext, tr.v)
+		if !bitsEqual(r.gStatic, ref.gStatic) || !bitsEqual(r.zStep, ref.zStep) || !bitsEqual(r.vdrv, ref.vdrv) {
+			t.Fatalf("trial %d (dt %g): per-step state differs from a fresh engine", trial, dt)
+		}
+		for _, s := range r.cellSrc {
+			v := src.Float64()*3 - 0.3
+			r.vdrv[s.node], ref.vdrv[s.node] = v, v
+		}
+		for i := range r.newt {
+			r.newt[i] = src.Float64()*1.6 - 0.2
+		}
+		copy(ref.newt, r.newt)
+		at := func(ri, di int) float64 {
+			if ri >= 0 {
+				return r.newt[ri]
+			}
+			return r.vdrv[di]
+		}
+		for mi, d := range r.devs {
+			pl := r.mosPlans[mi]
+			region, rev := deviceRegion(d, at(pl.rd, pl.dd), at(pl.rg, pl.dg), at(pl.rs, pl.ds))
+			seen[[3]int{b2i(d.pmos), b2i(rev), region}] = true
+		}
+
+		before := append([]float64(nil), r.newt...)
+		got, ok := r.cellIter()
+		if err := ref.solveGeneric(); err != nil {
+			t.Fatalf("trial %d: generic solve: %v", trial, err)
+		}
+		want := ref.update()
+		if !ok {
+			trips++
+			if !bitsEqual(r.newt, before) {
+				t.Fatalf("trial %d: a declined iteration wrote the iterate", trial)
+			}
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) || !bitsEqual(r.newt, ref.newt) {
+			t.Fatalf("trial %d (dt %g): kernel iterate %v (norm %v), generic %v (norm %v)",
+				trial, dt, r.newt, got, ref.newt, want)
+		}
+	}
+	for pmos := 0; pmos < 2; pmos++ {
+		for rev := 0; rev < 2; rev++ {
+			for region := 0; region < 3; region++ {
+				if !seen[[3]int{pmos, rev, region}] {
+					t.Errorf("no trial reached pmos=%d reversed=%d region=%d", pmos, rev, region)
+				}
+			}
+		}
+	}
+	if trips == 0 || trips > trials/2 {
+		t.Errorf("%d of %d iterations declined by a pivot guard: the fallback or the kernel is barely exercised", trips, trials)
+	}
+}
+
+// TestMonteCarloSweepPinned pins the Fig. 8b/9b Monte-Carlo results at all
+// nine sweep levels and two seeds (30 runs each) to the SHA-256 prefixes of
+// their JSON encodings, recorded before the fixed-slot kernel: any change to
+// the solver's float-op sequence shows here.
+func TestMonteCarloSweepPinned(t *testing.T) {
+	for _, pin := range []struct {
+		seed    uint64
+		digests []string // per level, in goldenSweepVPPs order
+	}{
+		{2022, []string{
+			"a02bf870a4529c0e", "526b533e8d0177c0", "1256556627a8fb69",
+			"4d9becc322182658", "a30663e409598c77", "711c3f3bdf0ac276",
+			"1948f9d692c933e6", "92dd1dac037e8058", "45f18c2fd4366d67",
+		}},
+		{7, []string{
+			"6ce5e7b5bc6d747b", "86ef2bb1bbaf66e4", "e1c0f2ec2349a75c",
+			"3eeaf3efcce8b4e6", "b07ccbea61179ea7", "3554e25a78f23b41",
+			"0d8383375e2dc856", "d1dbfbc61cb82e2f", "314fc054120569c3",
+		}},
+	} {
+		res, err := RunMonteCarloSweep(context.Background(), goldenSweepVPPs,
+			MCConfig{Runs: 30, Seed: pin.seed, Variation: 0.05, Jobs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, r := range res {
+			raw, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw))[:16]; got != pin.digests[li] {
+				t.Errorf("seed %d VPP %.1f: result digest %s, want %s", pin.seed, r.VPP, got, pin.digests[li])
+			}
+		}
+	}
+}

@@ -197,8 +197,8 @@ func solve6(as []float64, bs []float64) error {
 // solve6From runs the generic partial-pivot elimination starting at the
 // given column, assuming columns before it are already eliminated. It is
 // both the whole generic n=6 solve (col0 = 0) and the bit-exact
-// continuation solve6Cell falls back to when a pivot search leaves the
-// diagonal.
+// continuation the structural elimination's oracle (solve6Cell in
+// solve6_test.go) falls back to when a pivot search leaves the diagonal.
 func solve6From(a *[36]float64, b *[6]float64, col0 int) error {
 	const n = 6
 	for col := col0; col < n; col++ {
@@ -257,83 +257,6 @@ var cellPattern6 = [6]uint8{
 	0b111000, // blbs:  bls (gate), blbc, diag
 }
 
-// solve6Cell is the structure-exploiting solve for matrices whose nonzero
-// pattern is within cellPattern6 (the caller checks the stamps at build
-// time; see reduced.cell6). It performs exactly the float operations the
-// generic elimination performs on this pattern — the same pivot-search
-// decisions, the same f==0 row skips, the same multiply-subtract per
-// structurally nonzero entry — and omits only operations the generic path
-// wastes on exact zeros: subtractions of f*0 inside skipped columns and
-// dead writes to subdiagonal entries never read again. Results are
-// bit-for-bit equal to solve6. Whenever a pivot search would leave the
-// diagonal (never observed for the diagonally dominant cell system, but
-// parameter sets are user data) or a diagonal underflows the singularity
-// floor, it falls back mid-solve to the generic continuation, which is
-// decision-identical because the elimination state up to that column is.
-func solve6Cell(as []float64, bs []float64) error {
-	a := (*[36]float64)(as)
-	b := (*[6]float64)(bs)
-
-	// Column 0: the only subdiagonal entry is (1,0).
-	d := abs(a[0])
-	if abs(a[6]) > d || d < 1e-18 {
-		return solve6From(a, b, 0)
-	}
-	if f := a[6] * (1 / a[0]); f != 0 {
-		a[7] -= f * a[1]
-		b[1] -= f * b[0]
-	}
-	// Column 1: subdiagonal (2,1).
-	d = abs(a[7])
-	if abs(a[13]) > d || d < 1e-18 {
-		return solve6From(a, b, 1)
-	}
-	if f := a[13] * (1 / a[7]); f != 0 {
-		a[14] -= f * a[8]
-		b[2] -= f * b[1]
-	}
-	// Column 2: subdiagonal (3,2).
-	d = abs(a[14])
-	if abs(a[20]) > d || d < 1e-18 {
-		return solve6From(a, b, 2)
-	}
-	if f := a[20] * (1 / a[14]); f != 0 {
-		a[21] -= f * a[15]
-		b[3] -= f * b[2]
-	}
-	// Column 3: subdiagonal (5,3) — the sense-amp gate coupling.
-	d = abs(a[21])
-	if abs(a[33]) > d || d < 1e-18 {
-		return solve6From(a, b, 3)
-	}
-	if f := a[33] * (1 / a[21]); f != 0 {
-		a[35] -= f * a[23]
-		b[5] -= f * b[3]
-	}
-	// Column 4: subdiagonal (5,4).
-	d = abs(a[28])
-	if abs(a[34]) > d || d < 1e-18 {
-		return solve6From(a, b, 4)
-	}
-	if f := a[34] * (1 / a[28]); f != 0 {
-		a[35] -= f * a[29]
-		b[5] -= f * b[4]
-	}
-	// Column 5 has no subdiagonal; only the singularity floor remains.
-	if abs(a[35]) < 1e-18 {
-		return solve6From(a, b, 5)
-	}
-
-	// Back-substitution over the structural upper triangle.
-	b[5] = b[5] / a[35]
-	b[4] = (b[4] - a[29]*b[5]) / a[28]
-	b[3] = (b[3] - a[23]*b[5]) / a[21]
-	b[2] = (b[2] - a[15]*b[3]) / a[14]
-	b[1] = (b[1] - a[8]*b[2]) / a[7]
-	b[0] = (b[0] - a[1]*b[1]) / a[0]
-	return nil
-}
-
 // abs is math.Abs: the intrinsified bit-clear compiles branchless, which
 // matters in the pivot guards and convergence checks it saturates. (It maps
 // -0 to +0 where the branching form would keep -0; every caller only
@@ -342,190 +265,132 @@ func abs(x float64) float64 {
 	return math.Abs(x)
 }
 
-// cell6Iter performs one complete Newton iteration of the cell-pattern
-// system entirely in stack arrays: statics load, MOSFET linearizations, the
-// structural elimination of solve6Cell, back-substitution, and the damped
-// iterate update, with no heap matrix between them. The float operations
-// replicate, in order, exactly what the copy-stamp-solve-damp sequence of
-// the generic path performs (see solve6Cell for the zero-operation
-// accounting), so the updated iterate in newt and the returned convergence
-// norm are bit-for-bit identical. When a pivot guard trips it reports ok =
-// false WITHOUT writing anything: all partial work lived in the stack
-// arrays, so the caller redoes the iteration through the generic path from
-// the same pristine inputs, which reproduces the identical elimination
-// prefix and then handles the pivot exactly as solveDense always has. Its
-// one caller is the reduced engine's Newton loop (Transient.stepReduced), so
-// every Workspace.Simulate of the Table 2 netlist runs it on each iteration.
+// cellIter performs one complete Newton iteration of the Table 2 netlist
+// (see matchCell) with every matrix entry in a fixed slot: the 16 entries of
+// cellPattern6 load from the per-step-size static matrix into locals, the
+// five devices stamp into their slots in circuit order through mosDev.stamp,
+// and the structural elimination and back-substitution run on the locals,
+// leaving only the solution in r.z for the damped update both iteration
+// forms share. The float operations are exactly those of the generic path
+// (solveGeneric, then update), in the same order per entry, omitting only
+// operations on exact structural zeros; solve6Cell in solve6_test.go is the
+// elimination's oracle against the partial-pivot solve. When a pivot guard
+// trips it returns ok = false WITHOUT writing anything, so the caller redoes
+// the iteration through the generic path from the same inputs, which
+// reproduces the identical elimination prefix and handles the pivot exactly
+// as solveDense always has.
 //
 //detlint:hotpath witness=TestWorkspaceSimulateAllocs
-func cell6Iter(gStatic, zStep, newt, vdrv []float64, plans []mosPlan, mos []*MOSParams) (maxDelta float64, ok bool) {
-	a := *(*[36]float64)(gStatic)
-	z := *(*[6]float64)(zStep)
-	nt := (*[6]float64)(newt)
-	for mi, p := range mos {
-		pl := plans[mi]
-		var vd, vg, vs float64
-		if pl.rd >= 0 {
-			vd = nt[pl.rd]
-		} else if pl.dd >= 0 {
-			vd = vdrv[pl.dd]
-		}
-		if pl.rg >= 0 {
-			vg = nt[pl.rg]
-		} else if pl.dg >= 0 {
-			vg = vdrv[pl.dg]
-		}
-		if pl.rs >= 0 {
-			vs = nt[pl.rs]
-		} else if pl.ds >= 0 {
-			vs = vdrv[pl.ds]
-		}
-		// mosStamp's body, by hand: the compiler declines to inline it
-		// (cost 235 vs budget 80) and the call runs five times per Newton
-		// iteration of every run. Arithmetic identical, in order — keep in
-		// sync with mosStamp.
-		mvd, mvg, mvs := vd, vg, vs
-		neg := 1.0
-		if p.Type == PMOS {
-			mvd, mvg, mvs = -mvd, -mvg, -mvs
-			neg = -1
-		}
-		sign := 1.0
-		if mvd < mvs {
-			mvd, mvs = mvs, mvd
-			sign = -1
-		}
-		vgs := mvg - mvs
-		vds := mvd - mvs
-		vov := vgs - p.VT0
-		const gmin = 1e-12
-		beta := p.KP * p.W / p.L
-		var cur, gm, gd float64
-		switch {
-		case vov <= 0:
-			cur = gmin * vds
-			gd = gmin
-			gm = 0
-		case vds < vov:
-			clm := 1 + p.Lambda*vds
-			cur = beta * (vov*vds - vds*vds/2) * clm
-			gm = beta * vds * clm
-			gd = beta*(vov-vds)*clm + beta*(vov*vds-vds*vds/2)*p.Lambda + gmin
-		default:
-			clm := 1 + p.Lambda*vds
-			cur = beta / 2 * vov * vov * clm
-			gm = beta * vov * clm
-			gd = beta/2*vov*vov*p.Lambda + gmin
-		}
-		cur *= sign
-		var id, gdd, gdg, gds float64
-		if sign > 0 {
-			id, gdd, gdg, gds = neg*cur, gd, gm, -(gm + gd)
-		} else {
-			id, gdd, gdg, gds = neg*cur, gm+gd, -gm, -gd
-		}
-		ieq := id - gdd*vd - gdg*vg - gds*vs
-		if rd := pl.rd; rd >= 0 {
-			row := rd * 6
-			a[row+rd] += gdd
-			if pl.rg >= 0 {
-				a[row+pl.rg] += gdg
-			} else if pl.dg >= 0 {
-				z[rd] -= gdg * vdrv[pl.dg]
-			}
-			if pl.rs >= 0 {
-				a[row+pl.rs] += gds
-			} else if pl.ds >= 0 {
-				z[rd] -= gds * vdrv[pl.ds]
-			}
-			z[rd] -= ieq
-		}
-		if rs := pl.rs; rs >= 0 {
-			row := rs * 6
-			if pl.rd >= 0 {
-				a[row+pl.rd] += -gdd
-			} else if pl.dd >= 0 {
-				z[rs] -= -gdd * vdrv[pl.dd]
-			}
-			if pl.rg >= 0 {
-				a[row+pl.rg] += -gdg
-			} else if pl.dg >= 0 {
-				z[rs] -= -gdg * vdrv[pl.dg]
-			}
-			a[row+rs] += -gds
-			z[rs] += ieq
-		}
-	}
+func (r *reduced) cellIter() (maxDelta float64, ok bool) {
+	g := (*[36]float64)(r.gStatic)
+	z := (*[6]float64)(r.zStep)
+	nt := (*[6]float64)(r.newt)
+	dev := (*[5]mosDev)(r.devs)
+	vwl, vsan, vsap := r.vdrv[r.cellSrc[0].node], r.vdrv[r.cellSrc[1].node], r.vdrv[r.cellSrc[2].node]
 
-	// The elimination and back-substitution of solve6Cell, on the stack
-	// copies.
-	d := abs(a[0])
-	if abs(a[6]) > d || d < 1e-18 {
+	// aRC is the entry at row R, column C, in reduced indices cellC 0,
+	// cellN 1, blc 2, bls 3, blbc 4, blbs 5.
+	a00, a01 := g[0], g[1]
+	a10, a11, a12 := g[6], g[7], g[8]
+	a21, a22, a23 := g[13], g[14], g[15]
+	a32, a33, a35 := g[20], g[21], g[23]
+	a44, a45 := g[28], g[29]
+	a53, a54, a55 := g[33], g[34], g[35]
+	z0, z1, z2, z3, z4, z5 := z[0], z[1], z[2], z[3], z[4], z[5]
+	x1, x2, x3, x5 := nt[1], nt[2], nt[3], nt[5]
+
+	// Access transistor: drain blc, gate wl, source cellN.
+	id, gdd, gdg, gds := dev[0].stamp(x2, vwl, x1)
+	ieq := id - gdd*x2 - gdg*vwl - gds*x1
+	a22 += gdd
+	z2 -= gdg * vwl
+	a21 += gds
+	z2 -= ieq
+	a12 += -gdd
+	z1 -= -gdg * vwl
+	a11 += -gds
+	z1 += ieq
+	// SAN1: drain bls, gate blbs, source san.
+	id, gdd, gdg, gds = dev[1].stamp(x3, x5, vsan)
+	ieq = id - gdd*x3 - gdg*x5 - gds*vsan
+	a33 += gdd
+	a35 += gdg
+	z3 -= gds * vsan
+	z3 -= ieq
+	// SAN2: drain blbs, gate bls, source san.
+	id, gdd, gdg, gds = dev[2].stamp(x5, x3, vsan)
+	ieq = id - gdd*x5 - gdg*x3 - gds*vsan
+	a55 += gdd
+	a53 += gdg
+	z5 -= gds * vsan
+	z5 -= ieq
+	// SAP1: drain bls, gate blbs, source sap.
+	id, gdd, gdg, gds = dev[3].stamp(x3, x5, vsap)
+	ieq = id - gdd*x3 - gdg*x5 - gds*vsap
+	a33 += gdd
+	a35 += gdg
+	z3 -= gds * vsap
+	z3 -= ieq
+	// SAP2: drain blbs, gate bls, source sap.
+	id, gdd, gdg, gds = dev[4].stamp(x5, x3, vsap)
+	ieq = id - gdd*x5 - gdg*x3 - gds*vsap
+	a55 += gdd
+	a53 += gdg
+	z5 -= gds * vsap
+	z5 -= ieq
+
+	// Elimination in natural order: one subdiagonal entry per column.
+	p := abs(a00)
+	if abs(a10) > p || p < 1e-18 {
 		return 0, false
 	}
-	if f := a[6] * (1 / a[0]); f != 0 {
-		a[7] -= f * a[1]
-		z[1] -= f * z[0]
+	if f := a10 * (1 / a00); f != 0 {
+		a11 -= f * a01
+		z1 -= f * z0
 	}
-	d = abs(a[7])
-	if abs(a[13]) > d || d < 1e-18 {
+	p = abs(a11)
+	if abs(a21) > p || p < 1e-18 {
 		return 0, false
 	}
-	if f := a[13] * (1 / a[7]); f != 0 {
-		a[14] -= f * a[8]
-		z[2] -= f * z[1]
+	if f := a21 * (1 / a11); f != 0 {
+		a22 -= f * a12
+		z2 -= f * z1
 	}
-	d = abs(a[14])
-	if abs(a[20]) > d || d < 1e-18 {
+	p = abs(a22)
+	if abs(a32) > p || p < 1e-18 {
 		return 0, false
 	}
-	if f := a[20] * (1 / a[14]); f != 0 {
-		a[21] -= f * a[15]
-		z[3] -= f * z[2]
+	if f := a32 * (1 / a22); f != 0 {
+		a33 -= f * a23
+		z3 -= f * z2
 	}
-	d = abs(a[21])
-	if abs(a[33]) > d || d < 1e-18 {
+	// Column 3's subdiagonal is the sense-amp gate coupling (5,3).
+	p = abs(a33)
+	if abs(a53) > p || p < 1e-18 {
 		return 0, false
 	}
-	if f := a[33] * (1 / a[21]); f != 0 {
-		a[35] -= f * a[23]
-		z[5] -= f * z[3]
+	if f := a53 * (1 / a33); f != 0 {
+		a55 -= f * a35
+		z5 -= f * z3
 	}
-	d = abs(a[28])
-	if abs(a[34]) > d || d < 1e-18 {
+	p = abs(a44)
+	if abs(a54) > p || p < 1e-18 {
 		return 0, false
 	}
-	if f := a[34] * (1 / a[28]); f != 0 {
-		a[35] -= f * a[29]
-		z[5] -= f * z[4]
+	if f := a54 * (1 / a44); f != 0 {
+		a55 -= f * a45
+		z5 -= f * z4
 	}
-	if abs(a[35]) < 1e-18 {
+	if abs(a55) < 1e-18 {
 		return 0, false
 	}
 
-	z[5] = z[5] / a[35]
-	z[4] = (z[4] - a[29]*z[5]) / a[28]
-	z[3] = (z[3] - a[23]*z[5]) / a[21]
-	z[2] = (z[2] - a[15]*z[3]) / a[14]
-	z[1] = (z[1] - a[8]*z[2]) / a[7]
-	z[0] = (z[0] - a[1]*z[1]) / a[0]
-
-	// Damped Newton update and convergence norm, fused so the solution
-	// never round-trips through memory: the same arithmetic, in the same
-	// unknown order, as the generic path's update loop in stepReduced.
-	for i := 0; i < 6; i++ {
-		d := z[i] - nt[i]
-		if abs(d) > maxDelta {
-			maxDelta = abs(d)
-		}
-		if abs(d) > newtonMaxDelta {
-			if d > 0 {
-				d = newtonMaxDelta
-			} else {
-				d = -newtonMaxDelta
-			}
-		}
-		nt[i] += d
-	}
-	return maxDelta, true
+	x := (*[6]float64)(r.z)
+	x[5] = z5 / a55
+	x[4] = (z4 - a45*x[5]) / a44
+	x[3] = (z3 - a35*x[5]) / a33
+	x[2] = (z2 - a23*x[3]) / a22
+	x[1] = (z1 - a12*x[2]) / a11
+	x[0] = (z0 - a01*x[1]) / a00
+	return r.update(), true
 }

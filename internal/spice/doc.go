@@ -69,7 +69,7 @@
 //
 // The allocation-free property is a checked contract, not a convention:
 // the stepping core (Transient.Step, Reset, setDt, stampCellValues), the
-// stack-resident Newton kernel of the Table 2 netlist (cell6Iter), and the
+// fixed-slot Newton kernel of the Table 2 netlist (cellIter), and the
 // aggregation fold (MCResult.record) carry //detlint:hotpath
 // annotations naming their runtime AllocsPerRun witnesses, and the
 // hotalloc analyzer flags any heap allocation reachable from them (see

@@ -58,9 +58,9 @@ func TestGoldenIncrementalMatchesReference(t *testing.T) {
 }
 
 // TestReducedEngineSelection verifies the engine choice: the DRAM-cell
-// netlist (grounded sources only) takes the incremental path, a floating
-// source falls back to the dense reference, and both fallbacks still solve
-// correctly.
+// netlist (grounded sources only) takes the incremental path and its cell
+// kernel, a floating source falls back to the dense reference, and both
+// fallbacks still solve correctly.
 func TestReducedEngineSelection(t *testing.T) {
 	c := NewCircuit()
 	a, b := c.Node("a"), c.Node("b")
@@ -100,6 +100,24 @@ func TestReducedEngineSelection(t *testing.T) {
 	if got := tr3.V(m); math.Abs(got+1.0) > 1e-9 {
 		t.Errorf("V = %v, want -1.0", got)
 	}
+
+	// The Table 2 netlist selects the fixed-slot kernel. The same devices
+	// in another order do not (the kernel's summation order is fixed), nor
+	// does a resistor outside cellPattern6.
+	cell := func(edit func(*Circuit, cellNodes)) bool {
+		ckt, n, _ := buildCellCircuit(DefaultCellParams(2.5))
+		edit(ckt, n)
+		return NewTransient(ckt, 25e-12).red.cell
+	}
+	if !cell(func(*Circuit, cellNodes) {}) {
+		t.Error("the Table 2 netlist did not select the cell kernel")
+	}
+	if cell(func(c *Circuit, _ cellNodes) { c.mosfets[1], c.mosfets[3] = c.mosfets[3], c.mosfets[1] }) {
+		t.Error("a reordered sense amplifier selected the cell kernel")
+	}
+	if cell(func(c *Circuit, n cellNodes) { c.R(n.cellC, n.bls, 1e6) }) {
+		t.Error("a resistor outside the cell pattern selected the cell kernel")
+	}
 }
 
 // TestMOSStampMatchesEval checks the analytic stamp partials against
@@ -123,7 +141,8 @@ func TestMOSStampMatchesEval(t *testing.T) {
 	const h = 1e-7
 	for _, p := range devices {
 		for _, pt := range points {
-			id, gdd, gdg, gds := p.stamp(pt.vd, pt.vg, pt.vs)
+			dev := p.dev()
+			id, gdd, gdg, gds := dev.stamp(pt.vd, pt.vg, pt.vs)
 			id0, _, _ := p.eval(pt.vd, pt.vg, pt.vs)
 			if math.Abs(id-id0) > 1e-15 {
 				t.Fatalf("%+v at %+v: stamp id %v != eval id %v", p.Type, pt, id, id0)

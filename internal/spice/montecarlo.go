@@ -142,12 +142,6 @@ type MCConfig struct {
 	// fold into the aggregates in index order through a bounded reorder
 	// window, so the result is byte-identical at any worker count.
 	Jobs int
-	// Reference routes every run through the dense finite-difference
-	// reference engine instead of the incremental solver. It exists for the
-	// equivalence tests and as the benchmarks' pre-rework baseline; the
-	// reference always integrates every cell of the fixed grid it is the
-	// oracle for.
-	Reference bool
 }
 
 // jobs resolves the worker bound.
@@ -219,9 +213,6 @@ func RunMonteCarloSweep(ctx context.Context, vpps []float64, cfg MCConfig) ([]MC
 	// because Workspace.Simulate is bit-identical to a fresh simulation.
 	var workspaces sync.Pool
 	sim := func(p CellParams) (ActivationResult, error) {
-		if cfg.Reference {
-			return SimulateActivationReference(p, nil)
-		}
 		ws, _ := workspaces.Get().(*Workspace)
 		if ws == nil {
 			ws = NewWorkspace()

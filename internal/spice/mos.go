@@ -70,6 +70,19 @@ func (p MOSParams) eval(vd, vg, vs float64) (id, gm, gds float64) {
 	return sign * id, gm, gds
 }
 
+// mosDev is one MOSFET's evaluation constants, folded once per run: the
+// reduced engine stores one per device on every restamp, so the Newton
+// iterations never recompute β = KP·W/L.
+type mosDev struct {
+	pmos              bool
+	vt0, beta, lambda float64
+}
+
+// dev folds p into its evaluation constants.
+func (p *MOSParams) dev() mosDev {
+	return mosDev{pmos: p.Type == PMOS, vt0: p.VT0, beta: p.KP * p.W / p.L, lambda: p.Lambda}
+}
+
 // stamp computes the drain current and its partial derivatives with respect
 // to the three terminal voltages, ready for an MNA stamp:
 //
@@ -80,22 +93,13 @@ func (p MOSParams) eval(vd, vg, vs float64) (id, gm, gds float64) {
 // linearization needs one model evaluation per device instead of the four a
 // finite-difference Jacobian costs.
 //
-// The body is eval flattened into a single call-free function — it runs
-// five times per Newton iteration of every Monte-Carlo solve, and the
-// nested eval call (plus the PMOS mirror recursion) cost more than the
-// arithmetic. The float operations are identical to eval's, in the same
-// order, so the results are bit-for-bit unchanged.
-func (p MOSParams) stamp(vd, vg, vs float64) (id, gdd, gdg, gds float64) {
-	return mosStamp(&p, vd, vg, vs)
-}
-
-// mosStamp is stamp without the value-receiver copy: the reduced engine's
-// Newton loop calls it directly with a pointer into the element slice, which saves copying the parameter struct five times per iteration.
-// cell6Iter carries a hand-inlined copy of this body (the compiler's inline
-// budget rejects it); any model change here must be mirrored there.
-func mosStamp(p *MOSParams, vd, vg, vs float64) (id, gdd, gdg, gds float64) {
+// The body is eval flattened into a single call-free function: the float
+// operations are identical to eval's, in the same order, so the results are
+// bit-for-bit equal. It is the one device evaluation of the reduced engine,
+// called by both the generic stamps and the fixed-slot cell kernel.
+func (d *mosDev) stamp(vd, vg, vs float64) (id, gdd, gdg, gds float64) {
 	neg := 1.0
-	if p.Type == PMOS {
+	if d.pmos {
 		// Id = -In(-vd,-vg,-vs): the two mirror signs cancel in every
 		// partial, so the PMOS partials equal the dual NMOS partials at the
 		// mirrored operating point.
@@ -109,10 +113,10 @@ func mosStamp(p *MOSParams, vd, vg, vs float64) (id, gdd, gdg, gds float64) {
 	}
 	vgs := vg - vs
 	vds := vd - vs
-	vov := vgs - p.VT0
+	vov := vgs - d.vt0
 
 	const gmin = 1e-12
-	beta := p.KP * p.W / p.L
+	beta := d.beta
 	var i, gm, gd float64
 	switch {
 	case vov <= 0:
@@ -120,15 +124,15 @@ func mosStamp(p *MOSParams, vd, vg, vs float64) (id, gdd, gdg, gds float64) {
 		gd = gmin
 		gm = 0
 	case vds < vov:
-		clm := 1 + p.Lambda*vds
+		clm := 1 + d.lambda*vds
 		i = beta * (vov*vds - vds*vds/2) * clm
 		gm = beta * vds * clm
-		gd = beta*(vov-vds)*clm + beta*(vov*vds-vds*vds/2)*p.Lambda + gmin
+		gd = beta*(vov-vds)*clm + beta*(vov*vds-vds*vds/2)*d.lambda + gmin
 	default:
-		clm := 1 + p.Lambda*vds
+		clm := 1 + d.lambda*vds
 		i = beta / 2 * vov * vov * clm
 		gm = beta * vov * clm
-		gd = beta/2*vov*vov*p.Lambda + gmin
+		gd = beta/2*vov*vov*d.lambda + gmin
 	}
 	i *= sign
 	if sign > 0 {

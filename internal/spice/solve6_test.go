@@ -30,10 +30,87 @@ func patRand(rng *rand.Rand, diagBoost float64) ([]float64, []float64) {
 	return a, b
 }
 
+// solve6Cell is the structural elimination of cellIter as a standalone
+// solve, the oracle that pins it to the partial-pivot solve: for matrices
+// whose nonzero pattern is within cellPattern6 it performs exactly the
+// float operations the generic elimination performs on this pattern — the
+// same pivot-search decisions, the same f==0 row skips, the same
+// multiply-subtract per structurally nonzero entry — and omits only
+// operations the generic path wastes on exact zeros: subtractions of f*0 inside skipped columns and
+// dead writes to subdiagonal entries never read again. Results are
+// bit-for-bit equal to solve6. Whenever a pivot search would leave the
+// diagonal (never observed for the diagonally dominant cell system, but
+// parameter sets are user data) or a diagonal underflows the singularity
+// floor, it falls back mid-solve to the generic continuation, which is
+// decision-identical because the elimination state up to that column is.
+func solve6Cell(as []float64, bs []float64) error {
+	a := (*[36]float64)(as)
+	b := (*[6]float64)(bs)
+
+	// Column 0: the only subdiagonal entry is (1,0).
+	d := abs(a[0])
+	if abs(a[6]) > d || d < 1e-18 {
+		return solve6From(a, b, 0)
+	}
+	if f := a[6] * (1 / a[0]); f != 0 {
+		a[7] -= f * a[1]
+		b[1] -= f * b[0]
+	}
+	// Column 1: subdiagonal (2,1).
+	d = abs(a[7])
+	if abs(a[13]) > d || d < 1e-18 {
+		return solve6From(a, b, 1)
+	}
+	if f := a[13] * (1 / a[7]); f != 0 {
+		a[14] -= f * a[8]
+		b[2] -= f * b[1]
+	}
+	// Column 2: subdiagonal (3,2).
+	d = abs(a[14])
+	if abs(a[20]) > d || d < 1e-18 {
+		return solve6From(a, b, 2)
+	}
+	if f := a[20] * (1 / a[14]); f != 0 {
+		a[21] -= f * a[15]
+		b[3] -= f * b[2]
+	}
+	// Column 3: subdiagonal (5,3) — the sense-amp gate coupling.
+	d = abs(a[21])
+	if abs(a[33]) > d || d < 1e-18 {
+		return solve6From(a, b, 3)
+	}
+	if f := a[33] * (1 / a[21]); f != 0 {
+		a[35] -= f * a[23]
+		b[5] -= f * b[3]
+	}
+	// Column 4: subdiagonal (5,4).
+	d = abs(a[28])
+	if abs(a[34]) > d || d < 1e-18 {
+		return solve6From(a, b, 4)
+	}
+	if f := a[34] * (1 / a[28]); f != 0 {
+		a[35] -= f * a[29]
+		b[5] -= f * b[4]
+	}
+	// Column 5 has no subdiagonal; only the singularity floor remains.
+	if abs(a[35]) < 1e-18 {
+		return solve6From(a, b, 5)
+	}
+
+	// Back-substitution over the structural upper triangle.
+	b[5] = b[5] / a[35]
+	b[4] = (b[4] - a[29]*b[5]) / a[28]
+	b[3] = (b[3] - a[23]*b[5]) / a[21]
+	b[2] = (b[2] - a[15]*b[3]) / a[14]
+	b[1] = (b[1] - a[8]*b[2]) / a[7]
+	b[0] = (b[0] - a[1]*b[1]) / a[0]
+	return nil
+}
+
 // TestSolve6CellMatchesGeneric is the property test behind the cellPattern6
 // contract: for matrices on the cell structure, solve6Cell (and therefore
-// the stack-resident cell6Iter elimination, which repeats the identical
-// operation sequence) returns bit-for-bit the generic partial-pivot
+// the elimination in cellIter, which repeats the identical operation
+// sequence) returns bit-for-bit the generic partial-pivot
 // solution — including when a pivot guard trips and the solve falls back
 // mid-elimination.
 func TestSolve6CellMatchesGeneric(t *testing.T) {

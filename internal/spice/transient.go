@@ -11,11 +11,12 @@ import "fmt"
 // from the system up front and only the remaining unknowns are solved —
 // for the paper's DRAM-cell netlist this halves the system (12 -> 6
 // unknowns, an ~8x smaller LU). Static stamps (resistors, capacitor
-// conductances, the ground leak) are assembled once per simulation, the
-// per-step right-hand side (capacitor companions, source levels) once per
-// step, and each Newton iteration adds only the analytic MOSFET
-// linearization from MOSParams.stamp before factoring the small core with
-// partial-pivot LU in a reused workspace.
+// conductances, the ground leak) are assembled once per step size, device
+// constants once per run, the per-step right-hand side (capacitor
+// companions, source levels) once per step, and each Newton iteration adds
+// only the analytic MOSFET linearization from mosDev.stamp before factoring
+// the small core with partial-pivot LU in a reused workspace. The Table 2
+// netlist runs that iteration in the fixed-slot kernel cellIter.
 //
 // Circuits the reduction cannot express — a floating voltage source, or a
 // node driven by two sources — fall back to the reference dense engine,
@@ -273,9 +274,8 @@ type gDrivenEntry struct {
 // resolved once at construction: per terminal the reduced index (rd/rg/rs,
 // -1 when the terminal is driven or ground) and the node-1 index into vdrv
 // for driven terminals (dd/dg/ds, -1 otherwise; a ground terminal has both
-// at -1 and reads 0 V). The per-iteration stamp — five devices, every
-// Newton iteration of every Monte-Carlo solve — then runs without node-id
-// maps, method calls, or closures.
+// at -1 and reads 0 V). The generic per-iteration stamp then runs without
+// node-id maps or closures.
 type mosPlan struct {
 	rd, rg, rs int
 	dd, dg, ds int
@@ -288,6 +288,13 @@ type capPlan struct {
 	na, nb int // node-1 for the vPrev read, -1 for ground
 }
 
+// cellSource is one of the cell kernel's sources: its node-1 index into vdrv
+// and its waveform, evaluated directly rather than through Waveform.
+type cellSource struct {
+	node int
+	wave *PWL
+}
+
 // reduced is the incremental-assembly engine state. Indices into the
 // reduced system cover only undriven, non-ground nodes.
 type reduced struct {
@@ -297,13 +304,21 @@ type reduced struct {
 	driven []drivenNode
 	isDrv  []bool // node-1 -> pinned by a source
 
+	// Per step size (stampStatics): the static matrix, the terms it routes
+	// to driven nodes, and each capacitor's companion conductance C/dt.
 	gStatic []float64 // ku*ku: resistors, capacitor conductances, leak
 	gDriven []gDrivenEntry
+	gCap    []float64 // per capacitor, in circuit order
 
-	mosPlans []mosPlan    // per-MOSFET terminal routing, fixed by the topology
-	mosPtr   []*MOSParams // stable pointers into the circuit's element values
-	capPlans []capPlan    // per-capacitor routing for the companion currents
-	cell6    bool         // Newton matrix fits cellPattern6: use cell6Iter
+	mosPlans []mosPlan // per-MOSFET terminal routing, fixed by the topology
+	devs     []mosDev  // per-MOSFET evaluation constants, refreshed by restamp
+	capPlans []capPlan // per-capacitor routing for the companion currents
+	// cell selects cellIter and the fixed-row per-step pass for the Table 2
+	// topology (see matchCell): its wl, san and sap sources and the node-1
+	// indices of its five capacitors, on reduced rows 0, 2, 3, 4, 5.
+	cell     bool
+	cellSrc  [3]cellSource
+	cellCapV [5]int
 
 	vdrv   []float64 // node-1 -> driven voltage at the end of the step
 	zStep  []float64 // per-step RHS (capacitor companions + driven terms)
@@ -371,13 +386,12 @@ func newReduced(c *Circuit, nv int, dt float64, v []float64) *reduced {
 			na: cp.a - 1, nb: cp.b - 1,
 		})
 	}
-	for i := range c.mosfets {
-		r.mosPtr = append(r.mosPtr, &c.mosfets[i].params)
-	}
-	r.cell6 = r.ku == 6 && r.fitsCellPattern(c)
+	r.devs = make([]mosDev, len(c.mosfets))
+	r.cell = r.matchCell(c)
 
 	ku := r.ku
 	r.gStatic = make([]float64, ku*ku)
+	r.gCap = make([]float64, len(c.caps))
 	r.zStep = make([]float64, ku)
 	r.a = make([]float64, ku*ku)
 	r.z = make([]float64, ku)
@@ -390,12 +404,15 @@ func newReduced(c *Circuit, nv int, dt float64, v []float64) *reduced {
 }
 
 // restamp (re)builds every stamp that never changes across steps, reusing
-// the workspace allocations, and primes the Newton state from the node
-// voltages v. It runs once at construction and again on every Reset, with
-// identical assembly order both times so a reused engine is bit-identical
-// to a fresh one.
+// the workspace allocations, folds each device's evaluation constants, and
+// primes the Newton state from the node voltages v. It runs once at
+// construction and again on every Reset, with identical assembly order both
+// times so a reused engine is bit-identical to a fresh one.
 func (r *reduced) restamp(c *Circuit, dt float64, v []float64) {
 	r.stampStatics(c, dt)
+	for i := range c.mosfets {
+		r.devs[i] = c.mosfets[i].params.dev()
+	}
 	r.steps = 0
 	r.dtLast, r.dtLast2 = dt, dt
 	r.quadratic = false
@@ -421,9 +438,11 @@ func (r *reduced) stampStatics(c *Circuit, dt float64) {
 		r.stampStatic(res.a, res.b, 1/res.ohms)
 	}
 	// Capacitor backward-Euler companions: the conductance C/dt is static
-	// for a fixed step; only the history current moves to the per-step RHS.
-	for _, cap := range c.caps {
-		r.stampStatic(cap.a, cap.b, cap.farads/dt)
+	// for a fixed step; only the history current moves to the per-step RHS,
+	// which reuses the conductance kept here.
+	for i, cap := range c.caps {
+		r.gCap[i] = cap.farads / dt
+		r.stampStatic(cap.a, cap.b, r.gCap[i])
 	}
 }
 
@@ -485,67 +504,56 @@ func (r *reduced) drvIdx(node int) int {
 	return -1
 }
 
-// fitsCellPattern reports whether every entry the stamps can touch lies
-// within cellPattern6, the precondition for the structure-exploiting
-// solve6Cell. It over-approximates: an entry is counted as touchable if any
-// resistor, capacitor, leak term, or MOSFET linearization writes it,
-// whether or not the written value is ever nonzero, so a true result
-// guarantees the off-pattern entries stay exactly zero through every Newton
-// iteration.
-func (r *reduced) fitsCellPattern(c *Circuit) bool {
-	var mask [6]uint8
-	for i := range mask {
-		mask[i] |= 1 << i // leak diagonal
-	}
-	pair := func(ra, rb int) {
-		if ra >= 0 {
-			mask[ra] |= 1 << ra
-			if rb >= 0 {
-				mask[ra] |= 1 << rb
-				mask[rb] |= 1 << ra
-			}
-		}
-		if rb >= 0 {
-			mask[rb] |= 1 << rb
-		}
+// matchCell reports whether the circuit is the Table 2 netlist cellIter is
+// written for, and records its sources. In reduced indices cellC 0, cellN 1,
+// blc 2, bls 3, blbc 4, blbs 5, with wl, san and sap driven: the access
+// transistor runs blc (drain), wl (gate), cellN (source); SAN1 and SAP1 run
+// bls, blbs, rail and SAN2 and SAP2 the mirror image blbs, bls, rail, in
+// that device order; five capacitors ground cellC, blc, bls, blbc and blbs,
+// in that order; and the sources, in order wl, san, sap, are
+// piecewise-linear with their positive terminal on the node. A resistor
+// may join two unknowns only where cellPattern6 has an entry. Every stamp
+// then stays within the pattern, so the entries outside it are exact zeros
+// through every Newton iteration. Any other circuit keeps the generic path.
+func (r *reduced) matchCell(c *Circuit) bool {
+	if r.ku != 6 || len(c.mosfets) != 5 || len(r.driven) != 3 {
+		return false
 	}
 	for _, res := range c.resistors {
-		pair(r.reducedOf(res.a), r.reducedOf(res.b))
-	}
-	for _, cp := range c.caps {
-		pair(r.reducedOf(cp.a), r.reducedOf(cp.b))
-	}
-	for _, pl := range r.mosPlans {
-		var cols uint8
-		for _, rt := range [3]int{pl.rd, pl.rg, pl.rs} {
-			if rt >= 0 {
-				cols |= 1 << rt
-			}
-		}
-		if pl.rd >= 0 {
-			mask[pl.rd] |= cols
-		}
-		if pl.rs >= 0 {
-			mask[pl.rs] |= cols
-		}
-	}
-	for i := range mask {
-		if mask[i]&^cellPattern6[i] != 0 {
+		ra, rb := r.reducedOf(res.a), r.reducedOf(res.b)
+		if ra >= 0 && rb >= 0 && cellPattern6[ra]&(1<<rb) == 0 {
 			return false
 		}
 	}
+	pl := r.mosPlans
+	wl, san, sap := pl[0].dg, pl[1].ds, pl[3].ds
+	if [5]mosPlan(pl) != [5]mosPlan{
+		{rd: 2, rg: -1, rs: 1, dd: -1, dg: wl, ds: -1},
+		{rd: 3, rg: 5, rs: -1, dd: -1, dg: -1, ds: san},
+		{rd: 5, rg: 3, rs: -1, dd: -1, dg: -1, ds: san},
+		{rd: 3, rg: 5, rs: -1, dd: -1, dg: -1, ds: sap},
+		{rd: 5, rg: 3, rs: -1, dd: -1, dg: -1, ds: sap},
+	} {
+		return false
+	}
+	if len(r.capPlans) != len(r.cellCapV) {
+		return false
+	}
+	for i, row := range [5]int{0, 2, 3, 4, 5} {
+		if cp := r.capPlans[i]; cp.ra != row || cp.nb >= 0 {
+			return false
+		}
+		r.cellCapV[i] = r.capPlans[i].na
+	}
+	for i, node := range [3]int{wl, san, sap} {
+		d := r.driven[i]
+		w, ok := d.wave.(*PWL)
+		if !ok || d.sign != 1 || d.node-1 != node {
+			return false
+		}
+		r.cellSrc[i] = cellSource{node: node, wave: w}
+	}
 	return true
-}
-
-// vIter reads a node voltage at the current Newton iterate.
-func (r *reduced) vIter(node int) float64 {
-	if node == Ground {
-		return 0
-	}
-	if r.isDrv[node-1] {
-		return r.vdrv[node-1]
-	}
-	return r.newt[r.idx[node-1]]
 }
 
 // stampMOSAnalytic adds one MOSFET's analytic linearization to the Newton
@@ -554,7 +562,7 @@ func (r *reduced) vIter(node int) float64 {
 // stamp is straight-line index arithmetic; the adds run in the same order
 // (drain row: d, g, s; then source row: d, g, s) with the same float
 // operations as the routing-at-stamp-time form it replaced.
-func (r *reduced) stampMOSAnalytic(m *mosfet, pl mosPlan) {
+func (r *reduced) stampMOSAnalytic(dev *mosDev, pl mosPlan) {
 	var vd, vg, vs float64
 	if pl.rd >= 0 {
 		vd = r.newt[pl.rd]
@@ -571,7 +579,7 @@ func (r *reduced) stampMOSAnalytic(m *mosfet, pl mosPlan) {
 	} else if pl.ds >= 0 {
 		vs = r.vdrv[pl.ds]
 	}
-	id, gdd, gdg, gds := mosStamp(&m.params, vd, vg, vs)
+	id, gdd, gdg, gds := dev.stamp(vd, vg, vs)
 	ieq := id - gdd*vd - gdg*vg - gds*vs
 
 	ku := r.ku
@@ -610,14 +618,37 @@ func (r *reduced) stampMOSAnalytic(m *mosfet, pl mosPlan) {
 // solveGeneric performs one copy-stamp-solve Newton iteration on the heap
 // workspace: the full static restore, the per-device stamps, and the
 // partial-pivot solve. It is the only iteration form for non-cell
-// topologies, and the redo path when cell6Iter declines an iteration.
-func (r *reduced) solveGeneric(c *Circuit) error {
+// topologies, and the redo path when cellIter declines an iteration.
+func (r *reduced) solveGeneric() error {
 	copy(r.a, r.gStatic)
 	copy(r.z, r.zStep)
-	for mi := range c.mosfets {
-		r.stampMOSAnalytic(&c.mosfets[mi], r.mosPlans[mi])
+	for mi := range r.devs {
+		r.stampMOSAnalytic(&r.devs[mi], r.mosPlans[mi])
 	}
 	return solveDense(r.a, r.z, r.ku)
+}
+
+// update applies the damped Newton update from the solution in r.z to the
+// iterate and returns the convergence norm, the largest undamped change.
+// Both iteration forms end with it.
+func (r *reduced) update() (maxDelta float64) {
+	for i, x := range r.z {
+		d := x - r.newt[i]
+		if abs(d) > maxDelta {
+			maxDelta = abs(d)
+		}
+		// Damp to keep the latch transition stable (every reduced unknown
+		// is a node voltage).
+		if abs(d) > newtonMaxDelta {
+			if d > 0 {
+				d = newtonMaxDelta
+			} else {
+				d = -newtonMaxDelta
+			}
+		}
+		r.newt[i] += d
+	}
+	return maxDelta
 }
 
 // predict writes the Newton initial guess for a step of size dt into
@@ -661,15 +692,20 @@ func (r *reduced) predict(dt float64) {
 	}
 }
 
-// stepReduced advances one backward-Euler step on the incremental engine.
-func (tr *Transient) stepReduced() error {
-	r := tr.red
-	tNext := tr.t + tr.dt
-
-	// Per-step pass: source levels and capacitor history currents are fixed
-	// for the whole Newton loop.
-	for _, d := range r.driven {
-		r.vdrv[d.node-1] = d.sign * d.wave.At(tNext)
+// loadStep is the per-step pass of a step ending at tNext: the source levels
+// and the capacitor history currents from the node voltages v, fixed for the
+// whole Newton loop. The cell evaluates its three sources directly and reads
+// each capacitor's history at its fixed row.
+func (r *reduced) loadStep(tNext float64, v []float64) {
+	if r.cell {
+		for i := range r.cellSrc {
+			s := &r.cellSrc[i]
+			r.vdrv[s.node] = s.wave.At(tNext)
+		}
+	} else {
+		for _, d := range r.driven {
+			r.vdrv[d.node-1] = d.sign * d.wave.At(tNext)
+		}
 	}
 	for i := range r.zStep {
 		r.zStep[i] = 0
@@ -677,17 +713,26 @@ func (tr *Transient) stepReduced() error {
 	for _, e := range r.gDriven {
 		r.zStep[e.row] += e.g * r.vdrv[e.node-1]
 	}
-	for ci := range tr.ckt.caps {
-		pl := r.capPlans[ci]
-		geq := tr.ckt.caps[ci].farads / tr.dt
+	if r.cell {
+		// The generic loop below on the cell's grounded capacitors
+		// (v - 0 == v exactly).
+		z, g, n := (*[6]float64)(r.zStep), (*[5]float64)(r.gCap), &r.cellCapV
+		z[0] += g[0] * v[n[0]]
+		z[2] += g[1] * v[n[1]]
+		z[3] += g[2] * v[n[2]]
+		z[4] += g[3] * v[n[3]]
+		z[5] += g[4] * v[n[4]]
+		return
+	}
+	for ci, pl := range r.capPlans {
 		var va, vb float64
 		if pl.na >= 0 {
-			va = tr.v[pl.na]
+			va = v[pl.na]
 		}
 		if pl.nb >= 0 {
-			vb = tr.v[pl.nb]
+			vb = v[pl.nb]
 		}
-		ieq := geq * (va - vb)
+		ieq := r.gCap[ci] * (va - vb)
 		if pl.ra >= 0 {
 			r.zStep[pl.ra] += ieq
 		}
@@ -695,41 +740,30 @@ func (tr *Transient) stepReduced() error {
 			r.zStep[pl.rb] -= ieq
 		}
 	}
+}
 
+// stepReduced advances one backward-Euler step on the incremental engine.
+func (tr *Transient) stepReduced() error {
+	r := tr.red
+	tNext := tr.t + tr.dt
+
+	r.loadStep(tNext, tr.v)
 	r.predict(tr.dt)
 	for iter := 0; iter < newtonMaxIters; iter++ {
-		// The cell fast path runs the whole iteration — assembly, solve,
-		// damped update — in stack arrays; when a pivot guard trips it has
-		// written nothing, so redoing the iteration through the generic
-		// path reproduces the identical elimination prefix and resolves
-		// the pivot as solveDense would.
+		// The cell kernel assembles and solves in locals; when a pivot
+		// guard trips it has written nothing, so redoing the iteration
+		// through the generic path reproduces the identical elimination
+		// prefix and resolves the pivot as solveDense would.
 		var maxDelta float64
 		ok := false
-		if r.cell6 {
-			maxDelta, ok = cell6Iter(r.gStatic, r.zStep, r.newt, r.vdrv, r.mosPlans, r.mosPtr)
+		if r.cell {
+			maxDelta, ok = r.cellIter()
 		}
 		if !ok {
-			if err := r.solveGeneric(tr.ckt); err != nil {
+			if err := r.solveGeneric(); err != nil {
 				return fmt.Errorf("t=%.3gs: %w", tNext, err) //detlint:ignore hotalloc error path, never taken by a converging run
 			}
-			// tr.red.z now holds the solution. This update loop must stay
-			// op-for-op identical to the fused one at the end of cell6Iter.
-			for i := 0; i < r.ku; i++ {
-				d := r.z[i] - r.newt[i]
-				if abs(d) > maxDelta {
-					maxDelta = abs(d)
-				}
-				// Damp to keep the latch transition stable (every reduced
-				// unknown is a node voltage).
-				if abs(d) > newtonMaxDelta {
-					if d > 0 {
-						d = newtonMaxDelta
-					} else {
-						d = -newtonMaxDelta
-					}
-				}
-				r.newt[i] += d
-			}
+			maxDelta = r.update()
 		}
 		if maxDelta < newtonTol {
 			tr.newtIters += iter + 1

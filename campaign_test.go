@@ -53,6 +53,25 @@ func TestNewCampaignRejectsBadTRCDStep(t *testing.T) {
 	}
 }
 
+// TestNewCampaignRejectsBadMCRuns checks that a Monte-Carlo size below one
+// run per level fails up front: zero runs rendered the Fig. 9b restored
+// fraction as NaN%, and a negative count as -0.0% with Runs: -3 in every
+// level's result.
+func TestNewCampaignRejectsBadMCRuns(t *testing.T) {
+	for _, runs := range []int{0, -3} {
+		o := GoldenOptions()
+		o.SpiceMCRuns = runs
+		if _, err := NewCampaign(o); err == nil || !strings.Contains(err.Error(), "SpiceMCRuns") {
+			t.Errorf("SpiceMCRuns %d: NewCampaign error %v, want one naming the run count", runs, err)
+		}
+	}
+	o := GoldenOptions()
+	o.SpiceMCRuns = 1
+	if _, err := NewCampaign(o); err != nil {
+		t.Errorf("SpiceMCRuns 1 rejected: %v", err)
+	}
+}
+
 // TestCampaignCachesStudies is the acceptance property of the redesign:
 // running every experiment id that shares a study through one Campaign
 // executes each underlying study driver exactly once.

@@ -91,13 +91,17 @@ func KnownModuleNames() []string {
 // "serial" (that is 1) nor "one per CPU" (that is 0), so accepting it would
 // quietly run a configuration the caller never asked for. An Alg. 2 step
 // that is not positive and finite is an error too: a zero step never moves
-// the latency sweep off its start.
+// the latency sweep off its start. So is a Monte-Carlo size below one run:
+// the Fig. 8b/9b fractions would divide by it.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: Jobs %d is negative (use 0 for one worker per CPU, or a positive worker count)", o.Jobs)
 	}
 	if step := o.Config.TRCDStepNS; !(step > 0) || math.IsInf(step, 1) {
 		return fmt.Errorf("experiments: Config.TRCDStepNS %v is not a positive, finite latency step", step)
+	}
+	if o.SpiceMCRuns < 1 {
+		return fmt.Errorf("experiments: SpiceMCRuns %d is below one Monte-Carlo run per VPP level", o.SpiceMCRuns)
 	}
 	_, err := o.profiles()
 	return err

@@ -111,7 +111,6 @@ type StepStats struct {
 type adaptiveScratch struct {
 	prev       *engineState
 	vFull      []float64 // full-size trial endpoint, for the LTE comparison
-	vOld       []float64 // pre-step voltages, for the quiescence test
 	errC       []float64 // cached per-node (full - half) error term of the last pair
 	end1, end2 []float64 // last two accepted coarse endpoints at the same size
 }
@@ -178,7 +177,6 @@ func (tr *Transient) newAdaptiveStepper(horizon float64) adaptiveStepper {
 		tr.ad = &adaptiveScratch{
 			prev:  tr.newState(),
 			vFull: make([]float64, tr.nv),
-			vOld:  make([]float64, tr.nv),
 			errC:  make([]float64, tr.nv),
 			end1:  make([]float64, tr.nv),
 			end2:  make([]float64, tr.nv),
@@ -208,13 +206,9 @@ func (st *adaptiveStepper) step() (int, error) {
 		return 0, err
 	}
 	// Attempt coarsening once the dynamics are quiescent: no node moved by
-	// more than the activity threshold over the last base cell.
-	delta := 0.0
-	for i, v := range st.tr.v {
-		if d := abs(v - st.tr.ad.vOld[i]); d > delta {
-			delta = d
-		}
-	}
+	// more than the activity threshold over the last base cell (the step
+	// measured its largest move while writing it back).
+	delta := st.tr.moved
 	if st.rejPending {
 		st.rejPending = false
 		if st.rejLTE > 0 {
@@ -248,7 +242,6 @@ func (st *adaptiveStepper) baseStep() error {
 	tr := st.tr
 	tr.setDt(st.base)
 	tr.t = st.tGrid
-	copy(tr.ad.vOld, tr.v)
 	if err := tr.Step(); err != nil {
 		return err
 	}

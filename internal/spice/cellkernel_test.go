@@ -186,3 +186,138 @@ func TestMonteCarloSweepPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestHoistedCellValuesMatchFreshComputation pins every value the cell
+// path computes ahead of its use to a fresh computation from the state at
+// the solve that consumes it. A Workspace runs one adaptive low-VPP
+// activation (step-size switches, rejected trials and measurement rewinds
+// restored through load), then is Reset to new parameters and runs again.
+// At every converged solve:
+//   - the static system, the capacitor conductances and the device-free
+//     rows' guards and factors equal a fresh engine's at the current step
+//     size, and the rows also equal their formulas over the current
+//     gStatic;
+//   - the source levels equal PWL.At, and the per-step right-hand side and
+//     its device-free-row products equal a fresh per-step pass;
+//   - the cached predictor weights belong to (dt, dtLast, dtLast2) and equal
+//     the Lagrange formulas there;
+//   - the largest node move the write-back reports equals a two-pass
+//     maximum over the old and new node voltages.
+func TestHoistedCellValuesMatchFreshComputation(t *testing.T) {
+	root := rng.New(28).Derive("hoisted")
+	ws := NewWorkspace()
+	if _, err := ws.Simulate(Vary(DefaultCellParams(2.5), root.Derive("run", 0), 0.05), nil); err != nil {
+		t.Fatal(err)
+	}
+	tr := ws.tr
+	r := tr.red
+	if r == nil || !r.cell {
+		t.Fatal("the Table 2 netlist did not select the cell kernel")
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var (
+		solves, weighted, recomputed, settled, ramping int
+		dts                                            = map[float64]bool{}
+		lastKey                                        [3]float64
+		wantMoved                                      float64
+		pending                                        bool
+		failed                                         bool
+	)
+	fail := func(format string, args ...any) {
+		if !failed {
+			t.Errorf("solve %d (t=%g, dt=%g): "+format, append([]any{solves, tr.t, tr.dt}, args...)...)
+		}
+		failed = true
+	}
+	r.solveHook = func() {
+		if pending && !same(tr.moved, wantMoved) {
+			fail("write-back reported move %g, two-pass maximum %g", tr.moved, wantMoved)
+		}
+		solves++
+		dts[tr.dt] = true
+		tNext := tr.t + tr.dt
+
+		ref := newReduced(ws.ckt, tr.nv, tr.dt, tr.v)
+		if !ref.cell {
+			t.Fatal("fresh engine did not select the cell kernel")
+		}
+		if !bitsEqual(r.gStatic, ref.gStatic) || !bitsEqual(r.gCap, ref.gCap) || *r.rows != *ref.rows {
+			fail("static system or device-free rows differ from a fresh engine at this step size")
+		}
+		g := r.gStatic
+		ok := !(abs(g[6]) > abs(g[0]) || abs(g[0]) < 1e-18) && !(abs(g[34]) > abs(g[28]) || abs(g[28]) < 1e-18)
+		f10, f54 := g[6]*(1/g[0]), g[34]*(1/g[28])
+		if want := (cellRows{ok: ok, f10: f10, fa01: f10 * g[1], f54: f54, fa45: f54 * g[29]}); *r.rows != want {
+			fail("device-free rows %+v, recomputed from gStatic %+v", *r.rows, want)
+		}
+
+		for _, s := range r.cellSrc {
+			if w := s.wave.At(tNext); !same(r.vdrv[s.node], w) {
+				fail("source at node %d reads %g, PWL.At %g", s.node+1, r.vdrv[s.node], w)
+			}
+			if tNext > s.wave.Times[len(s.wave.Times)-1] {
+				settled++
+			} else {
+				ramping++
+			}
+		}
+		ref.cell = false // the generic per-step pass as the oracle
+		ref.loadStep(tNext, tr.v)
+		if !bitsEqual(r.zStep, ref.zStep) {
+			fail("per-step right-hand side %v, fresh %v", r.zStep, ref.zStep)
+		}
+		if !same(r.fz0, f10*r.zStep[0]) || !same(r.fz4, f54*r.zStep[4]) {
+			fail("device-free-row products (%g, %g), recomputed (%g, %g)", r.fz0, r.fz4, f10*r.zStep[0], f54*r.zStep[4])
+		}
+
+		if r.quadratic && r.steps >= 3 {
+			weighted++
+			h0, h1, h2 := tr.dt, r.dtLast, r.dtLast2
+			key := [3]float64{h0, h1, h2}
+			if key != lastKey {
+				recomputed++
+				lastKey = key
+			}
+			s01, s012 := h0+h1, h0+h1+h2
+			want := [3]float64{s01 * s012 / (h1 * (h1 + h2)), -h0 * s012 / (h1 * h2), h0 * s01 / ((h1 + h2) * h2)}
+			if r.weights.h != key || r.weights.l != want {
+				fail("predictor weights %v cached for %v, want %v for %v", r.weights.l, r.weights.h, want, key)
+			}
+		}
+
+		after := append([]float64(nil), tr.v...)
+		for i, n := range r.nodes {
+			after[n-1] = r.newt[i]
+		}
+		for _, d := range r.driven {
+			after[d.node-1] = r.vdrv[d.node-1]
+		}
+		wantMoved = 0
+		for i := range after {
+			if d := abs(after[i] - tr.v[i]); d > wantMoved {
+				wantMoved = d
+			}
+		}
+		pending = true
+	}
+
+	var rejected int
+	for i, vpp := range []float64{1.7, 2.0} {
+		res, err := ws.Simulate(Vary(DefaultCellParams(vpp), root.Derive("run", i+1), 0.05), nil)
+		if err != nil {
+			t.Fatalf("%.1f V: %v", vpp, err)
+		}
+		if pending && !same(tr.moved, wantMoved) {
+			fail("write-back reported move %g, two-pass maximum %g", tr.moved, wantMoved)
+		}
+		pending = false
+		rejected += res.Steps.Rejected
+	}
+	r.solveHook = nil
+	// The runs must reach what the hoisted values could get wrong.
+	if len(dts) < 4 || rejected == 0 || settled == 0 || ramping == 0 ||
+		weighted == 0 || recomputed == 0 || recomputed == weighted {
+		t.Errorf("weak coverage: %d solves, %d step sizes, %d rejected trials, %d/%d settled/ramping source reads, %d weighted predictions with %d weight changes",
+			solves, len(dts), rejected, settled, ramping, weighted, recomputed)
+	}
+}

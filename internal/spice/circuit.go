@@ -266,22 +266,27 @@ func abs(x float64) float64 {
 }
 
 // cellIter performs one complete Newton iteration of the Table 2 netlist
-// (see matchCell) with every matrix entry in a fixed slot: the 16 entries of
+// (see matchCell) with every matrix entry in a fixed slot: the entries of
 // cellPattern6 load from the per-step-size static matrix into locals, the
 // five devices stamp into their slots in circuit order through mosDev.stamp,
 // and the structural elimination and back-substitution run on the locals,
-// leaving only the solution in r.z for the damped update both iteration
-// forms share. The float operations are exactly those of the generic path
-// (solveGeneric, then update), in the same order per entry, omitting only
-// operations on exact structural zeros; solve6Cell in solve6_test.go is the
-// elimination's oracle against the partial-pivot solve. When a pivot guard
-// trips it returns ok = false WITHOUT writing anything, so the caller redoes
-// the iteration through the generic path from the same inputs, which
-// reproduces the identical elimination prefix and handles the pivot exactly
-// as solveDense always has.
+// handing the solution to the damped update both iteration forms share. The device-free rows 0 and 4 arrive already eliminated as
+// far as the step size and the step allow (r.rows), so the division chain
+// starts at row 1. The float operations are exactly those of the generic
+// path (solveGeneric, then update), in the same order per entry, omitting
+// only operations on exact structural zeros; solve6Cell in solve6_test.go
+// is the elimination's oracle against the partial-pivot solve. When a
+// pivot guard trips it returns ok = false WITHOUT writing anything, so the
+// caller redoes the iteration through the generic path from the same
+// inputs, which reproduces the identical elimination prefix and handles
+// the pivot exactly as solveDense always has.
 //
 //detlint:hotpath witness=TestWorkspaceSimulateAllocs
 func (r *reduced) cellIter() (maxDelta float64, ok bool) {
+	rows := r.rows
+	if !rows.ok {
+		return 0, false
+	}
 	g := (*[36]float64)(r.gStatic)
 	z := (*[6]float64)(r.zStep)
 	nt := (*[6]float64)(r.newt)
@@ -291,11 +296,11 @@ func (r *reduced) cellIter() (maxDelta float64, ok bool) {
 	// aRC is the entry at row R, column C, in reduced indices cellC 0,
 	// cellN 1, blc 2, bls 3, blbc 4, blbs 5.
 	a00, a01 := g[0], g[1]
-	a10, a11, a12 := g[6], g[7], g[8]
+	a11, a12 := g[7], g[8]
 	a21, a22, a23 := g[13], g[14], g[15]
 	a32, a33, a35 := g[20], g[21], g[23]
 	a44, a45 := g[28], g[29]
-	a53, a54, a55 := g[33], g[34], g[35]
+	a53, a55 := g[33], g[35]
 	z0, z1, z2, z3, z4, z5 := z[0], z[1], z[2], z[3], z[4], z[5]
 	x1, x2, x3, x5 := nt[1], nt[2], nt[3], nt[5]
 
@@ -340,15 +345,11 @@ func (r *reduced) cellIter() (maxDelta float64, ok bool) {
 	z5 -= ieq
 
 	// Elimination in natural order: one subdiagonal entry per column.
-	p := abs(a00)
-	if abs(a10) > p || p < 1e-18 {
-		return 0, false
+	if rows.f10 != 0 {
+		a11 -= rows.fa01
+		z1 -= r.fz0
 	}
-	if f := a10 * (1 / a00); f != 0 {
-		a11 -= f * a01
-		z1 -= f * z0
-	}
-	p = abs(a11)
+	p := abs(a11)
 	if abs(a21) > p || p < 1e-18 {
 		return 0, false
 	}
@@ -373,24 +374,20 @@ func (r *reduced) cellIter() (maxDelta float64, ok bool) {
 		a55 -= f * a35
 		z5 -= f * z3
 	}
-	p = abs(a44)
-	if abs(a54) > p || p < 1e-18 {
-		return 0, false
-	}
-	if f := a54 * (1 / a44); f != 0 {
-		a55 -= f * a45
-		z5 -= f * z4
+	if rows.f54 != 0 {
+		a55 -= rows.fa45
+		z5 -= r.fz4
 	}
 	if abs(a55) < 1e-18 {
 		return 0, false
 	}
 
-	x := (*[6]float64)(r.z)
+	var x [6]float64
 	x[5] = z5 / a55
 	x[4] = (z4 - a45*x[5]) / a44
 	x[3] = (z3 - a35*x[5]) / a33
 	x[2] = (z2 - a23*x[3]) / a22
 	x[1] = (z1 - a12*x[2]) / a11
 	x[0] = (z0 - a01*x[1]) / a00
-	return r.update(), true
+	return update6(nt, &x), true
 }

@@ -50,9 +50,12 @@
 // three solutions exist, extrapolates the Lagrange quadratic through them
 // at their real step spacings, so most of its solves converge in one
 // iteration instead of two (TestScaledPredictorIterations pins both
-// modes' counts). newAdaptiveStepper selects the quadratic form and
-// Transient.Reset clears it; engine snapshots carry the three-point
-// history, so rejected trials and rewinds restore it exactly.
+// modes' counts). The quadratic's three weights depend only on the
+// spacing triple, so they are cached and recomputed only when the triple
+// changes: base stepping and runs of trusted coarse steps repeat one.
+// newAdaptiveStepper selects the quadratic form and Transient.Reset clears
+// it; engine snapshots carry the three-point history, so rejected trials
+// and rewinds restore it exactly.
 //
 // # Determinism and memory
 //

@@ -103,7 +103,8 @@ func TestReducedEngineSelection(t *testing.T) {
 
 	// The Table 2 netlist selects the fixed-slot kernel. The same devices
 	// in another order do not (the kernel's summation order is fixed), nor
-	// does a resistor outside cellPattern6.
+	// does a resistor outside cellPattern6 or one to a driven node (its term
+	// would ride in gDriven, which the kernel's per-size statics omit).
 	cell := func(edit func(*Circuit, cellNodes)) bool {
 		ckt, n, _ := buildCellCircuit(DefaultCellParams(2.5))
 		edit(ckt, n)
@@ -117,6 +118,9 @@ func TestReducedEngineSelection(t *testing.T) {
 	}
 	if cell(func(c *Circuit, n cellNodes) { c.R(n.cellC, n.bls, 1e6) }) {
 		t.Error("a resistor outside the cell pattern selected the cell kernel")
+	}
+	if cell(func(c *Circuit, n cellNodes) { c.R(n.bls, n.san, 1e6) }) {
+		t.Error("a resistor to a driven node selected the cell kernel")
 	}
 }
 

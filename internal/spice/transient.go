@@ -1,6 +1,9 @@
 package spice
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Transient integrates a circuit through time with fixed-step backward
 // Euler, solving the nonlinear MNA system by Newton-Raphson at each step.
@@ -38,6 +41,10 @@ type Transient struct {
 	// last Reset, including failed and later-rewound ones: the total
 	// iteration work a run performed, reported via StepStats.NewtonIters.
 	newtIters int
+	// moved is the largest node-voltage change of the last completed Step,
+	// measured while the step writes its solution back: the adaptive
+	// stepper's quiescence test reads it instead of re-scanning v.
+	moved float64
 
 	red *reduced // incremental engine; nil when running the dense reference
 
@@ -152,8 +159,8 @@ func (tr *Transient) vPrev(node int) float64 {
 }
 
 // setDt switches the integration step size. Capacitor companion
-// conductances are C/dt, so the reduced engine's static stamps are rebuilt;
-// the Newton history survives, and the adaptive predictor extrapolates it at
+// conductances are C/dt, so the reduced engine's static stamps follow the
+// step size; the Newton history survives, and the adaptive predictor extrapolates it at
 // the real step spacings. Only the adaptive stepper changes the step size.
 //
 //detlint:hotpath witness=TestWorkspaceSimulateAllocs
@@ -295,6 +302,42 @@ type cellSource struct {
 	wave *PWL
 }
 
+// cellRows is the elimination of the cell matrix's two device-free rows,
+// 0 (cellC) and 4 (blbc), into rows 1 and 5. No device stamps rows 0 and 4
+// or the entries a10 and a54 below their pivots, so the pivot guards, the
+// factors and the factors' products with a01 and a45 depend only on the
+// step size (stampStatics sets them) and the products with z0 and z4
+// (reduced.fz0, fz4) only on the step (loadStep sets them). cellIter
+// subtracts them exactly where the elimination used to compute them: each
+// value is the same product of the same operands, only computed earlier.
+type cellRows struct {
+	ok        bool    // neither row's pivot guard trips
+	f10, fa01 float64 // a10*(1/a00) and f10*a01
+	f54, fa45 float64 // a54*(1/a44) and f54*a45
+}
+
+// cellStatics is the cell's static system at one step size: the matrix,
+// the capacitor conductances and the device-free rows.
+type cellStatics struct {
+	dt   float64
+	g    [36]float64
+	gCap [5]float64
+	rows cellRows
+}
+
+// maxCellSizes bounds the step sizes the cell keeps static systems for. An
+// adaptive run uses the base step and its power-of-two multiples up to
+// maxCoarsePS, seven sizes on the 25 ps grid.
+const maxCellSizes = 8
+
+// lagrange caches the quadratic predictor's weights for the spacing triple
+// (dt, dtLast, dtLast2) they were computed at: base stepping and runs of
+// trusted coarse steps repeat one triple for many solves.
+type lagrange struct {
+	h [3]float64 // dt, dtLast, dtLast2; NaN until the first computation
+	l [3]float64 // weights of xPrev, xPrev2, xPrev3
+}
+
 // reduced is the incremental-assembly engine state. Indices into the
 // reduced system cover only undriven, non-ground nodes.
 type reduced struct {
@@ -319,6 +362,14 @@ type reduced struct {
 	cell     bool
 	cellSrc  [3]cellSource
 	cellCapV [5]int
+	// The cell's static systems per step size, for the current run: a
+	// switch back to a size the run has used reuses its system instead of
+	// restamping it. gStatic, gCap and rows point into the current size's
+	// entry; restamp empties the list.
+	sizes    [maxCellSizes]cellStatics
+	nSizes   int
+	rows     *cellRows
+	fz0, fz4 float64 // rows.f10*z0 and rows.f54*z4, per step (loadStep)
 
 	vdrv   []float64 // node-1 -> driven voltage at the end of the step
 	zStep  []float64 // per-step RHS (capacitor companions + driven terms)
@@ -336,6 +387,12 @@ type reduced struct {
 	// fixed grid keeps the two-point 2*x-y form. Set by newAdaptiveStepper,
 	// cleared by every restamp (construction and Reset).
 	quadratic bool
+	weights   lagrange
+
+	// solveHook, when set, runs after every converged Newton solve, before
+	// the step is written back: a test seam for checking the values the
+	// solve consumed. Nil outside tests.
+	solveHook func()
 }
 
 // newReduced builds the incremental engine, or returns nil when the circuit
@@ -343,9 +400,10 @@ type reduced struct {
 // the initial node voltages.
 func newReduced(c *Circuit, nv int, dt float64, v []float64) *reduced {
 	r := &reduced{
-		idx:   make([]int, nv),
-		isDrv: make([]bool, nv),
-		vdrv:  make([]float64, nv),
+		idx:     make([]int, nv),
+		isDrv:   make([]bool, nv),
+		vdrv:    make([]float64, nv),
+		weights: lagrange{h: [3]float64{math.NaN(), math.NaN(), math.NaN()}},
 	}
 	for _, s := range c.sources {
 		var node int
@@ -390,8 +448,11 @@ func newReduced(c *Circuit, nv int, dt float64, v []float64) *reduced {
 	r.cell = r.matchCell(c)
 
 	ku := r.ku
-	r.gStatic = make([]float64, ku*ku)
-	r.gCap = make([]float64, len(c.caps))
+	if !r.cell {
+		// The cell's static systems live in its per-size entries.
+		r.gStatic = make([]float64, ku*ku)
+		r.gCap = make([]float64, len(c.caps))
+	}
 	r.zStep = make([]float64, ku)
 	r.a = make([]float64, ku*ku)
 	r.z = make([]float64, ku)
@@ -409,6 +470,7 @@ func newReduced(c *Circuit, nv int, dt float64, v []float64) *reduced {
 // construction and again on every Reset, with identical assembly order both
 // times so a reused engine is bit-identical to a fresh one.
 func (r *reduced) restamp(c *Circuit, dt float64, v []float64) {
+	r.nSizes = 0
 	r.stampStatics(c, dt)
 	for i := range c.mosfets {
 		r.devs[i] = c.mosfets[i].params.dev()
@@ -424,8 +486,13 @@ func (r *reduced) restamp(c *Circuit, dt float64, v []float64) {
 }
 
 // stampStatics rebuilds the stamps that depend only on element values and
-// the step size — not on the Newton history — in fixed assembly order.
+// the step size — not on the Newton history — in fixed assembly order. The
+// cell builds them into a new per-size entry, or reuses the entry of a size
+// it has already built since the last restamp.
 func (r *reduced) stampStatics(c *Circuit, dt float64) {
+	if r.cell && r.useSize(dt) {
+		return
+	}
 	ku := r.ku
 	for i := range r.gStatic {
 		r.gStatic[i] = 0
@@ -444,9 +511,51 @@ func (r *reduced) stampStatics(c *Circuit, dt float64) {
 		r.gCap[i] = cap.farads / dt
 		r.stampStatic(cap.a, cap.b, r.gCap[i])
 	}
+	if r.cell {
+		r.rows.eliminate((*[36]float64)(r.gStatic))
+	}
 }
 
-// setDt re-stamps the static system for a new step size. The Newton history
+// useSize points the cell's static system at the entry for step size dt.
+// It reports whether the entry was already built; if not, it claims a new
+// entry (the last one once all are taken) for stampStatics to build.
+func (r *reduced) useSize(dt float64) (built bool) {
+	k := 0
+	for ; k < r.nSizes; k++ {
+		if r.sizes[k].dt == dt {
+			built = true
+			break
+		}
+	}
+	if !built {
+		if r.nSizes < len(r.sizes) {
+			r.nSizes++
+		}
+		k = r.nSizes - 1
+		r.sizes[k].dt = dt
+	}
+	e := &r.sizes[k]
+	r.gStatic, r.gCap, r.rows = e.g[:], e.gCap[:], &e.rows
+	return built
+}
+
+// eliminate sets the step-size part of the device-free rows from the static
+// matrix g: the pivot guards and factors cellIter's elimination of rows 0
+// and 4 would compute, and each factor's product with the row's
+// off-diagonal entry.
+func (c *cellRows) eliminate(g *[36]float64) {
+	a00, a01, a10 := g[0], g[1], g[6]
+	a44, a45, a54 := g[28], g[29], g[34]
+	c.ok = !(abs(a10) > abs(a00) || abs(a00) < 1e-18) &&
+		!(abs(a54) > abs(a44) || abs(a44) < 1e-18)
+	c.f10 = a10 * (1 / a00)
+	c.fa01 = c.f10 * a01
+	c.f54 = a54 * (1 / a44)
+	c.fa45 = c.f54 * a45
+}
+
+// setDt switches the static system to a new step size (the cell reuses the
+// system it built for that size earlier in the run). The Newton history
 // survives intact: the adaptive predictor extrapolates through it at the
 // real step spacings (see predict), so a step-size change no longer costs
 // copy-previous initial guesses — on the adaptive path, which changes dt on
@@ -512,14 +621,18 @@ func (r *reduced) drvIdx(node int) int {
 // that device order; five capacitors ground cellC, blc, bls, blbc and blbs,
 // in that order; and the sources, in order wl, san, sap, are
 // piecewise-linear with their positive terminal on the node. A resistor
-// may join two unknowns only where cellPattern6 has an entry. Every stamp
-// then stays within the pattern, so the entries outside it are exact zeros
+// may not touch a driven node, so no static term rides in gDriven, and may
+// join two unknowns only where cellPattern6 has an entry. Every stamp then
+// stays within the pattern, so the entries outside it are exact zeros
 // through every Newton iteration. Any other circuit keeps the generic path.
 func (r *reduced) matchCell(c *Circuit) bool {
 	if r.ku != 6 || len(c.mosfets) != 5 || len(r.driven) != 3 {
 		return false
 	}
 	for _, res := range c.resistors {
+		if r.drivenNode(res.a) || r.drivenNode(res.b) {
+			return false
+		}
 		ra, rb := r.reducedOf(res.a), r.reducedOf(res.b)
 		if ra >= 0 && rb >= 0 && cellPattern6[ra]&(1<<rb) == 0 {
 			return false
@@ -630,24 +743,44 @@ func (r *reduced) solveGeneric() error {
 
 // update applies the damped Newton update from the solution in r.z to the
 // iterate and returns the convergence norm, the largest undamped change.
-// Both iteration forms end with it.
+// Both iteration forms end with it: the six-unknown systems through update6,
+// on fixed-size views.
 func (r *reduced) update() (maxDelta float64) {
-	for i, x := range r.z {
-		d := x - r.newt[i]
-		if abs(d) > maxDelta {
-			maxDelta = abs(d)
-		}
-		// Damp to keep the latch transition stable (every reduced unknown
-		// is a node voltage).
-		if abs(d) > newtonMaxDelta {
-			if d > 0 {
-				d = newtonMaxDelta
-			} else {
-				d = -newtonMaxDelta
-			}
-		}
-		r.newt[i] += d
+	if r.ku == 6 {
+		return update6((*[6]float64)(r.newt), (*[6]float64)(r.z))
 	}
+	for i, x := range r.z {
+		maxDelta = dampedMove(&r.newt[i], x, maxDelta)
+	}
+	return maxDelta
+}
+
+// update6 is update for six unknowns: it moves the iterate nt toward the
+// solution x.
+func update6(nt, x *[6]float64) (maxDelta float64) {
+	for i := range x {
+		maxDelta = dampedMove(&nt[i], x[i], maxDelta)
+	}
+	return maxDelta
+}
+
+// dampedMove moves *x toward target by at most newtonMaxDelta, which keeps
+// the latch transition stable (every reduced unknown is a node voltage),
+// and returns maxDelta raised to the undamped change if that is larger.
+func dampedMove(x *float64, target, maxDelta float64) float64 {
+	d := target - *x
+	ad := abs(d)
+	if ad > maxDelta {
+		maxDelta = ad
+	}
+	if ad > newtonMaxDelta {
+		if d > 0 {
+			d = newtonMaxDelta
+		} else {
+			d = -newtonMaxDelta
+		}
+	}
+	*x += d
 	return maxDelta
 }
 
@@ -668,15 +801,13 @@ func (r *reduced) update() (maxDelta float64) {
 func (r *reduced) predict(dt float64) {
 	switch {
 	case r.quadratic && r.steps >= 3:
-		h0, h1, h2 := dt, r.dtLast, r.dtLast2
-		s01, s012 := h0+h1, h0+h1+h2
-		l1 := s01 * s012 / (h1 * (h1 + h2))
-		l2 := -h0 * s012 / (h1 * h2)
-		l3 := h0 * s01 / ((h1 + h2) * h2)
-		for i := range r.newt {
+		l1, l2, l3 := r.lagrangeWeights(dt)
+		nt := r.newt
+		x1, x2, x3 := r.xPrev[:len(nt)], r.xPrev2[:len(nt)], r.xPrev3[:len(nt)]
+		for i := range nt {
 			// Explicit rounding keeps each product out of a fused
 			// multiply-add, so the guess is the same on every architecture.
-			r.newt[i] = float64(l1*r.xPrev[i]) + float64(l2*r.xPrev2[i]) + float64(l3*r.xPrev3[i])
+			nt[i] = float64(l1*x1[i]) + float64(l2*x2[i]) + float64(l3*x3[i])
 		}
 	case r.steps >= 2 && dt == r.dtLast:
 		for i := range r.newt {
@@ -692,15 +823,40 @@ func (r *reduced) predict(dt float64) {
 	}
 }
 
+// lagrangeWeights returns the quadratic predictor's weights for a step of
+// size dt after steps of dtLast and dtLast2, computing them only when that
+// spacing triple differs from the one the cached weights belong to.
+func (r *reduced) lagrangeWeights(dt float64) (l1, l2, l3 float64) {
+	w := &r.weights
+	if h := [3]float64{dt, r.dtLast, r.dtLast2}; h != w.h {
+		h0, h1, h2 := h[0], h[1], h[2]
+		s01, s012 := h0+h1, h0+h1+h2
+		w.l[0] = s01 * s012 / (h1 * (h1 + h2))
+		w.l[1] = -h0 * s012 / (h1 * h2)
+		w.l[2] = h0 * s01 / ((h1 + h2) * h2)
+		w.h = h
+	}
+	return w.l[0], w.l[1], w.l[2]
+}
+
 // loadStep is the per-step pass of a step ending at tNext: the source levels
 // and the capacitor history currents from the node voltages v, fixed for the
-// whole Newton loop. The cell evaluates its three sources directly and reads
-// each capacitor's history at its fixed row.
+// whole Newton loop. The cell evaluates its three sources directly, reads
+// each capacitor's history at its fixed row, and forms the right-hand-side
+// products of its device-free rows.
 func (r *reduced) loadStep(tNext float64, v []float64) {
 	if r.cell {
 		for i := range r.cellSrc {
+			// Past its last breakpoint a waveform holds its last value,
+			// read here without calling At: every source of the netlist
+			// has settled by the end of the sense-amplifier ramp, and most
+			// steps of an activation come after it.
 			s := &r.cellSrc[i]
-			r.vdrv[s.node] = s.wave.At(tNext)
+			if w, last := s.wave, len(s.wave.Times)-1; last >= 0 && tNext > w.Times[last] {
+				r.vdrv[s.node] = w.Values[last]
+			} else {
+				r.vdrv[s.node] = w.At(tNext)
+			}
 		}
 	} else {
 		for _, d := range r.driven {
@@ -722,6 +878,8 @@ func (r *reduced) loadStep(tNext float64, v []float64) {
 		z[3] += g[2] * v[n[2]]
 		z[4] += g[3] * v[n[3]]
 		z[5] += g[4] * v[n[4]]
+		r.fz0 = r.rows.f10 * z[0]
+		r.fz4 = r.rows.f54 * z[4]
 		return
 	}
 	for ci, pl := range r.capPlans {
@@ -766,23 +924,57 @@ func (tr *Transient) stepReduced() error {
 			maxDelta = r.update()
 		}
 		if maxDelta < newtonTol {
+			if r.solveHook != nil {
+				r.solveHook()
+			}
 			tr.newtIters += iter + 1
-			r.xPrev, r.xPrev2, r.xPrev3 = r.xPrev3, r.xPrev, r.xPrev2
-			copy(r.xPrev, r.newt)
+			tr.moved = r.writeBack(tr.v)
+			// The iterate becomes the newest history entry and the oldest
+			// entry's buffer the next iterate, which predict overwrites.
+			r.xPrev, r.xPrev2, r.xPrev3, r.newt = r.newt, r.xPrev, r.xPrev2, r.xPrev3
 			r.steps++
 			r.dtLast, r.dtLast2 = tr.dt, r.dtLast
-			for i, n := range r.nodes {
-				tr.v[n-1] = r.newt[i]
-			}
-			for _, d := range r.driven {
-				tr.v[d.node-1] = r.vdrv[d.node-1]
-			}
 			tr.t = tNext
 			return nil
 		}
 	}
 	tr.newtIters += newtonMaxIters
 	return fmt.Errorf("t=%.3gs: %w", tNext, ErrNoConverge) //detlint:ignore hotalloc error path, never taken by a converging run
+}
+
+// writeBack stores a converged step into the node voltages v, the unknowns
+// from the iterate and the driven nodes from their source levels, and
+// returns the largest change it made to any node. The cell writes its six
+// unknowns and three sources through fixed indices.
+func (r *reduced) writeBack(v []float64) (moved float64) {
+	if r.cell {
+		nt := (*[6]float64)(r.newt)
+		for i, n := range (*[6]int)(r.nodes) {
+			moved = setMoved(v, n-1, nt[i], moved)
+		}
+		for i := range r.cellSrc {
+			k := r.cellSrc[i].node
+			moved = setMoved(v, k, r.vdrv[k], moved)
+		}
+		return moved
+	}
+	for i, n := range r.nodes {
+		moved = setMoved(v, n-1, r.newt[i], moved)
+	}
+	for _, d := range r.driven {
+		moved = setMoved(v, d.node-1, r.vdrv[d.node-1], moved)
+	}
+	return moved
+}
+
+// setMoved stores x into v[k] and returns moved raised to |x - v[k]| if
+// that is larger.
+func setMoved(v []float64, k int, x, moved float64) float64 {
+	if d := abs(x - v[k]); d > moved {
+		moved = d
+	}
+	v[k] = x
+	return moved
 }
 
 // ---------------------------------------------------------------------------
@@ -819,7 +1011,10 @@ func (tr *Transient) stepDense() error {
 		if maxDelta < newtonTol {
 			tr.newtIters += iter + 1
 			copy(tr.x, tr.newt)
-			copy(tr.v, tr.newt[:tr.nv])
+			tr.moved = 0
+			for i, x := range tr.newt[:tr.nv] {
+				tr.moved = setMoved(tr.v, i, x, tr.moved)
+			}
 			tr.t = tNext
 			return nil
 		}

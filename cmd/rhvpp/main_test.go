@@ -86,6 +86,27 @@ func TestRetiredFlagsAreUnknown(t *testing.T) {
 	}
 }
 
+// TestNegativeCountFlagsAreUsageErrors pins that a negative count knob
+// stops the CLI before any campaign runs, instead of printing the preset's
+// campaign as if the flag were absent.
+func TestNegativeCountFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "table3", "-stride", "-1"},
+		{"-exp", "table3", "-rows", "-2"},
+		{"-exp", "table3", "-chunks", "-1"},
+		{"-exp", "fig8b", "-mc", "-5"},
+	} {
+		var buf bytes.Buffer
+		err := run(t.Context(), args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "invalid value \""+args[3]+"\" for flag "+args[2]) {
+			t.Errorf("%v: err = %v, want a usage error", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: printed %d bytes", args, buf.Len())
+		}
+	}
+}
+
 func TestMissingExperimentFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(t.Context(), nil, &buf); err == nil {

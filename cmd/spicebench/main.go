@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -61,10 +62,12 @@ type Snapshot struct {
 
 	// Full Fig. 8b/9b-style aggregate: one global run queue across a VPP
 	// sweep, streaming aggregation, per-worker workspace reuse. The rate is
-	// the best of timedSweeps sweeps. BytesPerRun is the first sweep's total
-	// heap allocation divided by runs — the streaming-statistics
-	// memory-bound metric (pre-streaming, aggregation bytes grew with every
-	// retained sample; now the bytes are simulation transients only).
+	// the best of timedSweeps sweeps. BytesPerRun is the heap allocation of
+	// one run of the sweep's per-run work on an already-built Workspace —
+	// the streaming-statistics memory-bound metric (pre-streaming,
+	// aggregation bytes grew with every retained sample; now the bytes are
+	// simulation transients only). Building a sweep's Workspaces is a cost
+	// of the sweep call, not of a run, so it is left out.
 	MCAggRunsPerSec  float64 `json:"mc_agg_runs_per_sec"`
 	MCAggLevels      int     `json:"mc_agg_levels"`
 	MCAggBytesPerRun float64 `json:"mc_agg_bytes_per_run"`
@@ -178,13 +181,16 @@ func measure(runs, jobs int) (Snapshot, error) {
 	snap.MCRunsPerSecJobs1 = one
 	snap.MCRunsPerSecJobs = many
 
-	aggRate, aggBytes, levels, err := mcAggregate(runs, jobs)
+	aggRate, levels, err := mcAggregate(runs, jobs)
 	if err != nil {
 		return snap, err
 	}
 	snap.MCAggRunsPerSec = aggRate
-	snap.MCAggBytesPerRun = aggBytes
 	snap.MCAggLevels = levels
+	snap.MCAggBytesPerRun, err = mcBytesPerRun(aggVPPs, runs)
+	if err != nil {
+		return snap, err
+	}
 
 	snap.ShardMergeShards = 2
 	snap.ShardMergeRunsPerSec, err = shardMergeThroughput(runs, jobs, snap.ShardMergeShards)
@@ -233,43 +239,84 @@ func shardMergeThroughput(runs, jobs, shards int) (float64, error) {
 	return total / time.Since(start).Seconds(), nil //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
 }
 
-// timedSweeps is how many timed Monte-Carlo measurements the multi-worker
-// keys take the best of: one measurement is a few tens of milliseconds, and
-// on a shared machine single samples of the same binary spread by 2x.
+// timedSweeps is how many timed measurements the multi-worker Monte-Carlo
+// keys and the step costs take the best of: one measurement is a few tens of
+// milliseconds, and on a shared machine single samples of the same binary
+// spread by 2x.
 const timedSweeps = 5
+
+// aggVPPs are the levels of the aggregate Monte-Carlo measurements.
+var aggVPPs = []float64{2.5, 2.1, 1.9, 1.7}
 
 // mcAggregate measures the streaming aggregation pipeline end to end: a
 // multi-level sweep through the single global run queue, reporting the best
-// runs/s of timedSweeps sweeps and the heap bytes allocated per run by the
-// first of them.
-func mcAggregate(runs, jobs int) (runsPerSec, bytesPerRun float64, levels int, err error) {
-	vpps := []float64{2.5, 2.1, 1.9, 1.7}
+// runs/s of timedSweeps sweeps.
+func mcAggregate(runs, jobs int) (runsPerSec float64, levels int, err error) {
 	cfg := spice.MCConfig{Runs: runs, Seed: 2022, Variation: 0.05, Jobs: jobs}
 	ctx := context.Background()
 	warm := cfg
 	warm.Runs = 2
-	if _, err := spice.RunMonteCarloSweep(ctx, vpps, warm); err != nil {
-		return 0, 0, 0, err
+	if _, err := spice.RunMonteCarloSweep(ctx, aggVPPs, warm); err != nil {
+		return 0, 0, err
 	}
-	total := float64(len(vpps) * runs)
-	for i := 0; i < timedSweeps; i++ {
-		var before, after runtime.MemStats
-		if i == 0 {
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-		}
+	total := float64(len(aggVPPs) * runs)
+	for range timedSweeps {
 		start := time.Now() //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
-		if _, err := spice.RunMonteCarloSweep(ctx, vpps, cfg); err != nil {
-			return 0, 0, 0, err
+		if _, err := spice.RunMonteCarloSweep(ctx, aggVPPs, cfg); err != nil {
+			return 0, 0, err
 		}
 		elapsed := time.Since(start).Seconds() //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
-		if i == 0 {
-			runtime.ReadMemStats(&after)
-			bytesPerRun = float64(after.TotalAlloc-before.TotalAlloc) / total
-		}
 		runsPerSec = max(runsPerSec, total/elapsed)
 	}
-	return runsPerSec, bytesPerRun, len(vpps), nil
+	return runsPerSec, len(aggVPPs), nil
+}
+
+// mcBytesPerRun returns the heap bytes per run of the sweep's per-run work:
+// draw the run's parameters from the stream RunMonteCarloSweep derives for
+// it, simulate them on a Workspace built and warmed beforehand, and fold the
+// outcome into the level's tRCDmin/tRASmin accumulators as the sweep does.
+func mcBytesPerRun(vpps []float64, runs int) (float64, error) {
+	ws := spice.NewWorkspace()
+	results := make([]spice.MCResult, len(vpps))
+	roots := make([]*rng.Stream, len(vpps))
+	for li, vpp := range vpps {
+		roots[li] = rng.New(2022).Derive("spice-mc", fmt.Sprintf("%.2f", vpp))
+	}
+	run := func(li, i int) error {
+		out, err := ws.Simulate(spice.Vary(spice.DefaultCellParams(vpps[li]), roots[li].Derive("run", i), 0.05), nil)
+		r := &results[li]
+		switch {
+		case errors.Is(err, spice.ErrNoConverge):
+			r.NoConverge++
+		case err != nil:
+			return fmt.Errorf("Monte-Carlo run %d at %.1fV: %w", i, vpps[li], err)
+		default:
+			if out.Reliable {
+				r.TRCDmin.Add(out.TRCDminNS)
+			}
+			if out.Restored {
+				r.TRASmin.Add(out.TRASminNS)
+			}
+		}
+		return nil
+	}
+	for li := range vpps { // warm-up: the Workspace and every level's accumulators
+		if err := run(li, 0); err != nil {
+			return 0, err
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for li := range vpps {
+		for i := 1; i <= runs; i++ {
+			if err := run(li, i); err != nil {
+				return 0, err
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(vpps)*runs), nil
 }
 
 // fixedGridActivation is SimulateActivation pinned to the fixed 25 ps grid.
@@ -278,24 +325,29 @@ func fixedGridActivation(p spice.CellParams, probe spice.Probe) (spice.Activatio
 	return spice.SimulateActivation(p, probe)
 }
 
-// stepCost times activations until ~100ms has elapsed and returns wall ns
-// per base-grid cell covered (an adaptive engine covers cells with fewer
-// solves, so its figure reflects the step-count reduction).
+// stepCost returns wall ns per base-grid cell covered (an adaptive engine
+// covers cells with fewer solves, so its figure reflects the step-count
+// reduction): the best of timedSweeps timings, each of activations repeated
+// for ~40 ms, because on a shared machine one timing follows host load.
 func stepCost(sim func(spice.CellParams, spice.Probe) (spice.ActivationResult, error)) (float64, error) {
 	p := spice.DefaultCellParams(2.5)
-	cells := 0
-	start := time.Now()                            //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
-	for time.Since(start) < 100*time.Millisecond { //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
-		res, err := sim(p, nil)
-		if err != nil {
-			return 0, err
+	best := math.Inf(1)
+	for range timedSweeps {
+		cells := 0
+		start := time.Now()                           //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
+		for time.Since(start) < 40*time.Millisecond { //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
+			res, err := sim(p, nil)
+			if err != nil {
+				return 0, err
+			}
+			cells += res.Steps.Cells
 		}
-		cells += res.Steps.Cells
+		if cells == 0 {
+			return 0, fmt.Errorf("no steps executed")
+		}
+		best = min(best, float64(time.Since(start).Nanoseconds())/float64(cells)) //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
 	}
-	if cells == 0 {
-		return 0, fmt.Errorf("no steps executed")
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(cells), nil //detlint:ignore detsource spicebench measures wall-clock throughput; timing is its output, not simulated state
+	return best, nil
 }
 
 // sweepVPPs are the Fig. 8/9 sweep levels.

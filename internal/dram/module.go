@@ -78,9 +78,9 @@ type rowState struct {
 type bankState struct {
 	openRow   int // physical row address, or -1 when precharged
 	openedAt  PS
-	rows      map[int]*rowState // keyed by physical row address
-	refCursor int               // rolling auto-refresh pointer
-	read      readCache         // read physics of the last row read
+	rows      physics.RowPages[rowState] // keyed by physical row address
+	refCursor int                        // rolling auto-refresh pointer
+	read      readCache                  // read physics of the last row read
 }
 
 // Module is one simulated DIMM. It is NOT safe for concurrent use; the
@@ -135,7 +135,7 @@ func NewModule(prof physics.ModuleProfile, geom physics.Geometry, seed uint64, o
 	}
 	m.banks = make([]bankState, geom.Banks)
 	for i := range m.banks {
-		m.banks[i] = bankState{openRow: -1, rows: make(map[int]*rowState)}
+		m.banks[i] = bankState{openRow: -1, rows: physics.NewRowPages[rowState](geom.RowsPerBank)}
 	}
 	for _, o := range opts {
 		o(m)
@@ -207,12 +207,11 @@ func (m *Module) checkRow(r int) error {
 
 // row returns (creating if needed) the state of a physical row.
 func (bk *bankState) row(phys int) *rowState {
-	rs, ok := bk.rows[phys]
-	if !ok {
-		rs = &rowState{} //detlint:ignore hotalloc one-time lazy row-state creation, amortized over the row's reads
-		bk.rows[phys] = rs
+	slot := bk.rows.Slot(phys)
+	if *slot == nil {
+		*slot = &rowState{} //detlint:ignore hotalloc one-time lazy row-state creation, amortized over the row's reads
 	}
-	return rs
+	return *slot
 }
 
 // Activate opens a row (logical address) in a bank at time t.
@@ -885,22 +884,24 @@ func (m *Module) RefreshRow(t PS, bankIdx, logicalRow int) error {
 // refreshPhys latches the row's current observable content (flips become
 // permanent) and resets its charge state.
 func (m *Module) refreshPhys(t PS, bankIdx int, bk *bankState, phys int) {
-	rs, ok := bk.rows[phys]
-	if !ok || rs.data == nil {
+	rs := bk.rows.Lookup(phys)
+	if rs == nil || rs.data == nil {
 		// Never-written rows have no defined content to preserve.
-		if ok {
+		if rs != nil {
 			rs.hammerLo, rs.hammerHi, rs.hammerD2 = 0, 0, 0
 			rs.lastWrite = t
 		}
 		return
 	}
-	// Materialize hammer and retention flips into the stored image.
+	// Materialize hammer and retention flips into the stored image. A row
+	// below its HCfirst flips nothing and never samples its hammer order.
 	rs.uniform = false
 	if hcEq := rs.doubleSidedEquivalent(); hcEq > 0 {
 		pat := m.dominantPattern(rs)
-		n := m.model.HammerFlipCount(bankIdx, phys, pat, m.vpp, hcEq, m.tempC, rs.writeEpoch)
-		for _, pos := range m.model.HammerFlipPositions(bankIdx, phys, n) {
-			rs.data[pos/8] ^= 1 << uint(pos%8)
+		if n := m.model.HammerFlipCount(bankIdx, phys, pat, m.vpp, hcEq, m.tempC, rs.writeEpoch); n > 0 {
+			for _, pos := range m.model.HammerFlipPositions(bankIdx, phys, n) {
+				rs.data[pos/8] ^= 1 << uint(pos%8)
+			}
 		}
 	}
 	elapsedMS := float64(t-rs.lastWrite) / float64(PSPerMS)

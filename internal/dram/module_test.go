@@ -3,7 +3,9 @@ package dram
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/dramstudy/rhvpp/internal/mapping"
 	"github.com/dramstudy/rhvpp/internal/pattern"
@@ -370,7 +372,7 @@ func TestActivateDisturbsOnlySubarrayNeighbors(t *testing.T) {
 		geom := physics.Geometry{Banks: 1, RowsPerBank: g.rows, RowBytes: 64, SubarrayRows: g.sub}
 		m := NewModule(p, geom, 42, WithScheme(mapping.Direct{}))
 		for phys := 0; phys < g.rows; phys++ {
-			m.banks[0].rows = make(map[int]*rowState)
+			m.banks[0].rows = physics.NewRowPages[rowState](g.rows)
 			if err := m.ActivateMany(m.Now(), 0, phys, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -387,7 +389,7 @@ func TestActivateDisturbsOnlySubarrayNeighbors(t *testing.T) {
 					}
 				}
 				var got rowState
-				if rs := m.banks[0].rows[r]; rs != nil {
+				if rs := m.banks[0].rows.Lookup(r); rs != nil {
 					got = *rs
 				}
 				if got.hammerLo != want.hammerLo || got.hammerHi != want.hammerHi || got.hammerD2 != want.hammerD2 {
@@ -645,5 +647,53 @@ func TestActivateManyZeroCount(t *testing.T) {
 	m := newTestModule(t, "A3")
 	if err := m.ActivateMany(0, 0, 10, 0); err != nil {
 		t.Errorf("zero-count hammer errored: %v", err)
+	}
+}
+
+// TestRowTableMemoryFollowsTouchedRows touches two rows of every bank at
+// paper geometry, each in a page of its own, and bounds what the module
+// allocates beyond its physics model by one page and one row state per
+// touched row plus the banks' page directories: the row table must grow
+// with the rows a study touches, not with the rows a bank has (a pointer per
+// row would be 256 KiB per bank on 64-bit).
+func TestRowTableMemoryFollowsTouchedRows(t *testing.T) {
+	p, _ := physics.ProfileByName("A3")
+	geom := physics.FullGeometry()
+	allocated := func(f func()) uintptr {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return uintptr(after.TotalAlloc - before.TotalAlloc)
+	}
+	model := allocated(func() { physics.NewDeviceModel(p, geom, 2022) })
+	const perBank = 2
+	pages := (geom.RowsPerBank + physics.RowPageRows - 1) / physics.RowPageRows
+	row := func(b, i int) int { return (b+i*pages/perBank)%pages*physics.RowPageRows + b }
+	var m *Module
+	used := allocated(func() {
+		m = NewModule(p, geom, 2022)
+		for b := range m.banks {
+			for i := range perBank {
+				m.banks[b].row(row(b, i))
+			}
+		}
+	})
+	ptr := unsafe.Sizeof(uintptr(0))
+	page := physics.RowPageRows * ptr
+	page += page / 4 // the allocator's header and size class
+	touched := uintptr(geom.Banks * perBank)
+	bound := model + touched*(page+unsafe.Sizeof(rowState{})) + uintptr(geom.Banks*pages)*ptr +
+		uintptr(geom.Banks)*unsafe.Sizeof(bankState{}) + unsafe.Sizeof(Module{}) + 4096
+	if used > bound {
+		t.Errorf("module with %d touched rows allocated %d bytes, want at most %d (model %d)", touched, used, bound, model)
+	}
+	for b := range m.banks {
+		for i := range perBank {
+			if m.banks[b].rows.Lookup(row(b, i)) == nil {
+				t.Errorf("bank %d: touched row %d has no state", b, row(b, i))
+			}
+		}
 	}
 }

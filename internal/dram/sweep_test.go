@@ -3,9 +3,7 @@ package dram
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"reflect"
-	"slices"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/physics"
@@ -65,7 +63,7 @@ func stateDiff(a, b *Module) string {
 	if a.now != b.now {
 		return fmt.Sprintf("clock %d vs %d", a.now, b.now)
 	}
-	if !reflect.DeepEqual(a.trr, b.trr) {
+	if !reflect.DeepEqual(trrState(a.trr), trrState(b.trr)) {
 		return "TRR engine state"
 	}
 	for i := range a.banks {
@@ -73,11 +71,12 @@ func stateDiff(a, b *Module) string {
 		if ba.openRow != bb.openRow || ba.openedAt != bb.openedAt || ba.refCursor != bb.refCursor {
 			return fmt.Sprintf("bank %d: open row %d at %d vs %d at %d", i, ba.openRow, ba.openedAt, bb.openRow, bb.openedAt)
 		}
-		if !slices.Equal(slices.Sorted(maps.Keys(ba.rows)), slices.Sorted(maps.Keys(bb.rows))) {
-			return fmt.Sprintf("bank %d: rows with state %v vs %v", i, slices.Sorted(maps.Keys(ba.rows)), slices.Sorted(maps.Keys(bb.rows)))
-		}
-		for _, phys := range slices.Sorted(maps.Keys(ba.rows)) {
-			if ra, rb := ba.rows[phys], bb.rows[phys]; !reflect.DeepEqual(*ra, *rb) {
+		for phys := -2; phys < a.geom.RowsPerBank+2; phys++ { // two rows past either bank edge
+			ra, rb := ba.rows.Lookup(phys), bb.rows.Lookup(phys)
+			switch {
+			case (ra == nil) != (rb == nil):
+				return fmt.Sprintf("bank %d row %d: state %v vs %v", i, phys, ra != nil, rb != nil)
+			case ra != nil && !reflect.DeepEqual(*ra, *rb):
 				return fmt.Sprintf("bank %d row %d: epoch %d, written at %d, exposure %v/%v/%v vs epoch %d, written at %d, exposure %v/%v/%v",
 					i, phys, ra.writeEpoch, ra.lastWrite, ra.hammerLo, ra.hammerHi, ra.hammerD2,
 					rb.writeEpoch, rb.lastWrite, rb.hammerLo, rb.hammerHi, rb.hammerD2)

@@ -21,61 +21,68 @@ type trrDefense interface {
 // work", §4.1); the engine exists so the ablation benches can demonstrate
 // exactly that interaction.
 type trrEngine struct {
-	capacity int
-	counts   map[int]int // physical row -> activation count since last REF
+	// slots holds the tracked rows, at most cap(slots): a physical row and
+	// its activation count since the last REF. The tracker is a set, so the
+	// order of the slots never reaches a result.
+	slots []trrSlot
 }
 
+// trrSlot is one tracked row of a trrEngine.
+type trrSlot struct{ row, count int }
+
 func newTRREngine(capacity int) *trrEngine {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &trrEngine{capacity: capacity, counts: make(map[int]int, capacity)}
+	return &trrEngine{slots: make([]trrSlot, 0, max(capacity, 1))}
 }
 
 // observeActivations feeds the tracker with count activations of a physical
 // row, using Misra-Gries eviction when the table is full so heavy hitters
 // survive.
 func (e *trrEngine) observeActivations(phys, count int) {
-	if c, ok := e.counts[phys]; ok {
-		e.counts[phys] = c + count
-		return
+	for i := range e.slots {
+		if e.slots[i].row == phys {
+			e.slots[i].count += count
+			return
+		}
 	}
-	if len(e.counts) < e.capacity {
-		e.counts[phys] = count
+	if len(e.slots) < cap(e.slots) {
+		e.slots = append(e.slots, trrSlot{phys, count})
 		return
 	}
 	// Misra-Gries: decrement all by the new arrival's weight; evict zeros.
 	min := count
-	for _, c := range e.counts {
-		if c < min {
-			min = c
+	for _, s := range e.slots {
+		if s.count < min {
+			min = s.count
 		}
 	}
-	for r, c := range e.counts {
-		if c-min <= 0 {
-			delete(e.counts, r)
-		} else {
-			e.counts[r] = c - min
+	kept := e.slots[:0]
+	for _, s := range e.slots {
+		if s.count -= min; s.count > 0 {
+			kept = append(kept, s)
 		}
 	}
-	if rem := count - min; rem > 0 && len(e.counts) < e.capacity {
-		e.counts[phys] = rem
+	e.slots = kept
+	if rem := count - min; rem > 0 && len(e.slots) < cap(e.slots) {
+		e.slots = append(e.slots, trrSlot{phys, rem})
 	}
 }
 
 // victimsToRefresh returns the physical neighbors of the hottest tracked
-// aggressor and resets its counter. Called on each REF command.
+// aggressor, ties to the lowest row, and stops tracking it. Called on each
+// REF command.
 func (e *trrEngine) victimsToRefresh(rowsPerBank int) []int {
-	best, bestCount := -1, 0
-	for r, c := range e.counts {
-		if c > bestCount || (c == bestCount && r < best) {
-			best, bestCount = r, c
+	hot, best, bestCount := -1, -1, 0
+	for i, s := range e.slots {
+		if s.count > bestCount || (s.count == bestCount && s.row < best) {
+			hot, best, bestCount = i, s.row, s.count
 		}
 	}
-	if best < 0 {
+	if hot < 0 {
 		return nil
 	}
-	delete(e.counts, best)
+	last := len(e.slots) - 1
+	e.slots[hot] = e.slots[last]
+	e.slots = e.slots[:last]
 	var victims []int
 	for _, v := range []int{best - 1, best + 1} {
 		if v >= 0 && v < rowsPerBank {

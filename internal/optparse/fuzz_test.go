@@ -3,6 +3,7 @@ package optparse
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // the serving layer's path from a request to a campaign. Nothing on that
 // path may panic; a name outside Known() (including a retired knob such as
 // batch, ltetol or fixed-grid) must fail with the standard unknown-option
-// error; and every
+// error; a negative rows, chunks, stride or mc must fail; and every
 // campaign that survives Validate must have an OptionsFingerprint, because
 // the server keys its flights and store entries by it. Committed corpus
 // files under testdata/fuzz keep past findings in regression.
@@ -29,6 +30,9 @@ func FuzzQueryOptions(f *testing.F) {
 		"rows=eight",
 		"ltetol=+Inf", // retired knob
 		"rowz=5&rows=2",
+		"stride=-1",
+		"mc=-5&rows=2",
+		"chunks=0&rows=-3",
 	} {
 		f.Add(seed)
 	}
@@ -42,6 +46,9 @@ func FuzzQueryOptions(f *testing.F) {
 				if err == nil || err.Error() != want {
 					t.Fatalf("Set(%q, %q) = %v, want %q", name, value, err, want)
 				}
+			}
+			if n, perr := strconv.Atoi(value); perr == nil && n < 0 && slices.Contains([]string{"rows", "chunks", "stride", "mc"}, name) && err == nil {
+				t.Fatalf("Set(%q, %q) accepted a negative count", name, value)
 			}
 			if err != nil {
 				return // the server rejects the request at its first bad knob

@@ -9,9 +9,13 @@
 // Overrides never validates the resulting campaign; it only parses and
 // applies. Semantic rejection (negative jobs, unknown module names) stays
 // with Options.Validate so every surface reports those errors identically.
+// The one exception is a negative rows, chunks, stride or mc: 0 already means
+// "the preset's value" for those knobs, so Apply cannot pass a negative one
+// on and Set rejects it.
 package optparse
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strconv"
@@ -52,10 +56,11 @@ var knobNames = []string{
 // Known returns the knob names Set accepts, in presentation order.
 func Known() []string { return append([]string(nil), knobNames...) }
 
-// Set parses one named knob from its string form — a query parameter or any
-// other stringly surface. Unknown names and unparseable values are errors;
-// semantically invalid values (negative jobs, unknown modules) parse fine
-// here and are rejected later by Options.Validate.
+// Set parses one named knob from its string form — a query parameter, a CLI
+// flag or any other stringly surface. Unknown names, unparseable values and
+// a negative rows, chunks, stride or mc are errors; other semantically
+// invalid values (negative jobs, unknown modules) parse fine here and are
+// rejected later by Options.Validate.
 func (ov *Overrides) Set(name, value string) error {
 	badValue := func(err error) error {
 		return fmt.Errorf("option %s: invalid value %q (%v)", name, value, err)
@@ -65,9 +70,9 @@ func (ov *Overrides) Set(name, value string) error {
 		ov.Modules = value
 		return nil
 	case "rows":
-		return setInt(&ov.Rows, value, badValue)
+		return setCount(&ov.Rows, value, badValue)
 	case "chunks":
-		return setInt(&ov.Chunks, value, badValue)
+		return setCount(&ov.Chunks, value, badValue)
 	case "seed":
 		n, err := strconv.ParseUint(value, 10, 64)
 		if err != nil {
@@ -76,9 +81,9 @@ func (ov *Overrides) Set(name, value string) error {
 		ov.Seed = n
 		return nil
 	case "stride":
-		return setInt(&ov.Stride, value, badValue)
+		return setCount(&ov.Stride, value, badValue)
 	case "mc":
-		return setInt(&ov.MCRuns, value, badValue)
+		return setCount(&ov.MCRuns, value, badValue)
 	case "jobs":
 		if err := setInt(&ov.Jobs, value, badValue); err != nil {
 			return err
@@ -91,6 +96,20 @@ func (ov *Overrides) Set(name, value string) error {
 
 func setInt(dst *int, value string, badValue func(error) error) error {
 	n, err := strconv.Atoi(value)
+	if err != nil {
+		return badValue(err)
+	}
+	*dst = n
+	return nil
+}
+
+// setCount parses a knob whose 0 means the preset's value and whose negative
+// values mean nothing.
+func setCount(dst *int, value string, badValue func(error) error) error {
+	n, err := strconv.Atoi(value)
+	if err == nil && n < 0 {
+		err = errors.New("must not be negative; 0 keeps the preset's value")
+	}
 	if err != nil {
 		return badValue(err)
 	}
@@ -124,29 +143,34 @@ func (ov Overrides) Apply(o *experiments.Options) {
 	}
 }
 
-// Flags registers the knobs as flags on fs, bound to ov. The CLI treats its
-// -jobs flag as always present (its default 0 means one worker per CPU, the
-// same as every preset), so Parse marks JobsSet via the flag.Value rather
-// than fs.Visit bookkeeping.
+// Flags registers the knobs as flags on fs, bound to ov. The integer knobs
+// parse through Set, so a flag and a query parameter accept and reject the
+// same values, and a -jobs occurrence flips JobsSet exactly like a jobs=
+// query parameter does (the CLI's default 0 means one worker per CPU, the
+// same as every preset).
 func (ov *Overrides) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&ov.Modules, "modules", "", "comma-separated module subset (e.g. B3,C0); empty = all 30")
-	fs.IntVar(&ov.Rows, "rows", 0, "rows per chunk (0 = default)")
-	fs.IntVar(&ov.Chunks, "chunks", 0, "row chunks per module (0 = default)")
+	fs.Var(knobFlag{ov, "rows", &ov.Rows}, "rows", "rows per chunk (0 = default)")
+	fs.Var(knobFlag{ov, "chunks", &ov.Chunks}, "chunks", "row chunks per module (0 = default)")
 	fs.Uint64Var(&ov.Seed, "seed", 0, "simulation seed (0 = default)")
-	fs.IntVar(&ov.Stride, "stride", 0, "VPP sweep stride (1 = every 0.1V level)")
-	fs.IntVar(&ov.MCRuns, "mc", 0, "SPICE Monte-Carlo runs per voltage (0 = default)")
-	fs.Var(jobsFlag{ov}, "jobs", "concurrent module sweeps (0 = one per CPU)")
+	fs.Var(knobFlag{ov, "stride", &ov.Stride}, "stride", "VPP sweep stride (1 = every 0.1V level)")
+	fs.Var(knobFlag{ov, "mc", &ov.MCRuns}, "mc", "SPICE Monte-Carlo runs per voltage (0 = default)")
+	fs.Var(knobFlag{ov, "jobs", &ov.Jobs}, "jobs", "concurrent module sweeps (0 = one per CPU)")
 }
 
-// jobsFlag adapts the Jobs knob to flag.Value so a -jobs occurrence flips
-// JobsSet exactly like a jobs= query parameter does.
-type jobsFlag struct{ ov *Overrides }
+// knobFlag adapts the integer knob name, stored at val, to flag.Value,
+// parsing through Set.
+type knobFlag struct {
+	ov   *Overrides
+	name string
+	val  *int
+}
 
-func (j jobsFlag) String() string {
-	if j.ov == nil {
+func (k knobFlag) String() string {
+	if k.val == nil {
 		return "0"
 	}
-	return strconv.Itoa(j.ov.Jobs)
+	return strconv.Itoa(*k.val)
 }
 
-func (j jobsFlag) Set(value string) error { return j.ov.Set("jobs", value) }
+func (k knobFlag) Set(value string) error { return k.ov.Set(k.name, value) }

@@ -79,6 +79,7 @@ func TestSetRejectsUnknownAndUnparseable(t *testing.T) {
 	}
 	for _, kv := range [][2]string{
 		{"rows", "eight"}, {"seed", "-1"}, {"seed", "xyz"}, {"jobs", "many"},
+		{"rows", "-1"}, {"chunks", "-2"}, {"stride", "-1"}, {"mc", "-5"},
 	} {
 		if err := ov.Set(kv[0], kv[1]); err == nil {
 			t.Errorf("Set(%s, %s) accepted", kv[0], kv[1])
@@ -117,6 +118,37 @@ func TestFlagsMatchSetSemantics(t *testing.T) {
 	for _, name := range Known() {
 		if fs.Lookup(name) == nil {
 			t.Errorf("knob %q has no flag", name)
+		}
+	}
+}
+
+// TestNegativeCountsRejectedOnEverySurface pins that a negative rows,
+// chunks, stride or mc is an error from Set and from the flags alike, and
+// leaves the knob unset, while 0 still means the preset's value: Apply
+// ignores values <= 0, so a negative one would otherwise run the preset.
+func TestNegativeCountsRejectedOnEverySurface(t *testing.T) {
+	for _, name := range []string{"rows", "chunks", "stride", "mc"} {
+		var ov Overrides
+		if err := ov.Set(name, "-1"); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("Set(%s, -1) = %v, want a negative-value error", name, err)
+		}
+		if ov != (Overrides{}) {
+			t.Errorf("rejected %s=-1 left %+v", name, ov)
+		}
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		ov.Flags(fs)
+		if err := fs.Parse([]string{"-" + name, "-1"}); err == nil {
+			t.Errorf("-%s -1 parsed", name)
+		}
+		if err := ov.Set(name, "0"); err != nil {
+			t.Errorf("Set(%s, 0): %v", name, err)
+		}
+		base := experiments.Default()
+		o := base
+		ov.Apply(&o)
+		if !reflect.DeepEqual(o, base) {
+			t.Errorf("%s=0 changed the preset", name)
 		}
 	}
 }

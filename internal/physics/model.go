@@ -142,10 +142,8 @@ type DeviceModel struct {
 	trcd      trcdModel
 	retention retentionModel
 
-	rows map[rowKey]*rowParams
+	rows RowTable[rowParams] // per-row ground truth, sampled on first need
 }
-
-type rowKey struct{ bank, row int }
 
 // rowParams holds the per-row sampled ground truth.
 type rowParams struct {
@@ -197,7 +195,7 @@ func NewDeviceModel(prof ModuleProfile, geom Geometry, seed uint64) *DeviceModel
 		prof: prof,
 		geom: geom,
 		root: rng.New(seed).Derive("module", prof.Name),
-		rows: make(map[rowKey]*rowParams),
+		rows: NewRowTable[rowParams](geom.Banks, geom.RowsPerBank),
 	}
 	m.calibrate()
 	return m
@@ -275,13 +273,11 @@ func (m *DeviceModel) hump(v float64) float64 {
 
 // row returns (sampling on first use) the ground-truth parameters of a row.
 func (m *DeviceModel) row(bank, rowAddr int) *rowParams {
-	key := rowKey{bank, rowAddr}
-	rp, ok := m.rows[key]
-	if !ok {
-		rp = m.sampleRow(bank, rowAddr)
-		m.rows[key] = rp
+	slot := m.rows.Slot(bank, rowAddr)
+	if *slot == nil {
+		*slot = m.sampleRow(bank, rowAddr)
 	}
-	return rp
+	return *slot
 }
 
 func (m *DeviceModel) sampleRow(bank, rowAddr int) *rowParams {

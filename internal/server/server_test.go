@@ -425,6 +425,10 @@ func TestQueryOptionsErrors(t *testing.T) {
 		{"retired fixed grid", "/v1/experiments/fig8b?fixed-grid=true", `unknown option "fixed-grid" (known: ` + known + `)`},
 		{"retired tolerance", "/v1/experiments/fig8b?ltetol=1e-6", `unknown option "ltetol" (known: ` + known + `)`},
 		{"unparseable knob", "/v1/experiments/table3?rows=eight", ""},
+		{"negative mc", "/v1/experiments/fig8b?mc=-5", `option mc: invalid value "-5" (must not be negative; 0 keeps the preset's value)`},
+		{"negative stride", "/v1/experiments/table3?stride=-1", `option stride: invalid value "-1" (must not be negative; 0 keeps the preset's value)`},
+		{"negative rows", "/v1/experiments/table3?rows=-2", `option rows: invalid value "-2" (must not be negative; 0 keeps the preset's value)`},
+		{"negative chunks", "/v1/experiments/table3?chunks=-1", `option chunks: invalid value "-1" (must not be negative; 0 keeps the preset's value)`},
 	} {
 		code, body, _ := get(t, hs.URL+tc.url)
 		if code != http.StatusBadRequest {

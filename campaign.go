@@ -78,16 +78,31 @@ type Experiment struct {
 	// module-scoped ablations).
 	Studies []Study
 
-	run func(ctx context.Context, c *Campaign, enc Encoder) error
+	// run renders from the campaign's studies; adhoc computes a
+	// self-contained result the campaign memoizes under the id.
+	run   func(ctx context.Context, c *Campaign, enc Encoder) error
+	adhoc func(ctx context.Context, c *Campaign) (renderer, error)
 }
 
+// renderer is an ad hoc experiment's result. Render only reads it, so one
+// result renders any number of times, concurrently, into any encoder.
+type renderer interface{ Render(Encoder) error }
+
 // Run executes the experiment within campaign c, emitting to enc. Studies it
-// depends on are computed on first use and reused afterwards.
+// depends on, and an ad hoc experiment's own result, are computed on first
+// use and reused afterwards.
 func (e Experiment) Run(ctx context.Context, c *Campaign, enc Encoder) error {
-	if e.run == nil {
-		return fmt.Errorf("rhvpp: experiment %q has no driver", e.ID)
+	switch {
+	case e.adhoc != nil:
+		r, err := c.adhocResult(ctx, e.ID, e.adhoc)
+		if err != nil {
+			return err
+		}
+		return r.Render(enc)
+	case e.run != nil:
+		return e.run(ctx, c, enc)
 	}
-	return e.run(ctx, c, enc)
+	return fmt.Errorf("rhvpp: experiment %q has no driver", e.ID)
 }
 
 // cell memoizes one study result. The first caller computes while holding
@@ -130,15 +145,19 @@ func (c *cell[T]) set(v T) {
 // studies behind the paper's tables and figures run at most once per session
 // and every experiment renders from the memoized results, so regenerating
 // the whole evaluation costs one RowHammer sweep, one tRCD sweep, one
-// retention ladder, one SPICE campaign — not one per figure.
+// retention ladder, one SPICE campaign — not one per figure. The ad hoc
+// ablations and extensions (abl-attacks, ext-attacks, ...) are memoized the
+// same way, one result per id, so every experiment id computes at most once
+// per session however often it renders. The Fig. 8a/9a waveforms take no
+// options and are simulated once per process, shared by every Campaign.
 //
 // A Campaign is safe for concurrent use: parallel Run calls that need the
-// same study share a single execution (later callers block until the first
-// finishes, under the first caller's context). A run aborted by context
-// cancellation is not cached; the next Run with a live context measures
-// again. Module sweeps inside each study run Options.Jobs modules at a time
-// and merge in catalog order, so output is byte-identical at any worker
-// count.
+// same study or ad hoc result share a single execution (later callers block
+// until the first finishes, under the first caller's context). A run
+// aborted by context cancellation is not cached; the next Run with a live
+// context measures again. Module sweeps inside each study run Options.Jobs
+// modules at a time and merge in catalog order, so output is byte-identical
+// at any worker count.
 //
 // Study aggregation is streaming: distribution columns render from
 // internal/stats accumulators that fold each measurement as it is produced
@@ -166,8 +185,10 @@ type Campaign struct {
 	words     cell[experiments.WordAnalysis]
 	cv        cell[experiments.CVStudy]
 
-	mu   sync.Mutex
-	runs map[Study]int
+	mu        sync.Mutex
+	runs      map[Study]int
+	adhoc     map[string]*cell[renderer] // ad hoc experiment id → its result
+	adhocRuns map[string]int             // ad hoc computations per id
 }
 
 // NewCampaign validates the options and opens a session. Unknown or
@@ -177,7 +198,12 @@ func NewCampaign(o Options) (*Campaign, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return &Campaign{opts: o, runs: make(map[Study]int)}, nil
+	return &Campaign{
+		opts:      o,
+		runs:      make(map[Study]int),
+		adhoc:     make(map[string]*cell[renderer]),
+		adhocRuns: make(map[string]int),
+	}, nil
 }
 
 // Options returns the campaign's (immutable) parameters.
@@ -200,6 +226,25 @@ func (c *Campaign) countRun(s Study) {
 	c.mu.Lock()
 	c.runs[s]++
 	c.mu.Unlock()
+}
+
+// adhocResult returns the ad hoc experiment id's result from its cell,
+// computing it with fn on first use.
+func (c *Campaign) adhocResult(ctx context.Context, id string,
+	fn func(context.Context, *Campaign) (renderer, error)) (renderer, error) {
+	c.mu.Lock()
+	cl, ok := c.adhoc[id]
+	if !ok {
+		cl = new(cell[renderer])
+		c.adhoc[id] = cl
+	}
+	c.mu.Unlock()
+	return cl.get(func() (renderer, error) {
+		c.mu.Lock()
+		c.adhocRuns[id]++
+		c.mu.Unlock()
+		return fn(ctx, c)
+	})
 }
 
 // shardedStudy returns a shardable study from its cell, computing it on
@@ -252,8 +297,9 @@ func (c *Campaign) Retention(ctx context.Context) (RetentionStudy, error) {
 
 // SpiceWaveforms returns the session's transient traces, computing them on
 // first use. The waveform study is not sharded: it is one cheap
-// deterministic simulation, so every process (including a merge renderer)
-// computes it locally.
+// deterministic simulation that takes no options, so every process
+// (including a merge renderer) computes it locally, once, and every Campaign
+// in the process shares the traces.
 func (c *Campaign) SpiceWaveforms(ctx context.Context) (Waveforms, error) {
 	return c.waveforms.get(func() (experiments.Waveforms, error) {
 		c.countRun(StudyWaveforms)
@@ -459,28 +505,16 @@ var registry = []Experiment{
 			return wa.RenderFig11(enc)
 		}},
 	{ID: "abl-attacks", Title: "Ablation: single- vs double- vs many-sided attacks", Section: "§4.2",
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			cmp, err := experiments.RunAttackComparison(ctx, c.opts, c.opts.FirstModule("B0"), 60000)
-			if err != nil {
-				return err
-			}
-			return cmp.Render(enc)
+		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
+			return experiments.RunAttackComparison(ctx, c.opts, c.opts.FirstModule("B0"), 60000)
 		}},
 	{ID: "abl-wcdp", Title: "Ablation: worst-case data pattern stability across VPP", Section: "§4.2, footnote 9",
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := experiments.RunWCDPStability(ctx, c.opts, c.opts.FirstModule("C0"))
-			if err != nil {
-				return err
-			}
-			return st.Render(enc)
+		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
+			return experiments.RunWCDPStability(ctx, c.opts, c.opts.FirstModule("C0"))
 		}},
 	{ID: "abl-trr", Title: "Ablation: TRR interaction with refresh starvation", Section: "§4.2",
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			ab, err := experiments.RunTRRAblation(ctx, c.opts, c.opts.FirstModule("B0"), 64000)
-			if err != nil {
-				return err
-			}
-			return ab.Render(enc)
+		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
+			return experiments.RunTRRAblation(ctx, c.opts, c.opts.FirstModule("B0"), 64000)
 		}},
 	{ID: "abl-defense", Title: "Ablation: RowHammer defense cost vs VPP", Section: "§8",
 		Studies: []Study{StudyRowHammer},
@@ -496,44 +530,24 @@ var registry = []Experiment{
 			return dc.Render(enc)
 		}},
 	{ID: "abl-secded", Title: "Ablation: SECDED coverage of retention failures", Section: "§6.3, Obsv. 14",
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			cov, err := experiments.RunSECDEDCoverage(ctx, c.opts, c.opts.FirstModule("B6"))
-			if err != nil {
-				return err
-			}
-			return cov.Render(enc)
+		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
+			return experiments.RunSECDEDCoverage(ctx, c.opts, c.opts.FirstModule("B6"))
 		}},
 	{ID: "ext-temp", Title: "Extension: VPP x temperature x RowHammer interaction", Section: "§7, future work",
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			ti, err := experiments.RunTempInteraction(ctx, c.opts, c.opts.FirstModule("B3"), nil)
-			if err != nil {
-				return err
-			}
-			return ti.Render(enc)
+		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
+			return experiments.RunTempInteraction(ctx, c.opts, c.opts.FirstModule("B3"), nil)
 		}},
 	{ID: "ext-attacks", Title: "Extension: attack shapes vs in-DRAM defenses", Section: "§8",
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			sd, err := experiments.RunDefenseShowdown(ctx, c.opts, c.opts.FirstModule("B0"), 400_000, 4000)
-			if err != nil {
-				return err
-			}
-			return sd.Render(enc)
+		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
+			return experiments.RunDefenseShowdown(ctx, c.opts, c.opts.FirstModule("B0"), 400_000, 4000)
 		}},
 	{ID: "ext-retfine", Title: "Extension: fine-grained per-row refresh windows", Section: "§6.3, footnote 14",
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := experiments.RunFineRefreshStudy(ctx, c.opts, c.opts.FirstModule("B6"))
-			if err != nil {
-				return err
-			}
-			return st.Render(enc)
+		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
+			return experiments.RunFineRefreshStudy(ctx, c.opts, c.opts.FirstModule("B6"))
 		}},
 	{ID: "ext-power", Title: "Extension: VPP rail electrical cost vs security benefit", Section: "§8",
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			ps, err := experiments.RunPowerStudy(ctx, c.opts, c.opts.FirstModule("B3"))
-			if err != nil {
-				return err
-			}
-			return ps.Render(enc)
+		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
+			return experiments.RunPowerStudy(ctx, c.opts, c.opts.FirstModule("B3"))
 		}},
 }
 

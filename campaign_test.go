@@ -257,6 +257,179 @@ func TestCellMemoizesGenuineFailures(t *testing.T) {
 	}
 }
 
+// adhocIDs are the registry's ad hoc experiments: self-contained results
+// the Campaign memoizes per id.
+func adhocIDs() []string {
+	var ids []string
+	for _, e := range registry {
+		if e.adhoc != nil {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
+}
+
+// TestCampaignMemoizesAdHocExperiments renders every ad hoc id from several
+// goroutines at once, in every format, on one Campaign: each id must compute
+// exactly once, and every render of one id in one format must give the same
+// bytes.
+func TestCampaignMemoizesAdHocExperiments(t *testing.T) {
+	ids := adhocIDs()
+	want := []string{"abl-attacks", "abl-wcdp", "abl-trr", "abl-secded",
+		"ext-temp", "ext-attacks", "ext-retfine", "ext-power"}
+	if fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("ad hoc ids %v, want %v", ids, want)
+	}
+	c, err := NewCampaign(campaignOptions("B3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 3
+	formats := Formats()
+	out := make([][][]byte, len(ids)*len(formats))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		for j, f := range formats {
+			slot := make([][]byte, callers)
+			out[i*len(formats)+j] = slot
+			for k := range slot {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var buf bytes.Buffer
+					enc, err := NewEncoder(f, &buf)
+					if err == nil {
+						err = c.Run(t.Context(), id, enc)
+					}
+					if err != nil {
+						t.Errorf("%s (%s): %v", id, f, err)
+					}
+					slot[k] = buf.Bytes()
+				}()
+			}
+		}
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if got := c.adhocRuns[id]; got != 1 {
+			t.Errorf("%s computed %d times in one Campaign, want 1", id, got)
+		}
+		for j, f := range formats {
+			slot := out[i*len(formats)+j]
+			if len(slot[0]) == 0 {
+				t.Errorf("%s (%s) rendered nothing", id, f)
+			}
+			for k := 1; k < len(slot); k++ {
+				if !bytes.Equal(slot[k], slot[0]) {
+					t.Errorf("%s (%s): render %d differs from render 0", id, f, k)
+				}
+			}
+		}
+	}
+	if runs := c.StudyRuns(); len(runs) != 0 {
+		t.Errorf("ad hoc renders ran studies: %v", runs)
+	}
+}
+
+// TestEveryIDRendersIdenticallyTwice renders the whole catalog twice on one
+// Campaign: the second pass reads only memoized results and must give the
+// first pass's bytes.
+func TestEveryIDRendersIdenticallyTwice(t *testing.T) {
+	c, err := NewCampaign(campaignOptions("B3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() []string {
+		out := make([]string, 0, len(registry))
+		for _, e := range registry {
+			var buf bytes.Buffer
+			enc, err := NewEncoder(FormatJSON, &buf)
+			if err == nil {
+				err = c.Run(t.Context(), e.ID, enc)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			out = append(out, buf.String())
+		}
+		return out
+	}
+	first, second := render(), render()
+	for i, e := range registry {
+		if first[i] != second[i] {
+			t.Errorf("%s: second render differs from the first", e.ID)
+		}
+	}
+}
+
+// TestCampaignAdHocCancellationIsNotMemoized: an ad hoc render under a
+// canceled context fails with the cancellation, and the next render with a
+// live context computes instead of replaying it.
+func TestCampaignAdHocCancellationIsNotMemoized(t *testing.T) {
+	c, err := NewCampaign(campaignOptions("B3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	var buf bytes.Buffer
+	if err := c.Run(ctx, "ext-power", NewTextEncoder(&buf)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled render returned %v, want context.Canceled", err)
+	}
+	for i := 0; i < 2; i++ {
+		buf.Reset()
+		if err := c.Run(t.Context(), "ext-power", NewTextEncoder(&buf)); err != nil {
+			t.Fatalf("render %d after cancellation: %v", i, err)
+		}
+		if !strings.Contains(buf.String(), "B3") {
+			t.Errorf("render %d after cancellation:\n%s", i, buf.String())
+		}
+	}
+	if got := c.adhocRuns["ext-power"]; got != 2 {
+		t.Errorf("ext-power computed %d times, want 2 (canceled attempt + one live)", got)
+	}
+}
+
+// TestCampaignsShareOneWaveformSimulation: the Fig. 8a/9a traces take no
+// options, so two Campaigns at different options, asking at once, get the
+// very same traces (one simulation per process), while each still counts
+// its own study run.
+func TestCampaignsShareOneWaveformSimulation(t *testing.T) {
+	var traces [2]Waveforms
+	var wg sync.WaitGroup
+	for i, seed := range []uint64{2022, 7} {
+		o := campaignOptions("B3")
+		o.Seed = seed
+		c, err := NewCampaign(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2 {
+				wf, err := c.SpiceWaveforms(t.Context())
+				if err != nil {
+					t.Errorf("campaign %d: %v", i, err)
+					return
+				}
+				traces[i] = wf
+			}
+			if got := c.StudyRuns()[StudyWaveforms]; got != 1 {
+				t.Errorf("campaign %d ran the waveform study %d times, want 1", i, got)
+			}
+		}()
+	}
+	wg.Wait()
+	a, b := traces[0], traces[1]
+	if len(a.Times) == 0 || len(a.Times[0]) == 0 || len(b.Times) == 0 || len(b.Times[0]) == 0 {
+		t.Fatalf("empty traces: %d and %d levels", len(a.Times), len(b.Times))
+	}
+	if &a.Times[0][0] != &b.Times[0][0] || &a.Cell[0][0] != &b.Cell[0][0] {
+		t.Error("two Campaigns simulated the waveforms separately, want one shared simulation")
+	}
+}
+
 // TestCampaignStandaloneAblationUsesSharedStudy pins the descriptor
 // contract: abl-defense declares StudyRowHammer, so running it alone must
 // execute that study (once), not a private side sweep.

@@ -42,7 +42,19 @@ func (t *Tester) WithContext(ctx context.Context) *Tester {
 // interrupted reports the context's error, if any. The characterization
 // loops call it at iteration boundaries so cancellation never tears a
 // single DRAM command apart.
-func (t *Tester) interrupted() error { return t.ctx.Err() }
+func (t *Tester) interrupted() error { return ctxErr(t.ctx) }
+
+// ctxErr returns ctx.Err() once ctx is done and nil before. It polls Done
+// without blocking, so a live context is never locked: Err takes the
+// context's mutex, which every worker of a study's pool polls.
+func ctxErr(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
 
 // Controller returns the underlying controller.
 func (t *Tester) Controller() *softmc.Controller { return t.ctrl }
@@ -212,7 +224,7 @@ func hcFirstSearch(ctx context.Context, cfg Config, measure func(hc int) (float6
 	hc := cfg.RefHC
 	step := cfg.InitialHCStep
 	for step > cfg.MinHCStep {
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return 0, err
 		}
 		berMax, err := measure(hc)
@@ -245,7 +257,7 @@ func hcFirstSearch(ctx context.Context, cfg Config, measure func(hc int) (float6
 		// reach flips, the row is stronger than the search resolution; the
 		// ceiling estimate is all Alg. 1 can report.
 		for i := 0; i < verifyWalkSteps; i++ {
-			if err := ctx.Err(); err != nil {
+			if err := ctxErr(ctx); err != nil {
 				return 0, err
 			}
 			berMax, err = measure(hc + grain)
@@ -261,7 +273,7 @@ func hcFirstSearch(ctx context.Context, cfg Config, measure func(hc int) (float6
 	}
 	// Overshoot: step down while the next lower grid point still flips.
 	for i := 0; i < verifyWalkSteps && hc > grain; i++ {
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return 0, err
 		}
 		below, err := measure(hc - grain)

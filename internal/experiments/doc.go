@@ -23,8 +23,9 @@
 // adaptively with crossings quantized onto the fixed 25 ps grid (identical
 // values to fixed-grid integration — see internal/spice). The fixed grid
 // itself only samples the Fig. 8a/9a waveforms. The waveform study is
-// deliberately not sharded: it is one cheap deterministic simulation
-// (RunWaveforms), recomputed locally by whichever process renders.
+// deliberately not sharded: it is one cheap deterministic simulation that
+// takes no options (RunWaveforms), computed once by whichever process
+// renders and shared by every Campaign in it.
 //
 // # Aggregation invariants
 //

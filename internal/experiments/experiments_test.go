@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/core"
@@ -494,6 +495,65 @@ func TestOptionsValidateRejectsUnknownModules(t *testing.T) {
 	o.ModuleNames = nil
 	if err := o.Validate(); err != nil {
 		t.Fatalf("empty module list rejected: %v", err)
+	}
+}
+
+// cancelAfter is a live context whose Err starts reporting
+// context.Canceled after n calls: a cancellation that lands mid-simulation.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestWaveformMemoKeepsOnlyCompletedSimulations pins the process-wide
+// waveform memo: a simulation canceled part way is not kept, a completed one
+// is shared by every later call, and a canceled context still gets its
+// error once the traces are memoized.
+func TestWaveformMemoKeepsOnlyCompletedSimulations(t *testing.T) {
+	memoDone := func() bool {
+		waveformMemo.mu.Lock()
+		defer waveformMemo.mu.Unlock()
+		return waveformMemo.done
+	}
+	waveformMemo.mu.Lock()
+	waveformMemo.done, waveformMemo.wf = false, Waveforms{}
+	waveformMemo.mu.Unlock()
+
+	mid := &cancelAfter{Context: t.Context()}
+	mid.n.Store(3) // the entry check and two levels pass, the third is canceled
+	if _, err := RunWaveforms(mid); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-simulation cancellation returned %v, want context.Canceled", err)
+	}
+	if memoDone() {
+		t.Fatal("a canceled simulation was memoized")
+	}
+
+	a, err := RunWaveforms(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunWaveforms(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.VPP) != len(spiceSweepVPPs) || !memoDone() {
+		t.Fatalf("live simulation: %d levels, memoized %v", len(a.VPP), memoDone())
+	}
+	if &a.Bitline[0][0] != &b.Bitline[0][0] {
+		t.Error("the second call simulated again instead of reading the memo")
+	}
+
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if _, err := RunWaveforms(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled context with the memo filled: %v, want context.Canceled", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"github.com/dramstudy/rhvpp/internal/report"
 	"github.com/dramstudy/rhvpp/internal/spice"
@@ -37,8 +38,36 @@ type Waveforms struct {
 	Cell    [][]float64
 }
 
-// RunWaveforms simulates the activation waveform at each VPP level.
+// waveformMemo keeps the one waveform simulation a process needs: the
+// traces depend on no option, so every Campaign renders the same ones.
+// Only a completed simulation is kept, and callers only read its slices.
+var waveformMemo struct {
+	mu   sync.Mutex
+	done bool
+	wf   Waveforms
+}
+
+// RunWaveforms returns the activation waveform at each VPP level, simulated
+// once per process. A canceled ctx gets its error even when the traces are
+// already memoized, and a canceled simulation is not kept.
 func RunWaveforms(ctx context.Context) (Waveforms, error) {
+	if err := ctx.Err(); err != nil {
+		return Waveforms{}, err
+	}
+	waveformMemo.mu.Lock()
+	defer waveformMemo.mu.Unlock()
+	if !waveformMemo.done {
+		wf, err := simulateWaveforms(ctx)
+		if err != nil {
+			return wf, err
+		}
+		waveformMemo.wf, waveformMemo.done = wf, true
+	}
+	return waveformMemo.wf, nil
+}
+
+// simulateWaveforms integrates the activation at each VPP level.
+func simulateWaveforms(ctx context.Context) (Waveforms, error) {
 	var wf Waveforms
 	for _, vpp := range spiceSweepVPPs {
 		if err := ctx.Err(); err != nil {

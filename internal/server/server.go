@@ -40,8 +40,8 @@ import (
 var ErrDraining = errors.New("rhvpp: server is draining, not accepting new campaigns")
 
 // defaultSessionCap bounds how many completed campaigns stay memoized in
-// memory; beyond it the oldest session is dropped (its artifact remains in
-// the store, so re-requesting it is a disk hit, not a recompute).
+// memory; beyond it the least recently used session is dropped (its artifact
+// remains in the store, so re-requesting it is a disk hit, not a recompute).
 const defaultSessionCap = 8
 
 // ComputeFunc produces a campaign for validated options, reporting per-unit
@@ -66,7 +66,7 @@ type Config struct {
 }
 
 // Server is the serve API's state: the singleflight table of in-flight
-// computations and the FIFO cache of completed campaigns.
+// computations and the least-recently-used cache of completed campaigns.
 type Server struct {
 	base       rhvpp.Options
 	store      *rhvpp.ArtifactStore
@@ -76,7 +76,7 @@ type Server struct {
 	mu       sync.Mutex
 	flights  map[string]*flight  // fingerprint → in-flight computation
 	sessions map[string]*session // fingerprint → completed campaign
-	order    []string            // session insertion order, for FIFO eviction
+	order    []string            // sessions from least to most recently used
 	draining bool
 
 	computations atomic.Int64 // campaigns actually computed
@@ -157,6 +157,7 @@ func (s *Server) campaignFor(ctx context.Context, o rhvpp.Options) (c *rhvpp.Cam
 			return nil, "", fp, ErrDraining
 		}
 		if sess, ok := s.sessions[fp]; ok {
+			s.touch(fp)
 			s.mu.Unlock()
 			s.memHits.Add(1)
 			return sess.camp, "mem", fp, nil
@@ -194,6 +195,18 @@ func (s *Server) campaignFor(ctx context.Context, o rhvpp.Options) (c *rhvpp.Cam
 		case <-ctx.Done():
 			s.leave(fl)
 			return nil, "", fp, ctx.Err()
+		}
+	}
+}
+
+// touch moves a live session to the most recently used end of s.order.
+// The caller holds s.mu.
+func (s *Server) touch(fp string) {
+	for i, o := range s.order {
+		if o == fp {
+			copy(s.order[i:], s.order[i+1:])
+			s.order[len(s.order)-1] = fp
+			return
 		}
 	}
 }
@@ -238,7 +251,8 @@ func (fl *flight) run(s *Server) {
 }
 
 // finish retires a completed flight: it leaves the flight table, a
-// successful result joins the session cache (evicting FIFO beyond the cap),
+// successful result joins the session cache (evicting the least recently
+// used session beyond the cap),
 // and the hit counters advance. done closes last, after the result fields
 // are set, so waiters woken by it read consistent state.
 func (s *Server) finish(fl *flight) {
@@ -311,7 +325,8 @@ type Stats struct {
 	MemHits      int64 `json:"mem_hits"`
 	// InFlight lists running computations in fingerprint order.
 	InFlight []FlightStatus `json:"in_flight"`
-	// Sessions lists the memoized completed campaigns, oldest first.
+	// Sessions lists the memoized completed campaigns, least recently used
+	// first.
 	Sessions []string `json:"sessions"`
 	// Draining reports whether shutdown has begun.
 	Draining bool `json:"draining"`

@@ -515,16 +515,31 @@ func TestCatalogAndProgress(t *testing.T) {
 	}
 }
 
-// TestSessionCacheEvictsFIFO fills the session cache past its cap and
-// checks the oldest campaign fell out while the newest survive.
-func TestSessionCacheEvictsFIFO(t *testing.T) {
+// TestSessionCacheEvictsLeastRecentlyUsed fills the session cache past its
+// cap after re-reading its oldest entry: the read must move that campaign to
+// the back, so the one evicted is the least recently used, not the oldest.
+func TestSessionCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	g := newGatedCompute()
 	close(g.release) // no gating; computations complete immediately
 	srv, hs := newTestServer(t, Config{Base: tinyOptions(), Compute: g.fn, SessionCap: 2})
-	for seed := 1; seed <= 3; seed++ {
-		code, body, _ := get(t, hs.URL+fmt.Sprintf("/v1/experiments/table1?seed=%d", seed))
+	fetch := func(seed int) string {
+		t.Helper()
+		code, body, hdr := get(t, hs.URL+fmt.Sprintf("/v1/experiments/table1?seed=%d", seed))
 		if code != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, code, body)
+		}
+		return hdr.Get("X-Rhvpp-Cache")
+	}
+	for i, want := range []struct {
+		seed  int
+		cache string
+	}{
+		{1, "compute"}, {2, "compute"},
+		{1, "mem"},     // seed 1 is now the most recently used
+		{3, "compute"}, // evicts seed 2, the least recently used
+	} {
+		if got := fetch(want.seed); got != want.cache {
+			t.Fatalf("request %d (seed %d): cache %q, want %q", i, want.seed, got, want.cache)
 		}
 	}
 	st := srv.Stats()
@@ -534,12 +549,12 @@ func TestSessionCacheEvictsFIFO(t *testing.T) {
 	if st.Computations != 3 {
 		t.Errorf("computations = %d, want 3", st.Computations)
 	}
-	// Re-requesting the evicted campaign recomputes; the cached ones don't.
-	if _, _, hdr := get(t, hs.URL+"/v1/experiments/table1?seed=3"); hdr.Get("X-Rhvpp-Cache") != "mem" {
-		t.Errorf("newest session evicted: cache %q", hdr.Get("X-Rhvpp-Cache"))
+	// Seed 1 survived because it was read; seed 2 fell out and recomputes.
+	if got := fetch(1); got != "mem" {
+		t.Errorf("recently read session evicted: cache %q", got)
 	}
-	if _, _, hdr := get(t, hs.URL+"/v1/experiments/table1?seed=1"); hdr.Get("X-Rhvpp-Cache") != "compute" {
-		t.Errorf("oldest session survived a full cache: cache %q", hdr.Get("X-Rhvpp-Cache"))
+	if got := fetch(2); got != "compute" {
+		t.Errorf("least recently used session survived a full cache: cache %q", got)
 	}
 }
 

@@ -222,11 +222,11 @@ func BenchmarkSection61Guardband(b *testing.B) {
 	b.ReportMetric(reduction*100, "guardband-reduction-pct")
 }
 
-// BenchmarkTransientStep compares the engines' cost per base-grid cell: the
-// adaptive default (error-controlled coarse steps through the quiescent
-// stretches), the incremental engine pinned to the fixed grid, and the dense
-// finite-difference reference. "ns/step" is wall time divided by base cells
-// covered, so the adaptive figure folds the step-count reduction in.
+// BenchmarkTransientStep compares the engine's cost per base-grid cell in
+// its two stepping modes: the adaptive default (error-controlled coarse
+// steps through the quiescent stretches) and the fixed grid. "ns/step" is
+// wall time divided by base cells covered, so the adaptive figure folds the
+// step-count reduction in.
 func BenchmarkTransientStep(b *testing.B) {
 	fixed := func(p spice.CellParams, probe spice.Probe) (spice.ActivationResult, error) {
 		p.Adaptive = false
@@ -238,7 +238,6 @@ func BenchmarkTransientStep(b *testing.B) {
 	}{
 		{"adaptive", spice.SimulateActivation},
 		{"incremental-fixed-grid", fixed},
-		{"dense-reference", spice.SimulateActivationReference},
 	}
 	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {

@@ -1,6 +1,6 @@
 // Command spicebench measures the SPICE solver's headline throughput —
-// transient step cost against the dense finite-difference reference, and
-// Monte-Carlo runs per second — and writes a JSON snapshot. CI runs it on every change so the perf trajectory of the
+// transient step cost and Monte-Carlo runs per second — and writes a JSON
+// snapshot. CI runs it on every change so the perf trajectory of the
 // hottest path in the repository is recorded next to the code
 // (BENCH_spice.json at the repository root holds the latest committed
 // snapshot).
@@ -37,9 +37,6 @@ type Snapshot struct {
 	// folds the coarse-stepping reduction in.
 	StepNSAdaptive    float64 `json:"transient_step_ns_adaptive"`
 	StepNSIncremental float64 `json:"transient_step_ns_incremental"`
-	StepNSReference   float64 `json:"transient_step_ns_reference"`
-	StepSpeedup       float64 `json:"transient_step_speedup"`
-	StepSpeedupAdapt  float64 `json:"transient_step_speedup_adaptive"`
 
 	// Adaptive step-count reduction over the Fig. 8a/9a sweep (all nine
 	// VPP levels): implicit solves saved overall, and cells-per-solve on
@@ -143,7 +140,7 @@ func measure(runs, jobs int) (Snapshot, error) {
 		MCJobs:    jobs,
 	}
 
-	// Transient step cost: one full nominal-VPP activation per engine,
+	// Transient step cost: one full nominal-VPP activation per stepping mode,
 	// repeated until the measurement is stable enough to quote.
 	var err error
 	snap.StepNSAdaptive, err = stepCost(spice.SimulateActivation)
@@ -154,12 +151,6 @@ func measure(runs, jobs int) (Snapshot, error) {
 	if err != nil {
 		return snap, err
 	}
-	snap.StepNSReference, err = stepCost(spice.SimulateActivationReference)
-	if err != nil {
-		return snap, err
-	}
-	snap.StepSpeedup = ratio(snap.StepNSReference, snap.StepNSIncremental)
-	snap.StepSpeedupAdapt = ratio(snap.StepNSReference, snap.StepNSAdaptive)
 
 	snap.AdaptiveStepReduction, snap.AdaptiveQuiescentReduction, err = adaptiveReduction()
 	if err != nil {

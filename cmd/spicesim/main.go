@@ -31,8 +31,8 @@ func main() {
 		step := 0
 		p := spice.DefaultCellParams(*vpp)
 		// The printed trace decimates assuming uniform 25 ps samples, so
-		// integrate the dense fixed grid (adaptive stepping probes only at
-		// accepted, non-uniformly spaced endpoints).
+		// integrate every cell of the fixed grid (adaptive stepping probes
+		// only at accepted, non-uniformly spaced endpoints).
 		p.Adaptive = false
 		_, err := spice.SimulateActivation(p, func(tNS, vbl, vcell float64) {
 			if step%20 == 0 {

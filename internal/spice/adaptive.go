@@ -170,9 +170,7 @@ type adaptiveStepper struct {
 // three-point Newton predictor until its next Reset. The engine must be at
 // t=0 on its base grid (freshly constructed or Reset).
 func (tr *Transient) newAdaptiveStepper(horizon float64) adaptiveStepper {
-	if tr.red != nil {
-		tr.red.quadratic = true
-	}
+	tr.red.quadratic = true
 	if tr.ad == nil {
 		tr.ad = &adaptiveScratch{
 			prev:  tr.newState(),
@@ -379,14 +377,12 @@ func (st *adaptiveStepper) coarseStep() (int, error) {
 		}
 		st.pairLTE, st.pairAge, st.decayAccum = lte, 0, 1
 		st.alpha = blendAlpha(m, st.decayRate)
-		if r := tr.red; r != nil {
-			for i, n := range r.nodes {
-				vh, vf := tr.v[n-1], tr.ad.vFull[n-1]
-				tr.ad.errC[n-1] = vh - vf // -C*h/2 per node, cached for trusted steps
-				ext := vh + st.alpha*(vh-vf)
-				tr.v[n-1] = ext
-				r.xPrev[i] = ext
-			}
+		for i, n := range tr.red.nodes {
+			vh, vf := tr.v[n-1], tr.ad.vFull[n-1]
+			tr.ad.errC[n-1] = vh - vf // -C*h/2 per node, cached for trusted steps
+			ext := vh + st.alpha*(vh-vf)
+			tr.v[n-1] = ext
+			tr.red.xPrev[i] = ext
 		}
 		st.trustLeft = trustedSteps
 		st.rejStreak = 0
@@ -426,7 +422,7 @@ func (st *adaptiveStepper) coarseStep() (int, error) {
 func (st *adaptiveStepper) trustedAccept(m int) bool {
 	tr := st.tr
 	r := tr.red
-	if r == nil || st.trustLeft <= 0 || st.histM != m || st.histN < 2 {
+	if st.trustLeft <= 0 || st.histM != m || st.histN < 2 {
 		return false
 	}
 	// The pair path accepts half + alpha*(half-full); in terms of the

@@ -106,7 +106,10 @@ func TestEngineStateRoundTripsPredictorHistory(t *testing.T) {
 	p := DefaultCellParams(2.0)
 	ckt, _, _ := buildCellCircuit(p)
 	base := p.StepPS * 1e-12
-	tr := NewTransient(ckt, base)
+	tr, err := NewTransient(ckt, base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr.newAdaptiveStepper(p.MaxNS * 1e-9)
 	// Mid-ramp, with three unequal spacings in the history, so every
 	// coefficient of the quadratic predictor matters.
@@ -171,7 +174,7 @@ func TestAdaptiveMatchesReference(t *testing.T) {
 		p := DefaultCellParams(vpp)
 		refBL := make(map[float64]float64)
 		refCell := make(map[float64]float64)
-		if _, err := SimulateActivationReference(p, func(tNS, vbl, vcell float64) {
+		if _, err := simulateActivationReference(p, func(tNS, vbl, vcell float64) {
 			refBL[tNS] = vbl
 			refCell[tNS] = vcell
 		}); err != nil {

@@ -52,15 +52,65 @@ func b2i(b bool) int {
 	return 0
 }
 
+// mustTransient builds the engine for the circuit, failing the test if it
+// is not the Table 2 netlist.
+func mustTransient(t *testing.T, c *Circuit, dt float64) *Transient {
+	t.Helper()
+	tr, err := NewTransient(c, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// freshReduced returns the reduced system of a new engine over the circuit,
+// restamped at step size dt with the Newton history primed from the node
+// voltages v.
+func freshReduced(t *testing.T, c *Circuit, dt float64, v []float64) *reduced {
+	t.Helper()
+	r := mustTransient(t, c, dt).red
+	r.restamp(c, dt, v)
+	return r
+}
+
+// loadStepGeneric is the per-step pass written for any reduced netlist, over
+// the circuit's sources and capacitors in circuit order: the oracle of
+// loadStep's fixed rows. Every source of the cell has its negative terminal
+// on ground.
+func loadStepGeneric(r *reduced, c *Circuit, tNext float64, v []float64) {
+	for _, s := range c.sources {
+		r.vdrv[s.pos-1] = s.wave.At(tNext)
+	}
+	for i := range r.zStep {
+		r.zStep[i] = 0
+	}
+	at := func(node int) float64 {
+		if node == Ground {
+			return 0
+		}
+		return v[node-1]
+	}
+	for ci, cp := range c.caps {
+		ieq := r.gCap[ci] * (at(cp.a) - at(cp.b))
+		if ra := r.reducedOf(cp.a); ra >= 0 {
+			r.zStep[ra] += ieq
+		}
+		if rb := r.reducedOf(cp.b); rb >= 0 {
+			r.zStep[rb] -= ieq
+		}
+	}
+}
+
 // TestCellIterMatchesGeneric pins the fixed-slot kernel to the generic
 // copy-stamp-solve path bit for bit. Each trial switches the step size,
 // draws a node history, a source time and a Newton iterate, and overrides
 // the driven levels at random, so the five devices visit cutoff, triode and
 // saturation in both orientations, NMOS and PMOS. The oracle is a reduced
-// engine built fresh from the circuit at that step size and forced onto the
-// generic path: the per-step pass must match it exactly (a value left stale
-// by setDt or restamp shows here), and one kernel iteration must leave the
-// same iterate and convergence norm as solveGeneric followed by update.
+// system built fresh from the circuit at that step size, loaded by the
+// generic per-step pass loadStepGeneric: the per-step pass must match it
+// exactly (a value left stale by setDt or restamp shows here), and one
+// kernel iteration must leave the same iterate and convergence norm as
+// solveGeneric.
 // Random states far from a real activation trip the pivot guards on a
 // minority of iterations; a declined iteration must leave the iterate
 // untouched.
@@ -71,11 +121,8 @@ func TestCellIterMatchesGeneric(t *testing.T) {
 		return Vary(DefaultCellParams(1.7+0.1*float64(run%9)), root.Derive("run", run), 0.05)
 	}
 	ckt, nodes, waves := buildCellCircuit(params(0))
-	tr := NewTransient(ckt, 25e-12)
+	tr := mustTransient(t, ckt, 25e-12)
 	r := tr.red
-	if r == nil || !r.cell {
-		t.Fatal("the Table 2 netlist did not select the cell kernel")
-	}
 	const trials = 3000
 	seen := map[[3]int]bool{}
 	trips := 0
@@ -92,9 +139,8 @@ func TestCellIterMatchesGeneric(t *testing.T) {
 		tNext := src.Float64() * 10e-9
 		r.loadStep(tNext, tr.v)
 
-		ref := newReduced(ckt, tr.nv, dt, tr.v)
-		ref.cell = false
-		ref.loadStep(tNext, tr.v)
+		ref := freshReduced(t, ckt, dt, tr.v)
+		loadStepGeneric(ref, ckt, tNext, tr.v)
 		if !bitsEqual(r.gStatic, ref.gStatic) || !bitsEqual(r.zStep, ref.zStep) || !bitsEqual(r.vdrv, ref.vdrv) {
 			t.Fatalf("trial %d (dt %g): per-step state differs from a fresh engine", trial, dt)
 		}
@@ -120,10 +166,10 @@ func TestCellIterMatchesGeneric(t *testing.T) {
 
 		before := append([]float64(nil), r.newt...)
 		got, ok := r.cellIter()
-		if err := ref.solveGeneric(); err != nil {
+		want, err := ref.solveGeneric()
+		if err != nil {
 			t.Fatalf("trial %d: generic solve: %v", trial, err)
 		}
-		want := ref.update()
 		if !ok {
 			trips++
 			if !bitsEqual(r.newt, before) {
@@ -211,9 +257,6 @@ func TestHoistedCellValuesMatchFreshComputation(t *testing.T) {
 	}
 	tr := ws.tr
 	r := tr.red
-	if r == nil || !r.cell {
-		t.Fatal("the Table 2 netlist did not select the cell kernel")
-	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	var (
 		solves, weighted, recomputed, settled, ramping int
@@ -237,10 +280,7 @@ func TestHoistedCellValuesMatchFreshComputation(t *testing.T) {
 		dts[tr.dt] = true
 		tNext := tr.t + tr.dt
 
-		ref := newReduced(ws.ckt, tr.nv, tr.dt, tr.v)
-		if !ref.cell {
-			t.Fatal("fresh engine did not select the cell kernel")
-		}
+		ref := freshReduced(t, ws.ckt, tr.dt, tr.v)
 		if !bitsEqual(r.gStatic, ref.gStatic) || !bitsEqual(r.gCap, ref.gCap) || *r.rows != *ref.rows {
 			fail("static system or device-free rows differ from a fresh engine at this step size")
 		}
@@ -261,8 +301,7 @@ func TestHoistedCellValuesMatchFreshComputation(t *testing.T) {
 				ramping++
 			}
 		}
-		ref.cell = false // the generic per-step pass as the oracle
-		ref.loadStep(tNext, tr.v)
+		loadStepGeneric(ref, ws.ckt, tNext, tr.v)
 		if !bitsEqual(r.zStep, ref.zStep) {
 			fail("per-step right-hand side %v, fresh %v", r.zStep, ref.zStep)
 		}
@@ -289,8 +328,8 @@ func TestHoistedCellValuesMatchFreshComputation(t *testing.T) {
 		for i, n := range r.nodes {
 			after[n-1] = r.newt[i]
 		}
-		for _, d := range r.driven {
-			after[d.node-1] = r.vdrv[d.node-1]
+		for _, s := range r.cellSrc {
+			after[s.node] = r.vdrv[s.node]
 		}
 		wantMoved = 0
 		for i := range after {

@@ -138,58 +138,10 @@ var ErrSingular = errors.New("spice: singular MNA matrix")
 // ErrNoConverge is returned when Newton iteration fails to converge.
 var ErrNoConverge = errors.New("spice: Newton iteration did not converge")
 
-// solveDense performs Gaussian elimination with partial pivoting in place.
-// a is an n x n matrix in row-major order; b the right-hand side.
-func solveDense(a []float64, b []float64, n int) error {
-	if n == 6 {
-		return solve6(a, b)
-	}
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot := col
-		max := abs(a[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if v := abs(a[r*n+col]); v > max {
-				pivot, max = r, v
-			}
-		}
-		if max < 1e-18 {
-			return fmt.Errorf("%w (column %d)", ErrSingular, col) //detlint:ignore hotalloc error path, never taken by a solvable system
-		}
-		if pivot != col {
-			for k := col; k < n; k++ {
-				a[col*n+k], a[pivot*n+k] = a[pivot*n+k], a[col*n+k]
-			}
-			b[col], b[pivot] = b[pivot], b[col]
-		}
-		inv := 1 / a[col*n+col]
-		for r := col + 1; r < n; r++ {
-			f := a[r*n+col] * inv
-			if f == 0 {
-				continue
-			}
-			for k := col; k < n; k++ {
-				a[r*n+k] -= f * a[col*n+k]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	for r := n - 1; r >= 0; r-- {
-		sum := b[r]
-		for k := r + 1; k < n; k++ {
-			sum -= a[r*n+k] * b[k]
-		}
-		b[r] = sum / a[r*n+r]
-	}
-	return nil
-}
-
-// solve6 is solveDense specialized to the reduced DRAM-cell system's n=6:
-// the same partial-pivot elimination performing the identical sequence of
-// float operations (so results are bit-for-bit equal to the generic path),
-// but over fixed-size array views with constant loop bounds, which lets the
-// compiler drop every bounds check and unroll the inner updates — this is
-// the single hottest function of the Monte-Carlo campaign.
+// solve6 is the partial-pivot Gaussian elimination of the reduced cell
+// system's six unknowns, in place: a is the 6x6 matrix in row-major order, b
+// the right-hand side. Its fixed-size array views and constant loop bounds
+// let the compiler drop every bounds check and unroll the inner updates.
 func solve6(as []float64, bs []float64) error {
 	return solve6From((*[36]float64)(as), (*[6]float64)(bs), 0)
 }
@@ -270,16 +222,16 @@ func abs(x float64) float64 {
 // cellPattern6 load from the per-step-size static matrix into locals, the
 // five devices stamp into their slots in circuit order through mosDev.stamp,
 // and the structural elimination and back-substitution run on the locals,
-// handing the solution to the damped update both iteration forms share. The device-free rows 0 and 4 arrive already eliminated as
-// far as the step size and the step allow (r.rows), so the division chain
-// starts at row 1. The float operations are exactly those of the generic
-// path (solveGeneric, then update), in the same order per entry, omitting
-// only operations on exact structural zeros; solve6Cell in solve6_test.go
-// is the elimination's oracle against the partial-pivot solve. When a
-// pivot guard trips it returns ok = false WITHOUT writing anything, so the
-// caller redoes the iteration through the generic path from the same
-// inputs, which reproduces the identical elimination prefix and handles
-// the pivot exactly as solveDense always has.
+// handing the solution to update6, as solveGeneric does. The device-free
+// rows 0 and 4 arrive already eliminated as far as the step size and the
+// step allow (r.rows), so the division chain starts at row 1. The float
+// operations are exactly those of solveGeneric, in the same order per
+// entry, omitting only operations on exact structural zeros; solve6Cell in
+// solve6_test.go is the elimination's oracle against the partial-pivot
+// solve. When a pivot guard trips it returns ok = false WITHOUT writing
+// anything, so the caller redoes the iteration through solveGeneric from
+// the same inputs, which reproduces the identical elimination prefix and
+// handles the pivot by partial pivoting.
 //
 //detlint:hotpath witness=TestWorkspaceSimulateAllocs
 func (r *reduced) cellIter() (maxDelta float64, ok bool) {

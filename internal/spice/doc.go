@@ -5,40 +5,42 @@
 // cell / bitline / sense-amplifier netlist of Table 2, simulated across VPP
 // levels with Monte-Carlo parameter variation.
 //
-// The engine is general: circuits are built from resistors, capacitors,
-// piecewise-linear voltage sources, and MOSFETs, then integrated on a fixed
-// base time grid, with error-controlled adaptive coarsening through
-// quiescent stretches unless CellParams.Adaptive is false. Only the features the paper's study needs
-// are implemented — no AC analysis, no higher-order integration.
+// Circuits are built from resistors, capacitors, piecewise-linear voltage
+// sources and MOSFETs, but the transient engine (NewTransient) solves one
+// netlist: Table 2's cell, bitline and sense amplifier, the only circuit
+// the paper simulates, and returns an error for any other. It integrates on
+// a fixed base time grid, with error-controlled adaptive coarsening through
+// quiescent stretches unless CellParams.Adaptive is false. Only the
+// features the paper's study needs are implemented — no AC analysis, no
+// higher-order integration.
 //
-// # Engines and accuracy contracts
+// # Engine and accuracy contracts
 //
-// Three integration modes back one API, in decreasing cost order:
+// The engine eliminates the nodes its grounded sources pin, assembles the
+// static stamps once per step size, and runs each Newton iteration of the
+// six remaining unknowns in a fixed-slot kernel with analytic MOSFET
+// linearizations. Its accuracy is pinned to the dense finite-difference MNA
+// engine it replaced, which re-stamps the full system with
+// finite-difference Jacobians on every Newton iteration and now lives in
+// the package's tests as their oracle (dense_test.go):
 //
-//   - The dense reference engine (NewTransientReference,
-//     SimulateActivationReference) re-stamps the full MNA system with
-//     finite-difference Jacobians on every Newton iteration. It is the
-//     historical behavior, kept as the golden oracle, and always integrates
-//     every cell of the fixed grid.
-//   - The incremental engine (NewTransient) eliminates grounded-source
-//     nodes up front, assembles static stamps once, and adds only analytic
-//     MOSFET linearizations per iteration. On the fixed grid it is pinned
-//     to the reference within 1e-9 V on the Fig. 8a/9a waveforms at every
-//     sweep VPP (TestGoldenIncrementalMatchesReference).
+//   - On the fixed grid (CellParams.Adaptive false) the engine matches the
+//     oracle within 1e-9 V on the Fig. 8a/9a waveforms at every sweep VPP
+//     (TestGoldenIncrementalMatchesReference).
 //   - Adaptive stepping (CellParams.Adaptive, set by DefaultCellParams and
-//     the only Monte-Carlo stepper) drives the incremental engine with step-doubling error control,
+//     the only Monte-Carlo stepper) adds step-doubling error control,
 //     covering quiescent stretches with multi-cell coarse steps. Samples
-//     stay within AccuracyTolV of the dense reference at shared grid times,
-//     and reported threshold crossings (tRCDmin, tRASmin) are quantized
-//     onto the base grid with values BIT-IDENTICAL to fixed-grid
-//     integration across the sweep and the golden Monte-Carlo population
-//     (TestAdaptiveCrossingsMatchFixedGrid) — the invariant that keeps the
-//     campaign goldens and shard artifacts byte-stable. The same test
-//     checks 200 runs per level at seeds 2022 and 7; one of those 3,600
-//     runs, a very slow restore, crosses one cell early (knownRestoreLag).
-//     Its tolerances are fixed constants, not options. The fixed grid
-//     (Adaptive false) remains for the Fig. 8a/9a waveforms, which need
-//     uniform samples, and as the oracle of these tests.
+//     stay within AccuracyTolV of the oracle at shared grid times
+//     (TestAdaptiveMatchesReference), and reported threshold crossings
+//     (tRCDmin, tRASmin) are quantized onto the base grid with values
+//     BIT-IDENTICAL to fixed-grid integration across the sweep and the
+//     golden Monte-Carlo population (TestAdaptiveCrossingsMatchFixedGrid)
+//     — the invariant that keeps the campaign goldens and shard artifacts
+//     byte-stable. The same test checks 200 runs per level at seeds 2022
+//     and 7; one of those 3,600 runs, a very slow restore, crosses one cell
+//     early (knownRestoreLag). Its tolerances are fixed constants, not
+//     options. The fixed grid remains for the Fig. 8a/9a waveforms, which
+//     need uniform samples, and as the oracle of these tests.
 //
 // # Newton predictors
 //

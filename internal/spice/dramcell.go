@@ -113,19 +113,9 @@ type Probe func(tNS, vBitline, vCell float64)
 // SimulateActivation runs the full activation: wordline ramps to VPP at
 // t=0, charge sharing perturbs the bitline, the sense amplifier is strobed,
 // and the cell is restored through the access transistor. It returns the
-// tRCDmin / tRASmin measurements.
+// tRCDmin / tRASmin measurements. It is one run of a fresh Workspace.
 func SimulateActivation(p CellParams, probe Probe) (ActivationResult, error) {
-	return simulateActivation(p, probe, NewTransient)
-}
-
-// SimulateActivationReference runs the same activation on the dense
-// finite-difference reference engine (see NewTransientReference). It exists
-// so the golden-equivalence tests and benchmarks can compare the
-// incremental solver against the historical behavior. The reference always
-// integrates the full fixed StepPS grid — it is the accuracy oracle the
-// adaptive engine is validated against, so it never steps adaptively.
-func SimulateActivationReference(p CellParams, probe Probe) (ActivationResult, error) {
-	return simulateActivation(p, probe, NewTransientReference)
+	return NewWorkspace().Simulate(p, probe)
 }
 
 // cellNodes names the netlist's node ids, shared by the one-shot simulation
@@ -230,61 +220,86 @@ func stampCellValues(ckt *Circuit, n cellNodes, w cellWaves, p CellParams) {
 	ckt.SetInitial(n.sap, vpre)
 }
 
-// measureActivation steps the prepared engine through the activation and
-// extracts the tRCDmin / tRASmin measurements. Both the one-shot paths and
-// the reusable Workspace run exactly this loop; with adaptive stepping
-// enabled (and the incremental engine backing the analysis — the dense
-// reference always integrates the full fixed grid it is the oracle for),
-// the same measurements are driven through the error-controlled stepper.
-func measureActivation(tr *Transient, n cellNodes, p CellParams, probe Probe) (ActivationResult, error) {
-	if p.Adaptive && tr.red != nil {
-		return measureActivationAdaptive(tr, n, p, probe)
-	}
-	var res ActivationResult
-	ns := 1e-9
-	vth := p.VTHFrac * p.VDD
+// activationMeter extracts the tRCDmin / tRASmin measurements from an
+// activation's samples, fed in time order by the fixed-grid and adaptive
+// measurement loops alike.
+type activationMeter struct {
+	res     ActivationResult
+	vth     float64 // bitline read-reliability threshold
+	target  float64 // cell restoration target
+	vcell0  float64 // cell voltage before the activation
+	minCell float64 // lowest cell voltage so far
+	dipped  bool    // the cell has dipped in charge sharing
+}
+
+// newActivationMeter prepares a meter for one activation at p.
+func newActivationMeter(p CellParams) activationMeter {
 	// Restoration completes when the cell recovers to the target fraction of
 	// VDD, bounded by the saturation level the access transistor permits
 	// (approached asymptotically, hence the 50 mV tail allowance).
 	vcell0 := p.SaturationV()
-	target := math.Min(p.RestoreFrac*p.VDD, vcell0-0.05)
-	minCell := vcell0
-	dipped := false
+	return activationMeter{
+		vth:     p.VTHFrac * p.VDD,
+		target:  math.Min(p.RestoreFrac*p.VDD, vcell0-0.05),
+		vcell0:  vcell0,
+		minCell: vcell0,
+	}
+}
 
-	for tr.Time() < p.MaxNS*ns {
-		if err := tr.Step(); err != nil {
-			res.Steps.NewtonIters = tr.newtIters
-			return res, err
+// crosses reports whether a sample would record a threshold crossing.
+func (m *activationMeter) crosses(vbl, vcell float64) bool {
+	return !m.res.Reliable && vbl >= m.vth ||
+		m.dipped && !m.res.Restored && vcell >= m.target && vcell > m.minCell+0.01
+}
+
+// sample records the bitline and cell voltages at tNS and reports whether
+// both measurements are complete.
+func (m *activationMeter) sample(tNS, vbl, vcell float64) (done bool) {
+	if !m.res.Reliable && vbl >= m.vth {
+		m.res.Reliable = true
+		m.res.TRCDminNS = tNS
+	}
+	if vcell < m.minCell {
+		m.minCell = vcell
+		if vcell < m.vcell0-0.02 {
+			m.dipped = true
 		}
-		res.Steps.Cells++
-		res.Steps.Solves++
+	}
+	if m.dipped && !m.res.Restored && vcell >= m.target && vcell > m.minCell+0.01 {
+		m.res.Restored = true
+		m.res.TRASminNS = tNS
+	}
+	m.res.FinalCellV = vcell
+	return m.res.Reliable && m.res.Restored
+}
+
+// measureActivation steps the prepared engine through the activation and
+// extracts the tRCDmin / tRASmin measurements: on the fixed StepPS grid, or
+// through the error-controlled stepper when p.Adaptive is set.
+func measureActivation(tr *Transient, n cellNodes, p CellParams, probe Probe) (ActivationResult, error) {
+	if p.Adaptive {
+		return measureActivationAdaptive(tr, n, p, probe)
+	}
+	ns := 1e-9
+	m := newActivationMeter(p)
+	var err error
+	for tr.Time() < p.MaxNS*ns {
+		if err = tr.Step(); err != nil {
+			break
+		}
+		m.res.Steps.Cells++
+		m.res.Steps.Solves++
 		tNS := tr.Time() / ns
-		vbl := tr.V(n.bls)
-		vcell := tr.V(n.cellC)
+		vbl, vcell := tr.V(n.bls), tr.V(n.cellC)
 		if probe != nil {
 			probe(tNS, vbl, vcell)
 		}
-		if !res.Reliable && vbl >= vth {
-			res.Reliable = true
-			res.TRCDminNS = tNS
-		}
-		if vcell < minCell {
-			minCell = vcell
-			if vcell < vcell0-0.02 {
-				dipped = true
-			}
-		}
-		if dipped && !res.Restored && vcell >= target && vcell > minCell+0.01 {
-			res.Restored = true
-			res.TRASminNS = tNS
-		}
-		res.FinalCellV = vcell
-		if res.Reliable && res.Restored {
+		if m.sample(tNS, vbl, vcell) {
 			break
 		}
 	}
-	res.Steps.NewtonIters = tr.newtIters
-	return res, nil
+	m.res.Steps.NewtonIters = tr.newtIters
+	return m.res, err
 }
 
 // measureActivationAdaptive runs the same measurement over the
@@ -295,70 +310,34 @@ func measureActivation(tr *Transient, n cellNodes, p CellParams, probe Probe) (A
 // because the stepper's grid clock replays the fixed loop's repeated time
 // addition.
 func measureActivationAdaptive(tr *Transient, n cellNodes, p CellParams, probe Probe) (ActivationResult, error) {
-	var res ActivationResult
 	ns := 1e-9
-	vth := p.VTHFrac * p.VDD
-	vcell0 := p.SaturationV()
-	target := math.Min(p.RestoreFrac*p.VDD, vcell0-0.05)
-	minCell := vcell0
-	dipped := false
 	horizon := p.MaxNS * ns
-
+	m := newActivationMeter(p)
 	st := tr.newAdaptiveStepper(horizon)
+	var err error
 	for st.tGrid < horizon {
-		m, err := st.step()
-		if err != nil {
-			res.Steps = st.stats
-			res.Steps.NewtonIters = tr.newtIters
-			return res, err
+		var cells int
+		if cells, err = st.step(); err != nil {
+			break
+		}
+		vbl, vcell := tr.V(n.bls), tr.V(n.cellC)
+		// Crossings must be localized on the base grid, not attributed to a
+		// coarse endpoint: rewind and re-integrate the stretch.
+		if cells > 1 && m.crosses(vbl, vcell) {
+			st.rewind()
+			continue
 		}
 		tNS := st.tGrid / ns
-		vbl := tr.V(n.bls)
-		vcell := tr.V(n.cellC)
-		if m > 1 {
-			// Crossings must be localized on the base grid, not attributed
-			// to a coarse endpoint: rewind and re-integrate the stretch.
-			crossedRead := !res.Reliable && vbl >= vth
-			crossedRestore := dipped && !res.Restored && vcell >= target && vcell > minCell+0.01
-			if crossedRead || crossedRestore {
-				st.rewind()
-				continue
-			}
-		}
 		if probe != nil {
 			probe(tNS, vbl, vcell)
 		}
-		if !res.Reliable && vbl >= vth {
-			res.Reliable = true
-			res.TRCDminNS = tNS
-		}
-		if vcell < minCell {
-			minCell = vcell
-			if vcell < vcell0-0.02 {
-				dipped = true
-			}
-		}
-		if dipped && !res.Restored && vcell >= target && vcell > minCell+0.01 {
-			res.Restored = true
-			res.TRASminNS = tNS
-		}
-		res.FinalCellV = vcell
-		if res.Reliable && res.Restored {
+		if m.sample(tNS, vbl, vcell) {
 			break
 		}
 	}
-	res.Steps = st.stats
-	res.Steps.NewtonIters = tr.newtIters
-	return res, nil
-}
-
-func simulateActivation(p CellParams, probe Probe, newEngine func(*Circuit, float64) *Transient) (ActivationResult, error) {
-	if err := p.validate(); err != nil {
-		return ActivationResult{}, err
-	}
-	ckt, nodes, _ := buildCellCircuit(p)
-	tr := newEngine(ckt, p.StepPS*1e-12)
-	return measureActivation(tr, nodes, p, probe)
+	m.res.Steps = st.stats
+	m.res.Steps.NewtonIters = tr.newtIters
+	return m.res, err
 }
 
 // validate rejects parameter sets the engine cannot integrate.

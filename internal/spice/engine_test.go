@@ -30,7 +30,7 @@ func TestGoldenIncrementalMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("vpp=%v: incremental: %v", vpp, err)
 		}
-		ref, err := SimulateActivationReference(p, func(_, vbl, vcell float64) {
+		ref, err := simulateActivationReference(p, func(_, vbl, vcell float64) {
 			refBL = append(refBL, vbl)
 			refCell = append(refCell, vcell)
 		})
@@ -57,21 +57,23 @@ func TestGoldenIncrementalMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReducedEngineSelection verifies the engine choice: the DRAM-cell
-// netlist (grounded sources only) takes the incremental path and its cell
-// kernel, a floating source falls back to the dense reference, and both
-// fallbacks still solve correctly.
+// TestReducedEngineSelection verifies the engine choice: the Table 2
+// netlist builds the production engine, and any other circuit is rejected
+// with an error rather than solved some other way. The circuits the
+// reduction cannot express (a floating source, a node driven twice) and a
+// source grounded through its positive terminal still integrate as circuit
+// theory says on the dense oracle.
 func TestReducedEngineSelection(t *testing.T) {
 	c := NewCircuit()
 	a, b := c.Node("a"), c.Node("b")
 	c.V(a, b, DC(1.0)) // floating source: cannot be reduced
 	c.R(a, Ground, 1000)
 	c.R(b, Ground, 1000)
-	tr := NewTransient(c, 1e-12)
-	if tr.red != nil {
-		t.Fatal("floating source circuit took the reduced path")
+	if _, err := NewTransient(c, 1e-12); err == nil {
+		t.Error("the engine accepted a floating source")
 	}
-	if err := tr.Step(); err != nil {
+	tr := newDenseTransient(c, 1e-12)
+	if err := tr.stepDense(); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.V(a) - tr.V(b); math.Abs(got-1.0) > 1e-9 {
@@ -81,46 +83,56 @@ func TestReducedEngineSelection(t *testing.T) {
 	c2 := NewCircuit()
 	n := c2.Node("n")
 	c2.V(n, Ground, DC(1.0))
-	c2.V(n, Ground, DC(2.0)) // doubly driven: dense fallback decides
-	if tr2 := NewTransient(c2, 1e-12); tr2.red != nil {
-		t.Fatal("doubly driven node took the reduced path")
+	c2.V(n, Ground, DC(2.0)) // doubly driven: conflicting constraints
+	if _, err := NewTransient(c2, 1e-12); err == nil {
+		t.Error("the engine accepted a doubly driven node")
+	}
+	if err := newDenseTransient(c2, 1e-12).stepDense(); !errors.Is(err, ErrSingular) {
+		t.Errorf("doubly driven node: dense step returned %v, want ErrSingular", err)
 	}
 
 	c3 := NewCircuit()
 	m := c3.Node("m")
 	c3.V(Ground, m, DC(1.0)) // grounded through the negative terminal
 	c3.R(m, Ground, 1000)
-	tr3 := NewTransient(c3, 1e-12)
-	if tr3.red == nil {
-		t.Fatal("negative-terminal grounded source should reduce")
+	if _, err := NewTransient(c3, 1e-12); err == nil {
+		t.Error("the engine accepted a circuit other than the cell netlist")
 	}
-	if err := tr3.Step(); err != nil {
+	tr3 := newDenseTransient(c3, 1e-12)
+	if err := tr3.stepDense(); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr3.V(m); math.Abs(got+1.0) > 1e-9 {
 		t.Errorf("V = %v, want -1.0", got)
 	}
 
-	// The Table 2 netlist selects the fixed-slot kernel. The same devices
-	// in another order do not (the kernel's summation order is fixed), nor
-	// does a resistor outside cellPattern6 or one to a driven node (its term
-	// would ride in gDriven, which the kernel's per-size statics omit).
+	// The Table 2 netlist builds the engine. The same devices in another
+	// order do not (the kernel's summation order is fixed), nor does a
+	// resistor outside cellPattern6 or one to a driven node (the static
+	// system has no place for a term on a driven node).
 	cell := func(edit func(*Circuit, cellNodes)) bool {
 		ckt, n, _ := buildCellCircuit(DefaultCellParams(2.5))
 		edit(ckt, n)
-		return NewTransient(ckt, 25e-12).red.cell
+		_, err := NewTransient(ckt, 25e-12)
+		return err == nil
 	}
 	if !cell(func(*Circuit, cellNodes) {}) {
-		t.Error("the Table 2 netlist did not select the cell kernel")
+		t.Error("the Table 2 netlist was rejected")
 	}
 	if cell(func(c *Circuit, _ cellNodes) { c.mosfets[1], c.mosfets[3] = c.mosfets[3], c.mosfets[1] }) {
-		t.Error("a reordered sense amplifier selected the cell kernel")
+		t.Error("a reordered sense amplifier was accepted")
 	}
 	if cell(func(c *Circuit, n cellNodes) { c.R(n.cellC, n.bls, 1e6) }) {
-		t.Error("a resistor outside the cell pattern selected the cell kernel")
+		t.Error("a resistor outside the cell pattern was accepted")
 	}
 	if cell(func(c *Circuit, n cellNodes) { c.R(n.bls, n.san, 1e6) }) {
-		t.Error("a resistor to a driven node selected the cell kernel")
+		t.Error("a resistor to a driven node was accepted")
+	}
+	if cell(func(c *Circuit, n cellNodes) { c.caps[1].b = n.bls }) {
+		t.Error("a bitline capacitor that is not grounded was accepted")
+	}
+	if cell(func(c *Circuit, n cellNodes) { c.sources[0].wave = DC(2.5) }) {
+		t.Error("a wordline source that is not piecewise-linear was accepted")
 	}
 }
 

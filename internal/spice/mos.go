@@ -24,52 +24,6 @@ type MOSParams struct {
 	Lambda float64
 }
 
-// eval computes the drain current and small-signal conductances of the
-// device at terminal voltages (vd, vg, vs), all referred to ground. The
-// returned current flows into the drain terminal. Source/drain are swapped
-// internally when the applied polarity is reversed (symmetric device).
-func (p MOSParams) eval(vd, vg, vs float64) (id, gm, gds float64) {
-	if p.Type == PMOS {
-		// Evaluate the dual NMOS with mirrored voltages.
-		n := p
-		n.Type = NMOS
-		id, gm, gds = n.eval(-vd, -vg, -vs)
-		return -id, gm, gds
-	}
-
-	sign := 1.0
-	if vd < vs {
-		vd, vs = vs, vd
-		sign = -1
-	}
-	vgs := vg - vs
-	vds := vd - vs
-	vov := vgs - p.VT0
-
-	const gmin = 1e-12 // leakage floor for Newton stability
-	beta := p.KP * p.W / p.L
-	switch {
-	case vov <= 0:
-		// Cutoff: only the stability floor conducts.
-		id = gmin * vds
-		gds = gmin
-		gm = 0
-	case vds < vov:
-		// Triode region.
-		clm := 1 + p.Lambda*vds
-		id = beta * (vov*vds - vds*vds/2) * clm
-		gm = beta * vds * clm
-		gds = beta*(vov-vds)*clm + beta*(vov*vds-vds*vds/2)*p.Lambda + gmin
-	default:
-		// Saturation.
-		clm := 1 + p.Lambda*vds
-		id = beta / 2 * vov * vov * clm
-		gm = beta * vov * clm
-		gds = beta/2*vov*vov*p.Lambda + gmin
-	}
-	return sign * id, gm, gds
-}
-
 // mosDev is one MOSFET's evaluation constants, folded once per run: the
 // reduced engine stores one per device on every restamp, so the Newton
 // iterations never recompute β = KP·W/L.
@@ -93,10 +47,12 @@ func (p *MOSParams) dev() mosDev {
 // linearization needs one model evaluation per device instead of the four a
 // finite-difference Jacobian costs.
 //
-// The body is eval flattened into a single call-free function: the float
-// operations are identical to eval's, in the same order, so the results are
-// bit-for-bit equal. It is the one device evaluation of the reduced engine,
-// called by both the generic stamps and the fixed-slot cell kernel.
+// The body is the level-1 model (MOSParams.eval, the device model of the
+// dense oracle in dense_test.go) flattened into a single call-free
+// function: the float operations are identical to eval's, in the same
+// order, so the results are bit-for-bit equal. It is the engine's one
+// device evaluation, called by both the fixed-slot cell kernel and the
+// fallback stamp.
 func (d *mosDev) stamp(vd, vg, vs float64) (id, gdd, gdg, gds float64) {
 	neg := 1.0
 	if d.pmos {

@@ -93,8 +93,8 @@ func TestRCDischarge(t *testing.T) {
 	c.R(n, Ground, 1000)
 	c.C(n, Ground, 1e-12)
 	c.SetInitial(n, 1.0)
-	tr := NewTransient(c, 5e-12)
-	if err := tr.Run(1e-9, nil); err != nil {
+	tr := newDenseTransient(c, 5e-12)
+	if err := tr.run(1e-9); err != nil {
 		t.Fatal(err)
 	}
 	want := math.Exp(-1)
@@ -108,8 +108,8 @@ func TestVoltageSourceDrivesNode(t *testing.T) {
 	n := c.Node("out")
 	c.V(n, Ground, DC(1.8))
 	c.R(n, Ground, 100)
-	tr := NewTransient(c, 1e-12)
-	if err := tr.Step(); err != nil {
+	tr := newDenseTransient(c, 1e-12)
+	if err := tr.stepDense(); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.V(n); math.Abs(got-1.8) > 1e-9 {
@@ -125,8 +125,8 @@ func TestRCChargeThroughSource(t *testing.T) {
 	c.V(src, Ground, DC(1.0))
 	c.R(src, cap, 1000)
 	c.C(cap, Ground, 1e-12)
-	tr := NewTransient(c, 5e-12)
-	if err := tr.Run(3e-9, nil); err != nil {
+	tr := newDenseTransient(c, 5e-12)
+	if err := tr.run(3e-9); err != nil {
 		t.Fatal(err)
 	}
 	want := 1 - math.Exp(-3)
@@ -186,8 +186,8 @@ func TestMOSInverter(t *testing.T) {
 	c.R(vdd, out, 100e3)
 	c.MOS(out, in, Ground, MOSParams{Type: NMOS, W: 2e-6, L: 0.1e-6, VT0: 0.4, KP: 100e-6})
 	c.C(out, Ground, 1e-15)
-	tr := NewTransient(c, 1e-12)
-	if err := tr.Run(2e-10, nil); err != nil {
+	tr := newDenseTransient(c, 1e-12)
+	if err := tr.run(2e-10); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.V(out); got > 0.1 {

@@ -1,41 +1,36 @@
 package spice
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
 
-// Transient integrates a circuit through time with fixed-step backward
-// Euler, solving the nonlinear MNA system by Newton-Raphson at each step.
+// Transient integrates the Table 2 netlist (cell, bitline and sense
+// amplifier) through time with backward Euler, solving the nonlinear MNA
+// system by Newton-Raphson at each step.
 //
-// Two engines back the same API. The default incremental engine exploits
-// the bordered MNA structure: every grounded voltage source contributes an
-// identity border row that pins its node, so those nodes are eliminated
-// from the system up front and only the remaining unknowns are solved —
-// for the paper's DRAM-cell netlist this halves the system (12 -> 6
-// unknowns, an ~8x smaller LU). Static stamps (resistors, capacitor
-// conductances, the ground leak) are assembled once per step size, device
-// constants once per run, the per-step right-hand side (capacitor
-// companions, source levels) once per step, and each Newton iteration adds
-// only the analytic MOSFET linearization from mosDev.stamp before factoring
-// the small core with partial-pivot LU in a reused workspace. The Table 2
-// netlist runs that iteration in the fixed-slot kernel cellIter.
+// The engine exploits the bordered MNA structure: every grounded voltage
+// source contributes an identity border row that pins its node, so those
+// nodes are eliminated from the system up front and only the remaining
+// unknowns are solved, which halves the netlist's system (12 -> 6 unknowns).
+// Static stamps (resistors, capacitor conductances, the ground leak) are
+// assembled once per step size, device constants once per run, the per-step
+// right-hand side (capacitor companions, source levels) once per step, and
+// each Newton iteration adds only the analytic MOSFET linearization from
+// mosDev.stamp, in the fixed-slot kernel cellIter.
 //
-// Circuits the reduction cannot express — a floating voltage source, or a
-// node driven by two sources — fall back to the reference dense engine,
-// which re-stamps the full (nodes + sources) matrix with finite-difference
-// Jacobians on every iteration. The reference engine is also exported
-// through NewTransientReference as the golden cross-check the equivalence
-// tests and benchmarks compare against.
+// NewTransient accepts no other circuit. The dense finite-difference engine
+// this one replaced lives in the package's tests, as the oracle its
+// waveforms are pinned to.
 type Transient struct {
 	ckt    *Circuit
 	dt     float64 // current integration step (adaptive stepping varies it)
 	baseDt float64 // the step the analysis was constructed with
 	t      float64
 
-	nv  int       // voltage unknowns (nodes minus ground)
-	dim int       // nv + number of voltage sources
-	v   []float64 // current node voltages, index node-1
+	nv int       // voltage unknowns (nodes minus ground)
+	v  []float64 // current node voltages, index node-1
 
 	// newtIters accumulates Newton iterations across every solve since the
 	// last Reset, including failed and later-rewound ones: the total
@@ -46,13 +41,7 @@ type Transient struct {
 	// stepper's quiescence test reads it instead of re-scanning v.
 	moved float64
 
-	red *reduced // incremental engine; nil when running the dense reference
-
-	// Dense reference workspace.
-	x    []float64 // full solution vector (voltages + source currents)
-	a    []float64 // scratch matrix
-	z    []float64 // scratch RHS
-	newt []float64 // scratch iterate
+	red *reduced
 
 	// ad holds the adaptive stepper's reusable scratch (snapshots, trial
 	// vectors). Allocated on first adaptive use and kept across Reset, so a
@@ -70,44 +59,34 @@ const (
 // nodeLeak keeps floating nodes defined during elimination.
 const nodeLeak = 1e-12
 
-// NewTransient prepares a transient analysis with the given time step in
-// seconds. Node initial conditions come from Circuit.SetInitial (default 0).
-// The incremental engine is used whenever the circuit's voltage sources are
-// all grounded and drive distinct nodes; otherwise the dense reference
-// engine runs.
-func NewTransient(c *Circuit, dt float64) *Transient {
-	tr := newTransient(c, dt)
-	tr.red = newReduced(c, tr.nv, dt, tr.v)
-	return tr
-}
+// errNotCell rejects a circuit the engine is not written for.
+var errNotCell = errors.New("spice: the transient engine solves only the Table 2 cell netlist")
 
-// NewTransientReference prepares a transient analysis that always uses the
-// pre-rework dense engine: full-matrix re-stamping and finite-difference
-// MOSFET Jacobians on every Newton iteration. It exists as the golden
-// baseline the incremental engine is validated (and benchmarked) against.
-func NewTransientReference(c *Circuit, dt float64) *Transient {
-	return newTransient(c, dt)
-}
-
-func newTransient(c *Circuit, dt float64) *Transient {
+// NewTransient prepares a transient analysis of the Table 2 netlist with the
+// given time step in seconds. Node initial conditions come from
+// Circuit.SetInitial (default 0). Any other circuit is an error.
+func NewTransient(c *Circuit, dt float64) (*Transient, error) {
 	nv := c.NumNodes() - 1
-	dim := nv + len(c.sources)
-	tr := &Transient{
-		ckt: c, dt: dt, baseDt: dt,
-		nv: nv, dim: dim,
-		v:    make([]float64, nv),
-		x:    make([]float64, dim),
-		a:    make([]float64, dim*dim),
-		z:    make([]float64, dim),
-		newt: make([]float64, dim),
+	r := &reduced{
+		idx:     make([]int, nv),
+		vdrv:    make([]float64, nv),
+		weights: lagrange{h: [3]float64{math.NaN(), math.NaN(), math.NaN()}},
 	}
-	for node, volts := range c.initial {
-		if node > 0 && node <= nv {
-			tr.v[node-1] = volts
-			tr.x[node-1] = volts
-		}
+	if !r.matchCell(c, nv) {
+		return nil, errNotCell
 	}
-	return tr
+	r.devs = make([]mosDev, len(c.mosfets))
+	ku := r.ku
+	r.zStep = make([]float64, ku)
+	r.a = make([]float64, ku*ku)
+	r.z = make([]float64, ku)
+	r.newt = make([]float64, ku)
+	r.xPrev = make([]float64, ku)
+	r.xPrev2 = make([]float64, ku)
+	r.xPrev3 = make([]float64, ku)
+	tr := &Transient{ckt: c, baseDt: dt, nv: nv, v: make([]float64, nv), red: r}
+	tr.Reset()
+	return tr, nil
 }
 
 // Time returns the current simulation time in seconds.
@@ -118,7 +97,8 @@ func (tr *Transient) Time() float64 { return tr.t }
 // the re-stamp half of the Monte-Carlo workspace reuse: after mutating the
 // circuit's R/C/MOS values and initial voltages in place (the topology must
 // be unchanged), Reset makes the next Step sequence bit-identical to a
-// freshly constructed Transient over the same circuit.
+// freshly constructed Transient over the same circuit, which NewTransient
+// primes through Reset too.
 //
 //detlint:hotpath witness=TestWorkspaceSimulateAllocs
 func (tr *Transient) Reset() {
@@ -128,18 +108,12 @@ func (tr *Transient) Reset() {
 	for i := range tr.v {
 		tr.v[i] = 0
 	}
-	for i := range tr.x {
-		tr.x[i] = 0
-	}
 	for node, volts := range tr.ckt.initial {
 		if node > 0 && node <= tr.nv {
 			tr.v[node-1] = volts
-			tr.x[node-1] = volts
 		}
 	}
-	if tr.red != nil {
-		tr.red.reset(tr.ckt, tr.dt, tr.v)
-	}
+	tr.red.restamp(tr.ckt, tr.dt, tr.v)
 }
 
 // V returns the voltage of a node at the current time.
@@ -150,18 +124,14 @@ func (tr *Transient) V(node int) float64 {
 	return tr.v[node-1]
 }
 
-// vPrev reads a node voltage at the previous completed step.
-func (tr *Transient) vPrev(node int) float64 {
-	if node == Ground {
-		return 0
-	}
-	return tr.v[node-1]
-}
-
 // setDt switches the integration step size. Capacitor companion
-// conductances are C/dt, so the reduced engine's static stamps follow the
-// step size; the Newton history survives, and the adaptive predictor extrapolates it at
-// the real step spacings. Only the adaptive stepper changes the step size.
+// conductances are C/dt, so the static system follows the step size (the
+// cell reuses the system it built for that size earlier in the run). The
+// Newton history survives intact: the adaptive predictor extrapolates
+// through it at the real step spacings (see predict), so a step-size change
+// costs no copy-previous initial guesses, which on the adaptive path, where
+// dt changes on nearly every coarse transition, is worth about one Newton
+// iteration per solve. Only the adaptive stepper changes the step size.
 //
 //detlint:hotpath witness=TestWorkspaceSimulateAllocs
 func (tr *Transient) setDt(dt float64) {
@@ -169,9 +139,7 @@ func (tr *Transient) setDt(dt float64) {
 		return
 	}
 	tr.dt = dt
-	if tr.red != nil {
-		tr.red.setDt(tr.ckt, dt)
-	}
+	tr.red.stampStatics(tr.ckt, dt)
 }
 
 // engineState is a rewindable snapshot of the integration state: everything
@@ -179,123 +147,105 @@ func (tr *Transient) setDt(dt float64) {
 // stepper attempt a trial step and retract it on an error-estimate or
 // Newton failure.
 type engineState struct {
-	t, dt           float64
-	steps           int
-	dtLast, dtLast2 float64   // reduced-engine predictor step spacings
-	v               []float64 // node voltages
-	// Reduced-engine Newton history (nil when running the dense reference).
-	xPrev, xPrev2, xPrev3 []float64
-	// Dense-engine solution vector (nil on the incremental path).
-	x []float64
+	t, dt                 float64
+	steps                 int
+	dtLast, dtLast2       float64   // predictor step spacings
+	v                     []float64 // node voltages
+	xPrev, xPrev2, xPrev3 []float64 // Newton history
 }
 
 // newState allocates a snapshot sized for this analysis.
 func (tr *Transient) newState() *engineState {
-	s := &engineState{v: make([]float64, tr.nv)}
-	if tr.red != nil {
-		s.xPrev = make([]float64, tr.red.ku)
-		s.xPrev2 = make([]float64, tr.red.ku)
-		s.xPrev3 = make([]float64, tr.red.ku)
-	} else {
-		s.x = make([]float64, tr.dim)
+	ku := tr.red.ku
+	return &engineState{
+		v:      make([]float64, tr.nv),
+		xPrev:  make([]float64, ku),
+		xPrev2: make([]float64, ku),
+		xPrev3: make([]float64, ku),
 	}
-	return s
 }
 
 // save captures the current integration state into s.
 func (tr *Transient) save(s *engineState) {
+	r := tr.red
 	s.t, s.dt = tr.t, tr.dt
 	copy(s.v, tr.v)
-	if tr.red != nil {
-		s.steps = tr.red.steps
-		s.dtLast, s.dtLast2 = tr.red.dtLast, tr.red.dtLast2
-		copy(s.xPrev, tr.red.xPrev)
-		copy(s.xPrev2, tr.red.xPrev2)
-		copy(s.xPrev3, tr.red.xPrev3)
-	} else {
-		copy(s.x, tr.x)
-	}
+	s.steps = r.steps
+	s.dtLast, s.dtLast2 = r.dtLast, r.dtLast2
+	copy(s.xPrev, r.xPrev)
+	copy(s.xPrev2, r.xPrev2)
+	copy(s.xPrev3, r.xPrev3)
 }
 
 // load restores a previously saved integration state, re-stamping if the
 // step size differs.
 func (tr *Transient) load(s *engineState) {
+	r := tr.red
 	tr.t = s.t
 	tr.setDt(s.dt)
 	copy(tr.v, s.v)
-	if tr.red != nil {
-		tr.red.steps = s.steps
-		tr.red.dtLast, tr.red.dtLast2 = s.dtLast, s.dtLast2
-		copy(tr.red.xPrev, s.xPrev)
-		copy(tr.red.xPrev2, s.xPrev2)
-		copy(tr.red.xPrev3, s.xPrev3)
-	} else {
-		copy(tr.x, s.x)
-	}
+	r.steps = s.steps
+	r.dtLast, r.dtLast2 = s.dtLast, s.dtLast2
+	copy(r.xPrev, s.xPrev)
+	copy(r.xPrev2, s.xPrev2)
+	copy(r.xPrev3, s.xPrev3)
 }
 
-// Step advances the simulation by one time step.
+// Step advances the simulation by one backward-Euler step.
 //
 //detlint:hotpath witness=TestWorkspaceSimulateAllocs
 func (tr *Transient) Step() error {
-	if tr.red != nil {
-		return tr.stepReduced()
-	}
-	return tr.stepDense()
-}
+	r := tr.red
+	tNext := tr.t + tr.dt
 
-// Run advances until the given time, invoking probe (if non-nil) after every
-// step.
-func (tr *Transient) Run(until float64, probe func(t float64, v func(node int) float64)) error {
-	for tr.t < until-tr.dt/2 {
-		if err := tr.Step(); err != nil {
-			return err
+	r.loadStep(tNext, tr.v)
+	r.predict(tr.dt)
+	for iter := 0; iter < newtonMaxIters; iter++ {
+		// The cell kernel assembles and solves in locals; when a pivot
+		// guard trips it has written nothing, so redoing the iteration
+		// through solveGeneric reproduces the identical elimination prefix
+		// and resolves the pivot by the partial-pivot solve.
+		maxDelta, ok := r.cellIter()
+		if !ok {
+			var err error
+			if maxDelta, err = r.solveGeneric(); err != nil {
+				return fmt.Errorf("t=%.3gs: %w", tNext, err) //detlint:ignore hotalloc error path, never taken by a converging run
+			}
 		}
-		if probe != nil {
-			probe(tr.t, tr.V)
+		if maxDelta < newtonTol {
+			if r.solveHook != nil {
+				r.solveHook()
+			}
+			tr.newtIters += iter + 1
+			tr.moved = r.writeBack(tr.v)
+			// The iterate becomes the newest history entry and the oldest
+			// entry's buffer the next iterate, which predict overwrites.
+			r.xPrev, r.xPrev2, r.xPrev3, r.newt = r.newt, r.xPrev, r.xPrev2, r.xPrev3
+			r.steps++
+			r.dtLast, r.dtLast2 = tr.dt, r.dtLast
+			tr.t = tNext
+			return nil
 		}
 	}
-	return nil
+	tr.newtIters += newtonMaxIters
+	return fmt.Errorf("t=%.3gs: %w", tNext, ErrNoConverge) //detlint:ignore hotalloc error path, never taken by a converging run
 }
 
 // ---------------------------------------------------------------------------
-// Incremental engine.
-
-// drivenNode is a node pinned by a grounded voltage source: its voltage is
-// sign*wave.At(t), no unknown needed.
-type drivenNode struct {
-	node int
-	wave Waveform
-	sign float64 // +1 when the source's positive terminal is the node
-}
-
-// gDrivenEntry records a static conductance between an unknown node and a
-// driven node; per step it contributes g*Vdriven(t) to the RHS of row.
-type gDrivenEntry struct {
-	row  int // reduced row receiving the current
-	node int // driven node
-	g    float64
-}
+// The reduced system of the Table 2 netlist.
 
 // mosPlan caches one MOSFET's terminal routing into the reduced system,
 // resolved once at construction: per terminal the reduced index (rd/rg/rs,
 // -1 when the terminal is driven or ground) and the node-1 index into vdrv
 // for driven terminals (dd/dg/ds, -1 otherwise; a ground terminal has both
-// at -1 and reads 0 V). The generic per-iteration stamp then runs without
-// node-id maps or closures.
+// at -1 and reads 0 V). The fallback stamp then runs without node-id maps
+// or closures.
 type mosPlan struct {
 	rd, rg, rs int
 	dd, dg, ds int
 }
 
-// capPlan caches a capacitor's reduced rows and node-1 history indices for
-// the per-step companion-current pass.
-type capPlan struct {
-	ra, rb int // reduced rows, -1 when the plate is driven or ground
-	na, nb int // node-1 for the vPrev read, -1 for ground
-}
-
-// cellSource is one of the cell kernel's sources: its node-1 index into vdrv
+// cellSource is one of the netlist's sources: its node-1 index into vdrv
 // and its waveform, evaluated directly rather than through Waveform.
 type cellSource struct {
 	node int
@@ -338,43 +288,36 @@ type lagrange struct {
 	l [3]float64 // weights of xPrev, xPrev2, xPrev3
 }
 
-// reduced is the incremental-assembly engine state. Indices into the
-// reduced system cover only undriven, non-ground nodes.
+// reduced is the engine's state over the reduced system, whose indices
+// cover only the undriven, non-ground nodes.
 type reduced struct {
-	ku     int   // unknown (undriven) node count
-	idx    []int // node-1 -> reduced index, or -1 for driven nodes
-	nodes  []int // reduced index -> node id
-	driven []drivenNode
-	isDrv  []bool // node-1 -> pinned by a source
-
-	// Per step size (stampStatics): the static matrix, the terms it routes
-	// to driven nodes, and each capacitor's companion conductance C/dt.
-	gStatic []float64 // ku*ku: resistors, capacitor conductances, leak
-	gDriven []gDrivenEntry
-	gCap    []float64 // per capacitor, in circuit order
+	ku    int   // unknown (undriven) node count
+	idx   []int // node-1 -> reduced index, or -1 for driven nodes
+	nodes []int // reduced index -> node id
 
 	mosPlans []mosPlan // per-MOSFET terminal routing, fixed by the topology
 	devs     []mosDev  // per-MOSFET evaluation constants, refreshed by restamp
-	capPlans []capPlan // per-capacitor routing for the companion currents
-	// cell selects cellIter and the fixed-row per-step pass for the Table 2
-	// topology (see matchCell): its wl, san and sap sources and the node-1
-	// indices of its five capacitors, on reduced rows 0, 2, 3, 4, 5.
-	cell     bool
+	// The wl, san and sap sources, and the node-1 indices of the five
+	// capacitors, on reduced rows 0, 2, 3, 4, 5 (see matchCell).
 	cellSrc  [3]cellSource
 	cellCapV [5]int
-	// The cell's static systems per step size, for the current run: a
-	// switch back to a size the run has used reuses its system instead of
-	// restamping it. gStatic, gCap and rows point into the current size's
-	// entry; restamp empties the list.
+
+	// The static systems per step size, for the current run: a switch back
+	// to a size the run has used reuses its system instead of restamping
+	// it. gStatic (ku*ku: resistors, capacitor conductances, leak), gCap
+	// (each capacitor's companion conductance C/dt, in circuit order) and
+	// rows point into the current size's entry; restamp empties the list.
 	sizes    [maxCellSizes]cellStatics
 	nSizes   int
+	gStatic  []float64
+	gCap     []float64
 	rows     *cellRows
 	fz0, fz4 float64 // rows.f10*z0 and rows.f54*z4, per step (loadStep)
 
 	vdrv   []float64 // node-1 -> driven voltage at the end of the step
-	zStep  []float64 // per-step RHS (capacitor companions + driven terms)
-	a      []float64 // Newton workspace: ku*ku matrix
-	z      []float64 // Newton workspace: RHS / solution
+	zStep  []float64 // per-step RHS (capacitor companions)
+	a      []float64 // fallback Newton workspace: ku*ku matrix
+	z      []float64 // fallback Newton workspace: RHS / solution
 	newt   []float64 // Newton iterate
 	xPrev  []float64 // converged reduced solution of the previous step
 	xPrev2 []float64 // solution two steps back (Newton predictor)
@@ -395,80 +338,11 @@ type reduced struct {
 	solveHook func()
 }
 
-// newReduced builds the incremental engine, or returns nil when the circuit
-// needs the dense fallback (floating source, doubly driven node). v holds
-// the initial node voltages.
-func newReduced(c *Circuit, nv int, dt float64, v []float64) *reduced {
-	r := &reduced{
-		idx:     make([]int, nv),
-		isDrv:   make([]bool, nv),
-		vdrv:    make([]float64, nv),
-		weights: lagrange{h: [3]float64{math.NaN(), math.NaN(), math.NaN()}},
-	}
-	for _, s := range c.sources {
-		var node int
-		var sign float64
-		switch {
-		case s.pos != Ground && s.neg == Ground:
-			node, sign = s.pos, 1
-		case s.pos == Ground && s.neg != Ground:
-			node, sign = s.neg, -1
-		default:
-			return nil // floating source: the border row cannot be eliminated
-		}
-		if node > nv || r.isDrv[node-1] {
-			return nil // doubly driven node: leave conflict handling to the dense path
-		}
-		r.isDrv[node-1] = true
-		r.driven = append(r.driven, drivenNode{node: node, wave: s.wave, sign: sign})
-	}
-	for n := 1; n <= nv; n++ {
-		if r.isDrv[n-1] {
-			r.idx[n-1] = -1
-			continue
-		}
-		r.idx[n-1] = r.ku
-		r.nodes = append(r.nodes, n)
-		r.ku++
-	}
-
-	for _, m := range c.mosfets {
-		r.mosPlans = append(r.mosPlans, mosPlan{
-			rd: r.reducedOf(m.d), rg: r.reducedOf(m.g), rs: r.reducedOf(m.s),
-			dd: r.drvIdx(m.d), dg: r.drvIdx(m.g), ds: r.drvIdx(m.s),
-		})
-	}
-	for _, cp := range c.caps {
-		r.capPlans = append(r.capPlans, capPlan{
-			ra: r.reducedOf(cp.a), rb: r.reducedOf(cp.b),
-			na: cp.a - 1, nb: cp.b - 1,
-		})
-	}
-	r.devs = make([]mosDev, len(c.mosfets))
-	r.cell = r.matchCell(c)
-
-	ku := r.ku
-	if !r.cell {
-		// The cell's static systems live in its per-size entries.
-		r.gStatic = make([]float64, ku*ku)
-		r.gCap = make([]float64, len(c.caps))
-	}
-	r.zStep = make([]float64, ku)
-	r.a = make([]float64, ku*ku)
-	r.z = make([]float64, ku)
-	r.newt = make([]float64, ku)
-	r.xPrev = make([]float64, ku)
-	r.xPrev2 = make([]float64, ku)
-	r.xPrev3 = make([]float64, ku)
-	r.restamp(c, dt, v)
-	return r
-}
-
 // restamp (re)builds every stamp that never changes across steps, reusing
 // the workspace allocations, folds each device's evaluation constants, and
-// primes the Newton state from the node voltages v. It runs once at
-// construction and again on every Reset, with identical assembly order both
-// times so a reused engine is bit-identical to a fresh one.
+// primes the Newton state from the node voltages v. It runs on every Reset,
+// construction included, with identical assembly order each time so a
+// reused engine is bit-identical to a fresh one.
 func (r *reduced) restamp(c *Circuit, dt float64, v []float64) {
 	r.nSizes = 0
 	r.stampStatics(c, dt)
@@ -486,18 +360,17 @@ func (r *reduced) restamp(c *Circuit, dt float64, v []float64) {
 }
 
 // stampStatics rebuilds the stamps that depend only on element values and
-// the step size — not on the Newton history — in fixed assembly order. The
-// cell builds them into a new per-size entry, or reuses the entry of a size
-// it has already built since the last restamp.
+// the step size — not on the Newton history — in fixed assembly order, into
+// a new per-size entry, or reuses the entry of a size it has already built
+// since the last restamp.
 func (r *reduced) stampStatics(c *Circuit, dt float64) {
-	if r.cell && r.useSize(dt) {
+	if r.useSize(dt) {
 		return
 	}
 	ku := r.ku
 	for i := range r.gStatic {
 		r.gStatic[i] = 0
 	}
-	r.gDriven = r.gDriven[:0]
 	for i := 0; i < ku; i++ {
 		r.gStatic[i*ku+i] += nodeLeak
 	}
@@ -511,9 +384,7 @@ func (r *reduced) stampStatics(c *Circuit, dt float64) {
 		r.gCap[i] = cap.farads / dt
 		r.stampStatic(cap.a, cap.b, r.gCap[i])
 	}
-	if r.cell {
-		r.rows.eliminate((*[36]float64)(r.gStatic))
-	}
+	r.rows.eliminate((*[36]float64)(r.gStatic))
 }
 
 // useSize points the cell's static system at the entry for step size dt.
@@ -554,24 +425,9 @@ func (c *cellRows) eliminate(g *[36]float64) {
 	c.fa45 = c.f54 * a45
 }
 
-// setDt switches the static system to a new step size (the cell reuses the
-// system it built for that size earlier in the run). The Newton history
-// survives intact: the adaptive predictor extrapolates through it at the
-// real step spacings (see predict), so a step-size change no longer costs
-// copy-previous initial guesses — on the adaptive path, which changes dt on
-// nearly every coarse transition, that is worth about one Newton iteration
-// per solve.
-func (r *reduced) setDt(c *Circuit, dt float64) {
-	r.stampStatics(c, dt)
-}
-
-// reset rewinds the incremental engine for Transient.Reset.
-func (r *reduced) reset(c *Circuit, dt float64, v []float64) {
-	r.restamp(c, dt, v)
-}
-
 // stampStatic adds conductance g between nodes a and b into the static
-// system, routing terms that touch a driven node to the per-step RHS list.
+// matrix. matchCell admits no static element on a driven node, so a plate
+// that is not an unknown is ground and contributes nothing.
 func (r *reduced) stampStatic(a, b int, g float64) {
 	ra, rb := r.reducedOf(a), r.reducedOf(b)
 	if ra >= 0 {
@@ -580,14 +436,9 @@ func (r *reduced) stampStatic(a, b int, g float64) {
 	if rb >= 0 {
 		r.gStatic[rb*r.ku+rb] += g
 	}
-	switch {
-	case ra >= 0 && rb >= 0:
+	if ra >= 0 && rb >= 0 {
 		r.gStatic[ra*r.ku+rb] -= g
 		r.gStatic[rb*r.ku+ra] -= g
-	case ra >= 0 && r.drivenNode(b):
-		r.gDriven = append(r.gDriven, gDrivenEntry{ra, b, g})
-	case rb >= 0 && r.drivenNode(a):
-		r.gDriven = append(r.gDriven, gDrivenEntry{rb, a, g})
 	}
 }
 
@@ -600,47 +451,57 @@ func (r *reduced) reducedOf(node int) int {
 	return r.idx[node-1]
 }
 
-// drivenNode reports whether the node is pinned by a grounded source.
-func (r *reduced) drivenNode(node int) bool {
-	return node != Ground && r.isDrv[node-1]
-}
-
-// drvIdx returns the node-1 index into vdrv for driven nodes, -1 otherwise.
-func (r *reduced) drvIdx(node int) int {
-	if r.drivenNode(node) {
-		return node - 1
-	}
-	return -1
-}
-
 // matchCell reports whether the circuit is the Table 2 netlist cellIter is
-// written for, and records its sources. In reduced indices cellC 0, cellN 1,
-// blc 2, bls 3, blbc 4, blbs 5, with wl, san and sap driven: the access
-// transistor runs blc (drain), wl (gate), cellN (source); SAN1 and SAP1 run
-// bls, blbs, rail and SAN2 and SAP2 the mirror image blbs, bls, rail, in
-// that device order; five capacitors ground cellC, blc, bls, blbc and blbs,
-// in that order; and the sources, in order wl, san, sap, are
-// piecewise-linear with their positive terminal on the node. A resistor
-// may not touch a driven node, so no static term rides in gDriven, and may
-// join two unknowns only where cellPattern6 has an entry. Every stamp then
-// stays within the pattern, so the entries outside it are exact zeros
-// through every Newton iteration. Any other circuit keeps the generic path.
-func (r *reduced) matchCell(c *Circuit) bool {
-	if r.ku != 6 || len(c.mosfets) != 5 || len(r.driven) != 3 {
+// written for, and lays out its reduced system. The three sources, in order
+// wl, san, sap, are piecewise-linear with their negative terminal on ground
+// and their positive terminals on three distinct nodes, which leave the
+// system; the other nodes take reduced indices in node order, and must be
+// cellC 0, cellN 1, blc 2, bls 3, blbc 4, blbs 5. The access transistor runs
+// blc (drain), wl (gate), cellN (source); SAN1 and SAP1 run bls, blbs, rail
+// and SAN2 and SAP2 the mirror image blbs, bls, rail, in that device order;
+// five capacitors ground cellC, blc, bls, blbc and blbs, in that order. A
+// resistor may not touch a driven node, and may join two unknowns only
+// where cellPattern6 has an entry. Every stamp then stays within the
+// pattern, so the entries outside it are exact zeros through every Newton
+// iteration.
+func (r *reduced) matchCell(c *Circuit, nv int) bool {
+	if len(c.sources) != len(r.cellSrc) {
 		return false
 	}
-	for _, res := range c.resistors {
-		if r.drivenNode(res.a) || r.drivenNode(res.b) {
+	driven := make([]bool, nv)
+	for i, s := range c.sources {
+		w, ok := s.wave.(*PWL)
+		if !ok || s.pos < 1 || s.pos > nv || s.neg != Ground || driven[s.pos-1] {
 			return false
 		}
-		ra, rb := r.reducedOf(res.a), r.reducedOf(res.b)
-		if ra >= 0 && rb >= 0 && cellPattern6[ra]&(1<<rb) == 0 {
-			return false
+		driven[s.pos-1] = true
+		r.cellSrc[i] = cellSource{node: s.pos - 1, wave: w}
+	}
+	for n := 1; n <= nv; n++ {
+		r.idx[n-1] = -1
+		if !driven[n-1] {
+			r.idx[n-1] = len(r.nodes)
+			r.nodes = append(r.nodes, n)
 		}
 	}
-	pl := r.mosPlans
-	wl, san, sap := pl[0].dg, pl[1].ds, pl[3].ds
-	if [5]mosPlan(pl) != [5]mosPlan{
+	r.ku = len(r.nodes)
+	if r.ku != 6 || len(c.mosfets) != 5 || len(c.caps) != len(r.cellCapV) {
+		return false
+	}
+	drv := func(node int) int {
+		if node != Ground && driven[node-1] {
+			return node - 1
+		}
+		return -1
+	}
+	for _, m := range c.mosfets {
+		r.mosPlans = append(r.mosPlans, mosPlan{
+			rd: r.reducedOf(m.d), rg: r.reducedOf(m.g), rs: r.reducedOf(m.s),
+			dd: drv(m.d), dg: drv(m.g), ds: drv(m.s),
+		})
+	}
+	wl, san, sap := r.cellSrc[0].node, r.cellSrc[1].node, r.cellSrc[2].node
+	if [5]mosPlan(r.mosPlans) != [5]mosPlan{
 		{rd: 2, rg: -1, rs: 1, dd: -1, dg: wl, ds: -1},
 		{rd: 3, rg: 5, rs: -1, dd: -1, dg: -1, ds: san},
 		{rd: 5, rg: 3, rs: -1, dd: -1, dg: -1, ds: san},
@@ -649,22 +510,20 @@ func (r *reduced) matchCell(c *Circuit) bool {
 	} {
 		return false
 	}
-	if len(r.capPlans) != len(r.cellCapV) {
-		return false
-	}
 	for i, row := range [5]int{0, 2, 3, 4, 5} {
-		if cp := r.capPlans[i]; cp.ra != row || cp.nb >= 0 {
+		if cp := c.caps[i]; r.reducedOf(cp.a) != row || cp.b != Ground {
 			return false
 		}
-		r.cellCapV[i] = r.capPlans[i].na
+		r.cellCapV[i] = c.caps[i].a - 1
 	}
-	for i, node := range [3]int{wl, san, sap} {
-		d := r.driven[i]
-		w, ok := d.wave.(*PWL)
-		if !ok || d.sign != 1 || d.node-1 != node {
+	for _, res := range c.resistors {
+		if drv(res.a) >= 0 || drv(res.b) >= 0 {
 			return false
 		}
-		r.cellSrc[i] = cellSource{node: node, wave: w}
+		ra, rb := r.reducedOf(res.a), r.reducedOf(res.b)
+		if ra >= 0 && rb >= 0 && cellPattern6[ra]&(1<<rb) == 0 {
+			return false
+		}
 	}
 	return true
 }
@@ -674,7 +533,8 @@ func (r *reduced) matchCell(c *Circuit) bool {
 // iteration. The plan resolves every terminal's routing up front, so the
 // stamp is straight-line index arithmetic; the adds run in the same order
 // (drain row: d, g, s; then source row: d, g, s) with the same float
-// operations as the routing-at-stamp-time form it replaced.
+// operations as the routing-at-stamp-time form it replaced. Only
+// solveGeneric, the fallback of a tripped pivot guard, stamps this way.
 func (r *reduced) stampMOSAnalytic(dev *mosDev, pl mosPlan) {
 	var vd, vg, vs float64
 	if pl.rd >= 0 {
@@ -729,34 +589,24 @@ func (r *reduced) stampMOSAnalytic(dev *mosDev, pl mosPlan) {
 }
 
 // solveGeneric performs one copy-stamp-solve Newton iteration on the heap
-// workspace: the full static restore, the per-device stamps, and the
-// partial-pivot solve. It is the only iteration form for non-cell
-// topologies, and the redo path when cellIter declines an iteration.
-func (r *reduced) solveGeneric() error {
+// workspace: the full static restore, the per-device stamps, the
+// partial-pivot solve and the damped update, returning the convergence
+// norm. It is the redo path when cellIter declines an iteration.
+func (r *reduced) solveGeneric() (maxDelta float64, err error) {
 	copy(r.a, r.gStatic)
 	copy(r.z, r.zStep)
 	for mi := range r.devs {
 		r.stampMOSAnalytic(&r.devs[mi], r.mosPlans[mi])
 	}
-	return solveDense(r.a, r.z, r.ku)
+	if err := solve6(r.a, r.z); err != nil {
+		return 0, err
+	}
+	return update6((*[6]float64)(r.newt), (*[6]float64)(r.z)), nil
 }
 
-// update applies the damped Newton update from the solution in r.z to the
-// iterate and returns the convergence norm, the largest undamped change.
-// Both iteration forms end with it: the six-unknown systems through update6,
-// on fixed-size views.
-func (r *reduced) update() (maxDelta float64) {
-	if r.ku == 6 {
-		return update6((*[6]float64)(r.newt), (*[6]float64)(r.z))
-	}
-	for i, x := range r.z {
-		maxDelta = dampedMove(&r.newt[i], x, maxDelta)
-	}
-	return maxDelta
-}
-
-// update6 is update for six unknowns: it moves the iterate nt toward the
-// solution x.
+// update6 applies the damped Newton update from the solution x to the
+// iterate nt and returns the convergence norm, the largest undamped change.
+// Both iteration forms end with it.
 func update6(nt, x *[6]float64) (maxDelta float64) {
 	for i := range x {
 		maxDelta = dampedMove(&nt[i], x[i], maxDelta)
@@ -841,128 +691,49 @@ func (r *reduced) lagrangeWeights(dt float64) (l1, l2, l3 float64) {
 
 // loadStep is the per-step pass of a step ending at tNext: the source levels
 // and the capacitor history currents from the node voltages v, fixed for the
-// whole Newton loop. The cell evaluates its three sources directly, reads
-// each capacitor's history at its fixed row, and forms the right-hand-side
-// products of its device-free rows.
+// whole Newton loop. It evaluates the three sources directly, reads each
+// capacitor's history at its fixed row, and forms the right-hand-side
+// products of the device-free rows.
 func (r *reduced) loadStep(tNext float64, v []float64) {
-	if r.cell {
-		for i := range r.cellSrc {
-			// Past its last breakpoint a waveform holds its last value,
-			// read here without calling At: every source of the netlist
-			// has settled by the end of the sense-amplifier ramp, and most
-			// steps of an activation come after it.
-			s := &r.cellSrc[i]
-			if w, last := s.wave, len(s.wave.Times)-1; last >= 0 && tNext > w.Times[last] {
-				r.vdrv[s.node] = w.Values[last]
-			} else {
-				r.vdrv[s.node] = w.At(tNext)
-			}
-		}
-	} else {
-		for _, d := range r.driven {
-			r.vdrv[d.node-1] = d.sign * d.wave.At(tNext)
+	for i := range r.cellSrc {
+		// Past its last breakpoint a waveform holds its last value, read
+		// here without calling At: every source of the netlist has settled
+		// by the end of the sense-amplifier ramp, and most steps of an
+		// activation come after it.
+		s := &r.cellSrc[i]
+		if w, last := s.wave, len(s.wave.Times)-1; last >= 0 && tNext > w.Times[last] {
+			r.vdrv[s.node] = w.Values[last]
+		} else {
+			r.vdrv[s.node] = w.At(tNext)
 		}
 	}
+	// Each grounded capacitor's companion current g*(v - 0) == g*v, added
+	// to a zeroed row as the assembly always has: 0 + x keeps no negative
+	// zero, so the row's bits are those of the sum.
 	for i := range r.zStep {
 		r.zStep[i] = 0
 	}
-	for _, e := range r.gDriven {
-		r.zStep[e.row] += e.g * r.vdrv[e.node-1]
-	}
-	if r.cell {
-		// The generic loop below on the cell's grounded capacitors
-		// (v - 0 == v exactly).
-		z, g, n := (*[6]float64)(r.zStep), (*[5]float64)(r.gCap), &r.cellCapV
-		z[0] += g[0] * v[n[0]]
-		z[2] += g[1] * v[n[1]]
-		z[3] += g[2] * v[n[2]]
-		z[4] += g[3] * v[n[3]]
-		z[5] += g[4] * v[n[4]]
-		r.fz0 = r.rows.f10 * z[0]
-		r.fz4 = r.rows.f54 * z[4]
-		return
-	}
-	for ci, pl := range r.capPlans {
-		var va, vb float64
-		if pl.na >= 0 {
-			va = v[pl.na]
-		}
-		if pl.nb >= 0 {
-			vb = v[pl.nb]
-		}
-		ieq := r.gCap[ci] * (va - vb)
-		if pl.ra >= 0 {
-			r.zStep[pl.ra] += ieq
-		}
-		if pl.rb >= 0 {
-			r.zStep[pl.rb] -= ieq
-		}
-	}
+	z, g, n := (*[6]float64)(r.zStep), (*[5]float64)(r.gCap), &r.cellCapV
+	z[0] += g[0] * v[n[0]]
+	z[2] += g[1] * v[n[1]]
+	z[3] += g[2] * v[n[2]]
+	z[4] += g[3] * v[n[3]]
+	z[5] += g[4] * v[n[4]]
+	r.fz0 = r.rows.f10 * z[0]
+	r.fz4 = r.rows.f54 * z[4]
 }
 
-// stepReduced advances one backward-Euler step on the incremental engine.
-func (tr *Transient) stepReduced() error {
-	r := tr.red
-	tNext := tr.t + tr.dt
-
-	r.loadStep(tNext, tr.v)
-	r.predict(tr.dt)
-	for iter := 0; iter < newtonMaxIters; iter++ {
-		// The cell kernel assembles and solves in locals; when a pivot
-		// guard trips it has written nothing, so redoing the iteration
-		// through the generic path reproduces the identical elimination
-		// prefix and resolves the pivot as solveDense would.
-		var maxDelta float64
-		ok := false
-		if r.cell {
-			maxDelta, ok = r.cellIter()
-		}
-		if !ok {
-			if err := r.solveGeneric(); err != nil {
-				return fmt.Errorf("t=%.3gs: %w", tNext, err) //detlint:ignore hotalloc error path, never taken by a converging run
-			}
-			maxDelta = r.update()
-		}
-		if maxDelta < newtonTol {
-			if r.solveHook != nil {
-				r.solveHook()
-			}
-			tr.newtIters += iter + 1
-			tr.moved = r.writeBack(tr.v)
-			// The iterate becomes the newest history entry and the oldest
-			// entry's buffer the next iterate, which predict overwrites.
-			r.xPrev, r.xPrev2, r.xPrev3, r.newt = r.newt, r.xPrev, r.xPrev2, r.xPrev3
-			r.steps++
-			r.dtLast, r.dtLast2 = tr.dt, r.dtLast
-			tr.t = tNext
-			return nil
-		}
-	}
-	tr.newtIters += newtonMaxIters
-	return fmt.Errorf("t=%.3gs: %w", tNext, ErrNoConverge) //detlint:ignore hotalloc error path, never taken by a converging run
-}
-
-// writeBack stores a converged step into the node voltages v, the unknowns
-// from the iterate and the driven nodes from their source levels, and
-// returns the largest change it made to any node. The cell writes its six
-// unknowns and three sources through fixed indices.
+// writeBack stores a converged step into the node voltages v, the six
+// unknowns from the iterate and the three driven nodes from their source
+// levels, and returns the largest change it made to any node.
 func (r *reduced) writeBack(v []float64) (moved float64) {
-	if r.cell {
-		nt := (*[6]float64)(r.newt)
-		for i, n := range (*[6]int)(r.nodes) {
-			moved = setMoved(v, n-1, nt[i], moved)
-		}
-		for i := range r.cellSrc {
-			k := r.cellSrc[i].node
-			moved = setMoved(v, k, r.vdrv[k], moved)
-		}
-		return moved
+	nt := (*[6]float64)(r.newt)
+	for i, n := range (*[6]int)(r.nodes) {
+		moved = setMoved(v, n-1, nt[i], moved)
 	}
-	for i, n := range r.nodes {
-		moved = setMoved(v, n-1, r.newt[i], moved)
-	}
-	for _, d := range r.driven {
-		moved = setMoved(v, d.node-1, r.vdrv[d.node-1], moved)
+	for i := range r.cellSrc {
+		k := r.cellSrc[i].node
+		moved = setMoved(v, k, r.vdrv[k], moved)
 	}
 	return moved
 }
@@ -975,153 +746,4 @@ func setMoved(v []float64, k int, x, moved float64) float64 {
 	}
 	v[k] = x
 	return moved
-}
-
-// ---------------------------------------------------------------------------
-// Dense reference engine (pre-rework behavior, kept as the golden baseline).
-
-// stepDense advances one step by re-stamping and solving the full MNA
-// system on every Newton iteration.
-func (tr *Transient) stepDense() error {
-	tNext := tr.t + tr.dt
-	copy(tr.newt, tr.x) // Newton initial guess: previous solution
-
-	for iter := 0; iter < newtonMaxIters; iter++ {
-		tr.assembleDense(tNext)
-		if err := solveDense(tr.a, tr.z, tr.dim); err != nil {
-			return fmt.Errorf("t=%.3gs: %w", tNext, err) //detlint:ignore hotalloc error path, never taken by a converging run
-		}
-		// tr.z now holds the solution.
-		maxDelta := 0.0
-		for i := 0; i < tr.dim; i++ {
-			d := tr.z[i] - tr.newt[i]
-			if abs(d) > maxDelta {
-				maxDelta = abs(d)
-			}
-			// Damp voltage unknowns to keep the latch transition stable.
-			if i < tr.nv && abs(d) > newtonMaxDelta {
-				if d > 0 {
-					d = newtonMaxDelta
-				} else {
-					d = -newtonMaxDelta
-				}
-			}
-			tr.newt[i] += d
-		}
-		if maxDelta < newtonTol {
-			tr.newtIters += iter + 1
-			copy(tr.x, tr.newt)
-			tr.moved = 0
-			for i, x := range tr.newt[:tr.nv] {
-				tr.moved = setMoved(tr.v, i, x, tr.moved)
-			}
-			tr.t = tNext
-			return nil
-		}
-	}
-	tr.newtIters += newtonMaxIters
-	return fmt.Errorf("t=%.3gs: %w", tNext, ErrNoConverge) //detlint:ignore hotalloc error path, never taken by a converging run
-}
-
-// assembleDense builds the full MNA system linearized around the current
-// Newton iterate for the backward-Euler step ending at time t.
-func (tr *Transient) assembleDense(t float64) {
-	for i := range tr.a {
-		tr.a[i] = 0
-	}
-	for i := range tr.z {
-		tr.z[i] = 0
-	}
-	dim := tr.dim
-
-	stampG := func(a, b int, g float64) { //detlint:ignore hotalloc dense reference oracle; the 0-alloc contract covers the reduced engine
-		if a > 0 {
-			tr.a[(a-1)*dim+(a-1)] += g
-		}
-		if b > 0 {
-			tr.a[(b-1)*dim+(b-1)] += g
-		}
-		if a > 0 && b > 0 {
-			tr.a[(a-1)*dim+(b-1)] -= g
-			tr.a[(b-1)*dim+(a-1)] -= g
-		}
-	}
-	inject := func(node int, amps float64) { //detlint:ignore hotalloc dense reference oracle; the 0-alloc contract covers the reduced engine
-		if node > 0 {
-			tr.z[node-1] += amps
-		}
-	}
-	vAt := func(node int) float64 { //detlint:ignore hotalloc dense reference oracle; the 0-alloc contract covers the reduced engine
-		if node == Ground {
-			return 0
-		}
-		return tr.newt[node-1]
-	}
-
-	// Small leak from every node to ground keeps floating nodes defined.
-	for n := 1; n <= tr.nv; n++ {
-		tr.a[(n-1)*dim+(n-1)] += nodeLeak
-	}
-
-	for _, r := range tr.ckt.resistors {
-		stampG(r.a, r.b, 1/r.ohms)
-	}
-	for _, c := range tr.ckt.caps {
-		geq := c.farads / tr.dt
-		stampG(c.a, c.b, geq)
-		ieq := geq * (tr.vPrev(c.a) - tr.vPrev(c.b))
-		inject(c.a, ieq)
-		inject(c.b, -ieq)
-	}
-	for k, src := range tr.ckt.sources {
-		row := tr.nv + k
-		if src.pos > 0 {
-			tr.a[row*dim+(src.pos-1)] = 1
-			tr.a[(src.pos-1)*dim+row] = 1
-		}
-		if src.neg > 0 {
-			tr.a[row*dim+(src.neg-1)] = -1
-			tr.a[(src.neg-1)*dim+row] = -1
-		}
-		tr.z[row] = src.wave.At(t)
-	}
-	for _, m := range tr.ckt.mosfets {
-		tr.stampMOSFD(m, vAt, stampG, inject)
-	}
-}
-
-// stampMOSFD linearizes one MOSFET around the Newton iterate using a
-// finite-difference Jacobian (the reference engine's historical behavior).
-func (tr *Transient) stampMOSFD(m mosfet, vAt func(int) float64,
-	stampG func(a, b int, g float64), inject func(node int, amps float64)) {
-
-	vd, vg, vs := vAt(m.d), vAt(m.g), vAt(m.s)
-	id0, _, _ := m.params.eval(vd, vg, vs)
-
-	const h = 1e-6
-	idD, _, _ := m.params.eval(vd+h, vg, vs)
-	idG, _, _ := m.params.eval(vd, vg+h, vs)
-	idS, _, _ := m.params.eval(vd, vg, vs+h)
-	gdd := (idD - id0) / h
-	gdg := (idG - id0) / h
-	gds := (idS - id0) / h
-
-	dim := tr.dim
-	addA := func(row, col int, v float64) { //detlint:ignore hotalloc dense reference oracle; the 0-alloc contract covers the reduced engine
-		if row > 0 && col > 0 {
-			tr.a[(row-1)*dim+(col-1)] += v
-		}
-	}
-	// KCL row of the drain: Id = id0 + gdd*dVd + gdg*dVg + gds*dVs.
-	addA(m.d, m.d, gdd)
-	addA(m.d, m.g, gdg)
-	addA(m.d, m.s, gds)
-	// Source row carries the opposite current.
-	addA(m.s, m.d, -gdd)
-	addA(m.s, m.g, -gdg)
-	addA(m.s, m.s, -gds)
-
-	ieq := id0 - gdd*vd - gdg*vg - gds*vs
-	inject(m.d, -ieq)
-	inject(m.s, ieq)
 }

@@ -132,9 +132,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if progress != nil {
-		c.WithProgress(printProgress(progress))
-	}
+	c.WithProgress(printProgress(progress))
 	return renderExperiments(ctx, c, expandIDs(*f.exp), format, *f.outDir, stdout)
 }
 
@@ -164,10 +162,13 @@ func newRunFlags() (*flag.FlagSet, *runFlags) {
 }
 
 // printProgress returns a progress hook writing one line to w per study
-// announcement and per completed work unit. Module-sweep events arrive
-// concurrently from the worker pool, so the hook serializes writes to keep
-// lines whole.
+// announcement and per completed work unit, or nil for a nil w. Module-sweep
+// events arrive concurrently from the worker pool, so the hook serializes
+// writes to keep lines whole.
 func printProgress(w io.Writer) rhvpp.ProgressFunc {
+	if w == nil {
+		return nil
+	}
 	var mu sync.Mutex
 	return func(ev rhvpp.ProgressEvent) {
 		mu.Lock()
@@ -177,40 +178,6 @@ func printProgress(w io.Writer) rhvpp.ProgressFunc {
 			return
 		}
 		fmt.Fprintf(w, "rhvpp: %s %s %d/%d\n", ev.Study, ev.Key, ev.Done, ev.Total)
-	}
-}
-
-// shardProgress adapts fn to RunShardObserved's per-unit hook for a shard
-// executing units. RunShardObserved runs one study at a time, in the order
-// the studies first appear in units, so each study is announced (with this
-// shard's unit count) when the previous one completes, and each unit
-// reports the study's done/total.
-func shardProgress(units []rhvpp.WorkUnit, fn rhvpp.ProgressFunc) func(rhvpp.WorkUnit) {
-	var order []string
-	total := make(map[string]int)
-	for _, u := range units {
-		if total[u.Study] == 0 {
-			order = append(order, u.Study)
-		}
-		total[u.Study]++
-	}
-	announceNext := func() {
-		if len(order) > 0 {
-			fn(rhvpp.ProgressEvent{Study: order[0], Total: total[order[0]]})
-			order = order[1:]
-		}
-	}
-	announceNext()
-	var mu sync.Mutex
-	done := make(map[string]int)
-	return func(u rhvpp.WorkUnit) {
-		mu.Lock()
-		defer mu.Unlock()
-		done[u.Study]++
-		fn(rhvpp.ProgressEvent{Study: u.Study, Key: u.Key, Done: done[u.Study], Total: total[u.Study]})
-		if done[u.Study] == total[u.Study] {
-			announceNext()
-		}
 	}
 }
 
@@ -332,11 +299,7 @@ func runShard(ctx context.Context, o rhvpp.Options, spec, path, exp string, stdo
 	if err != nil {
 		return err
 	}
-	var onUnit func(rhvpp.WorkUnit)
-	if progress != nil {
-		onUnit = shardProgress(mine, printProgress(progress))
-	}
-	art, err := rhvpp.RunShardObserved(ctx, o, shard, of, mine, onUnit)
+	art, err := rhvpp.RunShardObserved(ctx, o, shard, of, mine, printProgress(progress))
 	if err != nil {
 		return err
 	}

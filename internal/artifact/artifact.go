@@ -75,16 +75,6 @@ func compactOptions(options json.RawMessage) (json.RawMessage, error) {
 	return json.RawMessage(buf.Bytes()), nil
 }
 
-// Add appends one unit's payload, marshaling data.
-func (a *Artifact) Add(study, key string, index int, data any) error {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return fmt.Errorf("artifact: encoding %s unit %q: %w", study, key, err)
-	}
-	a.Units = append(a.Units, Unit{Study: study, Key: key, Index: index, Data: raw})
-	return nil
-}
-
 // sortUnits orders units by (study, index, key) so encoded artifacts are
 // deterministic regardless of execution order.
 func (a *Artifact) sortUnits() {

@@ -30,12 +30,9 @@ func TestNewValidatesShardPosition(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	a := mkArtifact(t, 1, 2, `{"seed":7}`)
-	if err := a.Add("rowhammer", "B3", 3, map[string]int{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add("rowhammer", "A0", 0, map[string]int{"x": 2}); err != nil {
-		t.Fatal(err)
-	}
+	a.Units = append(a.Units,
+		Unit{Study: "rowhammer", Key: "B3", Index: 3, Data: json.RawMessage(`{"x":1}`)},
+		Unit{Study: "rowhammer", Key: "A0", Index: 0, Data: json.RawMessage(`{"x":2}`)})
 	var buf bytes.Buffer
 	if err := Encode(&buf, a); err != nil {
 		t.Fatal(err)

@@ -62,12 +62,9 @@ func mkFuzzSeed(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := a.Add("rowhammer", "B3", 0, map[string]any{"hcfirst": 4000}); err != nil {
-		f.Fatal(err)
-	}
-	if err := a.Add("spice-mc", "2.500", 0, map[string]any{"runs": 2}); err != nil {
-		f.Fatal(err)
-	}
+	a.Units = append(a.Units,
+		Unit{Study: "rowhammer", Key: "B3", Data: json.RawMessage(`{"hcfirst":4000}`)},
+		Unit{Study: "spice-mc", Key: "2.500", Data: json.RawMessage(`{"runs":2}`)})
 	var buf bytes.Buffer
 	if err := Encode(&buf, a); err != nil {
 		f.Fatal(err)

@@ -31,8 +31,10 @@ const (
 )
 
 // Store is a content-addressed artifact store: one directory holding one
-// complete (shard 0 of 1) artifact per canonical-options fingerprint, named
-// <fingerprint>.json. Writes are atomic — the JSON lands in a same-directory
+// complete (shard 0 of 1) artifact per 64-hex key, named <key>.json. The
+// rhvpp campaign files one entry per study, keyed by a digest of (options
+// fingerprint, study); whole-campaign entries that older builds filed at the
+// bare fingerprint are no longer read. Writes are atomic — the JSON lands in a same-directory
 // temp file and is renamed into place only when complete — so readers never
 // observe a partial entry and a crash leaves only a *.tmp-* file, which the
 // next OpenStore sweeps away. Everything read back is treated as untrusted
@@ -61,19 +63,16 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// validKey enforces the fingerprint shape — 64 lowercase hex characters, the
-// SHA-256 of the canonical options encoding — so a key can never traverse
-// out of the store directory or collide with a temp-file name.
+// validKey enforces the key shape — 64 lowercase hex characters, a SHA-256
+// digest — so a key can never traverse out of the store directory or
+// collide with a temp-file name.
 func validKey(key string) error {
 	if len(key) != 64 {
-		return fmt.Errorf("artifact: store key %q is not a SHA-256 hex fingerprint", key)
+		return fmt.Errorf("artifact: store key %q is not a SHA-256 hex digest", key)
 	}
 	for _, c := range key {
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return fmt.Errorf("artifact: store key %q is not a SHA-256 hex fingerprint", key)
+			return fmt.Errorf("artifact: store key %q is not a SHA-256 hex digest", key)
 		}
 	}
 	return nil
@@ -102,7 +101,7 @@ func (s *Store) Get(key string) (*Artifact, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, key, err)
 	}
 	if a.Of != 1 {
-		return nil, fmt.Errorf("%w: %s: entry is shard %d of %d, not a complete campaign",
+		return nil, fmt.Errorf("%w: %s: entry is shard %d of %d, not a complete shard set",
 			ErrCorrupt, key, a.Shard, a.Of)
 	}
 	return a, nil
@@ -132,7 +131,7 @@ func (s *Store) Put(key string, a *Artifact) error {
 	return nil
 }
 
-// Keys lists the committed entry fingerprints in sorted order. Temp files
+// Keys lists the committed entry keys in sorted order. Temp files
 // and foreign files in the directory are ignored.
 func (s *Store) Keys() ([]string, error) {
 	ents, err := os.ReadDir(s.dir)

@@ -13,13 +13,15 @@ import (
 // FuzzQueryOptions hammers the knob parser the CLI and the serve API share.
 // The input is a query-shaped list of name=value pairs joined by '&', run in
 // order through Set, then Apply over the default preset, then Validate —
-// the serving layer's path from a request to a campaign. Nothing on that
-// path may panic; a name outside Known() (including a retired knob such as
-// batch, ltetol or fixed-grid) must fail with the standard unknown-option
-// error; a negative rows, chunks, stride or mc must fail; and every
-// campaign that survives Validate must have an OptionsFingerprint, because
-// the server keys its flights and store entries by it. Committed corpus
-// files under testdata/fuzz keep past findings in regression.
+// the serving layer's path from a request to a campaign. A repeated name is
+// set once per occurrence and its last value stays, as with a repeated CLI
+// flag (the server refuses a repeated query key before this path). Nothing
+// on that path may panic; a name outside Known() (including a retired knob
+// such as batch, ltetol or fixed-grid) must fail with the standard
+// unknown-option error; a negative rows, chunks, stride or mc must fail; and
+// every campaign that survives Validate must have an OptionsFingerprint,
+// because the server keys its flights and store entries by it. Committed
+// corpus files under testdata/fuzz keep past findings in regression.
 func FuzzQueryOptions(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -33,6 +35,7 @@ func FuzzQueryOptions(f *testing.F) {
 		"stride=-1",
 		"mc=-5&rows=2",
 		"chunks=0&rows=-3",
+		"mc=5&mc=50", // repeated knob
 	} {
 		f.Add(seed)
 	}

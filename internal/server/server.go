@@ -2,15 +2,16 @@
 // over the same Campaign engine the CLI drives. A request names an experiment
 // and (optionally) campaign knobs; the server resolves the knobs to canonical
 // options, collapses concurrent requests for the same canonical-options
-// fingerprint onto one computation (singleflight), persists completed
-// campaigns to a content-addressed artifact store so restarts serve from
-// disk, and renders responses through the same report encoders as the CLI —
+// fingerprint onto one computation (singleflight), persists each completed
+// study to a content-addressed artifact store so restarts serve from disk,
+// and renders responses through the same report encoders as the CLI —
 // byte-identical output for the same options, whichever surface asked.
 //
 // The dataflow for GET /v1/experiments/{id} is:
 //
-//	query knobs ──optparse──▶ Options ──fingerprint──▶ singleflight ──▶ store / compute
-//	                                                        │
+//	query knobs ──optparse──▶ Options ──fingerprint──▶ singleflight ──▶ Campaign cells
+//	                                                        │          (store entry or compute,
+//	                                                        │           one per study)
 //	response ◀──report.Encoder── Campaign (memoized cells) ◀┘
 //
 // Cancellation follows the campaign's cell semantics: a waiter abandoning a
@@ -40,21 +41,22 @@ import (
 var ErrDraining = errors.New("rhvpp: server is draining, not accepting new campaigns")
 
 // defaultSessionCap bounds how many completed campaigns stay memoized in
-// memory; beyond it the least recently used session is dropped (its artifact
-// remains in the store, so re-requesting it is a disk hit, not a recompute).
+// memory; beyond it the least recently used session is dropped (its study
+// entries remain in the store, so re-requesting it is a disk hit, not a
+// recompute).
 const defaultSessionCap = 8
 
-// ComputeFunc produces a campaign for validated options, reporting per-unit
-// completion through onUnit and whether the result came from the store. The
-// default is rhvpp.CachedCampaign; tests inject deterministic fakes.
-type ComputeFunc func(ctx context.Context, o rhvpp.Options, st *rhvpp.ArtifactStore, onUnit func(rhvpp.WorkUnit)) (c *rhvpp.Campaign, fromStore bool, err error)
+// ComputeFunc produces a campaign for validated options, reporting progress
+// to fn and whether every study came from the store. The default is
+// rhvpp.CachedCampaign; tests inject deterministic fakes.
+type ComputeFunc func(ctx context.Context, o rhvpp.Options, st *rhvpp.ArtifactStore, fn rhvpp.ProgressFunc) (c *rhvpp.Campaign, fromStore bool, err error)
 
 // Config assembles a Server.
 type Config struct {
 	// Base is the campaign options a request starts from before its query
 	// knobs apply (the CLI's -preset flag resolves to this).
 	Base rhvpp.Options
-	// Store persists completed campaigns across restarts; nil disables
+	// Store persists completed studies across restarts; nil disables
 	// persistence (every cold request computes).
 	Store *rhvpp.ArtifactStore
 	// Compute overrides the campaign computation; nil means
@@ -79,8 +81,8 @@ type Server struct {
 	order    []string            // sessions from least to most recently used
 	draining bool
 
-	computations atomic.Int64 // campaigns actually computed
-	diskHits     atomic.Int64 // campaigns decoded from the store
+	computations atomic.Int64 // campaigns that computed at least one study
+	diskHits     atomic.Int64 // campaigns whose every study came from the store
 	memHits      atomic.Int64 // requests served from a live session
 }
 
@@ -235,18 +237,7 @@ func (s *Server) leave(fl *flight) {
 // (finish) or through the internally-synchronized progress log.
 func (fl *flight) run(s *Server) {
 	defer fl.cancel()
-	total := 0
-	if units, err := rhvpp.PlanUnits(fl.opts); err == nil {
-		total = len(units)
-	}
-	fl.log.append(rhvpp.ProgressEvent{Study: "plan", Total: total})
-	var done atomic.Int64
-	onUnit := func(u rhvpp.WorkUnit) {
-		fl.log.append(rhvpp.ProgressEvent{
-			Study: u.Study, Key: u.Key, Done: int(done.Add(1)), Total: total,
-		})
-	}
-	fl.camp, fl.fromDisk, fl.err = s.compute(fl.ctx, fl.opts, s.store, onUnit)
+	fl.camp, fl.fromDisk, fl.err = s.compute(fl.ctx, fl.opts, s.store, fl.log.append)
 	s.finish(fl)
 }
 
@@ -317,9 +308,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Stats is a statusz snapshot.
 type Stats struct {
-	// Computations counts campaigns actually computed; DiskHits campaigns
-	// decoded from the artifact store; MemHits requests served from a live
-	// session. One campaign request lands in exactly one bucket.
+	// Computations counts campaigns that computed at least one study;
+	// DiskHits campaigns whose every study loaded from the artifact store;
+	// MemHits requests served from a live session. One campaign request
+	// lands in exactly one bucket.
 	Computations int64 `json:"computations"`
 	DiskHits     int64 `json:"disk_hits"`
 	MemHits      int64 `json:"mem_hits"`
@@ -366,10 +358,21 @@ func (s *Server) Stats() Stats {
 // requestOptions resolves a request's query parameters to campaign options
 // and an output format: `preset` picks the base, the shared optparse knobs
 // lay over it, and `format` picks the encoder. Unknown parameters are
-// errors — a typoed knob must not silently run the preset campaign.
+// errors — a typoed knob must not silently run the preset campaign — and so
+// is a repeated one, which the CLI's flags would read as its last value.
 func (s *Server) requestOptions(q url.Values) (rhvpp.Options, rhvpp.Format, error) {
 	o := s.base
 	f := rhvpp.FormatText
+	keys := make([]string, 0, len(q))
+	for k := range q { //detlint:ignore maporder sorted below
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if n := len(q[k]); n > 1 {
+			return o, f, fmt.Errorf("query key %q given %d times (give each key once)", k, n)
+		}
+	}
 	if p := q.Get("preset"); p != "" {
 		var err error
 		if o, err = rhvpp.PresetOptions(p); err != nil {
@@ -377,11 +380,6 @@ func (s *Server) requestOptions(q url.Values) (rhvpp.Options, rhvpp.Format, erro
 		}
 	}
 	var ov optparse.Overrides
-	keys := make([]string, 0, len(q))
-	for k := range q { //detlint:ignore maporder sorted below
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	for _, k := range keys {
 		if k == "format" || k == "preset" {
 			continue

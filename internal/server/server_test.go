@@ -33,9 +33,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // gatedCompute is an injectable ComputeFunc whose completion the test
-// controls: every call reports one fake unit, then blocks until release
-// closes (or its flight is canceled). calls counts real invocations — the
-// singleflight assertions read it.
+// controls: every call announces one fake study and reports its one unit,
+// then blocks until release closes (or its flight is canceled). calls
+// counts real invocations — the singleflight assertions read it.
 type gatedCompute struct {
 	release chan struct{}
 	calls   atomic.Int64
@@ -45,10 +45,11 @@ func newGatedCompute() *gatedCompute {
 	return &gatedCompute{release: make(chan struct{})}
 }
 
-func (g *gatedCompute) fn(ctx context.Context, o rhvpp.Options, st *rhvpp.ArtifactStore, onUnit func(rhvpp.WorkUnit)) (*rhvpp.Campaign, bool, error) {
+func (g *gatedCompute) fn(ctx context.Context, o rhvpp.Options, st *rhvpp.ArtifactStore, fn rhvpp.ProgressFunc) (*rhvpp.Campaign, bool, error) {
 	g.calls.Add(1)
-	if onUnit != nil {
-		onUnit(rhvpp.WorkUnit{Study: "fake", Key: "u1"})
+	if fn != nil {
+		fn(rhvpp.ProgressEvent{Study: "fake", Total: 1})
+		fn(rhvpp.ProgressEvent{Study: "fake", Key: "u1", Done: 1, Total: 1})
 	}
 	select {
 	case <-g.release:
@@ -429,6 +430,9 @@ func TestQueryOptionsErrors(t *testing.T) {
 		{"negative stride", "/v1/experiments/table3?stride=-1", `option stride: invalid value "-1" (must not be negative; 0 keeps the preset's value)`},
 		{"negative rows", "/v1/experiments/table3?rows=-2", `option rows: invalid value "-2" (must not be negative; 0 keeps the preset's value)`},
 		{"negative chunks", "/v1/experiments/table3?chunks=-1", `option chunks: invalid value "-1" (must not be negative; 0 keeps the preset's value)`},
+		{"repeated knob", "/v1/experiments/fig8b?mc=5&mc=50", `query key "mc" given 2 times (give each key once)`},
+		{"repeated format", "/v1/experiments/table3?format=json&format=csv", `query key "format" given 2 times (give each key once)`},
+		{"repeated preset", "/v1/experiments/table3?preset=golden&preset=golden", `query key "preset" given 2 times (give each key once)`},
 	} {
 		code, body, _ := get(t, hs.URL+tc.url)
 		if code != http.StatusBadRequest {
@@ -495,8 +499,8 @@ func TestCatalogAndProgress(t *testing.T) {
 		}
 		return ev
 	}
-	if ev := readLine(); ev.Study != "plan" {
-		t.Errorf("first event %+v, want the plan announcement", ev)
+	if ev := readLine(); ev.Study != "fake" || ev.Key != "" || ev.Total != 1 {
+		t.Errorf("first event %+v, want the fake study's announcement", ev)
 	}
 	if ev := readLine(); ev.Study != "fake" || ev.Key != "u1" {
 		t.Errorf("second event %+v, want the fake unit completion", ev)
@@ -512,6 +516,54 @@ func TestCatalogAndProgress(t *testing.T) {
 	}
 	if lines := strings.Count(body, "\n"); lines != 2 {
 		t.Errorf("replayed log has %d lines, want 2:\n%s", lines, body)
+	}
+}
+
+// TestProgressStreamsEachStudy computes a real campaign and replays its
+// progress log: every shardable study is announced, in plan order, with its
+// own unit count, and each study's completions count up to that total.
+func TestProgressStreamsEachStudy(t *testing.T) {
+	o := tinyOptions()
+	_, hs := newTestServer(t, Config{Base: o})
+	code, body, hdr := get(t, hs.URL+"/v1/experiments/table1")
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	code, body, _ = get(t, hs.URL+"/v1/studies/"+hdr.Get("X-Rhvpp-Fingerprint")+"/progress")
+	if code != http.StatusOK {
+		t.Fatalf("progress: status %d: %s", code, body)
+	}
+	var announced []string
+	total := map[string]int{}
+	done := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		var ev rhvpp.ProgressEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		if ev.Key == "" {
+			announced = append(announced, ev.Study)
+			total[ev.Study] = ev.Total
+			continue
+		}
+		if ev.Total != total[ev.Study] || ev.Done != done[ev.Study]+1 {
+			t.Errorf("unit event %+v after %d of %d done", ev, done[ev.Study], total[ev.Study])
+		}
+		done[ev.Study] = ev.Done
+	}
+	studies := rhvpp.ShardableStudies()
+	if len(announced) != len(studies) {
+		t.Fatalf("announced %v, want the %d shardable studies", announced, len(studies))
+	}
+	for i, s := range studies {
+		units, err := rhvpp.PlanUnits(o, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if announced[i] != string(s) || total[string(s)] != len(units) || done[string(s)] != len(units) {
+			t.Errorf("study %s: announced %q with total %d, done %d; want %d units",
+				s, announced[i], total[string(s)], done[string(s)], len(units))
+		}
 	}
 }
 

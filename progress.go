@@ -5,18 +5,23 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/dramstudy/rhvpp/internal/artifact"
 	"github.com/dramstudy/rhvpp/internal/experiments"
 )
 
 // ProgressEvent reports one step of a running study: a study announcement
-// (Key == "", Done == 0) when execution begins, then one event per completed
-// work unit with the study's cumulative completion count. Events carry no
-// wall-clock timestamps — progress, like everything else the campaign emits,
-// is a pure function of the options and the execution state.
+// (Key == "", Done == 0) when its computation begins, then one event per
+// completed work unit with the study's cumulative completion count. The
+// campaign cells (the CLI's -progress, the server's progress stream) and
+// RunShardObserved emit the same events; a study loaded rather than run
+// reports nothing. Events carry no wall-clock timestamps — progress, like
+// everything else the campaign emits, is a pure function of the options and
+// the execution state.
 type ProgressEvent struct {
 	// Study is the canonical study name ("rowhammer", "spice-mc", ...).
 	Study string `json:"study"`
@@ -25,14 +30,16 @@ type ProgressEvent struct {
 	Key string `json:"key,omitempty"`
 	// Done counts the study's completed units so far.
 	Done int `json:"done"`
-	// Total is the study's unit count under these options.
+	// Total is the study's unit count under these options (in a shard run,
+	// the shard's own share).
 	Total int `json:"total"`
 }
 
 // ProgressFunc receives progress events. Module-sweep events fire from the
-// worker pool's goroutines, so implementations must be safe for concurrent
-// calls; events for one study arrive in completion order, which is NOT the
-// catalog order the results fold in.
+// worker pool's goroutines and studies may run concurrently, so
+// implementations must be safe for concurrent calls. One study's unit events
+// arrive one at a time with Done counting up to Total, in completion order —
+// NOT the catalog order the results fold in.
 type ProgressFunc func(ProgressEvent)
 
 // WithProgress installs a progress hook for studies that have not run yet
@@ -44,10 +51,30 @@ func (c *Campaign) WithProgress(fn ProgressFunc) *Campaign {
 	return c
 }
 
-// RunShardObserved is RunShard with a per-unit completion hook — the
-// execution path `rhvpp serve` computes (and streams progress for) a study
-// on a cache miss. A nil onUnit is exactly RunShard.
-func RunShardObserved(ctx context.Context, o Options, shard, of int, units []WorkUnit, onUnit func(WorkUnit)) (*ShardArtifact, error) {
+// runStudy executes one study's units in-process. A non-nil fn first hears
+// the study announced with len(units), then one event per completed unit.
+// The unit events are sent under one lock, so fn sees Done count up in
+// order, and must not wait for a later event of the same study.
+func runStudy(ctx context.Context, o Options, s Study, units []WorkUnit, fn ProgressFunc) ([]json.RawMessage, error) {
+	var onUnit func(WorkUnit)
+	if fn != nil {
+		fn(ProgressEvent{Study: string(s), Total: len(units)})
+		var mu sync.Mutex
+		done := 0
+		onUnit = func(u WorkUnit) {
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			fn(ProgressEvent{Study: string(s), Key: u.Key, Done: done, Total: len(units)})
+		}
+	}
+	return experiments.RunUnits(ctx, o, string(s), units, onUnit)
+}
+
+// RunShardObserved is RunShard reporting progress to fn, one study at a
+// time in the order the studies first appear in units. A nil fn is exactly
+// RunShard.
+func RunShardObserved(ctx context.Context, o Options, shard, of int, units []WorkUnit, fn ProgressFunc) (*ShardArtifact, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
@@ -59,8 +86,7 @@ func RunShardObserved(ctx context.Context, o Options, shard, of int, units []Wor
 	if err != nil {
 		return nil, err
 	}
-	// Group by study, preserving unit order within each study; execute each
-	// study's units in-process.
+	// Group by study, preserving unit order within each study.
 	byStudy := make(map[string][]WorkUnit)
 	var order []string
 	for _, u := range units {
@@ -71,26 +97,31 @@ func RunShardObserved(ctx context.Context, o Options, shard, of int, units []Wor
 	}
 	for _, study := range order {
 		su := byStudy[study]
-		payloads, err := experiments.RunUnits(ctx, o, study, su, onUnit)
+		payloads, err := runStudy(ctx, o, Study(study), su, fn)
 		if err != nil {
 			return nil, fmt.Errorf("rhvpp: shard %d/%d study %s: %w", shard, of, study, err)
 		}
-		for i, raw := range payloads {
-			art.Units = append(art.Units, artifact.Unit{
-				Study: su[i].Study, Key: su[i].Key, Index: su[i].Index, Data: raw,
-			})
-		}
+		art.Units = appendUnits(art.Units, su, payloads)
 	}
 	return art, nil
+}
+
+// appendUnits appends each unit with its payload to an artifact's units.
+func appendUnits(dst []artifact.Unit, units []WorkUnit, payloads []json.RawMessage) []artifact.Unit {
+	for i, raw := range payloads {
+		dst = append(dst, artifact.Unit{Study: units[i].Study, Key: units[i].Key, Index: units[i].Index, Data: raw})
+	}
+	return dst
 }
 
 // OptionsFingerprint returns the canonical options fingerprint: the SHA-256
 // of the canonical options encoding, in lowercase hex. It is the
 // content-address of a campaign — shard artifacts embed the same canonical
-// encoding, and the artifact store keys completed studies by this digest.
+// encoding, and the artifact store keys each completed study by this
+// digest and the study name.
 // The execution-shape knob Jobs is excluded exactly as it is from shard
 // artifacts, so requests differing only in worker count share one
-// fingerprint, one computation, and one store entry.
+// fingerprint, one computation, and one set of store entries.
 func OptionsFingerprint(o Options) (string, error) {
 	raw, err := canonicalOptions(o)
 	if err != nil {
@@ -100,8 +131,9 @@ func OptionsFingerprint(o Options) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// ArtifactStore is the content-addressed on-disk store of completed shard
-// artifacts, keyed by OptionsFingerprint; see internal/artifact.
+// ArtifactStore is the content-addressed on-disk store of completed
+// studies: one shard 0-of-1 artifact per (options fingerprint, study); see
+// internal/artifact.
 type ArtifactStore = artifact.Store
 
 // Store errors, re-exported for callers distinguishing a cache miss from a
@@ -116,79 +148,91 @@ var (
 // writer left behind.
 func OpenArtifactStore(dir string) (*ArtifactStore, error) { return artifact.OpenStore(dir) }
 
-// CachedCampaign returns a Campaign for o backed by the artifact store: a
-// stored artifact at o's fingerprint is decoded and preloaded (fromStore
-// true, no study recomputed); otherwise the full shardable plan executes
-// in-process — reporting per-unit completion through onUnit — and the
-// complete artifact persists to the store before the campaign returns. A
-// corrupt store entry — one that does not decode, carries options other
-// than o's canonical encoding, or does not merge — is treated as a miss and
-// overwritten by the fresh computation, so one damaged file degrades a
-// daemon to a recompute instead of wedging the fingerprint or serving
-// another campaign's results. With a nil store it always computes.
-//
-// The returned campaign memoizes like any other: the deliberately-local
-// waveform study (and nothing else) computes on first render.
-func CachedCampaign(ctx context.Context, o Options, st *ArtifactStore, onUnit func(WorkUnit)) (c *Campaign, fromStore bool, err error) {
-	if err := o.Validate(); err != nil {
+// CachedCampaign returns a Campaign for o whose study cells are backed by
+// the artifact store, with every shardable study filled in plan order before
+// it returns. A cell reads its study's entry — an ordinary shard 0-of-1
+// artifact of that study's units, keyed by (fingerprint, study) — or runs
+// the study, reporting progress to fn, and puts the entry; fromStore reports
+// that no study ran. An entry that does not decode, carries other options or
+// another study's units, or does not assemble is a miss that study alone
+// recomputes and overwrites. Entries of studies finished before a
+// cancellation stay. A nil store computes every study. Whole-campaign
+// entries written by older builds are no longer read. The waveform study
+// computes on first render, as in any Campaign.
+func CachedCampaign(ctx context.Context, o Options, st *ArtifactStore, fn ProgressFunc) (c *Campaign, fromStore bool, err error) {
+	if c, err = NewCampaign(o); err != nil {
 		return nil, false, err
 	}
-	fp, err := OptionsFingerprint(o)
-	if err != nil {
-		return nil, false, err
-	}
+	c.progress = fn
 	if st != nil {
-		c, err := storedCampaign(st, fp, o)
-		switch {
-		case err == nil:
-			return c, true, nil
-		case errors.Is(err, ErrArtifactNotFound), errors.Is(err, ErrArtifactCorrupt):
-			// Miss either way: recompute, and overwrite the damaged entry.
-		default:
+		c.store = &studyStore{st: st}
+		if c.store.fp, err = OptionsFingerprint(o); err == nil {
+			c.store.canon, err = canonicalOptions(o)
+		}
+		if err != nil {
 			return nil, false, err
 		}
 	}
-	units, err := PlanUnits(o)
-	if err != nil {
-		return nil, false, err
-	}
-	art, err := RunShardObserved(ctx, o, 0, 1, units, onUnit)
-	if err != nil {
-		return nil, false, err
-	}
-	if st != nil {
-		if err := st.Put(fp, art); err != nil {
-			return nil, false, fmt.Errorf("rhvpp: persisting campaign %s: %w", fp, err)
+	for _, s := range ShardableStudies() {
+		if err := fills[s](c, ctx); err != nil {
+			return nil, false, err
 		}
 	}
-	c, err = MergeArtifacts(art)
-	if err != nil {
-		return nil, false, err
-	}
-	return c, false, nil
+	return c, len(c.StudyRuns()) == 0, nil
 }
 
-// storedCampaign opens the store entry at fp as o's campaign. An entry
-// whose options differ from o's canonical encoding, or that MergeArtifacts
-// rejects, is ErrArtifactCorrupt: the store is keyed by fingerprint, so
-// such an entry is damage, not another campaign to serve.
-func storedCampaign(st *ArtifactStore, fp string, o Options) (*Campaign, error) {
-	art, err := st.Get(fp)
-	if err != nil {
+// studyStore files one campaign's studies as artifact-store entries, one
+// per study. A nil *studyStore stores nothing.
+type studyStore struct {
+	st    *ArtifactStore
+	fp    string          // the campaign's options fingerprint
+	canon json.RawMessage // the canonical options every entry carries
+}
+
+// studyKey is the store key of study s's entry: a SHA-256 of (fingerprint,
+// study) in lowercase hex, the key shape the store accepts.
+func studyKey(fp string, s Study) string {
+	sum := sha256.Sum256([]byte(fp + "/" + string(s)))
+	return hex.EncodeToString(sum[:])
+}
+
+// get returns study s's payloads by unit key from its entry, or nil on a
+// miss and for an entry that is not this study under these options
+// (corrupt, other options, another study's units, a unit twice). Only a
+// store failure other than a miss or damage is an error.
+func (ss *studyStore) get(s Study) (map[string]json.RawMessage, error) {
+	if ss == nil {
+		return nil, nil
+	}
+	art, err := ss.st.Get(studyKey(ss.fp, s))
+	switch {
+	case errors.Is(err, ErrArtifactNotFound), errors.Is(err, ErrArtifactCorrupt):
+		return nil, nil
+	case err != nil:
 		return nil, err
+	case !bytes.Equal(art.Options, ss.canon):
+		return nil, nil
 	}
-	canon, err := canonicalOptions(o)
+	if by, err := studyPayloads(art); err == nil && len(by[s]) == len(art.Units) {
+		return by[s], nil
+	}
+	return nil, nil
+}
+
+// put files study s's computed units as its entry, overwriting any other.
+func (ss *studyStore) put(s Study, units []WorkUnit, payloads []json.RawMessage) error {
+	if ss == nil {
+		return nil
+	}
+	art, err := artifact.New(0, 1, ss.canon)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if !bytes.Equal(art.Options, canon) {
-		return nil, fmt.Errorf("%w: %s: entry options %s are not %s", ErrArtifactCorrupt, fp, art.Options, canon)
+	art.Units = appendUnits(nil, units, payloads)
+	if err := ss.st.Put(studyKey(ss.fp, s), art); err != nil {
+		return fmt.Errorf("rhvpp: persisting study %s: %w", s, err)
 	}
-	c, err := MergeArtifacts(art)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrArtifactCorrupt, fp, err)
-	}
-	return c, nil
+	return nil
 }
 
 // PresetOptions resolves a campaign preset by name: "" or "default" (the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/dramstudy/rhvpp/internal/artifact"
 	"github.com/dramstudy/rhvpp/internal/experiments"
@@ -150,52 +151,35 @@ func MergeArtifacts(arts ...*ShardArtifact) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	byStudy := make(map[Study]map[string]json.RawMessage)
-	for _, s := range ShardableStudies() {
-		byStudy[s] = make(map[string]json.RawMessage)
-	}
-	for _, u := range merged.Units {
-		data, ok := byStudy[Study(u.Study)]
-		if !ok {
-			return nil, fmt.Errorf("rhvpp: artifact carries units of unknown study %q", u.Study)
-		}
-		data[u.Key] = u.Data
+	if c.merged, err = studyPayloads(merged); err != nil {
+		return nil, err
 	}
 	// Fold in plan order, so a shard set broken in several studies always
 	// reports the same study's error.
 	for _, s := range ShardableStudies() {
-		data := byStudy[s]
-		if len(data) == 0 {
-			continue
-		}
-		switch s {
-		case StudyRowHammer:
-			err = preload(o, data, &c.rowhammer, experiments.AssembleRowHammerStudy)
-		case StudyTRCD:
-			err = preload(o, data, &c.trcd, experiments.AssembleTRCDStudy)
-		case StudyRetention:
-			err = preload(o, data, &c.retention, experiments.AssembleRetentionStudy)
-		case StudyWordAnalysis:
-			err = preload(o, data, &c.words, experiments.AssembleWordAnalysis)
-		case StudyCV:
-			err = preload(o, data, &c.cv, experiments.AssembleCVStudy)
-		case StudySpiceMC:
-			err = preload(o, data, &c.spiceMC, experiments.AssembleMCStudy)
-		}
-		if err != nil {
-			return nil, err
+		if c.merged[s] != nil {
+			if err := fills[s](c, context.TODO()); err != nil {
+				return nil, err
+			}
 		}
 	}
+	c.merged = nil
 	return c, nil
 }
 
-// preload assembles a study's merged unit payloads into its cell, so the
-// campaign's accessor returns the result without running the study.
-func preload[T any](o Options, data map[string]json.RawMessage, cl *cell[T],
-	assemble func(Options, map[string]json.RawMessage) (T, error)) error {
-	st, err := assemble(o, data)
-	if err == nil {
-		cl.set(st)
+// studyPayloads groups an artifact's unit payloads by study and unit key,
+// refusing units of a study that is not shardable.
+func studyPayloads(a *ShardArtifact) (map[Study]map[string]json.RawMessage, error) {
+	by := make(map[Study]map[string]json.RawMessage)
+	for _, u := range a.Units {
+		s := Study(u.Study)
+		if by[s] == nil {
+			if !slices.Contains(experiments.ShardableStudies(), u.Study) {
+				return nil, fmt.Errorf("rhvpp: artifact carries units of unknown study %q", u.Study)
+			}
+			by[s] = make(map[string]json.RawMessage)
+		}
+		by[s][u.Key] = u.Data
 	}
-	return err
+	return by, nil
 }

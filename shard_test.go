@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dramstudy/rhvpp/internal/artifact"
 	"github.com/dramstudy/rhvpp/internal/core"
 	"github.com/dramstudy/rhvpp/internal/physics"
 )
@@ -262,9 +263,7 @@ func TestMergeArtifactsReportsFirstBrokenStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range units {
-		if err := art.Add(u.Study, u.Key, u.Index, map[string]string{"module": "ZZ"}); err != nil {
-			t.Fatal(err)
-		}
+		art.Units = append(art.Units, artifact.Unit{Study: u.Study, Key: u.Key, Index: u.Index, Data: json.RawMessage(`{"module":"ZZ"}`)})
 	}
 	for i := 0; i < 20; i++ {
 		_, err := MergeArtifacts(art)

@@ -245,22 +245,23 @@ func (c *Campaign) adhocResult(ctx context.Context, id string,
 
 // shardedStudy returns a shardable study from its cell, filling it on first
 // use from the payloads MergeArtifacts is folding, else from the store entry,
-// else by running the study's units (reporting to the progress hook) and
-// filing the entry. Only a run counts in StudyRuns. assemble checks the
-// payloads against the study's plan, so an incomplete entry is recomputed.
-func shardedStudy[T any](ctx context.Context, c *Campaign, s Study, cl *cell[T],
-	assemble func(Options, map[string]json.RawMessage) (T, error)) (T, error) {
+// else by running the study's units (reporting to the progress hook),
+// folding the partials as computed and filing the entry. Only a run counts
+// in StudyRuns, and only payloads that cross the process boundary are
+// encoded or decoded. Assembly checks the payloads against the study's plan,
+// so an incomplete entry is recomputed.
+func shardedStudy[P, T any](ctx context.Context, c *Campaign, s Study, cl *cell[T], f experiments.StudyFold[P, T]) (T, error) {
 	return cl.get(func() (T, error) {
 		var zero T
 		if data := c.merged[s]; data != nil {
-			return assemble(c.opts, data)
+			return f.Assemble(c.opts, data)
 		}
 		data, err := c.store.get(s)
 		if err != nil {
 			return zero, err
 		}
 		if data != nil {
-			if st, err := assemble(c.opts, data); err == nil {
+			if st, err := f.Assemble(c.opts, data); err == nil {
 				return st, nil
 			}
 		}
@@ -269,17 +270,13 @@ func shardedStudy[T any](ctx context.Context, c *Campaign, s Study, cl *cell[T],
 		if err != nil {
 			return zero, err
 		}
-		payloads, err := runStudy(ctx, c.opts, s, units, c.progress)
+		parts, err := runStudy(ctx, c.opts, s, units, c.progress)
 		if err != nil {
 			return zero, err
 		}
-		data = make(map[string]json.RawMessage, len(payloads))
-		for i, raw := range payloads {
-			data[units[i].Key] = raw
-		}
-		st, err := assemble(c.opts, data)
+		st, err := f.Fold(c.opts, parts)
 		if err == nil {
-			err = c.store.put(s, units, payloads)
+			err = c.store.put(s, units, parts)
 		}
 		return st, err
 	})
@@ -302,17 +299,17 @@ func fill[T any](get func(*Campaign, context.Context) (T, error)) func(*Campaign
 
 // RowHammer returns the session's Alg. 1 study, computing it on first use.
 func (c *Campaign) RowHammer(ctx context.Context) (RowHammerStudy, error) {
-	return shardedStudy(ctx, c, StudyRowHammer, &c.rowhammer, experiments.AssembleRowHammerStudy)
+	return shardedStudy(ctx, c, StudyRowHammer, &c.rowhammer, experiments.RowHammerFold)
 }
 
 // TRCD returns the session's Alg. 2 study, computing it on first use.
 func (c *Campaign) TRCD(ctx context.Context) (TRCDStudy, error) {
-	return shardedStudy(ctx, c, StudyTRCD, &c.trcd, experiments.AssembleTRCDStudy)
+	return shardedStudy(ctx, c, StudyTRCD, &c.trcd, experiments.TRCDFold)
 }
 
 // Retention returns the session's Alg. 3 study, computing it on first use.
 func (c *Campaign) Retention(ctx context.Context) (RetentionStudy, error) {
-	return shardedStudy(ctx, c, StudyRetention, &c.retention, experiments.AssembleRetentionStudy)
+	return shardedStudy(ctx, c, StudyRetention, &c.retention, experiments.RetentionFold)
 }
 
 // SpiceWaveforms returns the session's transient traces, computing them on
@@ -329,18 +326,18 @@ func (c *Campaign) SpiceWaveforms(ctx context.Context) (Waveforms, error) {
 
 // SpiceMC returns the session's Monte-Carlo study, computing it on first use.
 func (c *Campaign) SpiceMC(ctx context.Context) (MCStudy, error) {
-	return shardedStudy(ctx, c, StudySpiceMC, &c.spiceMC, experiments.AssembleMCStudy)
+	return shardedStudy(ctx, c, StudySpiceMC, &c.spiceMC, experiments.MCFold)
 }
 
 // WordAnalysis returns the session's Fig. 11 study, computing it on first
 // use.
 func (c *Campaign) WordAnalysis(ctx context.Context) (WordAnalysis, error) {
-	return shardedStudy(ctx, c, StudyWordAnalysis, &c.words, experiments.AssembleWordAnalysis)
+	return shardedStudy(ctx, c, StudyWordAnalysis, &c.words, experiments.WordAnalysisFold)
 }
 
 // CV returns the session's §4.6 variation study, computing it on first use.
 func (c *Campaign) CV(ctx context.Context) (CVStudy, error) {
-	return shardedStudy(ctx, c, StudyCV, &c.cv, experiments.AssembleCVStudy)
+	return shardedStudy(ctx, c, StudyCV, &c.cv, experiments.CVFold)
 }
 
 // Run renders one experiment by id into enc, reusing every study already

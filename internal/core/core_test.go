@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/dram"
@@ -282,6 +283,53 @@ func TestRetentionSweepFailsAtLongWindows(t *testing.T) {
 	}
 	if totalAt16s == 0 {
 		t.Error("no retention failures at 16s on Mfr C rows")
+	}
+}
+
+// TestRetentionSweepHeapPerRow bounds the heap Alg. 3 leaves behind per
+// tested row at paper geometry (8 KiB rows of 65536 cells), where a row's
+// whole retention order is 256 KiB. A row keeps its 8 KiB image and the
+// prefix of its order that reads have used: 16 KiB, or a longer prefix
+// once a long window fails more cells than that.
+func TestRetentionSweepHeapPerRow(t *testing.T) {
+	const rows, perRowMax = 48, 64 << 10
+	p, _ := physics.ProfileByName("C0")
+	geom := physics.FullGeometry()
+	mod := dram.NewModule(p, geom, 2022)
+	mod.SetTemperature(physics.RetentionTestTempC)
+	mod.SetVPP(p.VPPMin)
+	tr := NewTester(softmc.New(mod), Default())
+	heapInuse := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	selected := SelectRows(geom, 1, rows+1)
+	// The first row allocates what every row shares: the bank's read masks
+	// and the row-table pages.
+	if _, err := tr.RetentionSweep(selected[0], pattern.CheckerAA); err != nil {
+		t.Fatal(err)
+	}
+	before := heapInuse()
+	failed := 0
+	for _, row := range selected[1:] {
+		res, err := tr.RetentionSweep(row, pattern.CheckerAA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BERAt(16384) > 0 {
+			failed++
+		}
+	}
+	perRow := (heapInuse() - before) / rows
+	runtime.KeepAlive(mod)
+	if failed == 0 {
+		t.Fatal("no row failed at 16 s; the sweep never sampled a retention order")
+	}
+	t.Logf("%d rows (%d failing at 16 s): %d B of heap per row", rows, failed, perRow)
+	if perRow > perRowMax {
+		t.Errorf("Alg. 3 keeps %d B of heap per row, want at most %d", perRow, perRowMax)
 	}
 }
 

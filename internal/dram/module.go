@@ -570,20 +570,20 @@ func (rc *readCache) load(m *Module, bankIdx, phys int, st stateKey) {
 }
 
 // resizeHammer moves the hammer mask to the first hammerN cells, attaching
-// the row's hammer order on first need, so a row that is only counted never
-// samples it.
+// a long enough prefix of the row's hammer order on need, so a row that is
+// only counted never samples it.
 func (rc *readCache) resizeHammer(m *Module, bankIdx, phys int) {
-	if rc.hammer.order == nil {
-		rc.hammer.setOrder(m.model.HammerFlipPositions(bankIdx, phys, m.geom.RowBits()), m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+	if len(rc.hammer.order) < rc.hammerN {
+		rc.hammer.setOrder(m.model.HammerOrder(bankIdx, phys, rc.hammerN), m.geom.RowBytes) //detlint:ignore hotalloc lazy per-row sampling, amortized over the row's reads
 	}
 	rc.hammer.resize(rc.hammerN)
 }
 
 // resizeBulk moves the retention mask to the first count bulk cells,
-// attaching the row's retention order on first need.
+// attaching a long enough prefix of the row's retention order on need.
 func (rc *readCache) resizeBulk(m *Module, count int) {
-	if count > 0 && rc.retBulk.order == nil {
-		rc.retBulk.setOrder(rc.ret.BulkOrder(), m.geom.RowBytes) //detlint:ignore hotalloc one-time lazy per-row sampling, amortized over the row's reads
+	if len(rc.retBulk.order) < count {
+		rc.retBulk.setOrder(rc.ret.BulkOrder(count), m.geom.RowBytes) //detlint:ignore hotalloc lazy per-row sampling, amortized over the row's reads
 	}
 	rc.retBulk.resize(count)
 }
@@ -604,14 +604,16 @@ func (rc *readCache) flipBurst(b []byte, off int, skipBulk bool) {
 // prefixMask is a row-sized bit mask of the first n cells of a row's
 // weakest-first cell order. Resizing toggles only the cells between the old
 // and the new prefix, so a count that creeps up from burst to burst costs
-// only its growth.
+// only its growth. The mask holds the prefix of the order the row keeps,
+// at least n cells; growing past it attaches a longer one.
 type prefixMask struct {
 	order []int32
 	bits  []byte
 	n     int
 }
 
-// setOrder attaches a cell order to an empty mask.
+// setOrder attaches a prefix of the row's cell order at least as long as
+// the attached one. Its first n cells are the mask's, so the bits stay.
 func (pm *prefixMask) setOrder(order []int32, rowBytes int) {
 	pm.order = order
 	if len(pm.bits) != rowBytes {

@@ -13,9 +13,11 @@
 // units (PlanStudy), one per-module testbed for the RowHammer / tRCD /
 // retention / word-analysis / CV sweeps and one per-VPP-level Monte-Carlo
 // run range for the SPICE study. RunUnits executes units under a
-// context.Context with a bounded worker pool (Options.Jobs) and serializes
-// each unit's partial to JSON; the Assemble* functions fold the partials
-// back in catalog/(level, run) order. Per-module testbeds are fully
+// context.Context with a bounded worker pool (Options.Jobs) and returns
+// each unit's typed partial; the study's StudyFold folds the partials back
+// in catalog/(level, run) order, either as computed (Fold) or decoded from
+// the JSON a shard artifact or store entry carries (Assemble). Bytes exist
+// only where a partial leaves the process. Per-module testbeds are fully
 // independent and deterministically seeded, so output is byte-identical at
 // any worker count and any split of the units into shard artifacts. The
 // SPICE Monte-Carlo units of one RunUnits call share one global run queue
@@ -46,5 +48,7 @@
 // v1 fingerprint field set (docs/CONTRACTS.md). This package defines the
 // shard-protocol catalog (ShardableStudies); TestUnitPathIndependentOfSplit
 // requires every catalog study to assemble to the same result however its
-// units are split across RunUnits calls.
+// units are split across RunUnits calls, and the root package's
+// TestPartialsRoundTrip requires every unit's typed partial to survive its
+// JSON round trip deeply equal, so Fold and Assemble agree.
 package experiments

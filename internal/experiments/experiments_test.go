@@ -86,7 +86,7 @@ func TestModuleSweepNominalMatchesTable3(t *testing.T) {
 }
 
 func TestRowHammerStudyRenders(t *testing.T) {
-	st := runStudy(t, testOptions("B3", "C0"), StudyNameRowHammer, AssembleRowHammerStudy)
+	st := runStudy(t, testOptions("B3", "C0"), StudyNameRowHammer, RowHammerFold.Assemble)
 	if len(st.Sweeps) != 2 {
 		t.Fatalf("sweeps = %d", len(st.Sweeps))
 	}
@@ -110,7 +110,7 @@ func TestRowHammerStudyRenders(t *testing.T) {
 }
 
 func TestSection5AggregatesDirections(t *testing.T) {
-	st := runStudy(t, testOptions("B3", "C0", "C6"), StudyNameRowHammer, AssembleRowHammerStudy)
+	st := runStudy(t, testOptions("B3", "C0", "C6"), StudyNameRowHammer, RowHammerFold.Assemble)
 	a := st.Section5Aggregates()
 	// These three modules all show the dominant trend; aggregates must
 	// point the right way even on a small sample.
@@ -160,7 +160,7 @@ func TestTRCDSweepPassingAndFailing(t *testing.T) {
 
 func TestTRCDStudySummary(t *testing.T) {
 	o := testOptions("C0", "B2", "A3", "B0", "C2")
-	st := runStudy(t, o, StudyNameTRCD, AssembleTRCDStudy)
+	st := runStudy(t, o, StudyNameTRCD, TRCDFold.Assemble)
 	s := st.Summary()
 	if s.FailingModules != 1 || s.PassingModules != 4 {
 		t.Errorf("summary = %+v", s)
@@ -238,7 +238,7 @@ func TestWaveformsShapes(t *testing.T) {
 
 func TestMCStudyShapes(t *testing.T) {
 	o := testOptions()
-	st := runStudy(t, o, StudyNameSpiceMC, AssembleMCStudy)
+	st := runStudy(t, o, StudyNameSpiceMC, MCFold.Assemble)
 	// Mean tRCDmin grows monotonically (within noise) as VPP drops, and
 	// every level above 1.7V is fully reliable.
 	first := st.Results[0]
@@ -261,7 +261,7 @@ func TestMCStudyShapes(t *testing.T) {
 func TestRetentionStudyShapes(t *testing.T) {
 	o := testOptions("A3", "B0", "C0")
 	o.RowsPerChunk = 3
-	st := runStudy(t, o, StudyNameRetention, AssembleRetentionStudy)
+	st := runStudy(t, o, StudyNameRetention, RetentionFold.Assemble)
 	for _, mfr := range []physics.Manufacturer{physics.MfrA, physics.MfrB, physics.MfrC} {
 		mean := st.MeanBER[mfr]
 		if len(mean) == 0 {
@@ -299,7 +299,7 @@ func TestWordAnalysisFig11(t *testing.T) {
 	o := testOptions("B6", "C5", "A3")
 	o.RowsPerChunk = 120
 	o.Chunks = 2
-	wa := runStudy(t, o, StudyNameWordAnalysis, AssembleWordAnalysis)
+	wa := runStudy(t, o, StudyNameWordAnalysis, WordAnalysisFold.Assemble)
 	if !wa.SECDEDSafe {
 		t.Error("multi-flip words found at smallest failing windows (Obsv. 14 violated)")
 	}
@@ -323,7 +323,7 @@ func TestWordAnalysisFig11(t *testing.T) {
 
 func TestCVStudyPercentiles(t *testing.T) {
 	o := testOptions("B0", "B7")
-	st := runStudy(t, o, StudyNameCV, AssembleCVStudy)
+	st := runStudy(t, o, StudyNameCV, CVFold.Assemble)
 	if st.CVs.N() == 0 {
 		t.Fatal("no CV series measured")
 	}
@@ -449,20 +449,23 @@ func TestSECDEDCoverage(t *testing.T) {
 
 func TestOptionsHelpers(t *testing.T) {
 	o := Default()
-	profs, err := o.profiles()
+	names, err := o.moduleNames()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(profs) != 30 {
-		t.Errorf("default profiles = %d", len(profs))
+	if len(names) != 30 {
+		t.Errorf("default modules = %d", len(names))
 	}
-	o.ModuleNames = []string{"B3", "C0"}
-	profs, err = o.profiles()
+	o.ModuleNames = []string{"C0", "B3"}
+	names, err = o.moduleNames()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(profs) != 2 || profs[0].Name != "B3" || profs[1].Name != "C0" {
-		t.Errorf("filtered profiles = %v", profs)
+	if len(names) != 2 || names[0] != "C0" || names[1] != "B3" {
+		t.Errorf("selected modules = %v, want the selection order", names)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = o.moduleNames() }); allocs != 0 {
+		t.Errorf("resolving a valid selection allocates %v times, want 0", allocs)
 	}
 	prof, _ := physics.ProfileByName("B3")
 	o.VPPStride = 3
@@ -580,7 +583,7 @@ func TestRowHammerStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 	render := func(jobs int) string {
 		o := base
 		o.Jobs = jobs
-		st := runStudy(t, o, StudyNameRowHammer, AssembleRowHammerStudy)
+		st := runStudy(t, o, StudyNameRowHammer, RowHammerFold.Assemble)
 		var buf bytes.Buffer
 		enc := report.NewText(&buf)
 		if err := enc.Table(st.Table3()); err != nil {

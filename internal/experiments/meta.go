@@ -75,9 +75,9 @@ type CVStudy struct {
 	P99 float64
 }
 
-// assembleCV merges per-module CV populations — already in catalog order —
+// foldCV merges per-module CV populations — already in catalog order —
 // into the study summary.
-func assembleCV(perModule []stats.Dist) CVStudy {
+func foldCV(_ Options, perModule []stats.Dist) (CVStudy, error) {
 	var st CVStudy
 	for _, cvs := range perModule {
 		st.CVs.Merge(cvs)
@@ -87,7 +87,7 @@ func assembleCV(perModule []stats.Dist) CVStudy {
 		st.P95, _ = st.CVs.Percentile(95)
 		st.P99, _ = st.CVs.Percentile(99)
 	}
-	return st
+	return st, nil
 }
 
 // runModuleCV folds one module's CV population at nominal VPP and VPPmin

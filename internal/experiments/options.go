@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -76,14 +77,17 @@ func Paper() Options {
 }
 
 // KnownModuleNames lists the Table 3 labels in catalog order.
-func KnownModuleNames() []string {
+func KnownModuleNames() []string { return slices.Clone(catalogNames) }
+
+// catalogNames is the Table 3 labels in catalog order. Read-only.
+var catalogNames = func() []string {
 	all := physics.Profiles()
 	names := make([]string, 0, len(all))
 	for _, p := range all {
 		names = append(names, p.Name)
 	}
 	return names
-}
+}()
 
 // Validate rejects campaigns that would silently test the wrong population
 // (every entry of ModuleNames must be a Table 3 label, with no duplicates)
@@ -103,43 +107,35 @@ func (o Options) Validate() error {
 	if o.SpiceMCRuns < 1 {
 		return fmt.Errorf("experiments: SpiceMCRuns %d is below one Monte-Carlo run per VPP level", o.SpiceMCRuns)
 	}
-	_, err := o.profiles()
+	_, err := o.moduleNames()
 	return err
 }
 
-// profiles resolves the module subset in catalog order, erroring on names
+// moduleNames resolves the module subset: the selected labels in selection
+// order, or the whole catalog when none are selected. It errors on names
 // outside the tested population (the old behavior of quietly dropping them
-// made e.g. a typo in -modules shrink the campaign without a trace).
-func (o Options) profiles() ([]physics.ModuleProfile, error) {
-	all := physics.Profiles()
+// made e.g. a typo in -modules shrink the campaign without a trace) and on
+// a name selected twice. Every campaign plan resolves through here, so it
+// allocates nothing for a valid selection and the result is read-only.
+func (o Options) moduleNames() ([]string, error) {
 	if len(o.ModuleNames) == 0 {
-		return all, nil
-	}
-	byName := make(map[string]physics.ModuleProfile, len(all))
-	for _, p := range all {
-		byName[p.Name] = p
+		return catalogNames, nil
 	}
 	var unknown []string
-	seen := make(map[string]bool, len(o.ModuleNames))
-	out := make([]physics.ModuleProfile, 0, len(o.ModuleNames))
-	for _, name := range o.ModuleNames {
-		p, ok := byName[name]
+	for i, name := range o.ModuleNames {
 		switch {
-		case !ok:
+		case !slices.Contains(catalogNames, name):
 			unknown = append(unknown, name)
-		case seen[name]:
+		case slices.Contains(o.ModuleNames[:i], name):
 			return nil, fmt.Errorf("experiments: module %q selected twice", name)
-		default:
-			seen[name] = true
-			out = append(out, p)
 		}
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		return nil, fmt.Errorf("experiments: unknown module(s) %s (known Table 3 labels: %s)",
-			strings.Join(unknown, ", "), strings.Join(KnownModuleNames(), " "))
+			strings.Join(unknown, ", "), strings.Join(catalogNames, " "))
 	}
-	return out, nil
+	return o.ModuleNames, nil
 }
 
 // FirstModule returns the first selected module name, or the fallback when

@@ -56,11 +56,11 @@ func retentionGrid(o Options) (vpps, windows []float64, idx4s int) {
 	return o.RetentionVPPLevels, o.Config.RetentionWindowsMS, idx4s
 }
 
-// assembleRetention folds per-module partials — already in catalog order —
+// foldRetention folds per-module partials — already in catalog order —
 // into the per-manufacturer study aggregates. Payloads from one process or
 // from many shards fold through it alike, so a merged multi-shard campaign
 // reproduces the single-process bytes.
-func assembleRetention(o Options, perModule []ModuleRetention) (RetentionStudy, error) {
+func foldRetention(o Options, perModule []ModuleRetention) (RetentionStudy, error) {
 	st := RetentionStudy{
 		WindowsMS:  o.Config.RetentionWindowsMS,
 		VPP:        o.RetentionVPPLevels,
@@ -249,9 +249,9 @@ type ModuleWords struct {
 	MultiFlips bool                 `json:"multi_flips"`
 }
 
-// assembleWordAnalysis folds per-module partials (in catalog order) into the
+// foldWordAnalysis folds per-module partials (in catalog order) into the
 // Fig. 11 aggregates.
-func assembleWordAnalysis(perModule []ModuleWords) WordAnalysis {
+func foldWordAnalysis(_ Options, perModule []ModuleWords) (WordAnalysis, error) {
 	wa := WordAnalysis{
 		Distribution64:  map[physics.Manufacturer]map[int]float64{},
 		Distribution128: map[physics.Manufacturer]map[int]float64{},
@@ -318,7 +318,7 @@ func assembleWordAnalysis(perModule []ModuleWords) WordAnalysis {
 	if rows128 > 0 {
 		wa.FracNeedingFastRefresh128 = float64(totalFail128) / float64(rows128)
 	}
-	return wa
+	return wa, nil
 }
 
 // RunModuleWords measures one module's word-error structure at VPPmin.

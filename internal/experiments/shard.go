@@ -2,10 +2,10 @@
 // deterministic, independently-executable work units — one per-module testbed
 // for the RowHammer / tRCD / retention / word-analysis / CV sweeps, one
 // per-VPP-level Monte-Carlo run range for the SPICE study — and each unit's
-// partial result serializes to JSON, travels as a shard artifact, and folds
-// back in catalog/(level, run) order. A single-process campaign runs the
-// same units and folds them through the same Assemble* functions, so a
-// sharded campaign reproduces the single-process output byte for byte.
+// typed partial result folds back in catalog/(level, run) order. A
+// single-process campaign folds the partials it computed; a sharded one
+// decodes them from JSON shard artifacts first and folds them through the
+// same StudyFold, so it reproduces the single-process output byte for byte.
 
 package experiments
 
@@ -66,13 +66,13 @@ type UnitRef struct {
 func PlanStudy(o Options, study string) ([]UnitRef, error) {
 	switch study {
 	case StudyNameRowHammer, StudyNameTRCD, StudyNameRetention, StudyNameWordAnalysis, StudyNameCV:
-		profs, err := o.profiles()
+		names, err := o.moduleNames()
 		if err != nil {
 			return nil, err
 		}
-		units := make([]UnitRef, len(profs))
-		for i, p := range profs {
-			units[i] = UnitRef{Study: study, Key: p.Name, Index: i}
+		units := make([]UnitRef, len(names))
+		for i, name := range names {
+			units[i] = UnitRef{Study: study, Key: name, Index: i}
 		}
 		return units, nil
 	case StudyNameSpiceMC:
@@ -181,7 +181,13 @@ func validateUnits(o Options, study string, units []UnitRef) ([]UnitRef, error) 
 }
 
 // RunUnits executes the given work units of ONE study and returns each
-// unit's serialized partial result, index-aligned with units.
+// unit's typed partial result, index-aligned with units: a
+// moduleSweepWire (RowHammer), trcdSweepWire (tRCD), ModuleRetention,
+// ModuleWords, stats.Dist (CV) or spice.MCResult (one per level). The
+// study's StudyFold folds them; nothing is encoded here, so a campaign that
+// keeps its results in process never touches JSON. Bytes are made only
+// where a partial leaves the process (a shard artifact, a store entry), and
+// StudyFold.Assemble decodes them back into the same values.
 //
 // Module-sweep units run Options.Jobs at a time through the bounded pool of
 // internal/pool. SPICE Monte-Carlo units run as ONE RunMonteCarloSweep over
@@ -197,10 +203,10 @@ func validateUnits(o Options, study string, units []UnitRef) ([]UnitRef, error) 
 // still fold in catalog order); SPICE Monte-Carlo hooks fire in level order
 // after the sweep, because the global run queue interleaves levels and a
 // level is not "done" until the sweep is. The hook observes execution only:
-// a nil or absent hook returns byte-identical payloads. The parameter is
-// variadic only so four-argument callers keep compiling; callers pass at
-// most one hook.
-func RunUnits(ctx context.Context, o Options, study string, units []UnitRef, onUnit ...func(UnitRef)) ([]json.RawMessage, error) {
+// a nil or absent hook returns the same partials. The parameter is variadic
+// only so four-argument callers keep compiling; callers pass at most one
+// hook.
+func RunUnits(ctx context.Context, o Options, study string, units []UnitRef, onUnit ...func(UnitRef)) ([]any, error) {
 	hook := func(UnitRef) {}
 	if len(onUnit) > 0 && onUnit[0] != nil {
 		hook = onUnit[0]
@@ -220,33 +226,27 @@ func RunUnits(ctx context.Context, o Options, study string, units []UnitRef, onU
 		if err != nil {
 			return nil, fmt.Errorf("Monte Carlo sweep: %w", err)
 		}
-		out := make([]json.RawMessage, len(results))
+		out := make([]any, len(results))
 		for i, r := range results {
-			if out[i], err = json.Marshal(r); err != nil {
-				return nil, fmt.Errorf("experiments: encoding MC level %s: %w", units[i].Key, err)
-			}
+			out[i] = r
 			hook(units[i])
 		}
 		return out, nil
 	}
 	return pool.Run(ctx, o.jobs(), units,
-		func(ctx context.Context, u UnitRef) (json.RawMessage, error) {
+		func(ctx context.Context, u UnitRef) (any, error) {
 			prof, _ := physics.ProfileByName(u.Key) // validated above
 			part, err := runModuleUnit(ctx, o, study, prof)
 			if err != nil {
 				return nil, err
 			}
-			raw, err := json.Marshal(part)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: encoding %s unit %s: %w", study, u.Key, err)
-			}
 			hook(u)
-			return raw, nil
+			return part, nil
 		})
 }
 
-// runModuleUnit executes one per-module work unit and returns its
-// serializable partial.
+// runModuleUnit executes one per-module work unit and returns its typed
+// partial.
 func runModuleUnit(ctx context.Context, o Options, study string, prof physics.ModuleProfile) (any, error) {
 	switch study {
 	case StudyNameRowHammer:
@@ -269,6 +269,65 @@ func runModuleUnit(ctx context.Context, o Options, study string, prof physics.Mo
 		return runModuleCV(ctx, o, prof)
 	}
 	return nil, fmt.Errorf("experiments: study %q has no per-module units", study)
+}
+
+// StudyFold folds one shardable study's unit partials, of type P, into the
+// study S. Fold takes the partials RunUnits computed; Assemble decodes unit
+// payloads first. Both end in the same fold, so a study folded in process
+// and one decoded from a shard artifact or a store entry are the same
+// value.
+type StudyFold[P, S any] struct {
+	study string
+	fold  func(Options, []P) (S, error)
+}
+
+// The folds of the shardable studies.
+var (
+	RowHammerFold    = StudyFold[moduleSweepWire, RowHammerStudy]{StudyNameRowHammer, foldRowHammer}
+	TRCDFold         = StudyFold[trcdSweepWire, TRCDStudy]{StudyNameTRCD, foldTRCD}
+	RetentionFold    = StudyFold[ModuleRetention, RetentionStudy]{StudyNameRetention, foldRetention}
+	WordAnalysisFold = StudyFold[ModuleWords, WordAnalysis]{StudyNameWordAnalysis, foldWordAnalysis}
+	CVFold           = StudyFold[stats.Dist, CVStudy]{StudyNameCV, foldCV}
+	MCFold           = StudyFold[spice.MCResult, MCStudy]{StudyNameSpiceMC, foldMC}
+)
+
+// Fold folds the partials RunUnits returned for the study's whole plan, in
+// plan order.
+func (f StudyFold[P, S]) Fold(o Options, parts []any) (S, error) {
+	var zero S
+	plan, err := PlanStudy(o, f.study)
+	if err != nil {
+		return zero, err
+	}
+	if len(parts) != len(plan) {
+		return zero, fmt.Errorf("experiments: %s has %d partials, the plan has %d units", f.study, len(parts), len(plan))
+	}
+	typed := make([]P, len(parts))
+	for i, p := range parts {
+		var ok bool
+		if typed[i], ok = p.(P); !ok {
+			return zero, fmt.Errorf("experiments: %s unit %s partial is a %T", f.study, plan[i].Key, p)
+		}
+	}
+	return f.fold(o, typed)
+}
+
+// Assemble rebuilds the study from unit payloads keyed by unit key: it
+// checks them against the plan (a missing or surplus unit fails loudly),
+// decodes them in plan order and folds them.
+func (f StudyFold[P, S]) Assemble(o Options, data map[string]json.RawMessage) (S, error) {
+	var zero S
+	ordered, err := orderedPartials(o, f.study, data)
+	if err != nil {
+		return zero, err
+	}
+	typed := make([]P, len(ordered))
+	for i, raw := range ordered {
+		if err := json.Unmarshal(raw, &typed[i]); err != nil {
+			return zero, fmt.Errorf("experiments: decoding %s unit %d: %w", f.study, i, err)
+		}
+	}
+	return f.fold(o, typed)
 }
 
 // orderedPartials resolves the study's complete unit payload set in plan
@@ -302,30 +361,12 @@ func orderedPartials(o Options, study string, data map[string]json.RawMessage) (
 	return out, nil
 }
 
-// decodePartials unmarshals every payload into fresh T values, plan-ordered.
-func decodePartials[T any](o Options, study string, data map[string]json.RawMessage) ([]T, error) {
-	ordered, err := orderedPartials(o, study, data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, len(ordered))
-	for i, raw := range ordered {
-		if err := json.Unmarshal(raw, &out[i]); err != nil {
-			return nil, fmt.Errorf("experiments: decoding %s unit %d: %w", study, i, err)
-		}
-	}
-	return out, nil
-}
-
-// AssembleRowHammerStudy rebuilds the Fig. 3-6 / Table 3 study from unit
-// payloads keyed by module name, folding sweeps in catalog order.
-func AssembleRowHammerStudy(o Options, data map[string]json.RawMessage) (RowHammerStudy, error) {
-	wires, err := decodePartials[moduleSweepWire](o, StudyNameRowHammer, data)
-	if err != nil {
-		return RowHammerStudy{}, err
-	}
+// foldRowHammer folds the Fig. 3-6 / Table 3 study from module sweeps in
+// catalog order.
+func foldRowHammer(_ Options, wires []moduleSweepWire) (RowHammerStudy, error) {
 	st := RowHammerStudy{Sweeps: make([]ModuleSweep, len(wires))}
 	for i, w := range wires {
+		var err error
 		if st.Sweeps[i], err = sweepFromWire(w); err != nil {
 			return RowHammerStudy{}, err
 		}
@@ -333,14 +374,11 @@ func AssembleRowHammerStudy(o Options, data map[string]json.RawMessage) (RowHamm
 	return st, nil
 }
 
-// AssembleTRCDStudy rebuilds the Fig. 7 study from unit payloads.
-func AssembleTRCDStudy(o Options, data map[string]json.RawMessage) (TRCDStudy, error) {
-	wires, err := decodePartials[trcdSweepWire](o, StudyNameTRCD, data)
-	if err != nil {
-		return TRCDStudy{}, err
-	}
+// foldTRCD folds the Fig. 7 study.
+func foldTRCD(_ Options, wires []trcdSweepWire) (TRCDStudy, error) {
 	st := TRCDStudy{Sweeps: make([]TRCDSweep, len(wires))}
 	for i, w := range wires {
+		var err error
 		if st.Sweeps[i], err = trcdFromWire(w); err != nil {
 			return TRCDStudy{}, err
 		}
@@ -348,40 +386,9 @@ func AssembleTRCDStudy(o Options, data map[string]json.RawMessage) (TRCDStudy, e
 	return st, nil
 }
 
-// AssembleRetentionStudy rebuilds the Fig. 10 study from unit payloads.
-func AssembleRetentionStudy(o Options, data map[string]json.RawMessage) (RetentionStudy, error) {
-	parts, err := decodePartials[ModuleRetention](o, StudyNameRetention, data)
-	if err != nil {
-		return RetentionStudy{}, err
-	}
-	return assembleRetention(o, parts)
-}
-
-// AssembleWordAnalysis rebuilds the Fig. 11 study from unit payloads.
-func AssembleWordAnalysis(o Options, data map[string]json.RawMessage) (WordAnalysis, error) {
-	parts, err := decodePartials[ModuleWords](o, StudyNameWordAnalysis, data)
-	if err != nil {
-		return WordAnalysis{}, err
-	}
-	return assembleWordAnalysis(parts), nil
-}
-
-// AssembleCVStudy rebuilds the §4.6 study from unit payloads.
-func AssembleCVStudy(o Options, data map[string]json.RawMessage) (CVStudy, error) {
-	parts, err := decodePartials[stats.Dist](o, StudyNameCV, data)
-	if err != nil {
-		return CVStudy{}, err
-	}
-	return assembleCV(parts), nil
-}
-
-// AssembleMCStudy rebuilds the Fig. 8b/9b study from per-level payloads keyed
-// by formatted VPP, in sweep-level order.
-func AssembleMCStudy(o Options, data map[string]json.RawMessage) (MCStudy, error) {
-	results, err := decodePartials[spice.MCResult](o, StudyNameSpiceMC, data)
-	if err != nil {
-		return MCStudy{}, err
-	}
+// foldMC folds the Fig. 8b/9b study from per-level results in sweep-level
+// order.
+func foldMC(_ Options, results []spice.MCResult) (MCStudy, error) {
 	for i, r := range results {
 		if mcLevelKey(r.VPP) != mcLevelKey(spiceSweepVPPs[i]) {
 			return MCStudy{}, fmt.Errorf("experiments: MC partial at level %s carries VPP %.2f",

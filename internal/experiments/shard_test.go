@@ -74,8 +74,9 @@ func TestRunUnitsRejectsForeignUnits(t *testing.T) {
 
 // runStudyViaUnits executes the study's full plan through the serialized
 // unit path — split into k alternating "shards" run as separate RunUnits
-// calls — and returns the payloads keyed by unit, exactly what a sharded
-// campaign hands to assembly.
+// calls, each partial encoded as a shard artifact carries it — and returns
+// the payloads keyed by unit, exactly what a sharded campaign hands to
+// assembly.
 func runStudyViaUnits(t *testing.T, o Options, study string, k int) map[string]json.RawMessage {
 	t.Helper()
 	plan, err := PlanStudy(o, study)
@@ -90,11 +91,15 @@ func runStudyViaUnits(t *testing.T, o Options, study string, k int) map[string]j
 				units = append(units, u)
 			}
 		}
-		payloads, err := RunUnits(t.Context(), o, study, units, nil)
+		parts, err := RunUnits(t.Context(), o, study, units, nil)
 		if err != nil {
 			t.Fatalf("%s shard %d/%d: %v", study, shard, k, err)
 		}
-		for i, raw := range payloads {
+		for i, p := range parts {
+			raw, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			data[units[i].Key] = raw
 		}
 	}
@@ -157,19 +162,19 @@ func newSplitCheck[T any](assemble func(Options, map[string]json.RawMessage) (T,
 func TestUnitPathIndependentOfSplit(t *testing.T) {
 	o := shardOptions()
 	checks := map[string]splitCheck{
-		StudyNameRowHammer: newSplitCheck(AssembleRowHammerStudy,
+		StudyNameRowHammer: newSplitCheck(RowHammerFold.Assemble,
 			RowHammerStudy.RenderFig3, RowHammerStudy.RenderFig4,
 			RowHammerStudy.RenderFig5, RowHammerStudy.RenderFig6,
 			func(st RowHammerStudy, enc report.Encoder) error { return enc.Table(st.Table3()) },
 			func(st RowHammerStudy, enc report.Encoder) error { return st.Section5Aggregates().Render(enc) }),
-		StudyNameTRCD: newSplitCheck(AssembleTRCDStudy, TRCDStudy.RenderFig7,
+		StudyNameTRCD: newSplitCheck(TRCDFold.Assemble, TRCDStudy.RenderFig7,
 			func(st TRCDStudy, enc report.Encoder) error { return st.Summary().Render(enc) }),
-		StudyNameRetention:    newSplitCheck(AssembleRetentionStudy, RetentionStudy.RenderFig10a, RetentionStudy.RenderFig10b),
-		StudyNameWordAnalysis: newSplitCheck(AssembleWordAnalysis, WordAnalysis.RenderFig11),
-		StudyNameCV:           newSplitCheck(AssembleCVStudy, CVStudy.Render),
+		StudyNameRetention:    newSplitCheck(RetentionFold.Assemble, RetentionStudy.RenderFig10a, RetentionStudy.RenderFig10b),
+		StudyNameWordAnalysis: newSplitCheck(WordAnalysisFold.Assemble, WordAnalysis.RenderFig11),
+		StudyNameCV:           newSplitCheck(CVFold.Assemble, CVStudy.Render),
 		// Split MC levels run as separate sweeps: per-level results must
 		// match the all-levels-in-one-queue run exactly.
-		StudyNameSpiceMC: newSplitCheck(AssembleMCStudy, MCStudy.RenderFig8b, MCStudy.RenderFig9b),
+		StudyNameSpiceMC: newSplitCheck(MCFold.Assemble, MCStudy.RenderFig8b, MCStudy.RenderFig9b),
 	}
 
 	covered := 0
@@ -259,7 +264,7 @@ func roundTripJSON(t *testing.T, v, out any) {
 // loudly with the unit named.
 func TestAssembleRejectsIncompleteOrForeignData(t *testing.T) {
 	o := shardOptions()
-	if _, err := AssembleCVStudy(o, map[string]json.RawMessage{}); err == nil {
+	if _, err := CVFold.Assemble(o, map[string]json.RawMessage{}); err == nil {
 		t.Error("empty data assembled")
 	} else if !strings.Contains(err.Error(), "B3") {
 		t.Errorf("error should name the missing unit: %v", err)
@@ -267,17 +272,24 @@ func TestAssembleRejectsIncompleteOrForeignData(t *testing.T) {
 	var d stats.Dist
 	raw, _ := json.Marshal(d) //detlint:ignore sinkerr marshal of a zero-value fixture cannot fail
 	data := map[string]json.RawMessage{"B3": raw, "C0": raw, "A9": raw}
-	if _, err := AssembleCVStudy(o, data); err == nil {
+	if _, err := CVFold.Assemble(o, data); err == nil {
 		t.Error("surplus unit assembled")
 	}
 	bad := map[string]json.RawMessage{"B3": json.RawMessage(`{"moments":`), "C0": raw}
-	if _, err := AssembleCVStudy(o, bad); err == nil {
+	if _, err := CVFold.Assemble(o, bad); err == nil {
 		t.Error("corrupt payload assembled")
+	}
+	// In-process partials must cover the plan with the study's type.
+	if _, err := CVFold.Fold(o, []any{d}); err == nil {
+		t.Error("partials short of the plan folded")
+	}
+	if _, err := CVFold.Fold(o, []any{d, ModuleWords{}}); err == nil {
+		t.Error("another study's partial folded")
 	}
 	// Wire partials naming modules outside the catalog are rejected.
 	w, _ := json.Marshal(moduleSweepWire{Module: "ZZ"}) //detlint:ignore sinkerr marshal of a literal fixture cannot fail
 	rhData := map[string]json.RawMessage{"B3": w, "C0": w}
-	if _, err := AssembleRowHammerStudy(o, rhData); err == nil {
+	if _, err := RowHammerFold.Assemble(o, rhData); err == nil {
 		t.Error("unknown module in sweep partial accepted")
 	}
 }
@@ -331,12 +343,12 @@ func TestAssembleRetentionRejectsMalformedGrid(t *testing.T) {
 	}
 	good := mk(len(windows))
 	data := map[string]json.RawMessage{"B3": mk(len(windows) + 2), "C0": good}
-	if _, err := AssembleRetentionStudy(o, data); err == nil {
+	if _, err := RetentionFold.Assemble(o, data); err == nil {
 		t.Error("extra window column accepted")
 	} else if !strings.Contains(err.Error(), "window") {
 		t.Errorf("error should name the window mismatch: %v", err)
 	}
-	if _, err := AssembleRetentionStudy(o, map[string]json.RawMessage{"B3": good, "C0": good}); err != nil {
+	if _, err := RetentionFold.Assemble(o, map[string]json.RawMessage{"B3": good, "C0": good}); err != nil {
 		t.Errorf("well-formed partials rejected: %v", err)
 	}
 }

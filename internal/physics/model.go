@@ -2,6 +2,8 @@ package physics
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/rng"
@@ -168,7 +170,8 @@ type rowParams struct {
 	hnoise rng.Prefix // "hnoise" over (bank, row): hammer noise per iteration
 	rnoise rng.Prefix // "rnoise" over (bank, row): retention noise per iteration
 
-	// Sampled or evaluated on first need.
+	// Sampled or evaluated on first need. The cell orders are kept only to
+	// the prefix reads have used (cellOrder).
 	perm    []int32     // weakest-first cell ordering for hammer flips
 	retPerm []int32     // weakest-first cell ordering for retention flips
 	trcdJit []float64   // per-column tRCD jitter below the worst column
@@ -468,20 +471,56 @@ func (m *DeviceModel) hammerCurve(rp *rowParams, vpp float64) hammerCurve {
 // first count hammer-induced flips. Flip ordering is stable: a larger
 // exposure flips a superset of a smaller exposure's cells.
 func (m *DeviceModel) HammerFlipPositions(bank, rowAddr, count int) []int32 {
-	rp := m.row(bank, rowAddr)
-	if rp.perm == nil {
-		rp.perm = m.cellPermutation("hammerperm", bank, rowAddr)
-	}
-	if count > len(rp.perm) {
-		count = len(rp.perm)
-	}
-	return rp.perm[:count]
+	count = min(count, m.geom.RowBits())
+	return m.HammerOrder(bank, rowAddr, count)[:count]
 }
 
-// cellPermutation derives the weakest-first cell ordering for a row.
-func (m *DeviceModel) cellPermutation(label string, bank, rowAddr int) []int32 {
+// HammerOrder returns a prefix, at least n cells long (the whole row when n
+// exceeds it), of the row's weakest-first hammer flip order.
+func (m *DeviceModel) HammerOrder(bank, rowAddr, n int) []int32 {
+	rp := m.row(bank, rowAddr)
+	return m.cellOrder(&rp.perm, "hammerperm", bank, rowAddr, n)
+}
+
+// orderKeepDiv sets the shortest cell-order prefix a row keeps: RowBits /
+// orderKeepDiv cells (16 KiB of a paper-geometry row's 256 KiB order).
+// Reads rarely pass it: Table 3's BER anchors at the reference hammer
+// count are a few percent at most, and only long retention windows fail
+// more than 1/16 of a row.
+const orderKeepDiv = 16
+
+// cellOrder returns a prefix, at least n cells long (the whole row when n
+// exceeds it), of the row's weakest-first cell order under label, keeping
+// it in *kept. The order is a Fisher–Yates shuffle of the whole row drawn
+// from the row's own derived stream; only its prefix is kept, at least
+// RowBits/orderKeepDiv cells. A read past the kept prefix shuffles again:
+// the stream is derived from the never-advanced model root, so the second
+// shuffle is the first one, and the row keeps the longer prefix (at least
+// double the old one, so a count that creeps up re-shuffles rarely).
+func (m *DeviceModel) cellOrder(kept *[]int32, label string, bank, rowAddr, n int) []int32 {
+	bits := m.geom.RowBits()
+	if n = min(n, bits); len(*kept) < n {
+		k := min(max(bits/orderKeepDiv, n, 2*len(*kept)), bits)
+		*kept = m.cellPrefix(label, bank, rowAddr, k)
+	}
+	return *kept
+}
+
+// permScratch pools the row-sized buffers cell orders are shuffled in, so
+// sampling a row's order allocates only the prefix the row keeps.
+var permScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// cellPrefix returns the first k cells of the row's weakest-first cell
+// order under label.
+func (m *DeviceModel) cellPrefix(label string, bank, rowAddr, k int) []int32 {
+	buf := permScratch.Get().(*[]int32)
+	defer permScratch.Put(buf)
+	bits := m.geom.RowBits()
+	if cap(*buf) < bits {
+		*buf = make([]int32, bits)
+	}
+	p := (*buf)[:bits]
 	s := m.root.DeriveInts(label, bank, rowAddr)
-	p := make([]int32, m.geom.RowBits())
 	s.PermInto(p)
-	return p
+	return slices.Clone(p[:k])
 }

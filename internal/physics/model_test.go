@@ -2,6 +2,7 @@ package physics
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/dramstudy/rhvpp/internal/pattern"
@@ -248,6 +249,52 @@ func TestFlipPositionsClampedToRowBits(t *testing.T) {
 	all := m.HammerFlipPositions(0, 3, 1<<20)
 	if len(all) != m.Geometry().RowBits() {
 		t.Errorf("over-large count returned %d positions, want %d", len(all), m.Geometry().RowBits())
+	}
+}
+
+// TestCellOrderPrefixMatchesFullOrder pins the bounded cell orders to the
+// whole-row shuffle they replace, for both the hammer and the retention
+// order: a first read keeps RowBits/orderKeepDiv cells, a read past the
+// kept prefix re-shuffles from the row's stream and keeps a longer prefix,
+// and every prefix any read returns is the whole order's.
+func TestCellOrderPrefixMatchesFullOrder(t *testing.T) {
+	m := newTestModel(t, "B0")
+	bits := m.Geometry().RowBits()
+	keep := bits / orderKeepDiv
+	orders := map[string]func(row, n int) []int32{
+		"hammerperm": func(row, n int) []int32 { return m.HammerOrder(0, row, n) },
+		"retperm": func(row, n int) []int32 {
+			r := m.RetentionRow(0, row, 2.5, RetentionTestTempC, 0)
+			return r.BulkOrder(n)
+		},
+	}
+	for label, order := range orders {
+		// Row 3 grows step by step; row 4 is read past the kept prefix
+		// first, so its only shuffle is the long one.
+		for row, reads := range map[int][]int{3: {10, keep, keep + 1, 3 * keep, bits + 5}, 4: {keep + 100, 20}} {
+			full := refCellOrder(m, label, 0, row)
+			kept := 0
+			for _, n := range reads {
+				got := order(row, n)
+				want := min(n, bits)
+				if len(got) < want || len(got) < min(keep, bits) {
+					t.Fatalf("%s row %d: read of %d returned %d cells", label, row, n, len(got))
+				}
+				if n <= kept && len(got) != kept {
+					t.Errorf("%s row %d: read of %d within the kept %d cells re-sampled to %d", label, row, n, kept, len(got))
+				}
+				if n > kept && kept > 0 && len(got) < min(2*kept, bits) {
+					t.Errorf("%s row %d: read of %d past %d kept cells kept only %d", label, row, n, kept, len(got))
+				}
+				if !slices.Equal(got, full[:len(got)]) {
+					t.Fatalf("%s row %d: read of %d is not the whole order's prefix", label, row, n)
+				}
+				kept = len(got)
+			}
+		}
+	}
+	if got := m.HammerFlipPositions(0, 3, keep+7); !slices.Equal(got, refCellOrder(m, "hammerperm", 0, 3)[:keep+7]) {
+		t.Error("HammerFlipPositions is not the whole order's prefix")
 	}
 }
 

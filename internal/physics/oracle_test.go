@@ -83,7 +83,17 @@ func refBulkCount(m *DeviceModel, bank, rowAddr int, vpp, elapsedMS, tempC float
 	return count
 }
 
-func refRetentionFlipPositions(m *DeviceModel, bank, rowAddr int, vpp, elapsedMS, tempC float64, iter int) []int32 {
+// refCellOrder is the row's whole weakest-first cell order under label:
+// one Fisher–Yates shuffle of the row from its derived stream, kept whole.
+func refCellOrder(m *DeviceModel, label string, bank, rowAddr int) []int32 {
+	s := m.root.DeriveInts(label, bank, rowAddr)
+	p := make([]int32, m.geom.RowBits())
+	s.PermInto(p)
+	return p
+}
+
+// refRetentionFlipPositions takes the row's whole retention order, order.
+func refRetentionFlipPositions(m *DeviceModel, order []int32, bank, rowAddr int, vpp, elapsedMS, tempC float64, iter int) []int32 {
 	if elapsedMS <= 0 || vpp < m.prof.VPPMin-1e-9 {
 		return nil
 	}
@@ -91,10 +101,7 @@ func refRetentionFlipPositions(m *DeviceModel, bank, rowAddr int, vpp, elapsedMS
 	count := refBulkCount(m, bank, rowAddr, vpp, elapsedMS, tempC, iter)
 	var out []int32
 	if count > 0 {
-		if rp.retPerm == nil {
-			rp.retPerm = m.cellPermutation("retperm", bank, rowAddr)
-		}
-		out = append(out, rp.retPerm[:count]...)
+		out = append(out, order[:count]...)
 	}
 	if len(rp.weak) > 0 {
 		seen := make(map[int32]bool, len(out))
@@ -161,12 +168,13 @@ func TestRetentionRowMatchesPerCallOracle(t *testing.T) {
 			if len(m.row(bank, row).weak) > 0 {
 				weakRows++
 			}
+			order := refCellOrder(m, "retperm", bank, row)
 			for _, vpp := range []float64{VPPNominal, 1.8, p.VPPMin, p.VPPMin - 0.1} {
 				for _, temp := range []float64{RetentionTestTempC, 50, 95} {
 					for _, ms := range []float64{-1, 0, 0.001, 64, 128, 1000, 4000, 16000} {
 						for _, iter := range []int{0, 3} {
 							got := m.RetentionFlipPositions(bank, row, vpp, ms, temp, iter)
-							want := refRetentionFlipPositions(m, bank, row, vpp, ms, temp, iter)
+							want := refRetentionFlipPositions(m, order, bank, row, vpp, ms, temp, iter)
 							if !slices.Equal(got, want) {
 								t.Fatalf("%s row %d vpp %v %v°C %vms iter %d: %d flips, oracle %d", p.Name, row, vpp, temp, ms, iter, len(got), len(want))
 							}

@@ -334,14 +334,11 @@ func (r *RetentionRow) countAt(f float64) int {
 	return count
 }
 
-// BulkOrder returns the row's weakest-first bulk cell ordering, sampling it
-// on first use.
-func (r *RetentionRow) BulkOrder() []int32 {
-	rp := r.rp
-	if rp.retPerm == nil {
-		rp.retPerm = r.m.cellPermutation("retperm", r.bank, r.row)
-	}
-	return rp.retPerm
+// BulkOrder returns a prefix, at least n cells long (the whole row when n
+// exceeds it), of the row's weakest-first bulk cell ordering: the first
+// BulkCount cells of it are the failed bulk cells.
+func (r *RetentionRow) BulkOrder(n int) []int32 {
+	return r.m.cellOrder(&r.rp.retPerm, "retperm", r.bank, r.row, n)
 }
 
 // AppendWeakFailures appends to dst the positions of the row's engineered
@@ -370,7 +367,7 @@ func (m *DeviceModel) RetentionFlipPositions(bank, rowAddr int, vpp, elapsedMS, 
 	r := m.RetentionRow(bank, rowAddr, vpp, tempC, iter)
 	var out []int32
 	if count := r.BulkCount(elapsedMS); count > 0 {
-		out = append(out, r.BulkOrder()[:count]...)
+		out = append(out, r.BulkOrder(count)[:count]...)
 	}
 	bulk := len(out)
 	for _, pos := range r.AppendWeakFailures(nil, elapsedMS) {

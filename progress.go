@@ -55,7 +55,7 @@ func (c *Campaign) WithProgress(fn ProgressFunc) *Campaign {
 // the study announced with len(units), then one event per completed unit.
 // The unit events are sent under one lock, so fn sees Done count up in
 // order, and must not wait for a later event of the same study.
-func runStudy(ctx context.Context, o Options, s Study, units []WorkUnit, fn ProgressFunc) ([]json.RawMessage, error) {
+func runStudy(ctx context.Context, o Options, s Study, units []WorkUnit, fn ProgressFunc) ([]any, error) {
 	var onUnit func(WorkUnit)
 	if fn != nil {
 		fn(ProgressEvent{Study: string(s), Total: len(units)})
@@ -97,21 +97,29 @@ func RunShardObserved(ctx context.Context, o Options, shard, of int, units []Wor
 	}
 	for _, study := range order {
 		su := byStudy[study]
-		payloads, err := runStudy(ctx, o, Study(study), su, fn)
+		parts, err := runStudy(ctx, o, Study(study), su, fn)
+		if err == nil {
+			art.Units, err = appendUnits(art.Units, su, parts)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("rhvpp: shard %d/%d study %s: %w", shard, of, study, err)
 		}
-		art.Units = appendUnits(art.Units, su, payloads)
 	}
 	return art, nil
 }
 
-// appendUnits appends each unit with its payload to an artifact's units.
-func appendUnits(dst []artifact.Unit, units []WorkUnit, payloads []json.RawMessage) []artifact.Unit {
-	for i, raw := range payloads {
+// appendUnits appends each unit with its partial, encoded as the JSON
+// payload an artifact carries, to an artifact's units. It is where a
+// partial leaves the process: the shard artifact and the store entry.
+func appendUnits(dst []artifact.Unit, units []WorkUnit, parts []any) ([]artifact.Unit, error) {
+	for i, p := range parts {
+		raw, err := json.Marshal(p)
+		if err != nil {
+			return nil, fmt.Errorf("rhvpp: encoding %s unit %s: %w", units[i].Study, units[i].Key, err)
+		}
 		dst = append(dst, artifact.Unit{Study: units[i].Study, Key: units[i].Key, Index: units[i].Index, Data: raw})
 	}
-	return dst
+	return dst, nil
 }
 
 // OptionsFingerprint returns the canonical options fingerprint: the SHA-256
@@ -219,8 +227,9 @@ func (ss *studyStore) get(s Study) (map[string]json.RawMessage, error) {
 	return nil, nil
 }
 
-// put files study s's computed units as its entry, overwriting any other.
-func (ss *studyStore) put(s Study, units []WorkUnit, payloads []json.RawMessage) error {
+// put files study s's computed partials as its entry, overwriting any
+// other.
+func (ss *studyStore) put(s Study, units []WorkUnit, parts []any) error {
 	if ss == nil {
 		return nil
 	}
@@ -228,7 +237,9 @@ func (ss *studyStore) put(s Study, units []WorkUnit, payloads []json.RawMessage)
 	if err != nil {
 		return err
 	}
-	art.Units = appendUnits(nil, units, payloads)
+	if art.Units, err = appendUnits(nil, units, parts); err != nil {
+		return err
+	}
 	if err := ss.st.Put(studyKey(ss.fp, s), art); err != nil {
 		return fmt.Errorf("rhvpp: persisting study %s: %w", s, err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/dramstudy/rhvpp/internal/artifact"
 	"github.com/dramstudy/rhvpp/internal/core"
+	"github.com/dramstudy/rhvpp/internal/experiments"
 	"github.com/dramstudy/rhvpp/internal/physics"
 )
 
@@ -188,6 +189,54 @@ func TestShardArtifactEncodingRoundTrip(t *testing.T) {
 	}
 	if a, b := renderCampaign(t, c1, "cv"), renderCampaign(t, c2, "cv"); a != b {
 		t.Errorf("decoded artifact renders differently:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestPartialsRoundTrip pins the in-process fold to the decoded one: every
+// unit partial RunUnits computes is deeply equal to its JSON round trip, so
+// a study a campaign folds as computed is the study a shard merge or a
+// store entry decodes. It covers every shardable study at the golden scope
+// and every study but the SPICE Monte-Carlo (left out there for time, as
+// in TestPaperGeometryOutput) at the paper-geometry scope.
+func TestPartialsRoundTrip(t *testing.T) {
+	paper := PaperOptions()
+	paper.ModuleNames = []string{"A3", "B3", "B6", "C0"}
+	paper.Chunks, paper.RowsPerChunk = 1, 2
+	scopes := []struct {
+		name string
+		o    Options
+		skip Study
+	}{
+		{"golden", GoldenOptions(), ""},
+		{"paper-geometry", paper, StudySpiceMC},
+	}
+	for _, sc := range scopes {
+		for _, s := range ShardableStudies() {
+			if s == sc.skip {
+				continue
+			}
+			units, err := PlanUnits(sc.o, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, err := experiments.RunUnits(t.Context(), sc.o, string(s), units)
+			if err != nil {
+				t.Fatalf("%s %s: %v", sc.name, s, err)
+			}
+			for i, p := range parts {
+				raw, err := json.Marshal(p)
+				if err != nil {
+					t.Fatalf("%s %s unit %s: %v", sc.name, s, units[i].Key, err)
+				}
+				back := reflect.New(reflect.TypeOf(p))
+				if err := json.Unmarshal(raw, back.Interface()); err != nil {
+					t.Fatalf("%s %s unit %s: %v", sc.name, s, units[i].Key, err)
+				}
+				if !reflect.DeepEqual(back.Elem().Interface(), p) {
+					t.Errorf("%s %s unit %s: the %T partial changes across its JSON round trip", sc.name, s, units[i].Key, p)
+				}
+			}
+		}
 	}
 }
 

@@ -286,8 +286,8 @@ func BenchmarkMonteCarlo(b *testing.B) {
 // BenchmarkMonteCarloSweepAggregate measures the streaming aggregation
 // pipeline end to end: one global run queue across three VPP levels,
 // per-worker workspace reuse, per-level accumulators folded in index order.
-// B/op divided by the 48 runs per iteration is the bytes-per-run trajectory
-// metric BENCH_spice.json records as mc_agg_bytes_per_run.
+// B/op divided by the 48 runs per iteration is the heap cost of one run
+// through that pipeline.
 func BenchmarkMonteCarloSweepAggregate(b *testing.B) {
 	vpps := []float64{2.5, 2.0, 1.7}
 	cfg := spice.MCConfig{Runs: 16, Seed: 2022, Variation: 0.05, Jobs: 4}

@@ -4,6 +4,7 @@
 //
 //	go run ./cmd/detlint ./...          # human-readable, exit 1 on findings
 //	go run ./cmd/detlint -json ./...    # machine-readable diagnostics
+//	go run ./cmd/detlint -bench ./...   # plus one JSON timing line on stderr
 //
 // The driver is self-contained so it works offline: package metadata and
 // compiler export data come from `go list -deps -export -json`, source is
@@ -19,6 +20,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -41,83 +43,79 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	benchOut := flag.String("bench", "",
-		"after a run, record detlint_ns_per_pkg plus the per-analyzer detlint_analyzer_ns_per_pkg breakdown into this JSON snapshot file (read-modify-write)")
-	flag.Parse()
-	patterns := flag.Args()
+	now := time.Now //detlint:ignore detsource -bench self-times the analyzer run; the timing goes to stderr, never into findings
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, now))
+}
+
+// benchLine is what -bench prints on stderr after a run: the suite's cost
+// per analyzed package, in total and per analyzer (helper passes such as
+// inspect and ctrlflow under their own names).
+type benchLine struct {
+	NSPerPkg         float64            `json:"detlint_ns_per_pkg"`
+	AnalyzerNSPerPkg map[string]float64 `json:"detlint_analyzer_ns_per_pkg"`
+}
+
+// run is the driver behind main: it lints the package patterns in args,
+// writes findings to stdout and returns the exit status. now is the only
+// clock it reads, and only for the -bench line.
+func run(args []string, stdout, stderr io.Writer, now func() time.Time) int {
+	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+	bench := fs.Bool("bench", false,
+		"after a run, print detlint_ns_per_pkg and the per-analyzer detlint_analyzer_ns_per_pkg breakdown as one JSON line on stderr")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// Per-analyzer timing only runs under -bench: the injected clock keeps
-	// the wall-clock read here, under one reasoned suppression, instead of
-	// inside the analyzer core the detsource contract also covers.
-	var analyzerNS map[string]float64
+	analyzerNS := make(map[string]float64)
 	var clock func() time.Time
 	var observe func(string, time.Duration)
-	if *benchOut != "" {
-		analyzerNS = make(map[string]float64)
-		clock = time.Now //detlint:ignore detsource self-timing of the analyzer run for the perf snapshot
+	if *bench {
+		clock = now
 		observe = func(name string, elapsed time.Duration) {
 			analyzerNS[name] += float64(elapsed.Nanoseconds())
 		}
 	}
-	start := time.Now() //detlint:ignore detsource self-timing of the analyzer run for the perf snapshot
+	start := now()
 	findings, npkgs, err := lint(".", patterns, clock, observe)
-	elapsed := time.Since(start) //detlint:ignore detsource self-timing of the analyzer run for the perf snapshot
+	elapsed := now().Sub(start)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "detlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "detlint:", err)
+		return 2
 	}
 	if *jsonOut {
-		if err := writeJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "detlint:", err)
-			os.Exit(2)
+		if err := writeJSON(stdout, findings); err != nil {
+			fmt.Fprintln(stderr, "detlint:", err)
+			return 2
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Printf("%s: [%s] %s\n", relPos(f.Pos), f.Analyzer, f.Message)
+			fmt.Fprintf(stdout, "%s: [%s] %s\n", relPos(f.Pos), f.Analyzer, f.Message)
 		}
 	}
-	if *benchOut != "" && npkgs > 0 {
-		perAnalyzer := make(map[string]float64, len(analyzerNS))
-		for name, ns := range analyzerNS {
-			perAnalyzer[name] = ns / float64(npkgs)
+	if *bench && npkgs > 0 {
+		line := benchLine{
+			NSPerPkg:         float64(elapsed.Nanoseconds()) / float64(npkgs),
+			AnalyzerNSPerPkg: make(map[string]float64, len(analyzerNS)),
 		}
-		if err := recordBench(*benchOut, float64(elapsed.Nanoseconds())/float64(npkgs), perAnalyzer); err != nil {
-			fmt.Fprintln(os.Stderr, "detlint:", err)
-			os.Exit(2)
+		for name, ns := range analyzerNS {
+			line.AnalyzerNSPerPkg[name] = ns / float64(npkgs)
+		}
+		// Map marshaling sorts keys, so the line's layout is stable.
+		if err := json.NewEncoder(stderr).Encode(line); err != nil {
+			return 2
 		}
 	}
 	if len(findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
-}
-
-// recordBench merges detlint_ns_per_pkg and the per-analyzer breakdown
-// into the JSON object at path, preserving every other key
-// (BENCH_spice.json is owned by cmd/spicebench; these are the
-// analyzer-cost lines of the same perf snapshot).
-func recordBench(path string, nsPerPkg float64, perAnalyzer map[string]float64) error {
-	snapshot := make(map[string]any)
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &snapshot); err != nil {
-			return fmt.Errorf("bench snapshot %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	snapshot["detlint_ns_per_pkg"] = nsPerPkg
-	if len(perAnalyzer) > 0 {
-		snapshot["detlint_analyzer_ns_per_pkg"] = perAnalyzer
-	}
-	// Map marshaling sorts keys, so repeated -bench runs rewrite the file
-	// identically; cmd/spicebench carries the key through its own rewrites.
-	b, err := json.MarshalIndent(snapshot, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return 0
 }
 
 // listedPkg is the subset of `go list -json` output the driver consumes.

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"golang.org/x/tools/go/analysis"
+
 	"github.com/dramstudy/rhvpp/internal/analysis/detlint"
 	"github.com/dramstudy/rhvpp/internal/analysis/suite"
 )
@@ -218,32 +220,77 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// TestRecordBenchPerAnalyzer pins that -bench writes the per-analyzer
-// breakdown while preserving unrelated snapshot keys.
-func TestRecordBenchPerAnalyzer(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(`{"mc_runs_per_sec_jobs1": 2600}`), 0o644); err != nil {
-		t.Fatal(err)
+// TestBenchPrintsTimingLine runs the driver as main does, on a module with
+// findings: -bench must add one JSON line on stderr, timed through the
+// injected clock, and leave stdout as it is, in text and in -json mode.
+func TestBenchPrintsTimingLine(t *testing.T) {
+	t.Chdir(writeModule(t, map[string]string{
+		"go.mod": "module example.com/benchmod\n\ngo 1.24\n",
+		"dirty/dirty.go": `package dirty
+
+import "time"
+
+func Stamp() int64 { return time.Now().UnixNano() }
+`,
+	}))
+	var fake time.Time
+	clock := func() time.Time { fake = fake.Add(time.Microsecond); return fake }
+	drive := func(args ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut, clock); code != 1 {
+			t.Fatalf("%v: exit %d, want 1 (findings)\nstderr: %s", args, code, errOut.String())
+		}
+		return out.String(), errOut.String()
 	}
-	if err := recordBench(path, 123.5, map[string]float64{"hotalloc": 10, "sinkerr": 20}); err != nil {
-		t.Fatal(err)
+
+	// Every analyzer that runs on a package reports its time, helper
+	// passes required by the suite included.
+	ran := make(map[string]bool)
+	var visit func(a *analysis.Analyzer)
+	visit = func(a *analysis.Analyzer) {
+		if !ran[a.Name] {
+			ran[a.Name] = true
+			for _, req := range a.Requires {
+				visit(req)
+			}
+		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range suite.All() {
+		visit(a)
 	}
-	var snap struct {
-		MC       float64            `json:"mc_runs_per_sec_jobs1"`
-		NS       float64            `json:"detlint_ns_per_pkg"`
-		Analyzer map[string]float64 `json:"detlint_analyzer_ns_per_pkg"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.MC != 2600 {
-		t.Errorf("unrelated key clobbered: %v", snap.MC)
-	}
-	if snap.NS != 123.5 || snap.Analyzer["hotalloc"] != 10 || snap.Analyzer["sinkerr"] != 20 {
-		t.Errorf("bench keys mismatch: %+v", snap)
+
+	for _, mode := range [][]string{nil, {"-json"}} {
+		plain, plainErr := drive(append(mode, "./...")...)
+		timed, line := drive(append(mode, "-bench", "./...")...)
+		if !strings.Contains(plain, "detsource") {
+			t.Fatalf("%v: no finding on stdout:\n%s", mode, plain)
+		}
+		if timed != plain {
+			t.Errorf("%v: -bench changed stdout:\n%s\nwant:\n%s", mode, timed, plain)
+		}
+		if plainErr != "" {
+			t.Errorf("%v: stderr without -bench: %q", mode, plainErr)
+		}
+		if strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
+			t.Fatalf("%v: -bench stderr is not one line: %q", mode, line)
+		}
+		var got benchLine
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("%v: -bench line %q: %v", mode, line, err)
+		}
+		if got.NSPerPkg <= 0 {
+			t.Errorf("%v: detlint_ns_per_pkg = %v, want > 0", mode, got.NSPerPkg)
+		}
+		if len(got.AnalyzerNSPerPkg) != len(ran) {
+			t.Errorf("%v: detlint_analyzer_ns_per_pkg has %d entries, want %d: %v", mode, len(got.AnalyzerNSPerPkg), len(ran), got.AnalyzerNSPerPkg)
+		}
+		for name := range ran {
+			if got.AnalyzerNSPerPkg[name] <= 0 {
+				t.Errorf("%v: analyzer %s timed %v ns/pkg, want > 0", mode, name, got.AnalyzerNSPerPkg[name])
+			}
+		}
 	}
 }

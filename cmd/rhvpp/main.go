@@ -45,7 +45,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "rhvpp:", err)
+		// Library errors already carry the program's prefix.
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "rhvpp: ") {
+			msg = "rhvpp: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }
@@ -127,13 +132,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if _, err := rhvpp.NewEncoder(format, io.Discard); err != nil {
 		return err
 	}
+	ids, err := expandIDs(*f.exp)
+	if err != nil {
+		return err
+	}
 
 	c, err := rhvpp.NewCampaign(o)
 	if err != nil {
 		return err
 	}
 	c.WithProgress(printProgress(progress))
-	return renderExperiments(ctx, c, expandIDs(*f.exp), format, *f.outDir, stdout)
+	return renderExperiments(ctx, c, ids, format, *f.outDir, stdout)
 }
 
 // runFlags are the flags of a campaign run; `rhvpp merge` and `rhvpp serve`
@@ -181,16 +190,20 @@ func printProgress(w io.Writer) rhvpp.ProgressFunc {
 	}
 }
 
-// expandIDs resolves "all" to every experiment id in presentation order.
-func expandIDs(exp string) []string {
+// expandIDs resolves "all" to every experiment id in presentation order and
+// rejects an unknown id before anything renders.
+func expandIDs(exp string) ([]string, error) {
 	if exp != "all" {
-		return []string{exp}
+		if _, err := rhvpp.LookupExperiment(exp); err != nil {
+			return nil, err
+		}
+		return []string{exp}, nil
 	}
 	var ids []string
 	for _, e := range rhvpp.Experiments() {
 		ids = append(ids, e.ID)
 	}
-	return ids
+	return ids, nil
 }
 
 // renderExperiments renders each id through the campaign, with the same
@@ -240,9 +253,9 @@ func shardStudies(exp string) ([]rhvpp.Study, error) {
 	if exp == "" || exp == "all" {
 		return nil, nil // PlanUnits default: every shardable study
 	}
-	e, ok := rhvpp.ExperimentByID(exp)
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q (known: %v)", exp, rhvpp.ExperimentNames())
+	e, err := rhvpp.LookupExperiment(exp)
+	if err != nil {
+		return nil, err
 	}
 	shardable := make(map[rhvpp.Study]bool)
 	for _, s := range rhvpp.ShardableStudies() {
@@ -362,6 +375,10 @@ func runMerge(ctx context.Context, args []string, stdout io.Writer) error {
 	if _, err := rhvpp.NewEncoder(f, io.Discard); err != nil {
 		return err
 	}
+	ids, err := expandIDs(*exp)
+	if err != nil {
+		return err
+	}
 	arts := make([]*rhvpp.ShardArtifact, len(paths))
 	for i, path := range paths {
 		fh, err := os.Open(path)
@@ -378,5 +395,5 @@ func runMerge(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return renderExperiments(ctx, c, expandIDs(*exp), f, *outDir, stdout)
+	return renderExperiments(ctx, c, ids, f, *outDir, stdout)
 }

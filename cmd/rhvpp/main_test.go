@@ -114,10 +114,30 @@ func TestMissingExperimentFlag(t *testing.T) {
 	}
 }
 
+// TestUnknownExperiment pins one wording for an unknown id: a campaign run
+// and a shard run both return rhvpp.LookupExperiment's error, the one the
+// server's 400 carries, and print nothing.
 func TestUnknownExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(t.Context(), []string{"-exp", "nope"}, &buf); err == nil {
-		t.Error("unknown experiment accepted")
+	_, want := rhvpp.LookupExperiment("nope")
+	if want == nil {
+		t.Fatal("LookupExperiment accepted nope")
+	}
+	for _, args := range [][]string{
+		{"-exp", "nope"},
+		{"-exp", "nope", "-shard", "0/2", "-artifact", filepath.Join(t.TempDir(), "s.json")},
+	} {
+		var buf bytes.Buffer
+		err := run(t.Context(), args, &buf)
+		if err == nil {
+			t.Errorf("%v: unknown experiment accepted", args)
+			continue
+		}
+		if err.Error() != want.Error() {
+			t.Errorf("%v: err = %q, want %q", args, err, want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: printed %q", args, buf.String())
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package hotalloc defines an analyzer that keeps annotated hot paths
 // free of heap allocations — the static twin of the repo's
-// testing.AllocsPerRun assertions and the BENCH_spice.json throughput
-// contract (~190 B/run Monte-Carlo aggregation, 0-alloc workspace reuse).
+// testing.AllocsPerRun assertions (0-alloc workspace reuse, Monte-Carlo
+// aggregation whose allocations do not grow with the run count).
 //
 // A function is a hot root when its doc comment carries
 //

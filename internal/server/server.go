@@ -40,11 +40,10 @@ import (
 // the server drains for shutdown.
 var ErrDraining = errors.New("rhvpp: server is draining, not accepting new campaigns")
 
-// defaultSessionCap bounds how many completed campaigns stay memoized in
-// memory; beyond it the least recently used session is dropped (its study
-// entries remain in the store, so re-requesting it is a disk hit, not a
-// recompute).
-const defaultSessionCap = 8
+// sessionCap bounds how many completed campaigns stay memoized in memory;
+// beyond it the least recently used session is dropped (its study entries
+// remain in the store, so re-requesting it is a disk hit, not a recompute).
+const sessionCap = 8
 
 // ComputeFunc produces a campaign for validated options, reporting progress
 // to fn and whether every study came from the store. The default is
@@ -62,18 +61,14 @@ type Config struct {
 	// Compute overrides the campaign computation; nil means
 	// rhvpp.CachedCampaign.
 	Compute ComputeFunc
-	// SessionCap bounds the in-memory completed-campaign cache
-	// (0 = defaultSessionCap).
-	SessionCap int
 }
 
 // Server is the serve API's state: the singleflight table of in-flight
 // computations and the least-recently-used cache of completed campaigns.
 type Server struct {
-	base       rhvpp.Options
-	store      *rhvpp.ArtifactStore
-	compute    ComputeFunc
-	sessionCap int
+	base    rhvpp.Options
+	store   *rhvpp.ArtifactStore
+	compute ComputeFunc
 
 	mu       sync.Mutex
 	flights  map[string]*flight  // fingerprint → in-flight computation
@@ -114,18 +109,14 @@ type session struct {
 // New assembles a Server from cfg.
 func New(cfg Config) *Server {
 	s := &Server{
-		base:       cfg.Base,
-		store:      cfg.Store,
-		compute:    cfg.Compute,
-		sessionCap: cfg.SessionCap,
-		flights:    make(map[string]*flight),
-		sessions:   make(map[string]*session),
+		base:     cfg.Base,
+		store:    cfg.Store,
+		compute:  cfg.Compute,
+		flights:  make(map[string]*flight),
+		sessions: make(map[string]*session),
 	}
 	if s.compute == nil {
 		s.compute = rhvpp.CachedCampaign
-	}
-	if s.sessionCap <= 0 {
-		s.sessionCap = defaultSessionCap
 	}
 	return s
 }
@@ -258,7 +249,7 @@ func (s *Server) finish(fl *flight) {
 		}
 		s.sessions[fl.fp] = &session{camp: fl.camp, log: fl.log}
 		s.order = append(s.order, fl.fp)
-		for len(s.order) > s.sessionCap {
+		for len(s.order) > sessionCap {
 			delete(s.sessions, s.order[0])
 			s.order = s.order[1:]
 		}

@@ -573,7 +573,7 @@ func TestProgressStreamsEachStudy(t *testing.T) {
 func TestSessionCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	g := newGatedCompute()
 	close(g.release) // no gating; computations complete immediately
-	srv, hs := newTestServer(t, Config{Base: tinyOptions(), Compute: g.fn, SessionCap: 2})
+	srv, hs := newTestServer(t, Config{Base: tinyOptions(), Compute: g.fn})
 	fetch := func(seed int) string {
 		t.Helper()
 		code, body, hdr := get(t, hs.URL+fmt.Sprintf("/v1/experiments/table1?seed=%d", seed))
@@ -582,24 +582,25 @@ func TestSessionCacheEvictsLeastRecentlyUsed(t *testing.T) {
 		}
 		return hdr.Get("X-Rhvpp-Cache")
 	}
-	for i, want := range []struct {
-		seed  int
-		cache string
-	}{
-		{1, "compute"}, {2, "compute"},
-		{1, "mem"},     // seed 1 is now the most recently used
-		{3, "compute"}, // evicts seed 2, the least recently used
-	} {
-		if got := fetch(want.seed); got != want.cache {
-			t.Fatalf("request %d (seed %d): cache %q, want %q", i, want.seed, got, want.cache)
+	for seed := 1; seed <= sessionCap; seed++ {
+		if got := fetch(seed); got != "compute" {
+			t.Fatalf("filling seed %d: cache %q, want compute", seed, got)
 		}
 	}
-	st := srv.Stats()
-	if len(st.Sessions) != 2 {
-		t.Fatalf("session cache holds %d entries, want 2", len(st.Sessions))
+	// Seed 1 is now the most recently used; one more campaign evicts seed
+	// 2, the least recently used.
+	if got := fetch(1); got != "mem" {
+		t.Fatalf("re-read of seed 1: cache %q, want mem", got)
 	}
-	if st.Computations != 3 {
-		t.Errorf("computations = %d, want 3", st.Computations)
+	if got := fetch(sessionCap + 1); got != "compute" {
+		t.Fatalf("seed %d: cache %q, want compute", sessionCap+1, got)
+	}
+	st := srv.Stats()
+	if len(st.Sessions) != sessionCap {
+		t.Fatalf("session cache holds %d entries, want %d", len(st.Sessions), sessionCap)
+	}
+	if st.Computations != sessionCap+1 {
+		t.Errorf("computations = %d, want %d", st.Computations, sessionCap+1)
 	}
 	// Seed 1 survived because it was read; seed 2 fell out and recomputes.
 	if got := fetch(1); got != "mem" {

@@ -82,29 +82,35 @@ func BenchmarkCampaignAllUncached(b *testing.B) {
 	o.Jobs = 1
 	for i := 0; i < b.N; i++ {
 		for _, e := range Experiments() {
-			// RunExperiment opens a throwaway Campaign per id: every figure
-			// re-measures its study, exactly like the old string registry.
-			if err := RunExperiment(e.ID, o, io.Discard); err != nil {
-				b.Fatal(err)
-			}
+			// A throwaway Campaign per id: every figure re-measures its
+			// study, exactly like the old string registry.
+			benchRunOnce(b, o, e.ID)
 		}
+	}
+}
+
+// benchRunOnce renders one experiment id from a fresh Campaign, so nothing
+// is reused across calls.
+func benchRunOnce(b *testing.B, o Options, id string) {
+	c, err := NewCampaign(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Run(b.Context(), id, NewTextEncoder(io.Discard)); err != nil {
+		b.Fatal(err)
 	}
 }
 
 func BenchmarkTable1ChipSummary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := RunExperiment("table1", benchOptions(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		benchRunOnce(b, benchOptions(), "table1")
 	}
 	b.ReportMetric(float64(physics.TotalChips()), "chips")
 }
 
 func BenchmarkTable2SpiceParams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := RunExperiment("table2", benchOptions(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		benchRunOnce(b, benchOptions(), "table2")
 	}
 }
 
@@ -272,9 +278,9 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := c.cfg
-			cfg.VPP, cfg.Runs, cfg.Seed, cfg.Variation = 2.0, runs, 2022, 0.05
+			cfg.Runs, cfg.Seed, cfg.Variation = runs, 2022, 0.05
 			for i := 0; i < b.N; i++ {
-				if _, err := spice.RunMonteCarlo(b.Context(), cfg); err != nil {
+				if _, err := spice.RunMonteCarloSweep(b.Context(), []float64{2.0}, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

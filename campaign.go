@@ -367,6 +367,19 @@ func (c *Campaign) moduleSweepFor(ctx context.Context, name string) (ModuleSweep
 	return ModuleSweep{}, fmt.Errorf("rhvpp: module %s not covered by the campaign's RowHammer study", name)
 }
 
+// from adapts a study accessor and a render of its result to an
+// experiment's run: the study is computed on first use, then rendered.
+func from[T any](get func(*Campaign, context.Context) (T, error),
+	render func(T, Encoder) error) func(context.Context, *Campaign, Encoder) error {
+	return func(ctx context.Context, c *Campaign, enc Encoder) error {
+		st, err := get(c, ctx)
+		if err != nil {
+			return err
+		}
+		return render(st, enc)
+	}
+}
+
 // registry lists every experiment in the paper's presentation order.
 var registry = []Experiment{
 	{ID: "table1", Title: "Summary of the tested DDR4 DRAM chips", Section: "§4.1, Table 1",
@@ -379,148 +392,52 @@ var registry = []Experiment{
 		}},
 	{ID: "cv", Title: "Coefficient of variation across repeated measurements", Section: "§4.6",
 		Studies: []Study{StudyCV},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.CV(ctx)
-			if err != nil {
-				return err
-			}
-			return st.Render(enc)
-		}},
+		run:     from((*Campaign).CV, CVStudy.Render)},
 	{ID: "table3", Title: "Module RowHammer characteristics under VPP scaling", Section: "§5, Table 3",
 		Studies: []Study{StudyRowHammer},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.RowHammer(ctx)
-			if err != nil {
-				return err
-			}
-			return enc.Table(st.Table3())
-		}},
+		run:     from((*Campaign).RowHammer, func(st RowHammerStudy, enc Encoder) error { return enc.Table(st.Table3()) })},
 	{ID: "fig3", Title: "Normalized RowHammer BER vs wordline voltage", Section: "§5.1, Fig. 3",
 		Studies: []Study{StudyRowHammer},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.RowHammer(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig3(enc)
-		}},
+		run:     from((*Campaign).RowHammer, RowHammerStudy.RenderFig3)},
 	{ID: "fig4", Title: "Normalized RowHammer BER distribution at VPPmin", Section: "§5.1, Fig. 4",
 		Studies: []Study{StudyRowHammer},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.RowHammer(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig4(enc)
-		}},
+		run:     from((*Campaign).RowHammer, RowHammerStudy.RenderFig4)},
 	{ID: "fig5", Title: "Normalized HCfirst vs wordline voltage", Section: "§5.2, Fig. 5",
 		Studies: []Study{StudyRowHammer},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.RowHammer(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig5(enc)
-		}},
+		run:     from((*Campaign).RowHammer, RowHammerStudy.RenderFig5)},
 	{ID: "fig6", Title: "Normalized HCfirst distribution at VPPmin", Section: "§5.2, Fig. 6",
 		Studies: []Study{StudyRowHammer},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.RowHammer(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig6(enc)
-		}},
+		run:     from((*Campaign).RowHammer, RowHammerStudy.RenderFig6)},
 	{ID: "summary", Title: "Row-level RowHammer aggregates at VPPmin", Section: "§5",
 		Studies: []Study{StudyRowHammer},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.RowHammer(ctx)
-			if err != nil {
-				return err
-			}
-			return st.Section5Aggregates().Render(enc)
-		}},
+		run:     from((*Campaign).RowHammer, func(st RowHammerStudy, enc Encoder) error { return st.Section5Aggregates().Render(enc) })},
 	{ID: "fig7", Title: "Minimum reliable tRCD vs wordline voltage", Section: "§6.1, Fig. 7",
 		Studies: []Study{StudyTRCD},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.TRCD(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig7(enc)
-		}},
+		run:     from((*Campaign).TRCD, TRCDStudy.RenderFig7)},
 	{ID: "guardband", Title: "Activation-latency guardband summary", Section: "§6.1",
 		Studies: []Study{StudyTRCD},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.TRCD(ctx)
-			if err != nil {
-				return err
-			}
-			return st.Summary().Render(enc)
-		}},
+		run:     from((*Campaign).TRCD, func(st TRCDStudy, enc Encoder) error { return st.Summary().Render(enc) })},
 	{ID: "fig8a", Title: "Bitline voltage during row activation (SPICE)", Section: "§6.2, Fig. 8a",
 		Studies: []Study{StudyWaveforms},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			wf, err := c.SpiceWaveforms(ctx)
-			if err != nil {
-				return err
-			}
-			return wf.RenderFig8a(enc)
-		}},
+		run:     from((*Campaign).SpiceWaveforms, Waveforms.RenderFig8a)},
 	{ID: "fig8b", Title: "tRCDmin distribution under process variation (SPICE MC)", Section: "§6.2, Fig. 8b",
 		Studies: []Study{StudySpiceMC},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.SpiceMC(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig8b(enc)
-		}},
+		run:     from((*Campaign).SpiceMC, MCStudy.RenderFig8b)},
 	{ID: "fig9a", Title: "Cell voltage during charge restoration (SPICE)", Section: "§6.2, Fig. 9a",
 		Studies: []Study{StudyWaveforms},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			wf, err := c.SpiceWaveforms(ctx)
-			if err != nil {
-				return err
-			}
-			return wf.RenderFig9a(enc)
-		}},
+		run:     from((*Campaign).SpiceWaveforms, Waveforms.RenderFig9a)},
 	{ID: "fig9b", Title: "tRASmin distribution under process variation (SPICE MC)", Section: "§6.2, Fig. 9b",
 		Studies: []Study{StudySpiceMC},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.SpiceMC(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig9b(enc)
-		}},
+		run:     from((*Campaign).SpiceMC, MCStudy.RenderFig9b)},
 	{ID: "fig10a", Title: "Retention BER vs refresh window and voltage", Section: "§6.3, Fig. 10a",
 		Studies: []Study{StudyRetention},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.Retention(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig10a(enc)
-		}},
+		run:     from((*Campaign).Retention, RetentionStudy.RenderFig10a)},
 	{ID: "fig10b", Title: "Retention BER at tREFW = 4 s", Section: "§6.3, Fig. 10b",
 		Studies: []Study{StudyRetention},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			st, err := c.Retention(ctx)
-			if err != nil {
-				return err
-			}
-			return st.RenderFig10b(enc)
-		}},
+		run:     from((*Campaign).Retention, RetentionStudy.RenderFig10b)},
 	{ID: "fig11", Title: "Erroneous words per row at VPPmin", Section: "§6.3, Fig. 11",
 		Studies: []Study{StudyWordAnalysis},
-		run: func(ctx context.Context, c *Campaign, enc Encoder) error {
-			wa, err := c.WordAnalysis(ctx)
-			if err != nil {
-				return err
-			}
-			return wa.RenderFig11(enc)
-		}},
+		run:     from((*Campaign).WordAnalysis, WordAnalysis.RenderFig11)},
 	{ID: "abl-attacks", Title: "Ablation: single- vs double- vs many-sided attacks", Section: "§4.2",
 		adhoc: func(ctx context.Context, c *Campaign) (renderer, error) {
 			return experiments.RunAttackComparison(ctx, c.opts, c.opts.FirstModule("B0"), 60000)
@@ -585,13 +502,15 @@ func Experiments() []Experiment {
 	return out
 }
 
-// ExperimentByID looks a descriptor up by id.
-func ExperimentByID(id string) (Experiment, bool) {
+// LookupExperiment resolves an experiment id or returns the canonical
+// unknown-id error — the one Campaign.Run returns and the CLI prints, so
+// every surface rejects a bad id with the same words.
+func LookupExperiment(id string) (Experiment, error) {
 	i, ok := registryIndex[id]
 	if !ok {
-		return Experiment{}, false
+		return Experiment{}, fmt.Errorf("rhvpp: unknown experiment %q (known: %v)", id, ExperimentNames())
 	}
-	return registry[i], true
+	return registry[i], nil
 }
 
 // ExperimentNames lists the runnable experiment ids in sorted order.
@@ -602,18 +521,4 @@ func ExperimentNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// RunExperiment regenerates one of the paper's tables or figures (or an
-// ablation) by id, writing text output to w.
-//
-// It is a back-compat convenience over a throwaway Campaign; callers
-// rendering more than one experiment should hold a Campaign so the shared
-// studies run once.
-func RunExperiment(name string, o Options, w io.Writer) error {
-	c, err := NewCampaign(o)
-	if err != nil {
-		return err
-	}
-	return c.Run(context.Background(), name, NewTextEncoder(w))
 }

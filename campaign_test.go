@@ -456,18 +456,18 @@ func TestExperimentDescriptors(t *testing.T) {
 		if e.Title == "" || e.Section == "" {
 			t.Errorf("experiment %q lacks a title or section: %+v", e.ID, e)
 		}
-		got, ok := ExperimentByID(e.ID)
-		if !ok || got.Title != e.Title {
-			t.Errorf("ExperimentByID(%q) = %+v, %v", e.ID, got, ok)
+		got, err := LookupExperiment(e.ID)
+		if err != nil || got.Title != e.Title {
+			t.Errorf("LookupExperiment(%q) = %+v, %v", e.ID, got, err)
 		}
 	}
 	for _, id := range []string{"table3", "fig3", "fig4", "fig5", "fig6", "summary"} {
-		e, _ := ExperimentByID(id)
+		e, _ := LookupExperiment(id)
 		if len(e.Studies) != 1 || e.Studies[0] != StudyRowHammer {
 			t.Errorf("%s should declare the RowHammer study dependency, got %v", id, e.Studies)
 		}
 	}
-	if _, ok := ExperimentByID("nope"); ok {
+	if _, err := LookupExperiment("nope"); err == nil {
 		t.Error("bogus experiment id resolved")
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -47,11 +48,13 @@ func main() {
 		return
 	}
 
-	res, err := spice.MonteCarlo(*vpp, *runs, *seed, *varPct/100)
+	results, err := spice.RunMonteCarloSweep(context.Background(), []float64{*vpp},
+		spice.MCConfig{Runs: *runs, Seed: *seed, Variation: *varPct / 100})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spicesim:", err)
 		os.Exit(1)
 	}
+	res := results[0]
 	fmt.Printf("VPP = %.2fV, %d runs, ±%.0f%% variation\n", *vpp, res.Runs, *varPct)
 	fmt.Printf("reliable activations: %.1f%% (%d unreliable, %d unrestored, %d no-converge)\n",
 		res.ReliableFraction()*100, res.Unreliable, res.Unrestored, res.NoConverge)

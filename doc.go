@@ -30,9 +30,6 @@
 //		if err := c.Run(ctx, e.ID, enc); err != nil { ... }
 //	}
 //
-// RunExperiment remains as a one-shot convenience wrapper over a throwaway
-// Campaign for callers that only need a single table or figure.
-//
 // # Determinism and accuracy contracts
 //
 // Two invariants hold across every execution shape and are pinned by the

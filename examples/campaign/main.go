@@ -49,7 +49,10 @@ func main() {
 	// Every id below depends on the same underlying study; the hardware is
 	// characterized exactly once, on the first Run.
 	for _, id := range []string{"table3", "fig3", "fig5", "summary"} {
-		e, _ := rhvpp.ExperimentByID(id)
+		e, err := rhvpp.LookupExperiment(id)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "-- %s: %s (%s)\n", e.ID, e.Title, e.Section)
 		if err := c.Run(ctx, id, enc); err != nil {
 			log.Fatal(err)

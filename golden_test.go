@@ -2,6 +2,8 @@ package rhvpp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -96,13 +98,19 @@ func TestGoldenCampaignOutput(t *testing.T) {
 	}
 }
 
+// goldenArtifactSHA256 is the digest of the golden campaign's 1-way shard
+// artifact as EncodeArtifact writes it (47,680 bytes).
+const goldenArtifactSHA256 = "1abd436d9209de2391a9e85836d5c53a95d3d82d688377927c5e29026d0042e3"
+
 // TestGoldenShardMergeOutput is the sharding acceptance gate: the campaign
 // split into 1-, 2-, and 3-way shard artifacts — each shard executed as its
 // own RunShard with its slice of the plan, then folded back by
 // MergeArtifacts — must reproduce testdata/golden/all.{txt,json,csv} BYTE
 // FOR BYTE in every encoder format. The artifacts additionally make a full
-// file-encoding round trip, so the test pins the wire format, not just the
-// in-memory merge.
+// file-encoding round trip, and the 1-way artifact's bytes are pinned by
+// digest (goldenArtifactSHA256), so the test pins the wire format, not just
+// the in-memory merge: shard files and store entries written by earlier
+// builds stay readable only while those bytes hold.
 func TestGoldenShardMergeOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded campaign renders in -short mode")
@@ -137,6 +145,12 @@ func TestGoldenShardMergeOutput(t *testing.T) {
 			var buf bytes.Buffer
 			if err := EncodeArtifact(&buf, art); err != nil {
 				t.Fatal(err)
+			}
+			if n == 1 {
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != goldenArtifactSHA256 {
+					t.Errorf("1-way artifact (%d bytes) has sha256 %s, want %s", buf.Len(), got, goldenArtifactSHA256)
+				}
 			}
 			if arts[i], err = DecodeArtifact(&buf); err != nil {
 				t.Fatal(err)

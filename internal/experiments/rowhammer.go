@@ -28,18 +28,20 @@ type VPPPoint struct {
 	NormBER stats.ConfidenceInterval
 }
 
-// ModuleSweep is the full RowHammer-vs-VPP characterization of one module.
+// ModuleSweep is the full RowHammer-vs-VPP characterization of one module,
+// and the RowHammer study's unit partial: its JSON form (the profile by its
+// Table 3 label) is the one shard artifacts and store entries carry.
 type ModuleSweep struct {
-	Profile physics.ModuleProfile
-	Rows    []int
-	WCDP    map[int]pattern.Kind
-	Points  []VPPPoint // descending VPP; Points[0] is nominal
+	Profile physics.ModuleProfile `json:"module"`
+	Rows    []int                 `json:"rows"`
+	WCDP    map[int]pattern.Kind  `json:"wcdp"`
+	Points  []VPPPoint            `json:"points"` // descending VPP; Points[0] is nominal
 	// RowNormHCAtMin / RowNormBERAtMin summarize the per-row normalized
 	// values at VPPmin (the populations of Figs. 4 and 6) as streaming
 	// exact distributions: histograms, extremes, and fractions derived from
 	// them are bit-identical to retaining the raw per-row values.
-	RowNormHCAtMin  stats.Dist
-	RowNormBERAtMin stats.Dist
+	RowNormHCAtMin  stats.Dist `json:"row_norm_hc_at_min"`
+	RowNormBERAtMin stats.Dist `json:"row_norm_ber_at_min"`
 }
 
 // PointAt returns the sweep point measured at the given voltage.

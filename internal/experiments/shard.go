@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/dramstudy/rhvpp/internal/pattern"
 	"github.com/dramstudy/rhvpp/internal/physics"
 	"github.com/dramstudy/rhvpp/internal/pool"
 	"github.com/dramstudy/rhvpp/internal/spice"
@@ -100,68 +99,12 @@ func mcConfig(o Options) spice.MCConfig {
 	}
 }
 
-// moduleSweepWire is the serialized form of ModuleSweep. The profile travels
-// by name and is re-resolved from the static catalog on decode.
-type moduleSweepWire struct {
-	Module          string               `json:"module"`
-	Rows            []int                `json:"rows"`
-	WCDP            map[int]pattern.Kind `json:"wcdp"`
-	Points          []VPPPoint           `json:"points"`
-	RowNormHCAtMin  stats.Dist           `json:"row_norm_hc_at_min"`
-	RowNormBERAtMin stats.Dist           `json:"row_norm_ber_at_min"`
-}
-
-func sweepToWire(s ModuleSweep) moduleSweepWire {
-	return moduleSweepWire{
-		Module: s.Profile.Name, Rows: s.Rows, WCDP: s.WCDP, Points: s.Points,
-		RowNormHCAtMin: s.RowNormHCAtMin, RowNormBERAtMin: s.RowNormBERAtMin,
-	}
-}
-
-func sweepFromWire(w moduleSweepWire) (ModuleSweep, error) {
-	prof, ok := physics.ProfileByName(w.Module)
-	if !ok {
-		return ModuleSweep{}, fmt.Errorf("experiments: sweep partial names unknown module %q", w.Module)
-	}
-	return ModuleSweep{
-		Profile: prof, Rows: w.Rows, WCDP: w.WCDP, Points: w.Points,
-		RowNormHCAtMin: w.RowNormHCAtMin, RowNormBERAtMin: w.RowNormBERAtMin,
-	}, nil
-}
-
-// trcdSweepWire is the serialized form of TRCDSweep.
-type trcdSweepWire struct {
-	Module          string    `json:"module"`
-	Rows            []int     `json:"rows"`
-	VPP             []float64 `json:"vpp"`
-	ModuleTRCDMinNS []float64 `json:"module_trcd_min_ns"`
-	FixVerified     bool      `json:"fix_verified"`
-}
-
-func trcdToWire(s TRCDSweep) trcdSweepWire {
-	return trcdSweepWire{
-		Module: s.Profile.Name, Rows: s.Rows, VPP: s.VPP,
-		ModuleTRCDMinNS: s.ModuleTRCDMinNS, FixVerified: s.FixVerified,
-	}
-}
-
-func trcdFromWire(w trcdSweepWire) (TRCDSweep, error) {
-	prof, ok := physics.ProfileByName(w.Module)
-	if !ok {
-		return TRCDSweep{}, fmt.Errorf("experiments: tRCD partial names unknown module %q", w.Module)
-	}
-	return TRCDSweep{
-		Profile: prof, Rows: w.Rows, VPP: w.VPP,
-		ModuleTRCDMinNS: w.ModuleTRCDMinNS, FixVerified: w.FixVerified,
-	}, nil
-}
-
 // validateUnits checks that every requested unit belongs to the study's plan
-// under these options, returning the plan for reuse.
-func validateUnits(o Options, study string, units []UnitRef) ([]UnitRef, error) {
+// under these options.
+func validateUnits(o Options, study string, units []UnitRef) error {
 	plan, err := PlanStudy(o, study)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	byKey := make(map[string]int, len(plan))
 	for _, u := range plan {
@@ -169,21 +112,21 @@ func validateUnits(o Options, study string, units []UnitRef) ([]UnitRef, error) 
 	}
 	for _, u := range units {
 		if u.Study != study {
-			return nil, fmt.Errorf("experiments: unit %s/%q handed to the %s study", u.Study, u.Key, study)
+			return fmt.Errorf("experiments: unit %s/%q handed to the %s study", u.Study, u.Key, study)
 		}
 		idx, ok := byKey[u.Key]
 		if !ok || idx != u.Index {
-			return nil, fmt.Errorf("experiments: unit %s/%q (index %d) is not part of this campaign's plan",
+			return fmt.Errorf("experiments: unit %s/%q (index %d) is not part of this campaign's plan",
 				study, u.Key, u.Index)
 		}
 	}
-	return plan, nil
+	return nil
 }
 
 // RunUnits executes the given work units of ONE study and returns each
-// unit's typed partial result, index-aligned with units: a
-// moduleSweepWire (RowHammer), trcdSweepWire (tRCD), ModuleRetention,
-// ModuleWords, stats.Dist (CV) or spice.MCResult (one per level). The
+// unit's typed partial result, index-aligned with units: a ModuleSweep
+// (RowHammer), TRCDSweep (tRCD), ModuleRetention, ModuleWords, stats.Dist
+// (CV) or spice.MCResult (one per level). The
 // study's StudyFold folds them; nothing is encoded here, so a campaign that
 // keeps its results in process never touches JSON. Bytes are made only
 // where a partial leaves the process (a shard artifact, a store entry), and
@@ -214,7 +157,7 @@ func RunUnits(ctx context.Context, o Options, study string, units []UnitRef, onU
 	if len(units) == 0 {
 		return nil, nil
 	}
-	if _, err := validateUnits(o, study, units); err != nil {
+	if err := validateUnits(o, study, units); err != nil {
 		return nil, err
 	}
 	if study == StudyNameSpiceMC {
@@ -250,17 +193,9 @@ func RunUnits(ctx context.Context, o Options, study string, units []UnitRef, onU
 func runModuleUnit(ctx context.Context, o Options, study string, prof physics.ModuleProfile) (any, error) {
 	switch study {
 	case StudyNameRowHammer:
-		sweep, err := RunModuleSweep(ctx, o, prof)
-		if err != nil {
-			return nil, err
-		}
-		return sweepToWire(sweep), nil
+		return RunModuleSweep(ctx, o, prof)
 	case StudyNameTRCD:
-		sweep, err := RunTRCDSweep(ctx, o, prof)
-		if err != nil {
-			return nil, err
-		}
-		return trcdToWire(sweep), nil
+		return RunTRCDSweep(ctx, o, prof)
 	case StudyNameRetention:
 		return RunModuleRetention(ctx, o, prof)
 	case StudyNameWordAnalysis:
@@ -283,8 +218,8 @@ type StudyFold[P, S any] struct {
 
 // The folds of the shardable studies.
 var (
-	RowHammerFold    = StudyFold[moduleSweepWire, RowHammerStudy]{StudyNameRowHammer, foldRowHammer}
-	TRCDFold         = StudyFold[trcdSweepWire, TRCDStudy]{StudyNameTRCD, foldTRCD}
+	RowHammerFold    = StudyFold[ModuleSweep, RowHammerStudy]{StudyNameRowHammer, foldRowHammer}
+	TRCDFold         = StudyFold[TRCDSweep, TRCDStudy]{StudyNameTRCD, foldTRCD}
 	RetentionFold    = StudyFold[ModuleRetention, RetentionStudy]{StudyNameRetention, foldRetention}
 	WordAnalysisFold = StudyFold[ModuleWords, WordAnalysis]{StudyNameWordAnalysis, foldWordAnalysis}
 	CVFold           = StudyFold[stats.Dist, CVStudy]{StudyNameCV, foldCV}
@@ -363,27 +298,36 @@ func orderedPartials(o Options, study string, data map[string]json.RawMessage) (
 
 // foldRowHammer folds the Fig. 3-6 / Table 3 study from module sweeps in
 // catalog order.
-func foldRowHammer(_ Options, wires []moduleSweepWire) (RowHammerStudy, error) {
-	st := RowHammerStudy{Sweeps: make([]ModuleSweep, len(wires))}
-	for i, w := range wires {
-		var err error
-		if st.Sweeps[i], err = sweepFromWire(w); err != nil {
-			return RowHammerStudy{}, err
-		}
+func foldRowHammer(o Options, sweeps []ModuleSweep) (RowHammerStudy, error) {
+	if err := checkModules(o, StudyNameRowHammer, func(i int) string { return sweeps[i].Profile.Name }); err != nil {
+		return RowHammerStudy{}, err
 	}
-	return st, nil
+	return RowHammerStudy{Sweeps: sweeps}, nil
 }
 
 // foldTRCD folds the Fig. 7 study.
-func foldTRCD(_ Options, wires []trcdSweepWire) (TRCDStudy, error) {
-	st := TRCDStudy{Sweeps: make([]TRCDSweep, len(wires))}
-	for i, w := range wires {
-		var err error
-		if st.Sweeps[i], err = trcdFromWire(w); err != nil {
-			return TRCDStudy{}, err
+func foldTRCD(o Options, sweeps []TRCDSweep) (TRCDStudy, error) {
+	if err := checkModules(o, StudyNameTRCD, func(i int) string { return sweeps[i].Profile.Name }); err != nil {
+		return TRCDStudy{}, err
+	}
+	return TRCDStudy{Sweeps: sweeps}, nil
+}
+
+// checkModules checks that the i-th partial of a per-module study (in plan
+// order) is labeled with the i-th planned module. A decoded sweep whose
+// payload lacks its "module" label leaves the profile zero, and one with
+// another module's label would render under that module's name.
+func checkModules(o Options, study string, label func(i int) string) error {
+	names, err := o.moduleNames()
+	if err != nil {
+		return err
+	}
+	for i, name := range names {
+		if got := label(i); got != name {
+			return fmt.Errorf("experiments: %s unit %q holds a partial labeled %q", study, name, got)
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // foldMC folds the Fig. 8b/9b study from per-level results in sweep-level

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dramstudy/rhvpp/internal/physics"
 	"github.com/dramstudy/rhvpp/internal/report"
 	"github.com/dramstudy/rhvpp/internal/stats"
 )
@@ -211,55 +210,6 @@ func TestUnitPathIndependentOfSplit(t *testing.T) {
 	}
 }
 
-// TestSweepWiresRoundTrip pins the lossless JSON form of the two partials
-// that travel as wire structs: a RowHammer or tRCD sweep survives
-// *ToWire -> JSON -> *FromWire deeply equal. The split test compares
-// round-tripped studies with each other, so it cannot catch a field the
-// wire form drops.
-func TestSweepWiresRoundTrip(t *testing.T) {
-	o := shardOptions()
-	prof, _ := physics.ProfileByName("B3")
-	sweep, err := RunModuleSweep(t.Context(), o, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sw moduleSweepWire
-	roundTripJSON(t, sweepToWire(sweep), &sw)
-	back, err := sweepFromWire(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, sweep) {
-		t.Errorf("RowHammer sweep changed across the wire:\n got %+v\nwant %+v", back, sweep)
-	}
-
-	trcd, err := RunTRCDSweep(t.Context(), o, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tw trcdSweepWire
-	roundTripJSON(t, trcdToWire(trcd), &tw)
-	trcdBack, err := trcdFromWire(tw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trcdBack, trcd) {
-		t.Errorf("tRCD sweep changed across the wire:\n got %+v\nwant %+v", trcdBack, trcd)
-	}
-}
-
-// roundTripJSON encodes v and decodes the bytes into out.
-func roundTripJSON(t *testing.T, v, out any) {
-	t.Helper()
-	raw, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAssembleRejectsIncompleteOrForeignData: missing or surplus units fail
 // loudly with the unit named.
 func TestAssembleRejectsIncompleteOrForeignData(t *testing.T) {
@@ -286,11 +236,25 @@ func TestAssembleRejectsIncompleteOrForeignData(t *testing.T) {
 	if _, err := CVFold.Fold(o, []any{d, ModuleWords{}}); err == nil {
 		t.Error("another study's partial folded")
 	}
-	// Wire partials naming modules outside the catalog are rejected.
-	w, _ := json.Marshal(moduleSweepWire{Module: "ZZ"}) //detlint:ignore sinkerr marshal of a literal fixture cannot fail
-	rhData := map[string]json.RawMessage{"B3": w, "C0": w}
-	if _, err := RowHammerFold.Assemble(o, rhData); err == nil {
-		t.Error("unknown module in sweep partial accepted")
+	// Sweep partials naming modules outside the catalog are rejected.
+	w := json.RawMessage(`{"module":"ZZ"}`)
+	swData := map[string]json.RawMessage{"B3": w, "C0": w}
+	if _, err := RowHammerFold.Assemble(o, swData); err == nil || !strings.Contains(err.Error(), `"ZZ"`) {
+		t.Errorf("unknown module in RowHammer partial: err = %v, want one naming ZZ", err)
+	}
+	if _, err := TRCDFold.Assemble(o, swData); err == nil || !strings.Contains(err.Error(), `"ZZ"`) {
+		t.Errorf("unknown module in tRCD partial: err = %v, want one naming ZZ", err)
+	}
+	// A sweep partial must carry the label of the unit it fills: none, or
+	// another planned module's, is rejected.
+	for _, w := range []json.RawMessage{json.RawMessage(`{}`), json.RawMessage(`{"module":"C0"}`)} {
+		swData := map[string]json.RawMessage{"B3": w, "C0": json.RawMessage(`{"module":"C0"}`)}
+		if _, err := RowHammerFold.Assemble(o, swData); err == nil || !strings.Contains(err.Error(), `unit "B3"`) {
+			t.Errorf("RowHammer unit B3 given %s: err = %v, want one naming the unit", w, err)
+		}
+		if _, err := TRCDFold.Assemble(o, swData); err == nil || !strings.Contains(err.Error(), `unit "B3"`) {
+			t.Errorf("tRCD unit B3 given %s: err = %v, want one naming the unit", w, err)
+		}
 	}
 }
 

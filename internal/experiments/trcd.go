@@ -13,18 +13,18 @@ import (
 )
 
 // TRCDSweep is one module's minimum-reliable-activation-latency study
-// (Fig. 7).
+// (Fig. 7), and the tRCD study's unit partial.
 type TRCDSweep struct {
-	Profile physics.ModuleProfile
-	Rows    []int
-	VPP     []float64
+	Profile physics.ModuleProfile `json:"module"`
+	Rows    []int                 `json:"rows"`
+	VPP     []float64             `json:"vpp"`
 	// ModuleTRCDMinNS is, per VPP level, the largest per-row tRCDmin (the
 	// latency the whole module needs to be reliable).
-	ModuleTRCDMinNS []float64
+	ModuleTRCDMinNS []float64 `json:"module_trcd_min_ns"`
 	// FixVerified reports, for modules exceeding the nominal latency,
 	// whether the published fix latency (24/15 ns) ran without faults at
 	// VPPmin.
-	FixVerified bool
+	FixVerified bool `json:"fix_verified"`
 }
 
 // ExceedsNominal reports whether the module's tRCDmin surpasses the nominal

@@ -18,6 +18,11 @@
 // produces the minority opposite-trend rows of Obsvs. 2 and 5.
 package physics
 
+import (
+	"encoding/json"
+	"fmt"
+)
+
 // Manufacturer identifies one of the three anonymized DRAM vendors.
 type Manufacturer int
 
@@ -173,6 +178,25 @@ type ModuleProfile struct {
 
 // Chips returns the number of DRAM chips on the module.
 func (p ModuleProfile) Chips() int { return p.Org.ChipsPerDIMM() }
+
+// MarshalJSON encodes the profile as its Table 3 label: the catalog is
+// static, so the label is the whole of a profile's identity.
+func (p ModuleProfile) MarshalJSON() ([]byte, error) { return json.Marshal(p.Name) }
+
+// UnmarshalJSON resolves a Table 3 label back to its catalog profile and
+// fails on a label the catalog does not hold.
+func (p *ModuleProfile) UnmarshalJSON(data []byte) error {
+	var name string
+	if err := json.Unmarshal(data, &name); err != nil {
+		return err
+	}
+	prof, ok := ProfileByName(name)
+	if !ok {
+		return fmt.Errorf("physics: unknown module %q", name)
+	}
+	*p = prof
+	return nil
+}
 
 // profiles is the full Table 3 dataset. HCfirst values are in units of
 // activations (the table's "K" values times 1000).

@@ -1,7 +1,10 @@
 package physics
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -191,5 +194,34 @@ func TestManufacturerStrings(t *testing.T) {
 func TestOrgString(t *testing.T) {
 	if OrgX4.String() != "x4" || OrgX8.String() != "x8" || ChipOrg(0).String() != "x?" {
 		t.Error("ChipOrg String() wrong")
+	}
+}
+
+// TestProfileJSONIsItsLabel: a profile encodes as its Table 3 label and
+// decodes back to the same catalog entry; a label the catalog does not hold,
+// or a non-string, fails to decode.
+func TestProfileJSONIsItsLabel(t *testing.T) {
+	for _, p := range Profiles() {
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `"` + p.Name + `"`; string(raw) != want {
+			t.Errorf("%s encodes as %s, want %s", p.Name, raw, want)
+		}
+		var back ModuleProfile
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Errorf("%s decodes to %+v", p.Name, back)
+		}
+	}
+	var p ModuleProfile
+	if err := json.Unmarshal([]byte(`"ZZ"`), &p); err == nil || !strings.Contains(err.Error(), `"ZZ"`) {
+		t.Errorf("unknown label: err = %v, want one naming ZZ", err)
+	}
+	if err := json.Unmarshal([]byte(`3`), &p); err == nil {
+		t.Error("a number decoded as a profile")
 	}
 }

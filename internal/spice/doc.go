@@ -61,8 +61,8 @@
 //
 // # Determinism and memory
 //
-// Monte-Carlo campaigns (RunMonteCarlo, RunMonteCarloSweep) draw every run
-// from a per-level, per-index RNG stream and fold outcomes into streaming
+// Monte-Carlo campaigns (RunMonteCarloSweep, one or more VPP levels) draw
+// every run from a per-level, per-index RNG stream and fold outcomes into streaming
 // stats.Dist accumulators in strict (level, run) order through
 // pool.RunOrdered, so results are byte-identical at any worker count and
 // campaign memory is independent of the run count. There is one execution

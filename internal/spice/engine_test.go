@@ -191,39 +191,23 @@ func TestMOSStampMatchesEval(t *testing.T) {
 // and aggregation happens in index order.
 func TestMonteCarloDeterministicAcrossJobs(t *testing.T) {
 	ctx := context.Background()
-	base := MCConfig{VPP: 2.0, Runs: 16, Seed: 99, Variation: 0.05}
+	vpps := []float64{2.0}
+	base := MCConfig{Runs: 16, Seed: 99, Variation: 0.05}
 
 	cfg1 := base
 	cfg1.Jobs = 1
-	serial, err := RunMonteCarlo(ctx, cfg1)
+	serial, err := RunMonteCarloSweep(ctx, vpps, cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg8 := base
 	cfg8.Jobs = 8
-	parallel, err := RunMonteCarlo(ctx, cfg8)
+	parallel, err := RunMonteCarloSweep(ctx, vpps, cfg8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("Jobs=1 and Jobs=8 diverge:\n%+v\n%+v", serial, parallel)
-	}
-}
-
-// TestMonteCarloMatchesSerialConvenience pins the back-compat wrapper to
-// the configurable API.
-func TestMonteCarloMatchesSerialConvenience(t *testing.T) {
-	viaWrapper, err := MonteCarlo(2.2, 8, 7, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaConfig, err := RunMonteCarlo(context.Background(),
-		MCConfig{VPP: 2.2, Runs: 8, Seed: 7, Variation: 0.05, Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaWrapper, viaConfig) {
-		t.Errorf("wrapper and config API diverge:\n%+v\n%+v", viaWrapper, viaConfig)
 	}
 }
 
@@ -254,7 +238,7 @@ func TestMCResultRecordsNoConverge(t *testing.T) {
 func TestRunMonteCarloCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunMonteCarlo(ctx, MCConfig{VPP: 2.5, Runs: 4, Seed: 1, Variation: 0.05, Jobs: 1})
+	_, err := RunMonteCarloSweep(ctx, []float64{2.5}, MCConfig{Runs: 4, Seed: 1, Variation: 0.05, Jobs: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}

@@ -126,11 +126,9 @@ func Vary(p CellParams, s *rng.Stream, frac float64) CellParams {
 	return p
 }
 
-// MCConfig parameterizes a Monte-Carlo campaign at one VPP level (or, via
-// RunMonteCarloSweep, the same campaign repeated across a VPP sweep).
+// MCConfig parameterizes a Monte-Carlo campaign, repeated by
+// RunMonteCarloSweep at each VPP level of a sweep.
 type MCConfig struct {
-	// VPP is the wordline voltage under test.
-	VPP float64
 	// Runs is the campaign size per VPP level (the paper runs 10K).
 	Runs int
 	// Seed selects the sampled device population.
@@ -152,15 +150,6 @@ func (c MCConfig) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// MonteCarlo runs the activation simulation `runs` times at the given VPP
-// with ±variation parameter spread, mirroring the paper's 10K-run campaign
-// per voltage level. It is the serial convenience form of RunMonteCarlo.
-func MonteCarlo(vpp float64, runs int, seed uint64, variation float64) (MCResult, error) {
-	return RunMonteCarlo(context.Background(), MCConfig{
-		VPP: vpp, Runs: runs, Seed: seed, Variation: variation, Jobs: 1,
-	})
-}
-
 // mcRun is one sample's outcome, delivered to the aggregation fold in index
 // order so the result never depends on worker scheduling.
 type mcRun struct {
@@ -168,30 +157,19 @@ type mcRun struct {
 	noConverge bool
 }
 
-// RunMonteCarlo executes the Monte-Carlo campaign described by cfg at one
-// VPP level. It is the single-level form of RunMonteCarloSweep and shares
-// its worker pool, workspace reuse, and streaming aggregation.
-func RunMonteCarlo(ctx context.Context, cfg MCConfig) (MCResult, error) {
-	results, err := RunMonteCarloSweep(ctx, []float64{cfg.VPP}, cfg)
-	if err != nil {
-		return MCResult{VPP: cfg.VPP, Runs: cfg.Runs}, err
-	}
-	return results[0], nil
-}
-
 // RunMonteCarloSweep executes one Monte-Carlo campaign of cfg.Runs runs per
-// entry of vpps (cfg.VPP is ignored) over a SINGLE global run queue: all
-// levels' runs feed one bounded worker pool, so workers stay busy across
-// level boundaries even when a slowly-converging low-VPP level would
+// entry of vpps (one level is a one-entry sweep) over a SINGLE global run
+// queue: all levels' runs feed one bounded worker pool, so workers stay busy
+// across level boundaries even when a slowly-converging low-VPP level would
 // otherwise drain a per-level pool. Each worker reuses one simulation
 // Workspace across runs (parameters are re-stamped instead of rebuilding the
 // netlist and solver).
 //
-// Every run draws from the same per-level, per-index RNG stream as a
-// standalone RunMonteCarlo, and runs fold into the per-level accumulators in
-// strict (level, run) index order through pool.RunOrdered, so the sweep is
-// byte-identical to running the levels one at a time — at any worker count —
-// while aggregation memory stays independent of the total run count.
+// Every run draws from its own per-level, per-index RNG stream, and runs
+// fold into the per-level accumulators in strict (level, run) index order
+// through pool.RunOrdered, so the sweep is byte-identical to running the
+// levels one at a time — at any worker count — while aggregation memory
+// stays independent of the total run count.
 //
 // Runs that fail to converge are recorded in MCResult.NoConverge (and
 // counted unreliable/unrestored) rather than aborting the campaign; any

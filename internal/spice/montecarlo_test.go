@@ -74,10 +74,7 @@ func TestMCResultMergeMatchesWholeStream(t *testing.T) {
 // TestMCResultJSONRoundTrip: the per-level shard payload reproduces every
 // aggregate after a trip through its artifact encoding.
 func TestMCResultJSONRoundTrip(t *testing.T) {
-	res, err := MonteCarlo(2.0, 8, 2022, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mcLevel(t, 2.0, MCConfig{Runs: 8, Seed: 2022, Variation: 0.05})
 	raw, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +86,17 @@ func TestMCResultJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, res) {
 		t.Errorf("round trip changed the result:\n got %+v\nwant %+v", got, res)
 	}
+}
+
+// mcLevel runs the Monte-Carlo campaign at one VPP level, as a one-level
+// sweep.
+func mcLevel(t *testing.T, vpp float64, cfg MCConfig) MCResult {
+	t.Helper()
+	res, err := RunMonteCarloSweep(t.Context(), []float64{vpp}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
 }
 
 // compareMergedDist checks a merged distribution against its whole-stream

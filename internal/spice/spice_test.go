@@ -303,17 +303,12 @@ func TestMonteCarloReliability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo is slow")
 	}
-	hi, err := MonteCarlo(2.5, 60, 5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := MCConfig{Runs: 60, Seed: 5, Variation: 0.05}
+	hi := mcLevel(t, 2.5, cfg)
 	if hi.ReliableFraction() != 1 {
 		t.Errorf("2.5V reliability = %v, want 1.0", hi.ReliableFraction())
 	}
-	lo, err := MonteCarlo(1.5, 60, 5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lo := mcLevel(t, 1.5, cfg)
 	if lo.ReliableFraction() >= hi.ReliableFraction() {
 		t.Errorf("1.5V reliability %v not below 2.5V %v (paper: unreliable <= 1.6V)",
 			lo.ReliableFraction(), hi.ReliableFraction())
@@ -327,14 +322,9 @@ func TestMonteCarloDistributionShifts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo is slow")
 	}
-	hi, err := MonteCarlo(2.5, 40, 7, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, err := MonteCarlo(1.8, 40, 7, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := MCConfig{Runs: 40, Seed: 7, Variation: 0.05}
+	hi := mcLevel(t, 2.5, cfg)
+	lo := mcLevel(t, 1.8, cfg)
 	if lo.MeanTRCDminNS() <= hi.MeanTRCDminNS() {
 		t.Errorf("mean tRCDmin: 1.8V %.2f not above 2.5V %.2f", lo.MeanTRCDminNS(), hi.MeanTRCDminNS())
 	}

@@ -124,7 +124,7 @@ func TestWorkspaceSimulateAllocs(t *testing.T) {
 
 // TestRunMonteCarloSweepMatchesPerLevel pins the global run queue to the
 // per-level campaigns it replaced: one sweep over all levels must equal
-// running RunMonteCarlo level by level, at any worker count.
+// one-level sweeps run level by level, at any worker count.
 func TestRunMonteCarloSweepMatchesPerLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo is slow")
@@ -144,15 +144,13 @@ func TestRunMonteCarloSweepMatchesPerLevel(t *testing.T) {
 			t.Fatalf("jobs=%d: %d results", jobs, len(sweep))
 		}
 		for li, vpp := range vpps {
-			c1 := c
-			c1.VPP = vpp
-			single, err := RunMonteCarlo(ctx, c1)
+			single, err := RunMonteCarloSweep(ctx, []float64{vpp}, c)
 			if err != nil {
 				t.Fatalf("jobs=%d vpp=%v: %v", jobs, vpp, err)
 			}
-			if !reflect.DeepEqual(sweep[li], single) {
+			if !reflect.DeepEqual(sweep[li], single[0]) {
 				t.Errorf("jobs=%d vpp=%v: sweep result diverges from per-level campaign:\n%+v\n%+v",
-					jobs, vpp, sweep[li], single)
+					jobs, vpp, sweep[li], single[0])
 			}
 		}
 	}

@@ -262,14 +262,3 @@ func PresetOptions(name string) (Options, error) {
 	}
 	return Options{}, fmt.Errorf("unknown preset %q (known: default, paper, golden)", name)
 }
-
-// LookupExperiment resolves an experiment id or returns the canonical
-// unknown-id error — the one Campaign.Run returns and the CLI prints, so
-// every surface rejects a bad id with the same words.
-func LookupExperiment(id string) (Experiment, error) {
-	e, ok := ExperimentByID(id)
-	if !ok {
-		return Experiment{}, fmt.Errorf("rhvpp: unknown experiment %q (known: %v)", id, ExperimentNames())
-	}
-	return e, nil
-}

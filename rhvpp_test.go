@@ -155,8 +155,12 @@ func TestExperimentNamesComplete(t *testing.T) {
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
+	c, err := NewCampaign(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := RunExperiment("nope", DefaultOptions(), &buf); err == nil {
+	if err := c.Run(t.Context(), "nope", NewTextEncoder(&buf)); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -174,9 +178,13 @@ func TestRunExperimentSmoke(t *testing.T) {
 	cfg.MinHCStep = 4000
 	o.Config = cfg
 
+	c, err := NewCampaign(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"table1", "table2", "table3", "fig5", "fig8b"} {
 		var buf bytes.Buffer
-		if err := RunExperiment(name, o, &buf); err != nil {
+		if err := c.Run(t.Context(), name, NewTextEncoder(&buf)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if buf.Len() == 0 {
@@ -186,8 +194,12 @@ func TestRunExperimentSmoke(t *testing.T) {
 }
 
 func TestRunExperimentTable1Content(t *testing.T) {
+	c, err := NewCampaign(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := RunExperiment("table1", DefaultOptions(), &buf); err != nil {
+	if err := c.Run(t.Context(), "table1", NewTextEncoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "272") {
